@@ -394,8 +394,7 @@ def enclosure_defect_sample(
     import itertools as _it
     import random as _random
 
-    from .ia import BoxRegion, ComplexInterval, Interval
-    from .maps import image_extension
+    from .ia import Interval
 
     rng = _random.Random(seed)
     rp = model.r_prime
@@ -406,19 +405,8 @@ def enclosure_defect_sample(
         for _ in range(model.naxes):
             lo = rng.uniform(-rp, rp - epsilon)
             axes.append(Interval(lo, lo + epsilon))
-        zero = Interval(0.0, 0.0)
-        if model.kind == "henon_complex":
-            box = BoxRegion(
-                [ComplexInterval(axes[0], axes[1]), ComplexInterval(axes[2], axes[3])]
-            )
-        elif model.kind == "henon_real":
-            box = BoxRegion(
-                [ComplexInterval(axes[0], zero), ComplexInterval(axes[1], zero)],
-                real=True,
-            )
-        else:
-            box = BoxRegion([ComplexInterval(axes[0], axes[1])])
-        fbox = image_extension(model, box)
+        box = model.box_from_axes(axes)
+        fbox = model.image(box)
         # structured grid (endpoints, zero crossings, interior ticks)
         # hits the per-axis extremes of the quadratic outputs exactly;
         # random points guard the non-separable cubic terms
@@ -435,19 +423,8 @@ def enclosure_defect_sample(
             points.append(tuple(rng.uniform(iv.lo, iv.hi) for iv in axes))
         spans = [[math.inf, -math.inf] for _ in range(model.naxes)]
         for vals in points:
-            if model.kind == "henon_complex":
-                pt = (complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-            elif model.kind == "henon_real":
-                pt = (complex(vals[0], 0.0), complex(vals[1], 0.0))
-            else:
-                pt = (complex(vals[0], vals[1]),)
-            img = model.point_forward(pt)
-            out = []
-            for w in img:
-                out.append(w.real)
-                if not model.real_mode:
-                    out.append(w.imag)
-            for k, v in enumerate(out):
+            img = model.point_forward(model.point_from_axes(vals))
+            for k, v in enumerate(model.point_axes(img)):
                 spans[k][0] = min(spans[k][0], v)
                 spans[k][1] = max(spans[k][1], v)
         for k, iv in enumerate(fbox.axes()):

@@ -24,8 +24,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ResourceError
-from .ia import BoxRegion, ComplexInterval, Interval, UsageError
-from .maps import MapModel, batch_backward, batch_forward
+from .ia import BoxRegion, Interval, UsageError
+from .maps import MapModel, batch_backward, batch_forward, sup_bounded
 
 __all__ = [
     "BoxTree",
@@ -125,24 +125,7 @@ class BoxTree:
         return self.box_at(depth, idx)
 
     def box_at(self, depth: int, idx: tuple) -> BoxRegion:
-        axes = [self._axis_interval(depth, i) for i in idx]
-        return self._box_from_axes(axes)
-
-    def _box_from_axes(self, axes) -> BoxRegion:
-        m = self.model
-        zero = Interval(0.0, 0.0)
-        if m.kind == "henon_complex":
-            coords = [
-                ComplexInterval(axes[0], axes[1]),
-                ComplexInterval(axes[2], axes[3]),
-            ]
-            return BoxRegion(coords)
-        if m.kind == "henon_real":
-            return BoxRegion(
-                [ComplexInterval(axes[0], zero), ComplexInterval(axes[1], zero)],
-                real=True,
-            )
-        return BoxRegion([ComplexInterval(axes[0], axes[1])])
+        return self.model.box_from_axes([self._axis_interval(depth, i) for i in idx])
 
     # -- numpy views -----------------------------------------------------------
 
@@ -192,12 +175,6 @@ class BoxTree:
 
     # -- queries ---------------------------------------------------------------
 
-    def _probe_axes(self, probe: BoxRegion) -> list:
-        m = self.model
-        if len(probe.coords) != m.ncoords or probe.real != m.real_mode:
-            raise UsageError("probe does not match the tree's phase space")
-        return probe.axes()
-
     def query_intersect(self, probe: BoxRegion) -> list[int]:
         """Ids of live leaves whose closed boxes meet the closed probe.
 
@@ -205,7 +182,8 @@ class BoxTree:
         examined (the address form of subtree pruning); candidates are
         then verified against exact cell endpoints.
         """
-        axes = self._probe_axes(probe)
+        self.model.check_box(probe)
+        axes = probe.axes()
         rp = self.r_prime
         out = []
         for depth, level in self._levels.items():
@@ -293,15 +271,7 @@ class BoxTree:
         return out
 
     def point_axis_values(self, point: Iterable[complex]) -> tuple:
-        pt = [complex(z) for z in point]
-        m = self.model
-        if len(pt) != m.ncoords:
-            raise UsageError("point does not match the tree's phase space")
-        if m.kind == "henon_complex":
-            return (pt[0].real, pt[0].imag, pt[1].real, pt[1].imag)
-        if m.kind == "henon_real":
-            return (pt[0].real, pt[1].real)
-        return (pt[0].real, pt[0].imag)
+        return self.model.point_axes(point)
 
     # -- escape pruning ----------------------------------------------------------
 
@@ -354,16 +324,22 @@ class BoxTree:
     @classmethod
     def restore(cls, model: MapModel, addresses, max_depth: int = 32) -> "BoxTree":
         """Rebuild a tree from persisted (depth, idx) leaf addresses;
-        leaf ids are assigned 0..n-1 in the given order."""
+        leaf ids are assigned 0..n-1 in the given order.  Addresses must
+        be distinct grid cells inside V0."""
         tree = cls(model, max_depth=max_depth)
         tree.remove_leaves(tree.live_ids())
         tree._next_id = 0
         for depth, idx in addresses:
+            idx = tuple(idx)
             if len(idx) != tree.naxes:
                 raise UsageError("address does not match the map's phase space")
             if not 0 <= depth <= max_depth:
                 raise UsageError(f"address depth {depth} out of range")
-            tree._insert(depth, tuple(idx))
+            if min(idx) < 0 or max(idx) >= 1 << depth:
+                raise UsageError(f"address {idx} outside the depth-{depth} grid")
+            if idx in tree._levels.get(depth, ()):
+                raise UsageError(f"duplicate address {depth} {idx}")
+            tree._insert(depth, idx)
         return tree
 
 
@@ -392,45 +368,35 @@ def sink_basin_selector(
     mid = 0.5 * (lo + hi)
     rp = tree.r_prime
     n = len(ids)
+    pt = model.coords_from_axes(
+        list(mid.T), lambda re, im: re.astype(complex) if im is None else re + 1j * im
+    )
+    ok = np.ones(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if model.is_henon:
-            if model.kind == "henon_complex":
-                x = mid[:, 0] + 1j * mid[:, 1]
-                y = mid[:, 2] + 1j * mid[:, 3]
-            else:
-                x = mid[:, 0].astype(complex)
-                y = mid[:, 1].astype(complex)
             m00 = np.ones(n, dtype=complex)
             m01 = np.zeros(n, dtype=complex)
             m10 = np.zeros(n, dtype=complex)
             m11 = np.ones(n, dtype=complex)
-            ok = np.ones(n, dtype=bool)
-            a, c = model.a, model.c
+            a = model.a
             for _ in range(iterates):
-                j00 = 2.0 * x
+                j00 = 2.0 * pt[0]
                 n00 = j00 * m00 - a * m10
                 n01 = j00 * m01 - a * m11
                 m00, m01, m10, m11 = n00, n01, m00, m01
-                x, y = x * x + c - a * y, x
-                sup = np.maximum(
-                    np.maximum(np.abs(x.real), np.abs(x.imag)),
-                    np.maximum(np.abs(y.real), np.abs(y.imag)),
-                )
-                ok &= np.isfinite(sup) & (sup <= rp)
+                pt = model.point_forward(pt)
+                ok &= sup_bounded(pt, rp)
             tr = m00 + m11
             det = m00 * m11 - m01 * m10
             disc = np.sqrt(tr * tr - 4.0 * det)
             lmax = np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
             small = np.isfinite(lmax) & (lmax < threshold)
         else:
-            z = mid[:, 0] + 1j * mid[:, 1]
             prod = np.ones(n, dtype=complex)
-            ok = np.ones(n, dtype=bool)
             for _ in range(iterates):
-                prod = prod * model.point_derivative((z,))
-                (z,) = model.point_forward((z,))
-                sup = np.maximum(np.abs(z.real), np.abs(z.imag))
-                ok &= np.isfinite(sup) & (sup <= rp)
+                prod = prod * model.point_derivative(pt)
+                pt = model.point_forward(pt)
+                ok &= sup_bounded(pt, rp)
             small = np.isfinite(np.abs(prod)) & (np.abs(prod) < threshold)
     chosen = set(ids[ok & small].tolist())
     return lambda lid: lid in chosen

@@ -136,7 +136,10 @@ def build_edges(
     total_edges = 0
     for depth in tree.live_depths():
         if naxes * depth > 62:
-            raise UsageError("grid too deep for packed addressing")
+            raise UsageError(
+                f"grid depth {depth} too deep for packed addressing: needs "
+                f"naxes*depth <= 62 (depth <= {62 // naxes} with {naxes} axes)"
+            )
         cell = tree.cell_size(depth)
         nmax = (1 << depth) - 1
         level_rows = np.flatnonzero(depths == depth)
@@ -239,10 +242,6 @@ class SccLabeling:
         return len(self.sizes)
 
 
-def _has_self_edge(graph: ChainGraph, row: int) -> bool:
-    return graph.has_edge(row, row)
-
-
 def scc_decompose(graph: ChainGraph) -> SccLabeling:
     """Label vertices by strongly connected component.
 
@@ -261,7 +260,7 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     labeled = counts[raw] >= 2
     # singleton components survive only with a self-edge
     for row in np.flatnonzero(~labeled):
-        if _has_self_edge(graph, int(row)):
+        if graph.has_edge(int(row), int(row)):
             labeled[row] = True
     comp = np.full(n, -1, dtype=np.int64)
     kept = np.unique(raw[labeled])

@@ -98,7 +98,6 @@ def _cmd_run(args) -> int:
         max_depth=args.max_depth,
         sink_iterates=args.sink_iters,
         sink_threshold=args.sink_threshold,
-        threads=args.threads,
         model_out=args.model_out,
         save_edges=args.save_edges,
         json_model=args.json_model,
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--max-depth", type=int, default=32, dest="max_depth")
     run_p.add_argument("--sink-iters", type=int, default=12, dest="sink_iters")
     run_p.add_argument("--sink-threshold", type=float, default=1.0, dest="sink_threshold")
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--model-out", dest="model_out")
     run_p.add_argument("--save-edges", action="store_true", dest="save_edges")
     run_p.add_argument("--json-model", action="store_true", dest="json_model",

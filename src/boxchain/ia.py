@@ -23,6 +23,17 @@ Three layers of data live here:
   maps of C^2, length 1 for maps of C), optionally flagged real-mode,
   in which case imaginary parts are pinned to [0, 0].
 
+``IntervalArray`` and ``ComplexIntervalArray`` are the numpy
+counterparts of the first two, with the same add/sub/mul/square/div
+API, for evaluating one formula on many boxes at once.  They round
+blindly: each endpoint is computed in round-to-nearest and then moved
+one ulp outward by nextafter, exact or not, so they are never tighter
+than the scalar operation on the same operands, except in two exact
+steps: a square is clamped at 0 (the scalar square of a subnormal may
+dip one ulp below it), and a complex square doubles Re*Im without
+rounding.  They do not validate: rows that overflow hold inf or NaN,
+and the caller masks them.
+
 Box geometry (widen / intersects / sup_distance) is taken in the
 sup norm over all real coordinates: ||x|| = max(|Re x_k|, |Im x_k|).
 """
@@ -34,12 +45,16 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "UsageError",
     "Interval",
     "ComplexInterval",
     "BoxRegion",
+    "IntervalArray",
+    "ComplexIntervalArray",
     "BoxPredicates",
     "box_widen",
     "box_predicates",
@@ -635,3 +650,107 @@ def box_predicates(a: BoxRegion, b: BoxRegion) -> BoxPredicates:
         contains=a.encloses(b),
         sup_distance=0.0 if inter else a.sup_distance(b),
     )
+
+
+# ---------------------------------------------------------------------------
+# interval arrays (numpy, blind outward rounding)
+# ---------------------------------------------------------------------------
+
+
+def _down_arr(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up_arr(x):
+    return np.nextafter(x, np.inf)
+
+
+def _hull4(p1, p2, p3, p4) -> "IntervalArray":
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return IntervalArray(_down_arr(lo), _up_arr(hi))
+
+
+class IntervalArray:
+    """Element-wise intervals [lo, hi] over float64 arrays.
+
+    The other operand of a binary operation is an IntervalArray or a
+    scalar Interval, which broadcasts over the rows.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def add(self, other) -> "IntervalArray":
+        return IntervalArray(_down_arr(self.lo + other.lo), _up_arr(self.hi + other.hi))
+
+    def sub(self, other) -> "IntervalArray":
+        return IntervalArray(_down_arr(self.lo - other.hi), _up_arr(self.hi - other.lo))
+
+    def mul(self, other) -> "IntervalArray":
+        al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
+        return _hull4(al * bl, al * bh, ah * bl, ah * bh)
+
+    def square(self) -> "IntervalArray":
+        lo, hi = self.lo, self.hi
+        m = np.maximum(-lo, hi)
+        sq_lo = np.where(
+            lo >= 0.0, _down_arr(lo * lo), np.where(hi <= 0.0, _down_arr(hi * hi), 0.0)
+        )
+        return IntervalArray(np.maximum(sq_lo, 0.0), _up_arr(m * m))
+
+    def div(self, other) -> "IntervalArray":
+        if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
+            raise DomainError("division by an interval containing zero")
+        al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
+        return _hull4(al / bl, al / bh, ah / bl, ah / bh)
+
+
+class ComplexIntervalArray:
+    """Element-wise rectangles re + i*im over IntervalArrays.
+
+    ``im=None`` is real mode: the imaginary part is exactly zero and is
+    not stored.  A real-mode array ignores the imaginary part of the
+    other operand, which must therefore be real (zero) as well.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: IntervalArray, im: Optional[IntervalArray]):
+        self.re = re
+        self.im = im
+
+    def add(self, other) -> "ComplexIntervalArray":
+        im = None if self.im is None else self.im.add(other.im)
+        return ComplexIntervalArray(self.re.add(other.re), im)
+
+    def sub(self, other) -> "ComplexIntervalArray":
+        im = None if self.im is None else self.im.sub(other.im)
+        return ComplexIntervalArray(self.re.sub(other.re), im)
+
+    def mul(self, other) -> "ComplexIntervalArray":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b is None:
+            return ComplexIntervalArray(a.mul(c), None)
+        return ComplexIntervalArray(a.mul(c).sub(b.mul(d)), a.mul(d).add(b.mul(c)))
+
+    def square(self) -> "ComplexIntervalArray":
+        if self.im is None:
+            return ComplexIntervalArray(self.re.square(), None)
+        p = self.re.mul(self.im)  # doubling is exact: no rounding step
+        return ComplexIntervalArray(
+            self.re.square().sub(self.im.square()), IntervalArray(2.0 * p.lo, 2.0 * p.hi)
+        )
+
+    def div(self, other: ComplexInterval) -> "ComplexIntervalArray":
+        """Quotient by a scalar rectangle: u * conj(v) / |v|^2, with the
+        tight scalar enclosure of |v|^2."""
+        den = other.abs_sq()
+        if den.lo <= 0.0:
+            raise DomainError("complex division by a rectangle meeting zero")
+        num = self.mul(ComplexInterval(other.re, other.im.neg()))
+        im = None if num.im is None else num.im.div(den)
+        return ComplexIntervalArray(num.re.div(den), im)

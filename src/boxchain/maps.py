@@ -18,17 +18,29 @@ Parameters arrive as decimal strings and are hulled outward for all
 interval evaluation; plain nearest-double values are kept alongside for
 the non-rigorous point-orbit helpers.
 
-Two evaluation paths exist for the map action on boxes: the scalar
-``image_extension``/``preimage_extension`` (tightest directed rounding
-via ia) and the numpy ``batch_forward``/``batch_backward`` used by the
-bulk pipeline phases (plain nextafter outward nudging, at most one
-extra ulp of slack per endpoint; always a superset of the scalar
-result on the same box).
+Each family's interval extension F (and F^-1 for Henon kinds) is
+written once, in ``MapModel.interval_forward``/``interval_backward``,
+as a formula over coordinate objects with the add/sub/mul/square/div
+API of ``ia``.  Two arithmetics run it:
+
+* ``image``/``preimage`` pass the ComplexIntervals of a ``BoxRegion``:
+  the tightest directed rounding, the independent oracle;
+* ``batch_forward``/``batch_backward`` pass ComplexIntervalArrays built
+  from [N, naxes] endpoint arrays: blind one-ulp outward rounding, used
+  by every bulk pipeline phase.  Both enclose the exact image, and on
+  every row whose result is finite the array enclosure contains the
+  scalar one (tests/test_interval_array.py checks this on adversarial
+  endpoints), so an edge or escape decision made from it is as sound.
+
+``coords_from_axes``/``axes_from_coords`` hold the phase-space layout:
+which real axes make up a point or box of each kind.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +52,9 @@ from .errors import ParseError
 from .ia import (
     BoxRegion,
     ComplexInterval,
-    DomainError,
+    ComplexIntervalArray,
     Interval,
+    IntervalArray,
     UsageError,
 )
 
@@ -50,13 +63,12 @@ __all__ = [
     "MapModel",
     "FixedPointInfo",
     "SinkOrbit",
-    "image_extension",
-    "preimage_extension",
     "trapping_radius",
     "trapping_box",
     "fixed_points",
     "sink_orbits",
     "snap_up_dyadic",
+    "sup_bounded",
 ]
 
 KINDS = ("henon_complex", "henon_real", "quad_poly", "cubic_poly")
@@ -173,9 +185,7 @@ class MapModel:
     @property
     def naxes(self) -> int:
         """Number of real axes of the phase-space boxes."""
-        if self.kind == "henon_complex":
-            return 4
-        return 2  # henon_real (x, y) or 1-D complex (Re z, Im z)
+        return self.ncoords if self.real_mode else 2 * self.ncoords
 
     @property
     def a_mod(self) -> float:
@@ -198,37 +208,77 @@ class MapModel:
     def __repr__(self):
         return f"MapModel({self.param_text()}, rprime={self.r_prime!r})"
 
-    def _check_box(self, box: BoxRegion) -> None:
+    def check_box(self, box: BoxRegion) -> None:
         if len(box.coords) != self.ncoords or box.real != self.real_mode:
             raise UsageError("box does not match the map's phase space")
 
-    # -- interval images (scalar path) --------------------------------------
+    # -- phase-space layout --------------------------------------------------
+
+    def coords_from_axes(self, axes, pair) -> tuple:
+        """Group the real axes (Re x, Im x, Re y, Im y), (x, y) in real
+        mode, or (Re z, Im z) into coordinates pair(re, im); im is None
+        in real mode."""
+        if self.real_mode:
+            return tuple(pair(v, None) for v in axes)
+        return tuple(pair(re, im) for re, im in zip(axes[0::2], axes[1::2]))
+
+    def axes_from_coords(self, coords, parts=lambda c: (c.re, c.im)) -> tuple:
+        """The real axes of a box or point; parts(c) is (re, im) of one
+        coordinate."""
+        if len(coords) != self.ncoords:
+            raise UsageError("coordinates do not match the map's phase space")
+        keep = 1 if self.real_mode else 2
+        return tuple(v for c in coords for v in parts(c)[:keep])
+
+    def point_from_axes(self, vals) -> tuple:
+        return self.coords_from_axes(
+            vals, lambda re, im: complex(re, 0.0 if im is None else im)
+        )
+
+    def point_axes(self, pt) -> tuple:
+        return self.axes_from_coords([complex(z) for z in pt], lambda z: (z.real, z.imag))
+
+    def box_from_axes(self, axes) -> BoxRegion:
+        coords = self.coords_from_axes(
+            axes, lambda re, im: ComplexInterval(re, _ZERO if im is None else im)
+        )
+        return BoxRegion(coords, real=self.real_mode)
+
+    # -- interval extension F (one formula, scalar or array coordinates) -----
 
     def _three_a_sq(self) -> ComplexInterval:
         asq = self.a_iv.square()
         three = Interval(3.0, 3.0)
         return ComplexInterval(asq.re.mul(three), asq.im.mul(three))
 
-    def image(self, box: BoxRegion) -> BoxRegion:
-        self._check_box(box)
+    def interval_forward(self, coords) -> tuple:
+        """F on ComplexIntervals or ComplexIntervalArrays.  A box variable
+        is always the receiver (y.mul(a), not a.mul(y)): the scalar
+        constants take no array operand."""
         if self.is_henon:
-            x, y = box.coords
-            new_x = x.square().add(self.c_iv).sub(self.a_iv.mul(y))
-            return BoxRegion([new_x, x], real=box.real)
-        z = box.coords[0]
+            x, y = coords
+            return (x.square().add(self.c_iv).sub(y.mul(self.a_iv)), x)
+        (z,) = coords
         if self.kind == "quad_poly":
-            return BoxRegion([z.square().add(self.c_iv)])
+            return (z.square().add(self.c_iv),)
         # cubic, Horner form (z^2 - 3a^2) z + c
-        t = z.square().sub(self._three_a_sq())
-        return BoxRegion([t.mul(z).add(self.c_iv)])
+        return (z.square().sub(self._three_a_sq()).mul(z).add(self.c_iv),)
+
+    def interval_backward(self, coords) -> tuple:
+        if not self.is_henon:
+            raise UsageError("inverse is defined for Henon kinds only")
+        x, y = coords
+        return (y, y.square().add(self.c_iv).sub(x).div(self.a_iv))
+
+    def image(self, box: BoxRegion) -> BoxRegion:
+        self.check_box(box)
+        return BoxRegion(self.interval_forward(box.coords), real=box.real)
 
     def preimage(self, box: BoxRegion) -> BoxRegion:
         if not self.is_henon:
             raise UsageError("preimage is defined for Henon kinds only")
-        self._check_box(box)
-        x, y = box.coords
-        new_y = y.square().add(self.c_iv).sub(x).div(self.a_iv)
-        return BoxRegion([y, new_y], real=box.real)
+        self.check_box(box)
+        return BoxRegion(self.interval_backward(box.coords), real=box.real)
 
     # -- point arithmetic (non-rigorous helpers) -----------------------------
 
@@ -241,12 +291,6 @@ class MapModel:
             return (z * z + self.c,)
         return (z * z * z - 3.0 * self.a * self.a * z + self.c,)
 
-    def point_backward(self, pt: Sequence[complex]) -> tuple:
-        if not self.is_henon:
-            raise UsageError("inverse is defined for Henon kinds only")
-        x, y = pt
-        return (y, (y * y + self.c - x) / self.a)
-
     def point_derivative(self, pt: Sequence[complex]):
         """Jacobian at a point: 2x2 complex matrix (Henon) or scalar (1-D)."""
         if self.is_henon:
@@ -256,16 +300,6 @@ class MapModel:
         if self.kind == "quad_poly":
             return 2.0 * z
         return 3.0 * z * z - 3.0 * self.a * self.a
-
-
-def image_extension(model: MapModel, box: BoxRegion) -> BoxRegion:
-    """Interval extension F with F(B) containing the exact image f(B)."""
-    return model.image(box)
-
-
-def preimage_extension(model: MapModel, box: BoxRegion) -> BoxRegion:
-    """Interval enclosure of f^{-1}(B) for Henon kinds."""
-    return model.preimage(box)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +375,7 @@ def trapping_box(model: MapModel, r_prime: float) -> tuple[BoxRegion, float, flo
     d0 = 0.5 * q
     if not d0 > 0.0:
         raise UsageError("degenerate trapping box: q(R') <= 0")
-    side = Interval(-rp, rp)
-    if model.kind == "henon_real":
-        coords = [ComplexInterval(side, _ZERO), ComplexInterval(side, _ZERO)]
-        box = BoxRegion(coords, real=True)
-    elif model.kind == "henon_complex":
-        cell = ComplexInterval(side, side)
-        box = BoxRegion([cell, cell])
-    else:
-        box = BoxRegion([ComplexInterval(side, side)])
-    return box, rp, d0
+    return model.box_from_axes([Interval(-rp, rp)] * model.naxes), rp, d0
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +512,13 @@ class SinkOrbit:
     method: str
 
 
+def sup_bounded(pt, radius: float):
+    """Mask of the points (tuples of complex arrays) whose sup norm over
+    all Re/Im parts is finite and at most ``radius``."""
+    sup = functools.reduce(np.maximum, [np.abs(v) for z in pt for v in (z.real, z.imag)])
+    return np.isfinite(sup) & (sup <= radius)
+
+
 def _cycle_multiplier_max(model: MapModel, points) -> float:
     if model.is_henon:
         m = ((1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j))
@@ -554,20 +586,8 @@ def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
 def _seed_points(model: MapModel, per_axis: int):
     rp = model.r_prime
     ticks = [(-rp + (2.0 * rp) * (k + 0.5) / per_axis) for k in range(per_axis)]
-    if model.kind == "henon_complex":
-        for xr in ticks:
-            for xi in ticks:
-                for yr in ticks:
-                    for yi in ticks:
-                        yield (complex(xr, xi), complex(yr, yi))
-    elif model.kind == "henon_real":
-        for xr in ticks:
-            for yr in ticks:
-                yield (complex(xr, 0.0), complex(yr, 0.0))
-    else:
-        for zr in ticks:
-            for zi in ticks:
-                yield (complex(zr, zi),)
+    for vals in itertools.product(ticks, repeat=model.naxes):
+        yield model.point_from_axes(vals)
 
 
 def heuristic_sink_cycles(
@@ -657,157 +677,26 @@ def sink_orbits(model: MapModel, max_period: int = 8) -> list[SinkOrbit]:
 
 
 # ---------------------------------------------------------------------------
-# batch interval evaluation (numpy, blind outward nudge)
+# batch interval evaluation (numpy, blind outward rounding)
 # ---------------------------------------------------------------------------
 
 
-def _bdn(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _bup(x):
-    return np.nextafter(x, np.inf)
-
-
-def _badd(alo, ahi, blo, bhi):
-    return _bdn(alo + blo), _bup(ahi + bhi)
-
-
-def _bsub(alo, ahi, blo, bhi):
-    return _bdn(alo - bhi), _bup(ahi - blo)
-
-
-def _bmul(alo, ahi, blo, bhi):
-    p1 = alo * blo
-    p2 = alo * bhi
-    p3 = ahi * blo
-    p4 = ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _bdn(lo), _bup(hi)
-
-
-def _bsquare(lo, hi):
-    m = np.maximum(-lo, hi)
-    sq_hi = _bup(m * m)
-    pos = lo >= 0.0
-    neg = hi <= 0.0
-    sq_lo = np.where(pos, _bdn(lo * lo), np.where(neg, _bdn(hi * hi), 0.0))
-    return np.maximum(sq_lo, 0.0), sq_hi
-
-
-def _bdiv_pos(nlo, nhi, dlo, dhi):
-    # denominator interval strictly positive
-    q1 = nlo / dlo
-    q2 = nlo / dhi
-    q3 = nhi / dlo
-    q4 = nhi / dhi
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    return _bdn(lo), _bup(hi)
-
-
-def _const_iv(iv: Interval) -> tuple[float, float]:
-    return iv.lo, iv.hi
+def _on_rows(model: MapModel, formula, lo, hi):
+    axes = [IntervalArray(lo[:, k], hi[:, k]) for k in range(model.naxes)]
+    out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexIntervalArray)))
+    return np.column_stack([v.lo for v in out]), np.column_stack([v.hi for v in out])
 
 
 def batch_forward(model: MapModel, lo, hi):
     """One interval image step for N boxes at once.
 
-    lo/hi are float64 arrays of shape [N, naxes]; axis order is
-    (Re x, Im x, Re y, Im y) for henon_complex, (x, y) for henon_real,
-    (Re z, Im z) for the 1-D kinds.  Outward nudged; rows that blow up
-    may contain inf or NaN and must be masked by the caller.
+    lo/hi are float64 arrays of shape [N, naxes] in the axis order of
+    ``MapModel.coords_from_axes``.  Rows that blow up may contain inf or
+    NaN and must be masked by the caller.
     """
-    cre = _const_iv(model.c_iv.re)
-    cim = _const_iv(model.c_iv.im) if not model.real_mode else None
-    if model.kind == "henon_complex":
-        are = _const_iv(model.a_iv.re)
-        aim = _const_iv(model.a_iv.im)
-        xr = (lo[:, 0], hi[:, 0])
-        xi = (lo[:, 1], hi[:, 1])
-        yr = (lo[:, 2], hi[:, 2])
-        yi = (lo[:, 3], hi[:, 3])
-        sq_re = _bsub(*_bsquare(*xr), *_bsquare(*xi))
-        prod = _bmul(*xr, *xi)
-        sq_im = (2.0 * prod[0], 2.0 * prod[1])  # exact power-of-two scale
-        ay_re = _bsub(*_bmul(*yr, *are), *_bmul(*yi, *aim))
-        ay_im = _badd(*_bmul(*yi, *are), *_bmul(*yr, *aim))
-        nx_re = _bsub(*_badd(*sq_re, *cre), *ay_re)
-        nx_im = _bsub(*_badd(*sq_im, *cim), *ay_im)
-        out_lo = np.column_stack([nx_re[0], nx_im[0], lo[:, 0], lo[:, 1]])
-        out_hi = np.column_stack([nx_re[1], nx_im[1], hi[:, 0], hi[:, 1]])
-        return out_lo, out_hi
-    if model.kind == "henon_real":
-        are = _const_iv(model.a_iv.re)
-        x = (lo[:, 0], hi[:, 0])
-        y = (lo[:, 1], hi[:, 1])
-        ay = _bmul(*y, *are)
-        nx = _bsub(*_badd(*_bsquare(*x), *cre), *ay)
-        return (
-            np.column_stack([nx[0], lo[:, 0]]),
-            np.column_stack([nx[1], hi[:, 0]]),
-        )
-    zr = (lo[:, 0], hi[:, 0])
-    zi = (lo[:, 1], hi[:, 1])
-    if model.kind == "quad_poly":
-        n_re = _badd(*_bsub(*_bsquare(*zr), *_bsquare(*zi)), *cre)
-        prod = _bmul(*zr, *zi)
-        n_im = _badd(2.0 * prod[0], 2.0 * prod[1], *cim)
-        return (
-            np.column_stack([n_re[0], n_im[0]]),
-            np.column_stack([n_re[1], n_im[1]]),
-        )
-    # cubic: (z^2 - 3a^2) z + c
-    t3 = model._three_a_sq()
-    t_re = _bsub(*_bsub(*_bsquare(*zr), *_bsquare(*zi)), *_const_iv(t3.re))
-    prod = _bmul(*zr, *zi)
-    t_im = _bsub(2.0 * prod[0], 2.0 * prod[1], *_const_iv(t3.im))
-    m_re = _bsub(*_bmul(*t_re, *zr), *_bmul(*t_im, *zi))
-    m_im = _badd(*_bmul(*t_re, *zi), *_bmul(*t_im, *zr))
-    n_re = _badd(*m_re, *cre)
-    n_im = _badd(*m_im, *cim)
-    return (
-        np.column_stack([n_re[0], n_im[0]]),
-        np.column_stack([n_re[1], n_im[1]]),
-    )
+    return _on_rows(model, model.interval_forward, lo, hi)
 
 
 def batch_backward(model: MapModel, lo, hi):
     """One interval preimage step for N boxes (Henon kinds only)."""
-    if not model.is_henon:
-        raise UsageError("inverse is defined for Henon kinds only")
-    cre = _const_iv(model.c_iv.re)
-    den = model.a_iv.abs_sq()
-    if den.lo <= 0.0:
-        raise DomainError("a = 0 has no inverse")
-    dl, dh = den.lo, den.hi
-    if model.kind == "henon_real":
-        x = (lo[:, 0], hi[:, 0])
-        y = (lo[:, 1], hi[:, 1])
-        w = _bsub(*_badd(*_bsquare(*y), *cre), *x)
-        # w * a / |a|^2 for real a
-        num = _bmul(*w, *_const_iv(model.a_iv.re))
-        ny = _bdiv_pos(*num, dl, dh)
-        return (
-            np.column_stack([lo[:, 1], ny[0]]),
-            np.column_stack([hi[:, 1], ny[1]]),
-        )
-    cim = _const_iv(model.c_iv.im)
-    conj_re = _const_iv(model.a_iv.re)
-    conj_im = _const_iv(model.a_iv.im.neg())
-    xr = (lo[:, 0], hi[:, 0])
-    xi = (lo[:, 1], hi[:, 1])
-    yr = (lo[:, 2], hi[:, 2])
-    yi = (lo[:, 3], hi[:, 3])
-    w_re = _bsub(*_badd(*_bsub(*_bsquare(*yr), *_bsquare(*yi)), *cre), *xr)
-    prod = _bmul(*yr, *yi)
-    w_im = _bsub(*_badd(2.0 * prod[0], 2.0 * prod[1], *cim), *xi)
-    num_re = _bsub(*_bmul(*w_re, *conj_re), *_bmul(*w_im, *conj_im))
-    num_im = _badd(*_bmul(*w_re, *conj_im), *_bmul(*w_im, *conj_re))
-    ny_re = _bdiv_pos(*num_re, dl, dh)
-    ny_im = _bdiv_pos(*num_im, dl, dh)
-    return (
-        np.column_stack([lo[:, 2], lo[:, 3], ny_re[0], ny_im[0]]),
-        np.column_stack([hi[:, 2], hi[:, 3], ny_re[1], ny_im[1]]),
-    )
+    return _on_rows(model, model.interval_backward, lo, hi)

@@ -103,7 +103,6 @@ class RunConfig:
     max_depth: int = 32
     sink_iterates: int = 12
     sink_threshold: float = 1.0
-    threads: int = 1
     model_out: Optional[str] = None
     save_edges: bool = False
     json_model: bool = False
@@ -128,8 +127,6 @@ class RunConfig:
             raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
         if self.prune_iters < 1:
             raise UsageError("prune_iters must be at least 1")
-        if self.threads < 1:
-            raise UsageError("threads must be at least 1")
 
     def build_model(self) -> MapModel:
         return MapModel(self.kind, c=self.c, a=self.a, r_prime=self.r_prime)
@@ -247,7 +244,6 @@ def run_pipeline(
             "schedule": list(config.schedule),
             "delta_ratio": config.delta_ratio,
             "prune_iters": config.prune_iters,
-            "threads": config.threads,
         },
         map_r=model.R,
         r_prime=model.r_prime,

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ia import UsageError
-from .maps import FixedPointInfo, MapModel, fixed_points
+from .maps import FixedPointInfo, MapModel, fixed_points, sup_bounded
 from .chain_graph import ChainGraph
 
 __all__ = [
@@ -230,32 +230,16 @@ def unstable_parameterization(
 # ---------------------------------------------------------------------------
 
 
-def _batch_kplus(model: MapModel, points, iters: int, escape_radius: float):
-    """Boolean array: orbit stays sup-norm bounded for `iters` steps."""
+def _batch_kplus(model: MapModel, pt, iters: int, escape_radius: float):
+    """Boolean array: orbit stays sup-norm bounded for `iters` steps.
+    ``pt`` holds one complex array per coordinate."""
+    ok = np.ones(len(pt[0]), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        if model.is_henon:
-            x = np.array([p[0] for p in points], dtype=complex)
-            y = np.array([p[1] for p in points], dtype=complex)
-            ok = np.ones(len(x), dtype=bool)
-            a, c = model.a, model.c
-            for _ in range(iters):
-                x, y = x * x + c - a * y, x
-                sup = np.maximum(
-                    np.maximum(np.abs(x.real), np.abs(x.imag)),
-                    np.maximum(np.abs(y.real), np.abs(y.imag)),
-                )
-                ok &= np.isfinite(sup) & (sup <= escape_radius)
-                if not ok.any():
-                    break
-        else:
-            zc = np.array([p[0] for p in points], dtype=complex)
-            ok = np.ones(len(zc), dtype=bool)
-            for _ in range(iters):
-                (zc,) = model.point_forward((zc,))
-                sup = np.maximum(np.abs(zc.real), np.abs(zc.imag))
-                ok &= np.isfinite(sup) & (sup <= escape_radius)
-                if not ok.any():
-                    break
+        for _ in range(iters):
+            pt = model.point_forward(pt)
+            ok &= sup_bounded(pt, escape_radius)
+            if not ok.any():
+                break
     return ok
 
 
@@ -266,7 +250,8 @@ def kplus_heuristic(
     for `iters` steps.  Explicitly non-rigorous."""
     if iters < 1:
         raise UsageError("iters must be at least 1")
-    return bool(_batch_kplus(model, [tuple(point)], iters, escape_radius)[0])
+    pt = tuple(np.array([z], dtype=complex) for z in point)
+    return bool(_batch_kplus(model, pt, iters, escape_radius)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,9 @@ def _pixel_grid(config: RenderConfig):
     return xs, ys  # ys walks top row -> bottom row
 
 
-def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, points):
+def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
+    """Pixels for the points ``pt``: one complex array per coordinate,
+    row-major over the pixel grid."""
     tree = gamma.tree
     n_comp = int(gamma.comp.max()) + 1 if gamma.n_vertices else 0
     palette = component_palette(n_comp)
@@ -299,8 +286,8 @@ def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, points):
     }
     res = config.resolution
     pix = bytearray(res * res)
-    for k, pt in enumerate(points):
-        vals = tree.point_axis_values(pt) if tree is not None else None
+    axes = model.axes_from_coords(pt, lambda z: (z.real.tolist(), z.imag.tolist()))
+    for k, vals in enumerate(zip(*axes)):
         comps = set()
         if tree is not None and tree.leaf_count:
             inside = all(-tree.r_prime <= v <= tree.r_prime for v in vals)
@@ -316,7 +303,7 @@ def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, points):
         else:
             pix[k] = palette[comps.pop()]
     if config.kplus_lighten:
-        bounded = _batch_kplus(model, points, config.kplus_iters, config.escape_radius)
+        bounded = _batch_kplus(model, pt, config.kplus_iters, config.escape_radius)
         for k in np.flatnonzero(bounded):
             pix[k] = min(255, pix[k] + 40)
     return Image(res, res, pix)
@@ -334,9 +321,7 @@ def render_slice(
     evaluate = unstable_parameterization(model, saddle, config.gamma_depth)
     xs, ys = _pixel_grid(config)
     zz = (xs[None, :] + 1j * ys[:, None]).ravel()
-    px, py = evaluate(zz)
-    points = list(zip(px, py))
-    return _paint(gamma, model, config, points)
+    return _paint(gamma, model, config, evaluate(zz))
 
 
 def render_plane(gamma: ChainGraph, model: MapModel, config: RenderConfig) -> Image:
@@ -346,10 +331,5 @@ def render_plane(gamma: ChainGraph, model: MapModel, config: RenderConfig) -> Im
         raise UsageError("render_plane needs a 1-D map or the real Henon map")
     config = config.validate(model)
     xs, ys = _pixel_grid(config)
-    if model.kind == "henon_real":
-        points = [
-            (complex(x, 0.0), complex(y, 0.0)) for y in ys for x in xs
-        ]
-    else:
-        points = [(complex(x, y),) for y in ys for x in xs]
-    return _paint(gamma, model, config, points)
+    points = [model.point_from_axes((x, y)) for y in ys for x in xs]
+    return _paint(gamma, model, config, tuple(np.array(c) for c in zip(*points)))

@@ -1,0 +1,101 @@
+"""Property tests: the numpy interval-array path (batch_forward /
+batch_backward) encloses the tight scalar ia path (MapModel.image /
+preimage) on adversarial endpoints -- signed zeros, subnormals, +/-max
+and boxes of huge width -- for every map family, in both directions.
+
+Rows whose array enclosure blows up to inf or NaN are exempt: the
+pipeline masks them (prune_escaping keeps such leaves, build_edges
+refuses to run on them)."""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from boxchain.ia import ComplexInterval, ComplexIntervalArray, Interval, IntervalArray
+from boxchain.maps import MapModel, batch_backward, batch_forward
+
+MAX = sys.float_info.max
+MIN_NORMAL = sys.float_info.min
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, MIN_NORMAL, -MIN_NORMAL, MAX, -MAX, 1e-300, -1e-300]
+
+MODELS = {
+    "henon_complex": MapModel("henon_complex", c="-1.17", a="0.3", r_prime=2.01),
+    "henon_real": MapModel("henon_real", c="-3", a="-0.25", r_prime=2.57),
+    "quad_poly": MapModel("quad_poly", c="-0.12,0.74", r_prime=2.0),
+    "cubic_poly": MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1),
+}
+CASES = [(kind, "forward") for kind in MODELS] + [
+    ("henon_complex", "backward"),
+    ("henon_real", "backward"),
+]
+
+endpoint = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+axis = st.tuples(endpoint, endpoint).map(sorted)
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("kind,direction", CASES)
+@given(data=st.data())
+@PROPERTY
+def test_array_path_encloses_scalar_path(kind, direction, data):
+    model = MODELS[kind]
+    rows = data.draw(
+        st.lists(st.lists(axis, min_size=model.naxes, max_size=model.naxes), min_size=1, max_size=6)
+    )
+    lo = np.array([[a for a, _ in row] for row in rows])
+    hi = np.array([[b for _, b in row] for row in rows])
+    batch, scalar = (
+        (batch_forward, model.image) if direction == "forward" else (batch_backward, model.preimage)
+    )
+    with np.errstate(all="ignore"):
+        blo, bhi = batch(model, lo, hi)
+    for i, row in enumerate(rows):
+        if not (np.isfinite(blo[i]).all() and np.isfinite(bhi[i]).all()):
+            continue
+        want = scalar(model.box_from_axes([Interval(a, b) for a, b in row])).axes()
+        for k, iv in enumerate(want):
+            assert blo[i, k] <= iv.lo and iv.hi <= bhi[i, k], (row, k, iv)
+
+
+@given(a=axis, b=axis)
+@PROPERTY
+def test_interval_array_ops_enclose_scalar_ops(a, b):
+    x, y = Interval(*a), Interval(*b)
+    xa = IntervalArray(np.array([a[0]]), np.array([a[1]]))
+    # the array square is clamped at 0, where the scalar square of a
+    # subnormal dips one ulp below it: compare with the scalar square
+    # cut to [0, inf), which still encloses every x^2
+    sq = x.square()
+    with np.errstate(all="ignore"):
+        pairs = [
+            (xa.add(y), x.add(y)),
+            (xa.sub(y), x.sub(y)),
+            (xa.mul(y), x.mul(y)),
+            (xa.square(), Interval(max(sq.lo, 0.0), sq.hi)),
+        ]
+        if not y.lo <= 0.0 <= y.hi:
+            pairs.append((xa.div(y), x.div(y)))
+    for got, want in pairs:
+        if np.isfinite(got.lo[0]) and np.isfinite(got.hi[0]):
+            assert got.lo[0] <= want.lo and want.hi <= got.hi[0], (a, b)
+
+
+def test_real_mode_array_stores_no_imaginary_part():
+    x = ComplexIntervalArray(IntervalArray(np.array([1.0]), np.array([2.0])), None)
+    a = ComplexInterval(Interval(-0.25, -0.25), Interval(0.0, 0.0))
+    out = x.square().add(a).sub(x).mul(a).div(a)
+    assert out.im is None
+    assert out.re.lo[0] <= -1.25 and 2.75 <= out.re.hi[0]

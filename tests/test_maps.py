@@ -15,9 +15,7 @@ from boxchain.maps import (
     batch_backward,
     batch_forward,
     fixed_points,
-    image_extension,
     period2_sink_cycle,
-    preimage_extension,
     sink_orbits,
     snap_up_dyadic,
     trapping_box,
@@ -55,13 +53,13 @@ def box_from_axes(model, axes):
 
 
 # ---------------------------------------------------------------------------
-# image_extension
+# MapModel.image
 # ---------------------------------------------------------------------------
 
 
 def test_image_of_origin_point_box():
     m = PER31()
-    out = image_extension(m, point_box(m, 0j, 0j))
+    out = m.image(point_box(m, 0j, 0j))
     xr = out.coords[0].re
     assert Fraction(xr.lo) <= Fraction("-1.17") <= Fraction(xr.hi)
     assert xr.width() <= 2 * math.ulp(1.17)
@@ -75,7 +73,7 @@ def test_image_matches_hand_interval_evaluation():
     u = Interval(-1.0, 1.0)
     z = Interval(0.0, 0.0)
     b = box_from_axes(m, [u, z, u, z])
-    out = image_extension(m, b)
+    out = m.image(b)
     xr = out.coords[0].re
     eps = 1e-12
     assert xr.lo <= -1.47 + eps and xr.lo >= -1.47 - eps
@@ -121,7 +119,7 @@ def test_enclosure_soundness_sweep(make):
     for _ in range(2000):
         axes = _rand_box(model, rng)
         box = box_from_axes(model, axes)
-        fbox = image_extension(model, box)
+        fbox = model.image(box)
         for _ in range(12):
             vals = _rand_point_in(axes, rng)
             pt = _pack_point(model, vals)
@@ -137,7 +135,7 @@ def test_batch_forward_contains_scalar_image(make):
     hi = np.array([[iv.hi for iv in axes] for axes in boxes])
     blo, bhi = batch_forward(model, lo, hi)
     for i, axes in enumerate(boxes):
-        sc = image_extension(model, box_from_axes(model, axes))
+        sc = model.image(box_from_axes(model, axes))
         for k, iv in enumerate(sc.axes()):
             assert blo[i, k] <= iv.lo and bhi[i, k] >= iv.hi
 
@@ -151,13 +149,13 @@ def test_batch_backward_contains_scalar_preimage():
         hi = np.array([[iv.hi for iv in axes] for axes in boxes])
         blo, bhi = batch_backward(model, lo, hi)
         for i, axes in enumerate(boxes):
-            sc = preimage_extension(model, box_from_axes(model, axes))
+            sc = model.preimage(box_from_axes(model, axes))
             for k, iv in enumerate(sc.axes()):
                 assert blo[i, k] <= iv.lo and bhi[i, k] >= iv.hi
 
 
 # ---------------------------------------------------------------------------
-# preimage_extension
+# MapModel.preimage
 # ---------------------------------------------------------------------------
 
 
@@ -169,7 +167,7 @@ def test_preimage_of_origin_image():
             ComplexInterval.point(0j),
         ]
     )
-    back = preimage_extension(m, b)
+    back = m.preimage(b)
     assert back.contains_point((0j, 0j))
 
 
@@ -181,22 +179,22 @@ def test_preimage_roundtrip_contains_point():
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
         )
-        fwd = image_extension(m, point_box(m, *pt))
-        back = preimage_extension(m, fwd)
+        fwd = m.image(point_box(m, *pt))
+        back = m.preimage(fwd)
         assert back.contains_point(pt)
 
 
 def test_preimage_fixed_point_invariance():
     m = PER31()
     for fp in fixed_points(m):
-        back = preimage_extension(m, point_box(m, *fp.location))
+        back = m.preimage(point_box(m, *fp.location))
         assert back.contains_point(fp.location)
 
 
 def test_preimage_rejected_for_one_dim():
     m = MapModel("quad_poly", c="0", r_prime=2.0)
     with pytest.raises(UsageError):
-        preimage_extension(m, point_box(m, 0j))
+        m.preimage(point_box(m, 0j))
 
 
 # ---------------------------------------------------------------------------

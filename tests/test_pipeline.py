@@ -63,8 +63,6 @@ def test_config_validation():
     with pytest.raises(UsageError):
         small_config(prune_iters=0).validate()
     with pytest.raises(UsageError):
-        small_config(threads=0).validate()
-    with pytest.raises(UsageError):
         RunConfig.from_preset("nope")
     small_config().validate()
 
@@ -91,7 +89,7 @@ def test_presets_complete():
 
 def test_reproducibility_identical_records():
     r1 = run_pipeline(small_config())
-    r2 = run_pipeline(small_config(threads=2))
+    r2 = run_pipeline(small_config())
     c1 = [s.core_fields() for s in r1.record.steps]
     c2 = [s.core_fields() for s in r2.record.steps]
     assert c1 == c2
@@ -315,6 +313,39 @@ def test_truncated_model_rejected(tmp_path):
     garbled.write_text("not a model\n")
     with pytest.raises(ParseError):
         load_model(str(garbled))
+
+
+def _hand_model(tmp_path, box_lines):
+    header = (
+        "boxchain-model 1 kind=quad_poly c=0,0 rprime=2.0 m=2 delta=0.001"
+        f" epsilon=1.0 epsilon_min=1.0 boxes={len(box_lines)} comps=1 edges=0 cross=0"
+    )
+    path = tmp_path / "hand.txt"
+    path.write_text("\n".join([header] + box_lines) + "\n")
+    return str(path)
+
+
+def test_hand_written_model_loads(tmp_path):
+    _, tree, gamma = load_model(_hand_model(tmp_path, ["B 2 1 1 0", "B 2 3 0 0"]))
+    assert tree.leaf_count == gamma.n_vertices == 2
+    assert tree.depth_counts() == {2: 2}
+
+
+def test_duplicate_address_rejected(tmp_path):
+    path = _hand_model(tmp_path, ["B 2 1 1 0", "B 2 1 1 0"])
+    with pytest.raises(ParseError, match="duplicate"):
+        load_model(path)
+    assert _cli("inspect", "--model-in", path).returncode == 4
+
+
+def test_address_index_beyond_grid_rejected(tmp_path):
+    with pytest.raises(ParseError, match="outside"):
+        load_model(_hand_model(tmp_path, ["B 2 1 4 0"]))
+
+
+def test_negative_address_index_rejected(tmp_path):
+    with pytest.raises(ParseError, match="outside"):
+        load_model(_hand_model(tmp_path, ["B 2 -1 0 0"]))
 
 
 # ---------------------------------------------------------------------------
