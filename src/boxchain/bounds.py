@@ -89,16 +89,20 @@ def r_coefficient(model_kind: str, epsilon: float, r_prime: float, a_mod: float)
     return epsilon + max(1.0, 2.0 * r_prime + a_mod)
 
 
-def epsilon_prime(epsilon: float, delta: float, r_prime: float, a_mod: float) -> float:
+def epsilon_prime(
+    epsilon: float, delta: float, r_prime: float, a_mod: float, kind: str = "quad"
+) -> float:
     """Outer accuracy: the model boxes are epsilon'-chain recurrent for
 
-        epsilon' = delta + epsilon (1 + |a| + 2R') + epsilon^2
+        epsilon' = delta + epsilon (1 + r)
 
-    (the quadratic-family form; 1-D callers pass a_mod = 0).
+    with r = r_coefficient(kind, epsilon, r_prime, a_mod); for the
+    quadratic kinds that is delta + epsilon (1 + |a| + 2R') + epsilon^2
+    (quad_poly passes a_mod = 0).
     """
     if min(epsilon, delta, r_prime) < 0.0 or a_mod < 0.0:
         raise UsageError("epsilon_prime inputs must be nonnegative")
-    r = r_coefficient("quad", epsilon, r_prime, a_mod)
+    r = r_coefficient(kind, epsilon, r_prime, a_mod)
     return delta + epsilon * (r + 1.0)
 
 
@@ -458,7 +462,7 @@ def report_for_map(
     a_mod = model.a_mod if model.is_henon else 0.0
     # the growth coefficient of the cubic needs the polynomial's own |a|
     r = r_coefficient(model.kind, epsilon, rp, model.a_mod)
-    eps_p = delta + epsilon * (r + 1.0)
+    eps_p = epsilon_prime(epsilon, delta, rp, model.a_mod, model.kind)
     if model.kind == "cubic_poly":
         eta = _eta_cubic(delta, rp, model.a_mod)
         d_p = min(eta, model.delta0_prime)

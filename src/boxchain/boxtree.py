@@ -30,6 +30,7 @@ from .maps import MapModel, batch_backward, batch_forward, sup_bounded
 __all__ = [
     "BoxTree",
     "SubdivisionReport",
+    "cell_range",
     "init_root",
     "sink_basin_selector",
 ]
@@ -178,56 +179,28 @@ class BoxTree:
     def query_intersect(self, probe: BoxRegion) -> list[int]:
         """Ids of live leaves whose closed boxes meet the closed probe.
 
-        Only grid cells inside the probe's index range per depth are
-        examined (the address form of subtree pruning); candidates are
-        then verified against exact cell endpoints.
+        Only grid cells inside the probe's exact index range per depth
+        are examined (the address form of subtree pruning).
         """
         self.model.check_box(probe)
         axes = probe.axes()
-        rp = self.r_prime
+        lo = np.array([iv.lo for iv in axes])
+        hi = np.array([iv.hi for iv in axes])
         out = []
         for depth, level in self._levels.items():
-            cell = self.cell_size(depth)
-            nmax = (1 << depth) - 1
-            ranges = []
-            for iv in axes:
-                if iv.hi < -rp or iv.lo > rp:
-                    ranges = None
-                    break
-                i0 = max(int(math.floor((iv.lo + rp) / cell)) - 1, 0)
-                i1 = min(int(math.floor((iv.hi + rp) / cell)) + 1, nmax)
-                if i0 > i1:
-                    ranges = None
-                    break
-                ranges.append((i0, i1))
-            if ranges is None:
+            i0, i1 = cell_range(lo, hi, self.r_prime, depth)
+            if (i0 > i1).any():
                 continue
-            span = 1
-            for i0, i1 in ranges:
-                span *= i1 - i0 + 1
-            if span <= len(level):
-                candidates = (
-                    (idx, level.get(idx))
-                    for idx in itertools.product(
-                        *[range(i0, i1 + 1) for i0, i1 in ranges]
-                    )
-                )
-                items = ((idx, lid) for idx, lid in candidates if lid is not None)
+            ranges = list(zip(i0.tolist(), i1.tolist()))
+            if math.prod(b - a + 1 for a, b in ranges) <= len(level):
+                candidates = itertools.product(*[range(a, b + 1) for a, b in ranges])
+                out.extend(lid for lid in map(level.get, candidates) if lid is not None)
             else:
-                items = (
-                    (idx, lid)
+                out.extend(
+                    lid
                     for idx, lid in level.items()
-                    if all(r[0] <= i <= r[1] for i, r in zip(idx, ranges))
+                    if all(a <= i <= b for i, (a, b) in zip(idx, ranges))
                 )
-            for idx, lid in items:
-                hit = True
-                for i, iv in zip(idx, axes):
-                    lo = -rp + i * cell
-                    if lo > iv.hi or lo + cell < iv.lo:
-                        hit = False
-                        break
-                if hit:
-                    out.append(lid)
         out.sort()
         return out
 
@@ -325,7 +298,7 @@ class BoxTree:
     def restore(cls, model: MapModel, addresses, max_depth: int = 32) -> "BoxTree":
         """Rebuild a tree from persisted (depth, idx) leaf addresses;
         leaf ids are assigned 0..n-1 in the given order.  Addresses must
-        be distinct grid cells inside V0."""
+        be distinct, non-nested grid cells inside V0."""
         tree = cls(model, max_depth=max_depth)
         tree.remove_leaves(tree.live_ids())
         tree._next_id = 0
@@ -340,7 +313,42 @@ class BoxTree:
             if idx in tree._levels.get(depth, ()):
                 raise UsageError(f"duplicate address {depth} {idx}")
             tree._insert(depth, idx)
+        # leaves tile: no address lies inside another (checked from the deeper one)
+        for outer, depth in itertools.combinations(tree.live_depths(), 2):
+            for idx in tree._levels[depth]:
+                anc = tuple(i >> (depth - outer) for i in idx)
+                if anc in tree._levels[outer]:
+                    raise UsageError(f"nested addresses {outer} {anc} and {depth} {idx}")
         return tree
+
+
+def cell_range(lo, hi, r_prime: float, depth: int):
+    """Exact index range [i0, i1] of the closed depth-``depth`` grid cells
+    meeting [lo, hi], per element, clipped to [0, 2^depth - 1]; the range
+    is empty where i0 > i1.
+
+    ``floor((w + R') / c)`` is only an estimate: it lies within one index
+    of the answer.  One correction step per end then evaluates the cell
+    endpoints ``-R' + i*c`` and ``-R' + i*c + c`` themselves.  Those are
+    monotone in i, and exact dyadic doubles (R' has 12 fractional bits,
+    c = 2R' / 2^depth), so the range holds exactly the cells that meet
+    the interval and its members need no further check.
+    """
+    cell = math.ldexp(r_prime, 1 - depth)
+    nmax = (1 << depth) - 1
+
+    def estimate(w):
+        return np.floor(np.clip((w + r_prime) / cell, -1.0, nmax + 1.0)).astype(np.int64)
+
+    def start(i):
+        return -r_prime + i * cell
+
+    e0 = estimate(lo)
+    e1 = estimate(hi)
+    # lowest i with start(i) + cell >= lo, highest i with start(i) <= hi
+    i0 = e0 + 1 - (start(e0) + cell >= lo) - (start(e0 - 1) + cell >= lo)
+    i1 = e1 - 1 + (start(e1) <= hi) + (start(e1 + 1) <= hi)
+    return np.maximum(i0, 0), np.minimum(i1, nmax)
 
 
 def init_root(model: MapModel, max_depth: int = 32) -> BoxTree:

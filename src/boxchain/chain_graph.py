@@ -12,11 +12,12 @@ model keeps exactly the labeled vertices, with intra-component (cycle)
 edges primary and cross-component edges between labeled vertices
 retained separately, flagged, for serialization.
 
-Edge building is vectorized: widened images are computed in bulk, the
-candidate grid cells per depth are enumerated as integer index ranges,
-verified against exact cell endpoints, and matched against the packed
-live-cell table by binary search.  This is the address form of the
-tree query and is checked against the all-pairs oracle in the tests.
+Edge building is vectorized: per depth, each widened image gets the
+exact index range of the grid cells it meets (``boxtree.cell_range``:
+grid endpoints are exact dyadics and its correction step is monotone,
+so no candidate needs a further check); the ranges are expanded in one
+ragged pass and matched against the packed live-cell table by binary
+search.  This is checked against the all-pairs oracle in the tests.
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
@@ -35,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import MemoryBudgetError
 from .ia import UsageError
 from .maps import MapModel, batch_forward, sink_orbits
-from .boxtree import BoxTree
+from .boxtree import BoxTree, cell_range
 
 __all__ = [
     "ChainGraph",
@@ -48,9 +49,15 @@ __all__ = [
     "classify_components",
 ]
 
-_CHUNK_CANDIDATES = 4_000_000
-_BYTES_PER_EDGE = 8.0
-_BYTES_PER_VERTEX = 160.0
+# Memory budget of build_edges, in tracemalloc bytes.  A vertex costs
+# its live_arrays rows, interval images and per-depth index ranges,
+# counted per axis; a chunk of candidates costs its expansion, lookup
+# and edge keys; an edge costs its 8-byte key in the parts, the
+# concatenated copy that is sorted in place, and the int32 index.
+_CHUNK_CANDIDATES = 500_000
+_BYTES_PER_VERTEX_AXIS = 160.0
+_BYTES_PER_CANDIDATE = 64.0
+_BYTES_PER_EDGE = 16.0
 
 
 @dataclass
@@ -121,18 +128,36 @@ def build_edges(
     delta: float,
     mem_budget_mb: Optional[float] = None,
 ) -> ChainGraph:
-    """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j."""
+    """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
+
+    Raises MemoryBudgetError before the estimated working set (see the
+    byte constants above) would pass ``mem_budget_mb``.
+    """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
+    n = tree.leaf_count
+    naxes = tree.naxes
+
+    def check_budget(edges: int, candidates: int) -> None:
+        if mem_budget_mb is None:
+            return
+        est = (
+            n * naxes * _BYTES_PER_VERTEX_AXIS
+            + edges * _BYTES_PER_EDGE
+            + candidates * _BYTES_PER_CANDIDATE
+        )
+        if est > mem_budget_mb * 1e6:
+            raise MemoryBudgetError(
+                f"edge build exceeded memory budget ({mem_budget_mb:.0f} MB) "
+                f"at {n} vertices, >= {edges} edges",
+                vertices=n,
+                edges=edges,
+            )
+
+    check_budget(0, 0)
     ids, wlo, whi = widened_images(tree, model, delta)
     _, depths, idxs, _, _ = tree.live_arrays()
-    n = len(ids)
-    naxes = tree.naxes
-    rp = tree.r_prime
-    budget_bytes = None if mem_budget_mb is None else mem_budget_mb * 1e6
-
-    src_parts = []
-    dst_parts = []
+    edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
     for depth in tree.live_depths():
         if naxes * depth > 62:
@@ -140,79 +165,54 @@ def build_edges(
                 f"grid depth {depth} too deep for packed addressing: needs "
                 f"naxes*depth <= 62 (depth <= {62 // naxes} with {naxes} axes)"
             )
-        cell = tree.cell_size(depth)
-        nmax = (1 << depth) - 1
         level_rows = np.flatnonzero(depths == depth)
         packed = _pack(idxs[level_rows], depth, naxes)
         order = np.argsort(packed)
         packed = packed[order]
         level_rows = level_rows[order]
 
-        i0 = np.floor((wlo + rp) / cell).astype(np.int64) - 1
-        i1 = np.floor((whi + rp) / cell).astype(np.int64) + 1
-        np.clip(i0, 0, nmax, out=i0)
-        np.clip(i1, 0, nmax, out=i1)
-        ok_rows = np.flatnonzero((i0 <= i1).all(axis=1) & (whi >= -rp).all(axis=1) & (wlo <= rp).all(axis=1))
-        if len(ok_rows) == 0:
-            continue
-        shapes = (i1[ok_rows] - i0[ok_rows] + 1).astype(np.int64)
-        # group rows by candidate-range shape so offsets broadcast
-        uniq, inverse = np.unique(shapes, axis=0, return_inverse=True)
-        for gi in range(len(uniq)):
-            shape = uniq[gi]
-            rows = ok_rows[inverse == gi]
-            ncand = int(np.prod(shape))
-            step = max(1, _CHUNK_CANDIDATES // max(ncand, 1))
-            offsets = (
-                np.indices(shape).reshape(naxes, -1).T.astype(np.int64)
-            )  # [ncand, naxes]
-            for s in range(0, len(rows), step):
-                rr = rows[s : s + step]
-                base = i0[rr]  # [R, naxes]
-                cand = base[:, None, :] + offsets[None, :, :]  # [R, ncand, naxes]
-                low = -rp + cand * cell
-                okc = (low <= whi[rr][:, None, :]) & (low + cell >= wlo[rr][:, None, :])
-                okc = okc.all(axis=2)  # [R, ncand]
-                if not okc.any():
-                    continue
-                rows_rep = np.repeat(rr, ncand).reshape(len(rr), ncand)[okc]
-                flat = cand[okc]  # [K, naxes]
-                p = _pack(flat, depth, naxes)
-                pos = np.searchsorted(packed, p)
-                inside = pos < len(packed)
-                found = np.zeros(len(p), dtype=bool)
-                found[inside] = packed[pos[inside]] == p[inside]
-                if not found.any():
-                    continue
-                src_parts.append(rows_rep[found].astype(np.int64))
-                dst_parts.append(level_rows[pos[found]].astype(np.int64))
-                total_edges += int(found.sum())
-                if budget_bytes is not None:
-                    est = total_edges * _BYTES_PER_EDGE + n * _BYTES_PER_VERTEX
-                    if est > budget_bytes:
-                        raise MemoryBudgetError(
-                            f"edge build exceeded memory budget "
-                            f"({mem_budget_mb:.0f} MB) at {n} vertices, "
-                            f">= {total_edges} edges",
-                            vertices=n,
-                            edges=total_edges,
-                        )
-    if total_edges:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        i0, i1 = cell_range(wlo, whi, tree.r_prime, depth)
+        sizes = np.maximum(i1 - i0 + 1, 0)
+        counts = sizes.prod(axis=1)
+        rows = np.flatnonzero(counts)
+        sizes, counts = sizes[rows], counts[rows]
+        base = _pack(i0[rows], depth, naxes)  # packed key of each row's first cell
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        start = 0
+        while start < len(rows):
+            # whole rows, about _CHUNK_CANDIDATES candidates per chunk
+            first = int(starts[start])
+            stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK_CANDIDATES, side="right")))
+            ncand = int(ends[stop - 1]) - first
+            check_budget(total_edges, ncand)
+            # ragged expansion: chunk-local row and mixed-radix offset per candidate
+            local = np.repeat(np.arange(stop - start), counts[start:stop])
+            off = np.arange(first, first + ncand) - starts[start:stop][local]
+            key = base[start:stop][local]
+            for axis in range(naxes - 1, 0, -1):
+                off, digit = np.divmod(off, sizes[start:stop, axis][local])
+                key += digit << (depth * (naxes - 1 - axis))
+            key += off << (depth * (naxes - 1))
+            pos = np.searchsorted(packed, key)
+            np.minimum(pos, len(packed) - 1, out=pos)
+            found = packed[pos] == key
+            edge = rows[start:stop][local[found]] << 32
+            edge |= level_rows[pos[found]]
+            edge_parts.append(edge)
+            total_edges += len(edge)
+            start = stop
+    check_budget(total_edges, 0)
+    edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
+    del edge_parts
+    edges.sort()  # by (src, dst)
+    indptr = np.searchsorted(edges, np.arange(n + 1, dtype=np.int64) << 32)
+    edges &= 0xFFFFFFFF  # keep dst
     return ChainGraph(
         tree=tree,
         vertex_ids=ids.copy(),
         indptr=indptr,
-        indices=dst.astype(np.int32),
+        indices=edges.astype(np.int32),
         delta=float(delta),
         epsilon=tree.epsilon(),
         epsilon_min=tree.epsilon_min(),
@@ -257,23 +257,22 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     )
     _, raw = connected_components(mat, directed=True, connection="strong")
     counts = np.bincount(raw)
-    labeled = counts[raw] >= 2
-    # singleton components survive only with a self-edge
-    for row in np.flatnonzero(~labeled):
-        if graph.has_edge(int(row), int(row)):
-            labeled[row] = True
-    comp = np.full(n, -1, dtype=np.int64)
-    kept = np.unique(raw[labeled])
+    # singleton components count only with a self-edge
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    kept = counts >= 2
+    kept[raw[src[src == graph.indices]]] = True
     # canonical order: size descending, then smallest member row
-    labels, first_idx = np.unique(raw, return_index=True)
-    first_row = np.zeros(raw.max() + 1, dtype=np.int64)
-    first_row[labels] = first_idx
-    kept_sorted = sorted(kept, key=lambda c: (-counts[c], first_row[c]))
-    sizes = []
-    for new_id, c in enumerate(kept_sorted):
-        comp[(raw == c) & labeled] = new_id
-        sizes.append(int(counts[c]))
-    return SccLabeling(comp=comp, sizes=tuple(sizes), n_labeled=int(labeled.sum()))
+    _, first_row = np.unique(raw, return_index=True)  # raw labels are 0..k-1
+    kept_ids = np.flatnonzero(kept)
+    kept_sorted = kept_ids[np.lexsort((first_row[kept_ids], -counts[kept_ids]))]
+    lookup = np.full(len(counts), -1, dtype=np.int64)
+    lookup[kept_sorted] = np.arange(len(kept_sorted))
+    comp = lookup[raw]
+    return SccLabeling(
+        comp=comp,
+        sizes=tuple(counts[kept_sorted].tolist()),
+        n_labeled=int((comp >= 0).sum()),
+    )
 
 
 def recurrent_model(
@@ -299,9 +298,7 @@ def recurrent_model(
     dst = new_row[dst_all[mask]]
     same = labeling.comp[src_all[mask]] == labeling.comp[dst_all[mask]]
     cross = np.column_stack([src[~same], dst[~same]])
-    src, dst = src[same], dst[same]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    src, dst = src[same], dst[same]  # still sorted by (src, dst): new_row is monotone
     n = len(keep_rows)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -343,21 +340,6 @@ class ComponentReport:
     j_candidate: int  # id of the largest component
     sinks: tuple  # SinkComponentEntry per detected sink orbit
     separating: bool
-
-    def summary_lines(self):
-        lines = [
-            f"components: {self.n_components} "
-            f"(largest #{self.j_candidate} with {self.sizes[self.j_candidate] if self.sizes else 0} boxes)"
-        ]
-        for s in self.sinks:
-            comps = ",".join(str(c) for c in s.component_ids) or "-"
-            lines.append(
-                f"sink orbit period {s.period} ({s.method}, |mult| {s.multiplier_max:.3g}): "
-                f"components {{{comps}}}"
-                + ("" if s.covered else " [NOT COVERED]")
-            )
-        lines.append(f"separating: {str(self.separating).lower()}")
-        return lines
 
 
 def classify_components(

@@ -555,6 +555,11 @@ def _rebuild(model, addresses, comps, edges, cross, delta, epsilon, epsilon_min)
     except UsageError as exc:
         raise ParseError(str(exc)) from None
     n = len(addresses)
+    # the header's values date from before pruning, so they bound the kept boxes
+    if n and epsilon < tree.epsilon():
+        raise ParseError(f"header epsilon {epsilon!r} < largest box side {tree.epsilon()!r}")
+    if n and epsilon_min > tree.epsilon_min():
+        raise ParseError(f"header epsilon_min {epsilon_min!r} > smallest box side {tree.epsilon_min()!r}")
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     if len(src):

@@ -2,14 +2,19 @@
 escape pruning, and the sink-basin selector."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError, box_predicates
 from boxchain.errors import ResourceError
 from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
-from boxchain.boxtree import init_root, sink_basin_selector
+from boxchain.boxtree import cell_range, init_root, sink_basin_selector
 
 
 def quad_c0(rp=2.0):
@@ -193,6 +198,46 @@ def test_query_matches_linear_scan_henon():
             lid for lid, b in boxes.items() if box_predicates(b, probe).intersects
         )
         assert got == want
+
+
+@st.composite
+def _grid_case(draw):
+    """(R', depth, [(lo, hi), ...]) with endpoints on grid lines, one ulp
+    either side, anywhere in and around V0, and far outside it."""
+    rp = snap_up_dyadic(draw(st.floats(min_value=0.3, max_value=5.0)))
+    depth = draw(st.integers(0, 9))
+    cell = math.ldexp(rp, 1 - depth)
+    on_grid = st.integers(-3, (1 << depth) + 3).map(lambda i: -rp + i * cell)
+    nudged = st.tuples(on_grid, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda t: t[0] if t[1] is None else math.nextafter(t[0], t[1])
+    )
+    endpoint = st.one_of(
+        on_grid,
+        nudged,
+        st.floats(min_value=-2.5 * rp, max_value=2.5 * rp),
+        st.sampled_from([-1e300, -4.0 * rp, 4.0 * rp, 1e300]),
+    )
+    ivs = draw(st.lists(st.tuples(endpoint, endpoint).map(sorted), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        ivs.append((ivs[0][0], ivs[0][0]))  # degenerate interval
+    return rp, depth, ivs
+
+
+@given(_grid_case())
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+def test_cell_range_matches_brute_force(case):
+    rp, depth, ivs = case
+    lo = np.array([a for a, _ in ivs])
+    hi = np.array([b for _, b in ivs])
+    i0, i1 = cell_range(lo, hi, rp, depth)
+    cell = Fraction(rp) * 2 / (1 << depth)
+    for k, (a, b) in enumerate(ivs):
+        want = [
+            i
+            for i in range(1 << depth)
+            if -Fraction(rp) + i * cell <= Fraction(b) and -Fraction(rp) + (i + 1) * cell >= Fraction(a)
+        ]
+        assert list(range(int(i0[k]), int(i1[k]) + 1)) == want, (a, b)
 
 
 def test_query_rejects_wrong_space():

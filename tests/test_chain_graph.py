@@ -2,6 +2,7 @@
 transitive-closure oracle, recurrent-model extraction, classification."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,28 @@ def test_memory_budget_abort():
     with pytest.raises(MemoryBudgetError) as ei:
         build_edges(tree, model, 1e-3, mem_budget_mb=0.01)
     assert ei.value.vertices > 0
+
+
+def test_memory_budget_bounds_traced_peak():
+    """Under a budget, build_edges either returns within it (tracemalloc
+    peak) or aborts with MemoryBudgetError."""
+    model = per31()
+    tree = grown_tree(model, 4)
+    tree.subdivide(lambda lid: lid % 3 == 0)  # mixed depths
+    delta = tree.epsilon_min() / 1000.0
+    outcomes = set()
+    for budget_mb in np.geomspace(1.0, 100.0, 25):
+        tracemalloc.start()
+        try:
+            build_edges(tree, model, delta, mem_budget_mb=budget_mb)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= budget_mb * 1e6, (budget_mb, peak)
+            outcomes.add("returned")
+        except MemoryBudgetError:
+            outcomes.add("aborted")
+        finally:
+            tracemalloc.stop()
+    assert outcomes == {"returned", "aborted"}
 
 
 # ---------------------------------------------------------------------------

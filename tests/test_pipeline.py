@@ -348,6 +348,37 @@ def test_negative_address_index_rejected(tmp_path):
         load_model(_hand_model(tmp_path, ["B 2 -1 0 0"]))
 
 
+@pytest.mark.parametrize("lines", [["B 1 0 0 0", "B 2 0 0 0"], ["B 2 1 1 0", "B 1 0 0 0"]])
+def test_nested_addresses_rejected(tmp_path, lines):
+    path = _hand_model(tmp_path, lines)
+    with pytest.raises(ParseError, match="nested"):
+        load_model(path)
+    assert _cli("inspect", "--model-in", path).returncode == 4
+
+
+def test_header_epsilon_checked_against_boxes(tmp_path):
+    # header epsilon=1.0 epsilon_min=1.0; depth-1 sides are 2.0, depth-3 sides 0.5
+    with pytest.raises(ParseError, match="largest box side"):
+        load_model(_hand_model(tmp_path, ["B 1 0 0 0"]))
+    with pytest.raises(ParseError, match="smallest box side"):
+        load_model(_hand_model(tmp_path, ["B 3 0 0 0"]))
+
+
+@pytest.mark.parametrize(
+    "field,factor,message",
+    [("epsilon", 0.5, "largest box side"), ("epsilon_min", 2.0, "smallest box side")],
+)
+def test_json_header_epsilon_checked_against_boxes(tmp_path, field, factor, message):
+    path, _ = _run_small_model(tmp_path, json_mode=True)
+    load_model(path)  # a saved model is consistent
+    obj = json.loads(open(path).read())
+    obj[field] = repr(float(obj[field]) * factor)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=message):
+        load_model(str(bad))
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
