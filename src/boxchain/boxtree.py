@@ -5,13 +5,21 @@ Leaves live on dyadic grids: a leaf at depth d with grid indices
 per real axis, with cell size c_d = 2 R' / 2^d.  R' is a dyadic
 rational with 12 fractional bits (snapped by MapModel), so every grid
 endpoint is an exact double and the tiling/nesting invariants hold in
-exact arithmetic.  Subdivision factor is m = 2 per real axis (2^4
-children per box in C^2, 2^2 in C or R^2); addresses are never reused
-and pruned leaves are dropped eagerly.
+exact arithmetic.  Subdivision halves every axis (2^4 children per box
+in C^2, 2^2 in C or R^2); ids are never reused.
 
-Bulk phases (escape pruning, sink-basin selection) run vectorized over
-numpy views of the live leaves; structural mutation happens only in
-the bulk commit, so queries between phases are read-only and pure.
+The live leaves are three parallel numpy arrays: ids, depths and grid
+indices (n x naxes), kept in ascending id order, so a leaf's row is its
+rank among the live ids.  Subdivision appends the children, pruning
+keeps a mask; the box bounds are derived from the arrays on demand.
+
+One address index answers every "which leaves meet this closed box"
+question (the edge build, box and point queries, classification,
+rendering, the nesting check on load): per live depth, the packed
+addresses of the leaves, sorted.  A leaf's indices are packed into one
+int64 key, axis 0 in the high bits, so every address needs
+naxes * depth <= 62 bits; the tree enforces that as its depth cap.  The
+index and the bounds are rebuilt lazily after each mutation.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ __all__ = [
     "sink_basin_selector",
 ]
 
+_KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
+_CHUNK_CANDIDATES = 500_000  # grid cells expanded per lookup chunk
+
 
 @dataclass(frozen=True)
 class SubdivisionReport:
@@ -45,63 +56,73 @@ class SubdivisionReport:
 
 
 class BoxTree:
-    """Live-leaf registry over dyadic grids, one per depth."""
+    """Live leaves over dyadic grids, one per depth, with one address index."""
 
     def __init__(self, model: MapModel, max_depth: int = 32):
         self.model = model
         self.r_prime = model.r_prime
         self.naxes = model.naxes
-        self.m = 2
-        self.max_depth = max_depth
-        self._live: dict[int, tuple[int, tuple]] = {}
-        self._levels: dict[int, dict[tuple, int]] = {}
-        self._next_id = 0
-        self._cache = None
-        root_idx = (0,) * self.naxes
-        self._insert(0, root_idx)
+        self.max_depth = min(max_depth, _KEY_BITS // self.naxes)
+        one = np.zeros(1, dtype=np.int64)
+        self._set(one, one.copy(), np.zeros((1, self.naxes), dtype=np.int64), 1)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _insert(self, depth: int, idx: tuple) -> int:
-        lid = self._next_id
-        self._next_id += 1
-        self._live[lid] = (depth, idx)
-        self._levels.setdefault(depth, {})[idx] = lid
-        self._cache = None
-        return lid
+    def _set(self, ids, depths, idx, next_id: int) -> None:
+        """Replace the live leaves (ids ascending); drop the derived arrays."""
+        self._ids, self._depths, self._idx = ids, depths, idx
+        self._next_id = next_id
+        self._bounds = None
+        self._index = None
 
-    def _remove(self, lid: int) -> None:
-        depth, idx = self._live.pop(lid)
-        level = self._levels[depth]
-        del level[idx]
-        if not level:
-            del self._levels[depth]
-        self._cache = None
+    def _keep(self, keep: np.ndarray) -> int:
+        """Keep the rows where ``keep`` holds; returns how many were dropped."""
+        dropped = len(keep) - int(np.count_nonzero(keep))
+        if dropped:
+            self._set(self._ids[keep], self._depths[keep], self._idx[keep], self._next_id)
+        return dropped
+
+    def _row(self, lid: int) -> int:
+        row = int(np.searchsorted(self._ids, lid))
+        if row == len(self._ids) or self._ids[row] != lid:
+            raise KeyError(lid)
+        return row
 
     def __len__(self):
-        return len(self._live)
+        return len(self._ids)
 
     @property
     def leaf_count(self) -> int:
-        return len(self._live)
+        return len(self._ids)
 
     def live_ids(self) -> list[int]:
-        return sorted(self._live)
+        return self._ids.tolist()
 
     def live_depths(self) -> list[int]:
-        return sorted(self._levels)
+        return np.unique(self._depths).tolist()
 
     def depth_counts(self) -> dict[int, int]:
-        return {d: len(lvl) for d, lvl in sorted(self._levels.items())}
+        depths, counts = np.unique(self._depths, return_counts=True)
+        return dict(zip(depths.tolist(), counts.tolist()))
 
     def leaf_address(self, lid: int) -> tuple[int, tuple]:
-        return self._live[lid]
+        row = self._row(lid)
+        return int(self._depths[row]), tuple(self._idx[row].tolist())
 
     def has_leaf(self, lid: int) -> bool:
-        return lid in self._live
+        row = int(np.searchsorted(self._ids, lid))
+        return row < len(self._ids) and self._ids[row] == lid
+
+    def address_table(self, lids) -> np.ndarray:
+        """Rows (depth, i_0, ..., i_{k-1}) of the live leaves ``lids``:
+        the form ``restore`` reads."""
+        rows = np.searchsorted(self._ids, lids)
+        if not np.array_equal(self._ids[np.minimum(rows, len(self._ids) - 1)], lids):
+            raise UsageError("not every id is a live leaf")
+        return np.column_stack([self._depths[rows], self._idx[rows]])
 
     def addresses(self) -> set:
-        return set(self._live.values())
+        return set(zip(self._depths.tolist(), map(tuple, self._idx.tolist())))
 
     # -- exact grid geometry ---------------------------------------------------
 
@@ -111,137 +132,144 @@ class BoxTree:
 
     def epsilon(self) -> float:
         """Max live-leaf side length (cell size of the shallowest depth)."""
-        return self.cell_size(min(self._levels))
+        return self.cell_size(int(self._depths.min()))
 
     def epsilon_min(self) -> float:
-        return self.cell_size(max(self._levels))
-
-    def _axis_interval(self, depth: int, i: int) -> Interval:
-        cell = self.cell_size(depth)
-        lo = -self.r_prime + i * cell
-        return Interval(lo, lo + cell)
+        return self.cell_size(int(self._depths.max()))
 
     def leaf_box(self, lid: int) -> BoxRegion:
-        depth, idx = self._live[lid]
-        return self.box_at(depth, idx)
-
-    def box_at(self, depth: int, idx: tuple) -> BoxRegion:
-        return self.model.box_from_axes([self._axis_interval(depth, i) for i in idx])
-
-    # -- numpy views -----------------------------------------------------------
+        row = self._row(lid)
+        _, _, _, lo, hi = self.live_arrays()
+        return self.model.box_from_axes(
+            [Interval(a, b) for a, b in zip(lo[row].tolist(), hi[row].tolist())]
+        )
 
     def live_arrays(self):
-        """(ids, depths, indices, lo, hi) for all live leaves, id-sorted."""
-        if self._cache is None:
-            ids = np.array(sorted(self._live), dtype=np.int64)
-            n = len(ids)
-            depths = np.empty(n, dtype=np.int64)
-            idxs = np.empty((n, self.naxes), dtype=np.int64)
-            for row, lid in enumerate(ids):
-                d, ix = self._live[lid]
-                depths[row] = d
-                idxs[row] = ix
-            cells = np.ldexp(self.r_prime, 1 - depths)
-            lo = -self.r_prime + idxs * cells[:, None]
-            hi = -self.r_prime + (idxs + 1) * cells[:, None]
-            self._cache = (ids, depths, idxs, lo, hi)
-        return self._cache
+        """(ids, depths, indices, lo, hi) of the live leaves, id-sorted.
+        Views of the tree's arrays: read them, do not write them."""
+        if self._bounds is None:
+            cells = np.ldexp(self.r_prime, 1 - self._depths)[:, None]
+            lo = -self.r_prime + self._idx * cells
+            hi = -self.r_prime + (self._idx + 1) * cells
+            self._bounds = (lo, hi)
+        return (self._ids, self._depths, self._idx) + self._bounds
 
     # -- subdivision -------------------------------------------------------------
 
     def subdivide(self, selector: Callable[[int], bool]) -> SubdivisionReport:
-        """Replace selected live leaves by their 2-per-axis children."""
-        selected = [lid for lid in sorted(self._live) if selector(lid)]
-        if selected:
-            deepest = max(self._live[lid][0] for lid in selected)
-            if deepest + 1 > self.max_depth:
-                raise ResourceError(
-                    f"subdivision would exceed max depth {self.max_depth}"
-                )
-        offsets = list(itertools.product((0, 1), repeat=self.naxes))
-        created = 0
-        for lid in selected:
-            depth, idx = self._live[lid]
-            self._remove(lid)
-            base = tuple(2 * i for i in idx)
-            for off in offsets:
-                self._insert(depth + 1, tuple(b + o for b, o in zip(base, off)))
-                created += 1
-        return SubdivisionReport(
-            selected=len(selected),
-            created=created,
-            leaf_count=len(self._live),
-            depths=tuple(sorted(self._levels)),
+        """Replace selected live leaves by their 2-per-axis children.
+
+        Children get fresh ids in the order: selected parents by id, then
+        offsets in ``itertools.product((0, 1), repeat=naxes)`` order."""
+        n = len(self._ids)
+        sel = np.fromiter(map(selector, self._ids.tolist()), dtype=bool, count=n)
+        nsel = int(sel.sum())
+        if nsel and int(self._depths[sel].max()) + 1 > self.max_depth:
+            raise ResourceError(
+                f"subdivision would exceed max depth {self.max_depth} "
+                f"(packed addresses need naxes*depth <= {_KEY_BITS})"
+            )
+        offsets = np.array(list(itertools.product((0, 1), repeat=self.naxes)), dtype=np.int64)
+        children = (2 * self._idx[sel])[:, None, :] + offsets
+        created = len(offsets) * nsel
+        keep = ~sel
+        self._set(
+            np.concatenate([self._ids[keep], np.arange(self._next_id, self._next_id + created)]),
+            np.concatenate([self._depths[keep], np.repeat(self._depths[sel] + 1, len(offsets))]),
+            np.concatenate([self._idx[keep], children.reshape(-1, self.naxes)]),
+            self._next_id + created,
         )
+        return SubdivisionReport(
+            selected=nsel,
+            created=created,
+            leaf_count=len(self._ids),
+            depths=tuple(self.live_depths()),
+        )
+
+    # -- the address index and its lookup ----------------------------------------
+
+    def _address_index(self) -> list:
+        """Per live depth: (depth, sorted packed keys, their rows)."""
+        if self._index is None:
+            self._index = []
+            for depth in self.live_depths():
+                rows = np.flatnonzero(self._depths == depth)
+                keys = _pack(self._idx[rows], depth)
+                order = np.argsort(keys)
+                self._index.append((depth, keys[order], rows[order]))
+        return self._index
+
+    def lookup(self, lo, hi, before_chunk: Callable[[int], None] | None = None):
+        """Yield (query rows, leaf rows) chunk by chunk: every pair of a
+        closed query box [lo[q], hi[q]] (arrays n x naxes) and a live leaf
+        meeting it, each pair once.
+
+        Per live depth, each query gets the exact index range of the cells
+        it meets (``cell_range``); the ranges are expanded in one ragged
+        pass over whole queries, about _CHUNK_CANDIDATES cells per chunk,
+        and the cells are looked up in the depth's sorted keys.
+        ``before_chunk(candidates)`` runs before each chunk is expanded.
+        """
+        naxes = self.naxes
+        for depth, keys, level_rows in self._address_index():
+            i0, i1 = cell_range(lo, hi, self.r_prime, depth)
+            sizes = np.maximum(i1 - i0 + 1, 0)
+            counts = sizes.prod(axis=1)
+            rows = np.flatnonzero(counts)
+            sizes, counts = sizes[rows], counts[rows]
+            base = _pack(i0[rows], depth)  # key of each query's first cell
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            start = 0
+            while start < len(rows):
+                first = int(starts[start])
+                stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK_CANDIDATES, side="right")))
+                ncand = int(ends[stop - 1]) - first
+                if before_chunk is not None:
+                    before_chunk(ncand)
+                # chunk-local query and mixed-radix offset per candidate cell
+                local = np.repeat(np.arange(stop - start), counts[start:stop])
+                off = np.arange(first, first + ncand) - starts[start:stop][local]
+                key = base[start:stop][local]
+                for axis in range(naxes - 1, 0, -1):
+                    off, digit = np.divmod(off, sizes[start:stop, axis][local])
+                    key += digit << (depth * (naxes - 1 - axis))
+                key += off << (depth * (naxes - 1))
+                pos = np.searchsorted(keys, key)
+                np.minimum(pos, len(keys) - 1, out=pos)
+                found = keys[pos] == key
+                yield rows[start:stop][local[found]], level_rows[pos[found]]
+                start = stop
+
+    def meeting(self, lo, hi):
+        """(query rows, leaf ids) of all the pairs ``lookup`` yields."""
+        parts = list(self.lookup(lo, hi))
+        if not parts:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        query = np.concatenate([q for q, _ in parts])
+        return query, self._ids[np.concatenate([r for _, r in parts])]
 
     # -- queries ---------------------------------------------------------------
 
     def query_intersect(self, probe: BoxRegion) -> list[int]:
-        """Ids of live leaves whose closed boxes meet the closed probe.
-
-        Only grid cells inside the probe's exact index range per depth
-        are examined (the address form of subtree pruning).
-        """
+        """Ids of live leaves whose closed boxes meet the closed probe."""
         self.model.check_box(probe)
         axes = probe.axes()
-        lo = np.array([iv.lo for iv in axes])
-        hi = np.array([iv.hi for iv in axes])
-        out = []
-        for depth, level in self._levels.items():
-            i0, i1 = cell_range(lo, hi, self.r_prime, depth)
-            if (i0 > i1).any():
-                continue
-            ranges = list(zip(i0.tolist(), i1.tolist()))
-            if math.prod(b - a + 1 for a, b in ranges) <= len(level):
-                candidates = itertools.product(*[range(a, b + 1) for a, b in ranges])
-                out.extend(lid for lid in map(level.get, candidates) if lid is not None)
-            else:
-                out.extend(
-                    lid
-                    for idx, lid in level.items()
-                    if all(a <= i <= b for i, (a, b) in zip(idx, ranges))
-                )
-        out.sort()
-        return out
+        lo = np.array([[iv.lo for iv in axes]])
+        hi = np.array([[iv.hi for iv in axes]])
+        return np.sort(self.meeting(lo, hi)[1]).tolist()
 
     def leaves_containing_point(self, values: tuple) -> list[int]:
         """Live leaves whose closed box contains the point.
 
         ``values`` are the real axis values (len == naxes).  Points on
-        cell boundaries belong to every touching closed cell.
+        cell boundaries belong to every touching closed cell; a point
+        outside V0 or with a non-finite value is in none.
         """
         if len(values) != self.naxes:
             raise UsageError("point does not match the tree's phase space")
-        rp = self.r_prime
-        out = []
-        for depth, level in self._levels.items():
-            cell = self.cell_size(depth)
-            nmax = (1 << depth) - 1
-            cand_per_axis = []
-            ok = True
-            for v in values:
-                if v < -rp or v > rp:
-                    ok = False
-                    break
-                i = int(math.floor((v + rp) / cell))
-                cands = set()
-                for j in (i - 1, i, i + 1):
-                    if 0 <= j <= nmax:
-                        lo = -rp + j * cell
-                        if lo <= v <= lo + cell:
-                            cands.add(j)
-                if not cands:
-                    ok = False
-                    break
-                cand_per_axis.append(sorted(cands))
-            if not ok:
-                continue
-            for idx in itertools.product(*cand_per_axis):
-                lid = level.get(idx)
-                if lid is not None:
-                    out.append(lid)
-        out.sort()
-        return out
+        pt = np.array([values], dtype=float)
+        return np.sort(self.meeting(pt, pt)[1]).tolist()
 
     def point_axis_values(self, point: Iterable[complex]) -> tuple:
         return self.model.point_axes(point)
@@ -282,50 +310,65 @@ class BoxTree:
                 rows = np.flatnonzero(active)
                 pruned[rows[escaped]] = True
                 active[rows[escaped | blown]] = False
-        for lid in ids[pruned]:
-            self._remove(int(lid))
-        return int(pruned.sum())
+        return self._keep(~pruned)
 
-    def remove_leaves(self, ids: Iterable[int]) -> int:
-        n = 0
-        for lid in ids:
-            if lid in self._live:
-                self._remove(lid)
-                n += 1
-        return n
+    def remove_leaves(self, ids) -> int:
+        """Drop the live leaves among ``ids`` (an array-like of leaf ids)."""
+        return self._keep(~np.isin(self._ids, np.asarray(ids, dtype=np.int64)))
 
     @classmethod
     def restore(cls, model: MapModel, addresses, max_depth: int = 32) -> "BoxTree":
-        """Rebuild a tree from persisted (depth, idx) leaf addresses;
-        leaf ids are assigned 0..n-1 in the given order.  Addresses must
-        be distinct, non-nested grid cells inside V0."""
+        """Rebuild a tree from persisted leaf addresses, integer rows
+        (depth, i_0, ..., i_{k-1}); leaf ids are 0..n-1 in row order.
+        Addresses must be distinct, non-nested grid cells inside V0, no
+        deeper than the tree's depth cap."""
         tree = cls(model, max_depth=max_depth)
-        tree.remove_leaves(tree.live_ids())
-        tree._next_id = 0
-        for depth, idx in addresses:
-            idx = tuple(idx)
-            if len(idx) != tree.naxes:
-                raise UsageError("address does not match the map's phase space")
-            if not 0 <= depth <= max_depth:
-                raise UsageError(f"address depth {depth} out of range")
-            if min(idx) < 0 or max(idx) >= 1 << depth:
-                raise UsageError(f"address {idx} outside the depth-{depth} grid")
-            if idx in tree._levels.get(depth, ()):
-                raise UsageError(f"duplicate address {depth} {idx}")
-            tree._insert(depth, idx)
-        # leaves tile: no address lies inside another (checked from the deeper one)
-        for outer, depth in itertools.combinations(tree.live_depths(), 2):
-            for idx in tree._levels[depth]:
-                anc = tuple(i >> (depth - outer) for i in idx)
-                if anc in tree._levels[outer]:
-                    raise UsageError(f"nested addresses {outer} {anc} and {depth} {idx}")
+        naxes = tree.naxes
+        try:
+            table = np.array(addresses, dtype=np.int64).reshape(len(addresses), 1 + naxes)
+        except (ValueError, TypeError, OverflowError):
+            raise UsageError("addresses do not match the map's phase space") from None
+        depths, idx = table[:, 0], table[:, 1:]
+
+        def describe(row):
+            return f"{int(depths[row])} {tuple(idx[row].tolist())}"
+
+        bad = np.flatnonzero((depths < 0) | (depths > tree.max_depth))
+        if len(bad):
+            raise UsageError(
+                f"address depth {int(depths[bad[0]])} out of range 0..{tree.max_depth} "
+                f"(packed addresses need naxes*depth <= {_KEY_BITS})"
+            )
+        bad = np.flatnonzero(((idx >> depths[:, None]) != 0).any(axis=1))
+        if len(bad):
+            raise UsageError(f"address {describe(bad[0])} outside the grid")
+        n = len(table)
+        tree._set(np.arange(n, dtype=np.int64), depths, idx, n)
+        # leaves tile: a leaf's centre lies inside no other leaf
+        _, _, _, lo, hi = tree.live_arrays()
+        centre = 0.5 * (lo + hi)
+        query, leaf = tree.meeting(centre, centre)
+        clash = np.flatnonzero(query != leaf)
+        if len(clash):
+            a, b = sorted((int(query[clash[0]]), int(leaf[clash[0]])))
+            what = "duplicate" if depths[a] == depths[b] else "nested"
+            raise UsageError(f"{what} addresses {describe(a)} and {describe(b)}")
         return tree
+
+
+def _pack(idx: np.ndarray, depth: int) -> np.ndarray:
+    """One int64 key per row of grid indices, axis 0 in the high bits."""
+    key = idx[:, 0].copy()
+    for k in range(1, idx.shape[1]):
+        key <<= depth
+        key |= idx[:, k]
+    return key
 
 
 def cell_range(lo, hi, r_prime: float, depth: int):
     """Exact index range [i0, i1] of the closed depth-``depth`` grid cells
     meeting [lo, hi], per element, clipped to [0, 2^depth - 1]; the range
-    is empty where i0 > i1.
+    is empty where i0 > i1, and wherever an endpoint is NaN.
 
     ``floor((w + R') / c)`` is only an estimate: it lies within one index
     of the answer.  One correction step per end then evaluates the cell
@@ -337,14 +380,17 @@ def cell_range(lo, hi, r_prime: float, depth: int):
     cell = math.ldexp(r_prime, 1 - depth)
     nmax = (1 << depth) - 1
 
-    def estimate(w):
-        return np.floor(np.clip((w + r_prime) / cell, -1.0, nmax + 1.0)).astype(np.int64)
+    def estimate(w, nan_to):
+        x = np.nan_to_num((w + r_prime) / cell, nan=nan_to)
+        return np.floor(np.clip(x, -1.0, nmax + 1.0)).astype(np.int64)
 
     def start(i):
         return -r_prime + i * cell
 
-    e0 = estimate(lo)
-    e1 = estimate(hi)
+    # a NaN end estimates past the grid on its own side; the comparisons
+    # below are false for it, so i0 > nmax or i1 < 0
+    e0 = estimate(lo, nmax + 1.0)
+    e1 = estimate(hi, -1.0)
     # lowest i with start(i) + cell >= lo, highest i with start(i) <= hi
     i0 = e0 + 1 - (start(e0) + cell >= lo) - (start(e0 - 1) + cell >= lo)
     i1 = e1 - 1 + (start(e1) <= hi) + (start(e1 + 1) <= hi)

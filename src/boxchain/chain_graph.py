@@ -12,12 +12,12 @@ model keeps exactly the labeled vertices, with intra-component (cycle)
 edges primary and cross-component edges between labeled vertices
 retained separately, flagged, for serialization.
 
-Edge building is vectorized: per depth, each widened image gets the
-exact index range of the grid cells it meets (``boxtree.cell_range``:
-grid endpoints are exact dyadics and its correction step is monotone,
-so no candidate needs a further check); the ranges are expanded in one
-ragged pass and matched against the packed live-cell table by binary
-search.  This is checked against the all-pairs oracle in the tests.
+Edge building is one call of the tree's address lookup
+(``BoxTree.lookup``) on the widened images: per depth, each image gets
+the exact index range of the grid cells it meets and the ranges are
+matched against the sorted live addresses, so no candidate needs a
+further check.  This is checked against the all-pairs oracle in the
+tests.  Classification uses the same lookup on the sink orbit points.
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import MemoryBudgetError
 from .ia import UsageError
 from .maps import MapModel, batch_forward, sink_orbits
-from .boxtree import BoxTree, cell_range
+from .boxtree import BoxTree
 
 __all__ = [
     "ChainGraph",
@@ -47,14 +47,16 @@ __all__ = [
     "scc_decompose",
     "recurrent_model",
     "classify_components",
+    "components_at_points",
 ]
 
 # Memory budget of build_edges, in tracemalloc bytes.  A vertex costs
-# its live_arrays rows, interval images and per-depth index ranges,
-# counted per axis; a chunk of candidates costs its expansion, lookup
-# and edge keys; an edge costs its 8-byte key in the parts, the
-# concatenated copy that is sorted in place, and the int32 index.
-_CHUNK_CANDIDATES = 500_000
+# its live_arrays rows, address index, interval images and per-depth
+# index ranges, counted per axis; a chunk of candidates (the lookup
+# expands about boxtree._CHUNK_CANDIDATES at a time) costs its
+# expansion, lookup and edge keys; an edge costs its 8-byte key in the
+# parts, the concatenated copy that is sorted in place, and the int32
+# index.
 _BYTES_PER_VERTEX_AXIS = 160.0
 _BYTES_PER_CANDIDATE = 64.0
 _BYTES_PER_EDGE = 16.0
@@ -95,14 +97,6 @@ class ChainGraph:
         if k >= len(self.vertex_ids) or self.vertex_ids[k] != leaf_id:
             raise UsageError(f"leaf {leaf_id} is not a graph vertex")
         return k
-
-
-def _pack(idxs: np.ndarray, depth: int, naxes: int) -> np.ndarray:
-    p = idxs[:, 0].astype(np.int64).copy()
-    for k in range(1, naxes):
-        p <<= depth
-        p |= idxs[:, k].astype(np.int64)
-    return p
 
 
 def widened_images(tree: BoxTree, model: MapModel, delta: float):
@@ -156,52 +150,14 @@ def build_edges(
 
     check_budget(0, 0)
     ids, wlo, whi = widened_images(tree, model, delta)
-    _, depths, idxs, _, _ = tree.live_arrays()
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
-    for depth in tree.live_depths():
-        if naxes * depth > 62:
-            raise UsageError(
-                f"grid depth {depth} too deep for packed addressing: needs "
-                f"naxes*depth <= 62 (depth <= {62 // naxes} with {naxes} axes)"
-            )
-        level_rows = np.flatnonzero(depths == depth)
-        packed = _pack(idxs[level_rows], depth, naxes)
-        order = np.argsort(packed)
-        packed = packed[order]
-        level_rows = level_rows[order]
-
-        i0, i1 = cell_range(wlo, whi, tree.r_prime, depth)
-        sizes = np.maximum(i1 - i0 + 1, 0)
-        counts = sizes.prod(axis=1)
-        rows = np.flatnonzero(counts)
-        sizes, counts = sizes[rows], counts[rows]
-        base = _pack(i0[rows], depth, naxes)  # packed key of each row's first cell
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        start = 0
-        while start < len(rows):
-            # whole rows, about _CHUNK_CANDIDATES candidates per chunk
-            first = int(starts[start])
-            stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK_CANDIDATES, side="right")))
-            ncand = int(ends[stop - 1]) - first
-            check_budget(total_edges, ncand)
-            # ragged expansion: chunk-local row and mixed-radix offset per candidate
-            local = np.repeat(np.arange(stop - start), counts[start:stop])
-            off = np.arange(first, first + ncand) - starts[start:stop][local]
-            key = base[start:stop][local]
-            for axis in range(naxes - 1, 0, -1):
-                off, digit = np.divmod(off, sizes[start:stop, axis][local])
-                key += digit << (depth * (naxes - 1 - axis))
-            key += off << (depth * (naxes - 1))
-            pos = np.searchsorted(packed, key)
-            np.minimum(pos, len(packed) - 1, out=pos)
-            found = packed[pos] == key
-            edge = rows[start:stop][local[found]] << 32
-            edge |= level_rows[pos[found]]
-            edge_parts.append(edge)
-            total_edges += len(edge)
-            start = stop
+    chunks = tree.lookup(wlo, whi, before_chunk=lambda ncand: check_budget(total_edges, ncand))
+    for edge, dst in chunks:
+        edge <<= 32
+        edge |= dst
+        edge_parts.append(edge)
+        total_edges += len(edge)
     check_budget(total_edges, 0)
     edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
     del edge_parts
@@ -314,8 +270,7 @@ def recurrent_model(
         cross_edges=cross,
     )
     if prune_tree:
-        dropped = graph.vertex_ids[~keep]
-        graph.tree.remove_leaves(int(v) for v in dropped)
+        graph.tree.remove_leaves(graph.vertex_ids[~keep])
     return gamma
 
 
@@ -355,21 +310,18 @@ def classify_components(
     j_id = 0 if len(sizes) else -1
     if orbits is None:
         orbits = sink_orbits(model)
-    tree = gamma.tree
-    id_to_row = {int(v): k for k, v in enumerate(gamma.vertex_ids)}
+    points = [pt for orb in orbits for pt in orb.points]
+    axes = np.array([gamma.tree.point_axis_values(pt) for pt in points], dtype=float)
+    point, comp = components_at_points(gamma, axes.reshape(len(points), gamma.tree.naxes))
     entries = []
     separating = False
+    first = 0
     for orb in orbits:
-        comp_ids = set()
-        covered = True
-        for pt in orb.points:
-            vals = tree.point_axis_values(pt)
-            leaves = tree.leaves_containing_point(vals)
-            rows = [id_to_row[l] for l in leaves if l in id_to_row]
-            if not rows:
-                covered = False
-                continue
-            comp_ids.update(int(gamma.comp[r]) for r in rows)
+        last = first + len(orb.points)
+        mine = (point >= first) & (point < last)
+        comp_ids = set(comp[mine].tolist())
+        covered = len(np.unique(point[mine])) == len(orb.points)
+        first = last
         entry = SinkComponentEntry(
             period=orb.period,
             method=orb.method,
@@ -387,6 +339,19 @@ def classify_components(
         sinks=tuple(entries),
         separating=separating,
     )
+
+
+def components_at_points(gamma: ChainGraph, axes: np.ndarray):
+    """Distinct (point row, component id) pairs, sorted: each component
+    of the recurrent model with a box containing the point.  ``axes``
+    holds one row of real axis values per point."""
+    point, lid = gamma.tree.meeting(axes, axes)
+    row = np.searchsorted(gamma.vertex_ids, lid)
+    member = row < gamma.n_vertices
+    member[member] = gamma.vertex_ids[row[member]] == lid[member]
+    radix = max(gamma.n_vertices, 1)  # component ids are below the vertex count
+    pairs = np.unique(point[member] * radix + gamma.comp[row[member]])
+    return pairs // radix, pairs % radix
 
 
 def labeling_sizes(gamma: ChainGraph) -> tuple:

@@ -373,7 +373,8 @@ def save_model(
     """Persist the recurrent model; canonical, lossless, diffable."""
     if gamma is None or gamma.comp is None:
         raise UsageError("save_model needs a completed recurrent model")
-    tree = gamma.tree
+    # one row per box: depth, grid indices, component id
+    boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
     if json_mode:
         obj = {
             "format": _FORMAT,
@@ -386,12 +387,7 @@ def save_model(
             "delta": repr(gamma.delta),
             "epsilon": repr(gamma.epsilon),
             "epsilon_min": repr(gamma.epsilon_min),
-            "boxes": [
-                [tree.leaf_address(int(v))[0]]
-                + list(tree.leaf_address(int(v))[1])
-                + [int(gamma.comp[k])]
-                for k, v in enumerate(gamma.vertex_ids)
-            ],
+            "boxes": boxes.tolist(),
             "edges": (
                 [
                     [int(u), int(v)]
@@ -413,17 +409,7 @@ def save_model(
         return
     buf = io.StringIO()
     buf.write(_header_fields(model, gamma, include_edges) + "\n")
-    for k, v in enumerate(gamma.vertex_ids):
-        depth, idx = tree.leaf_address(int(v))
-        buf.write(
-            "B "
-            + str(depth)
-            + " "
-            + " ".join(str(i) for i in idx)
-            + " "
-            + str(int(gamma.comp[k]))
-            + "\n"
-        )
+    buf.write(("B" + " %d" * boxes.shape[1] + "\n") * len(boxes) % tuple(boxes.ravel().tolist()))
     if include_edges:
         for u in range(gamma.n_vertices):
             for v in gamma.out_neighbors(u):
@@ -486,10 +472,9 @@ def load_model(path):
             if tag == "B":
                 if len(parts) != 2 + naxes + 1:
                     raise ValueError("wrong field count")
-                depth = int(parts[1])
-                idx = tuple(int(p) for p in parts[2 : 2 + naxes])
-                comps.append(int(parts[-1]))
-                addresses.append((depth, idx))
+                row = [int(p) for p in parts[1:]]
+                comps.append(row.pop())
+                addresses.append(row)  # depth, grid indices
             elif tag == "E":
                 edges.append((int(parts[1]), int(parts[2])))
             elif tag == "X":
@@ -531,7 +516,7 @@ def _load_json(text: str, path):
             a=None if obj.get("a") is None else ",".join(obj["a"]),
             r_prime=float(obj["rprime"]),
         )
-        addresses = [(int(b[0]), tuple(int(i) for i in b[1:-1])) for b in obj["boxes"]]
+        addresses = [[int(v) for v in b[:-1]] for b in obj["boxes"]]
         comps = [int(b[-1]) for b in obj["boxes"]]
         edges = [tuple(e) for e in obj.get("edges", [])]
         cross = [tuple(e) for e in obj.get("cross_edges", [])]

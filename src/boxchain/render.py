@@ -37,7 +37,7 @@ import numpy as np
 
 from .ia import UsageError
 from .maps import FixedPointInfo, MapModel, fixed_points, sup_bounded
-from .chain_graph import ChainGraph
+from .chain_graph import ChainGraph, components_at_points
 
 __all__ = [
     "RenderConfig",
@@ -278,35 +278,19 @@ def _pixel_grid(config: RenderConfig):
 def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
     """Pixels for the points ``pt``: one complex array per coordinate,
     row-major over the pixel grid."""
-    tree = gamma.tree
     n_comp = int(gamma.comp.max()) + 1 if gamma.n_vertices else 0
-    palette = component_palette(n_comp)
-    id_to_comp = {
-        int(v): int(gamma.comp[k]) for k, v in enumerate(gamma.vertex_ids)
-    }
+    palette = np.array(component_palette(n_comp), dtype=np.uint8)
     res = config.resolution
-    pix = bytearray(res * res)
-    axes = model.axes_from_coords(pt, lambda z: (z.real.tolist(), z.imag.tolist()))
-    for k, vals in enumerate(zip(*axes)):
-        comps = set()
-        if tree is not None and tree.leaf_count:
-            inside = all(-tree.r_prime <= v <= tree.r_prime for v in vals)
-            if inside:
-                for lid in tree.leaves_containing_point(vals):
-                    comp = id_to_comp.get(lid)
-                    if comp is not None:
-                        comps.add(comp)
-        if not comps:
-            pix[k] = 255
-        elif len(comps) > 1:
-            pix[k] = 0
-        else:
-            pix[k] = palette[comps.pop()]
+    axes = np.column_stack(model.axes_from_coords(pt, lambda z: (z.real, z.imag)))
+    point, comp = components_at_points(gamma, axes)
+    hits = np.bincount(point, minlength=res * res)
+    pix = np.where(hits == 0, 255, 0).astype(np.uint8)  # no component: white, several: black
+    one = hits[point] == 1
+    pix[point[one]] = palette[comp[one]]
     if config.kplus_lighten:
         bounded = _batch_kplus(model, pt, config.kplus_iters, config.escape_radius)
-        for k in np.flatnonzero(bounded):
-            pix[k] = min(255, pix[k] + 40)
-    return Image(res, res, pix)
+        pix[bounded] = np.minimum(pix[bounded], 215) + 40
+    return Image(res, res, bytearray(pix.tobytes()))
 
 
 def render_slice(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError, box_predicates
 from boxchain.errors import ResourceError
 from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
-from boxchain.boxtree import cell_range, init_root, sink_basin_selector
+from boxchain.boxtree import BoxTree, cell_range, init_root, sink_basin_selector
 
 
 def quad_c0(rp=2.0):
@@ -131,6 +131,12 @@ def test_depth_limit():
     subdivide_all(tree, 2)
     with pytest.raises(ResourceError):
         tree.subdivide(lambda lid: True)
+    # packed addresses cap the depth at 62 // naxes whatever max_depth says
+    for model, cap in ((quad_c0(), 31), (per31(), 15)):
+        tree = BoxTree.restore(model, [[cap] + [0] * model.naxes], max_depth=40)
+        assert tree.max_depth == cap
+        with pytest.raises(ResourceError, match="62"):
+            tree.subdivide(lambda lid: True)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +158,21 @@ def test_query_all_and_empty():
     assert tree.query_intersect(probe) == []
 
 
-def _random_probe(rng, rp, ncoords, real):
+def _random_probe(rng, rp, ncoords, real, point=False):
+    """Random closed box in and around V0, or with ``point`` a degenerate
+    one; about half the endpoints lie on grid lines of depths 0-6."""
+
+    def endpoint():
+        if rng.random() < 0.5:
+            depth = rng.randint(0, 6)
+            return -rp + rng.randint(-1, (1 << depth) + 1) * math.ldexp(rp, 1 - depth)
+        return rng.uniform(-1.5 * rp, 1.5 * rp)
+
     axes = []
     n_real = ncoords * (1 if real else 2)
     for _ in range(n_real):
-        a, b = sorted((rng.uniform(-1.5 * rp, 1.5 * rp), rng.uniform(-1.5 * rp, 1.5 * rp)))
-        axes.append(Interval(a, b))
+        a = endpoint()
+        axes.append(Interval(*sorted((a, a if point else endpoint()))))
     zero = Interval(0.0, 0.0)
     if real:
         coords = [ComplexInterval(ax, zero) for ax in axes]
@@ -168,20 +183,29 @@ def _random_probe(rng, rp, ncoords, real):
     return BoxRegion(coords, real=real)
 
 
+def _check_against_linear_scan(tree, ncoords, probes, seed):
+    """query_intersect, and leaves_containing_point for the degenerate
+    probes (every fourth), equal a linear scan over the leaves."""
+    rng = random.Random(seed)
+    boxes = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
+    for k in range(probes):
+        point = k % 4 == 0
+        probe = _random_probe(rng, tree.r_prime, ncoords, False, point)
+        want = sorted(
+            lid for lid, b in boxes.items() if box_predicates(b, probe).intersects
+        )
+        assert tree.query_intersect(probe) == want
+        if point:
+            values = tuple(iv.lo for iv in probe.axes())
+            assert tree.leaves_containing_point(values) == want, values
+
+
 def test_query_matches_linear_scan_oracle():
     m = quad_c0()
     tree = init_root(m)
     subdivide_all(tree, 4)
     tree.subdivide(lambda lid: lid % 5 == 0)  # mixed depths
-    rng = random.Random(12)
-    boxes = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
-    for _ in range(400):
-        probe = _random_probe(rng, tree.r_prime, 1, False)
-        got = tree.query_intersect(probe)
-        want = sorted(
-            lid for lid, b in boxes.items() if box_predicates(b, probe).intersects
-        )
-        assert got == want
+    _check_against_linear_scan(tree, 1, 400, seed=12)
 
 
 def test_query_matches_linear_scan_henon():
@@ -189,21 +213,14 @@ def test_query_matches_linear_scan_henon():
     tree = init_root(m)
     subdivide_all(tree, 2)
     tree.subdivide(lambda lid: lid % 2 == 0)
-    rng = random.Random(13)
-    boxes = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
-    for _ in range(200):
-        probe = _random_probe(rng, tree.r_prime, 2, False)
-        got = tree.query_intersect(probe)
-        want = sorted(
-            lid for lid, b in boxes.items() if box_predicates(b, probe).intersects
-        )
-        assert got == want
+    _check_against_linear_scan(tree, 2, 200, seed=13)
 
 
 @st.composite
 def _grid_case(draw):
     """(R', depth, [(lo, hi), ...]) with endpoints on grid lines, one ulp
-    either side, anywhere in and around V0, and far outside it."""
+    either side, anywhere in and around V0, far outside it, infinite and
+    NaN."""
     rp = snap_up_dyadic(draw(st.floats(min_value=0.3, max_value=5.0)))
     depth = draw(st.integers(0, 9))
     cell = math.ldexp(rp, 1 - depth)
@@ -215,7 +232,7 @@ def _grid_case(draw):
         on_grid,
         nudged,
         st.floats(min_value=-2.5 * rp, max_value=2.5 * rp),
-        st.sampled_from([-1e300, -4.0 * rp, 4.0 * rp, 1e300]),
+        st.sampled_from([-1e300, -4.0 * rp, 4.0 * rp, 1e300, -math.inf, math.inf, math.nan]),
     )
     ivs = draw(st.lists(st.tuples(endpoint, endpoint).map(sorted), min_size=1, max_size=8))
     if draw(st.booleans()):
@@ -235,7 +252,8 @@ def test_cell_range_matches_brute_force(case):
         want = [
             i
             for i in range(1 << depth)
-            if -Fraction(rp) + i * cell <= Fraction(b) and -Fraction(rp) + (i + 1) * cell >= Fraction(a)
+            # exact comparisons of Fractions with the float ends (NaN: never true)
+            if -Fraction(rp) + i * cell <= b and -Fraction(rp) + (i + 1) * cell >= a
         ]
         assert list(range(int(i0[k]), int(i1[k]) + 1)) == want, (a, b)
 
@@ -256,6 +274,9 @@ def test_leaves_containing_point_boundary():
     hits_in = tree.leaves_containing_point((0.1, 0.1))
     assert len(hits_in) == 1
     assert tree.leaves_containing_point((3.0, 0.0)) == []
+    # a non-finite value meets no leaf, like a point outside V0
+    assert tree.leaves_containing_point((math.nan, 0.0)) == []
+    assert tree.leaves_containing_point((0.0, math.inf)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,14 @@ def test_negative_address_index_rejected(tmp_path):
         load_model(_hand_model(tmp_path, ["B 2 -1 0 0"]))
 
 
+def test_address_deeper_than_packed_limit_rejected(tmp_path):
+    # 2 axes: packed addresses allow depth <= 62 // 2 = 31
+    path = _hand_model(tmp_path, ["B 32 0 0 0"])
+    with pytest.raises(ParseError, match="out of range"):
+        load_model(path)
+    assert _cli("inspect", "--model-in", path).returncode == 4
+
+
 @pytest.mark.parametrize("lines", [["B 1 0 0 0", "B 2 0 0 0"], ["B 2 1 1 0", "B 1 0 0 0"]])
 def test_nested_addresses_rejected(tmp_path, lines):
     path = _hand_model(tmp_path, lines)
