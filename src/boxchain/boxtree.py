@@ -422,9 +422,7 @@ def sink_basin_selector(
     mid = 0.5 * (lo + hi)
     rp = tree.r_prime
     n = len(ids)
-    pt = model.coords_from_axes(
-        list(mid.T), lambda re, im: re.astype(complex) if im is None else re + 1j * im
-    )
+    pt = model.point_from_axes(list(mid.T))
     ok = np.ones(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if model.is_henon:

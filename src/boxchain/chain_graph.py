@@ -80,9 +80,22 @@ class ChainGraph:
     def n_vertices(self) -> int:
         return len(self.vertex_ids)
 
+    @classmethod
+    def from_pairs(cls, src, dst, vertex_ids, **fields) -> "ChainGraph":
+        """Graph on the vertices ``vertex_ids`` with the edges src -> dst
+        (vertex rows, sorted by (src, dst)); ``fields`` are the others."""
+        indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(vertex_ids)), out=indptr[1:])
+        indices = np.asarray(dst, dtype=np.int32)
+        return cls(vertex_ids=vertex_ids, indptr=indptr, indices=indices, **fields)
+
     @property
     def n_edges(self) -> int:
         return len(self.indices)
+
+    def edge_rows(self):
+        """(src, dst) vertex rows of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr)), self.indices
 
     def out_neighbors(self, row: int) -> np.ndarray:
         return self.indices[self.indptr[row] : self.indptr[row + 1]]
@@ -214,9 +227,9 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     _, raw = connected_components(mat, directed=True, connection="strong")
     counts = np.bincount(raw)
     # singleton components count only with a self-edge
-    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    src, dst = graph.edge_rows()
     kept = counts >= 2
-    kept[raw[src[src == graph.indices]]] = True
+    kept[raw[src[src == dst]]] = True
     # canonical order: size descending, then smallest member row
     _, first_row = np.unique(raw, return_index=True)  # raw labels are 0..k-1
     kept_ids = np.flatnonzero(kept)
@@ -245,24 +258,18 @@ def recurrent_model(
     keep_rows = np.flatnonzero(keep)
     new_row = np.full(graph.n_vertices, -1, dtype=np.int64)
     new_row[keep_rows] = np.arange(len(keep_rows))
-    src_all = np.repeat(
-        np.arange(graph.n_vertices), np.diff(graph.indptr)
-    )
-    dst_all = graph.indices.astype(np.int64)
+    src_all, dst_all = graph.edge_rows()
     mask = keep[src_all] & keep[dst_all]
     src = new_row[src_all[mask]]
     dst = new_row[dst_all[mask]]
     same = labeling.comp[src_all[mask]] == labeling.comp[dst_all[mask]]
     cross = np.column_stack([src[~same], dst[~same]])
-    src, dst = src[same], dst[same]  # still sorted by (src, dst): new_row is monotone
-    n = len(keep_rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    gamma = ChainGraph(
+    # still sorted by (src, dst): new_row is monotone
+    gamma = ChainGraph.from_pairs(
+        src[same],
+        dst[same],
+        graph.vertex_ids[keep_rows],
         tree=graph.tree,
-        vertex_ids=graph.vertex_ids[keep_rows],
-        indptr=indptr,
-        indices=dst.astype(np.int32),
         delta=graph.delta,
         epsilon=graph.epsilon,
         epsilon_min=graph.epsilon_min,
@@ -355,6 +362,4 @@ def components_at_points(gamma: ChainGraph, axes: np.ndarray):
 
 
 def labeling_sizes(gamma: ChainGraph) -> tuple:
-    if gamma.comp is None or len(gamma.comp) == 0:
-        return ()
-    return tuple(int(c) for c in np.bincount(gamma.comp))
+    return () if gamma.comp is None else tuple(np.bincount(gamma.comp).tolist())

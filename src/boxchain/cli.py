@@ -23,6 +23,7 @@ from .errors import MemoryBudgetError, ParseError, ResourceError
 from .ia import DomainError, UsageError
 from .maps import MapModel
 from .bounds import report_for_map, sink_section_for_map
+from .chain_graph import labeling_sizes
 from .pipeline import (
     PRESETS,
     RunConfig,
@@ -85,12 +86,8 @@ def _fmt(x) -> str:
 
 
 def _cmd_run(args) -> int:
-    params = _map_params(args)
     config = RunConfig(
-        kind=params["kind"],
-        c=params["c"],
-        a=params.get("a"),
-        r_prime=params.get("r_prime"),
+        **_map_params(args),
         schedule=parse_schedule(args.schedule),
         delta_ratio=args.delta_ratio,
         prune_iters=args.prune_iters,
@@ -318,13 +315,9 @@ def _cmd_inspect(args) -> int:
     print(f"delta = {gamma.delta!r}  epsilon = {gamma.epsilon!r}  epsilon_min = {gamma.epsilon_min!r}")
     counts = tree.depth_counts()
     print("depths: " + ", ".join(f"{d}: {n} boxes" for d, n in counts.items()))
-    if gamma.n_vertices:
-        import numpy as np
-
-        sizes = np.bincount(gamma.comp)
-        order = ", ".join(
-            f"#{k}: {int(sizes[k])}" for k in range(min(len(sizes), 10))
-        )
+    sizes = labeling_sizes(gamma)
+    if sizes:
+        order = ", ".join(f"#{k}: {size}" for k, size in enumerate(sizes[:10]))
         print(f"components: {len(sizes)} ({order})")
     return EXIT_OK
 

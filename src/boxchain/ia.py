@@ -339,14 +339,6 @@ class Interval:
     def is_disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
 
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """Intersection, or None when the closed intervals are disjoint."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "Interval") -> "Interval":
@@ -586,9 +578,6 @@ class BoxRegion:
         """max over real-interval components of (hi - lo), upper rounded."""
         return max(iv.width() for iv in self.axes())
 
-    def min_side_length(self) -> float:
-        return min(iv.width() for iv in self.axes())
-
     def contains_point(self, point: Sequence[complex]) -> bool:
         if len(point) != len(self.coords):
             raise UsageError("box dimensionality mismatch")
@@ -624,17 +613,6 @@ class BoxRegion:
             if gap > d:
                 d = gap
         return d
-
-    def union_hull(self, other: "BoxRegion") -> "BoxRegion":
-        self._compatible(other)
-        coords = [
-            ComplexInterval(
-                Interval(min(a.re.lo, b.re.lo), max(a.re.hi, b.re.hi)),
-                Interval(min(a.im.lo, b.im.lo), max(a.im.hi, b.im.hi)),
-            )
-            for a, b in zip(self.coords, other.coords)
-        ]
-        return BoxRegion(coords, real=self.real)
 
 
 def box_widen(box: BoxRegion, r: float) -> BoxRegion:

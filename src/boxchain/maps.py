@@ -231,9 +231,18 @@ class MapModel:
         return tuple(v for c in coords for v in parts(c)[:keep])
 
     def point_from_axes(self, vals) -> tuple:
-        return self.coords_from_axes(
-            vals, lambda re, im: complex(re, 0.0 if im is None else im)
-        )
+        """One complex per coordinate from real axis values, or one
+        complex array per coordinate from axis arrays.  The parts are set
+        directly, so each value is exactly complex(re, im), signed zeros
+        included."""
+
+        def point(re, im):
+            z = np.empty(np.shape(re), dtype=complex)
+            z.real = re
+            z.imag = 0.0 if im is None else im
+            return z if z.ndim else complex(z)
+
+        return self.coords_from_axes(vals, point)
 
     def point_axes(self, pt) -> tuple:
         return self.axes_from_coords([complex(z) for z in pt], lambda z: (z.real, z.imag))

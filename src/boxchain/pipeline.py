@@ -8,22 +8,25 @@ recurrent model, prune dropped leaves, classify components, and record
 the accuracy ledger.  Everything recorded is deterministic for a given
 configuration (wall time and memory excluded).
 
-Models persist as line-oriented text (or JSON behind a flag): a header
-with the format version, map parameters as decimal strings and the
-grid/accuracy constants, then one record per recurrent-model box
-(depth, grid indices, component id), then optionally the edges as
-index pairs - cycle edges as ``E u v``, flagged cross-component edges
-as ``X u v``.  Serialization is canonical, so save -> load -> save is
-byte-identical.
+Models persist through one codec built on four tables: the header
+fields (format version, map parameters as decimal strings, the
+grid/accuracy constants), the boxes as int64 rows (depth, grid indices,
+component id), and optionally the cycle edges and the flagged
+cross-component edges as k x 2 tables of box rows.  Two layouts write
+the same tables: line-oriented text (``B ...``, ``E u v``, ``X u v``
+records after a one-line header) or, behind a flag, JSON.  Both readers
+decode to the same tables, and one rebuild checks them and constructs
+the tree and graph.  Serialization is canonical, so save -> load ->
+save is byte-identical.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import re
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -156,30 +159,9 @@ class StepRecord:
     rss_mb: float
 
     def core_fields(self) -> dict:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "index",
-                "mode",
-                "boxes_original",
-                "boxes_escaping",
-                "upsilon_boxes",
-                "upsilon_edges",
-                "gamma_boxes",
-                "gamma_edges",
-                "cross_edges",
-                "n_components",
-                "component_sizes",
-                "separating",
-                "epsilon",
-                "epsilon_min",
-                "delta",
-                "epsilon_prime",
-                "delta_prime",
-                "depths",
-            )
-        }
-        return d
+        """Every field but the machine-dependent wall time and memory."""
+        skip = ("wall_s", "rss_mb")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
 @dataclass
@@ -210,13 +192,13 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+@dataclass
 class PipelineResult:
-    def __init__(self, record, model, tree, gamma, classification):
-        self.record = record
-        self.model = model
-        self.tree = tree
-        self.gamma = gamma
-        self.classification = classification
+    record: RunRecord
+    model: MapModel
+    tree: BoxTree
+    gamma: Optional[ChainGraph]
+    classification: Optional[object]
 
 
 def run_pipeline(
@@ -345,22 +327,56 @@ def run_pipeline(
 
 _FORMAT = "boxchain-model"
 _VERSION = 1
+_REQUIRED = ("kind", "c", "rprime", "delta", "epsilon", "epsilon_min", "boxes")
+_SPACE = np.zeros(256, dtype=bool)  # field separators of the text format
+_SPACE[list(b" \t\n\r\v\f")] = True
+_ROWS_PER_WRITE = 1 << 16  # text records formatted per write
+_PIECE_BYTES = 1 << 20  # text body bytes parsed at a time (whole lines)
 
 
-def _header_fields(model: MapModel, gamma: ChainGraph, include_edges: bool):
-    out = f"{_FORMAT} {_VERSION} kind={model.kind}"
-    if model.a_str is not None:
-        out += f" a={model.a_str[0]},{model.a_str[1]}"
-    out += f" c={model.c_str[0]},{model.c_str[1]}"
-    out += (
-        f" rprime={model.r_prime!r} m=2"
-        f" delta={gamma.delta!r} epsilon={gamma.epsilon!r}"
-        f" epsilon_min={gamma.epsilon_min!r}"
-        f" boxes={gamma.n_vertices} comps={int(gamma.comp.max()) + 1 if gamma.n_vertices else 0}"
-        f" edges={gamma.n_edges if include_edges else 0}"
-        f" cross={len(gamma.cross_edges) if include_edges and gamma.cross_edges is not None else 0}"
-    )
-    return out
+def _encode(model: MapModel, gamma: ChainGraph, include_edges: bool):
+    """The four tables of a model file: the header fields, the boxes
+    (depth, grid indices, component id), the cycle edges and the cross
+    edges (vertex row pairs)."""
+    if gamma is None or gamma.comp is None:
+        raise UsageError("save_model needs a completed recurrent model")
+    header = {
+        "kind": model.kind,
+        "a": None if model.a_str is None else list(model.a_str),
+        "c": list(model.c_str),
+        "rprime": repr(model.r_prime),
+        "m": 2,
+        "delta": repr(gamma.delta),
+        "epsilon": repr(gamma.epsilon),
+        "epsilon_min": repr(gamma.epsilon_min),
+    }
+    boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
+    edges = cross = np.empty((0, 2), dtype=np.int64)
+    if include_edges:
+        edges, cross = np.column_stack(gamma.edge_rows()), gamma.cross_edges
+    return header, boxes, edges, cross
+
+
+def _write_text(fh, header, boxes, edges, cross) -> None:
+    comps = int(boxes[:, -1].max()) + 1 if len(boxes) else 0
+    counts = dict(boxes=len(boxes), comps=comps, edges=len(edges), cross=len(cross))
+    items = [
+        f"{key}={','.join(val) if isinstance(val, list) else val}"
+        for key, val in {**header, **counts}.items()
+        if val is not None
+    ]
+    fh.write(" ".join([_FORMAT, str(_VERSION)] + items) + "\n")
+    for tag, table in (("B", boxes), ("E", edges), ("X", cross)):
+        line = tag + " %d" * table.shape[1] + "\n"
+        for first in range(0, len(table), _ROWS_PER_WRITE):
+            part = table[first : first + _ROWS_PER_WRITE]
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
+
+
+def _write_json(fh, header, boxes, edges, cross) -> None:
+    tables = dict(boxes=boxes.tolist(), edges=edges.tolist(), cross_edges=cross.tolist())
+    doc = dict(header, format=_FORMAT, version=_VERSION, **tables)
+    fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def save_model(
@@ -371,199 +387,207 @@ def save_model(
     include_edges: bool = False,
 ) -> None:
     """Persist the recurrent model; canonical, lossless, diffable."""
-    if gamma is None or gamma.comp is None:
-        raise UsageError("save_model needs a completed recurrent model")
-    # one row per box: depth, grid indices, component id
-    boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
-    if json_mode:
-        obj = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "kind": model.kind,
-            "a": None if model.a_str is None else list(model.a_str),
-            "c": list(model.c_str),
-            "rprime": repr(model.r_prime),
-            "m": 2,
-            "delta": repr(gamma.delta),
-            "epsilon": repr(gamma.epsilon),
-            "epsilon_min": repr(gamma.epsilon_min),
-            "boxes": boxes.tolist(),
-            "edges": (
-                [
-                    [int(u), int(v)]
-                    for u in range(gamma.n_vertices)
-                    for v in gamma.out_neighbors(u)
-                ]
-                if include_edges
-                else []
-            ),
-            "cross_edges": (
-                [[int(u), int(v)] for u, v in gamma.cross_edges]
-                if include_edges and gamma.cross_edges is not None
-                else []
-            ),
-        }
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-        return
-    buf = io.StringIO()
-    buf.write(_header_fields(model, gamma, include_edges) + "\n")
-    buf.write(("B" + " %d" * boxes.shape[1] + "\n") * len(boxes) % tuple(boxes.ravel().tolist()))
-    if include_edges:
-        for u in range(gamma.n_vertices):
-            for v in gamma.out_neighbors(u):
-                buf.write(f"E {u} {v}\n")
-        if gamma.cross_edges is not None:
-            for u, v in gamma.cross_edges:
-                buf.write(f"X {int(u)} {int(v)}\n")
+    tables = _encode(model, gamma, include_edges)
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def _parse_header(line: str) -> dict:
-    parts = line.split()
-    if len(parts) < 2 or parts[0] != _FORMAT:
-        raise ParseError("not a model file (bad magic)")
-    if parts[1] != str(_VERSION):
-        raise ParseError(f"unsupported model format version {parts[1]!r}")
-    fields = {}
-    for tok in parts[2:]:
-        key, _, val = tok.partition("=")
-        if not val:
-            raise ParseError(f"malformed header field {tok!r}")
-        fields[key] = val
-    for req in ("kind", "c", "rprime", "delta", "epsilon", "epsilon_min", "boxes"):
-        if req not in fields:
-            raise ParseError(f"header missing field {req!r}")
-    return fields
+        (_write_json if json_mode else _write_text)(fh, *tables)
 
 
 def load_model(path):
     """Load a persisted model: returns (model, tree, gamma)."""
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
-        raise ParseError(f"{path}: empty model file")
-    if text.lstrip().startswith("{"):
-        return _load_json(text, path)
-    lines = text.splitlines()
-    fields = _parse_header(lines[0])
-    model = MapModel(
-        fields["kind"],
-        c=fields["c"],
-        a=fields.get("a"),
-        r_prime=float(fields["rprime"]),
-    )
-    n_boxes = int(fields["boxes"])
-    n_edges = int(fields.get("edges", "0"))
-    n_cross = int(fields.get("cross", "0"))
-    naxes = model.naxes
-    addresses = []
-    comps = []
-    edges = []
-    cross = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split()
-        tag = parts[0]
-        try:
-            if tag == "B":
-                if len(parts) != 2 + naxes + 1:
-                    raise ValueError("wrong field count")
-                row = [int(p) for p in parts[1:]]
-                comps.append(row.pop())
-                addresses.append(row)  # depth, grid indices
-            elif tag == "E":
-                edges.append((int(parts[1]), int(parts[2])))
-            elif tag == "X":
-                cross.append((int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError(f"unknown record tag {tag!r}")
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{ln}: {exc}") from None
-    if len(addresses) != n_boxes:
-        raise ParseError(
-            f"{path}: truncated model: header announces {n_boxes} boxes, "
-            f"found {len(addresses)}"
-        )
-    if len(edges) != n_edges or len(cross) != n_cross:
-        raise ParseError(f"{path}: truncated model: edge count mismatch")
-    return _rebuild(
-        model,
-        addresses,
-        comps,
-        edges,
-        cross,
-        float(fields["delta"]),
-        float(fields["epsilon"]),
-        float(fields["epsilon_min"]),
-    )
+    with open(path, "rb") as fh:
+        data = fh.read()
+    decode = _decode_json if re.match(rb"\s*{", data) else _decode_text
+    try:
+        return _rebuild(*decode(data))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_json(text: str, path):
+def _parse_header(header: dict):
+    """The map and (delta, epsilon, epsilon_min) of decoded header
+    fields; ``a`` and ``c`` are [re, im] decimal strings."""
+    missing = [key for key in _REQUIRED if key not in header]
+    if missing:
+        raise ParseError(f"header missing field {missing[0]!r}")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad JSON model: {exc}") from None
-    try:
-        if obj["format"] != _FORMAT or obj["version"] != _VERSION:
-            raise ParseError(f"{path}: unsupported model format")
+        a = header.get("a")
         model = MapModel(
-            obj["kind"],
-            c=",".join(obj["c"]),
-            a=None if obj.get("a") is None else ",".join(obj["a"]),
-            r_prime=float(obj["rprime"]),
+            header["kind"],
+            c=",".join(header["c"]),
+            a=None if a is None else ",".join(a),
+            r_prime=float(header["rprime"]),
         )
-        addresses = [[int(v) for v in b[:-1]] for b in obj["boxes"]]
-        comps = [int(b[-1]) for b in obj["boxes"]]
-        edges = [tuple(e) for e in obj.get("edges", [])]
-        cross = [tuple(e) for e in obj.get("cross_edges", [])]
-        return _rebuild(
-            model,
-            addresses,
-            comps,
-            edges,
-            cross,
-            float(obj["delta"]),
-            float(obj["epsilon"]),
-            float(obj["epsilon_min"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed JSON model: {exc}") from None
+        return model, tuple(float(header[key]) for key in ("delta", "epsilon", "epsilon_min"))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad header: {exc}") from None
 
 
-def _rebuild(model, addresses, comps, edges, cross, delta, epsilon, epsilon_min):
+def _decode_text(data: bytes):
+    cut = re.search(rb"[\r\n]|\Z", data).start()
+    parts = data[:cut].decode("utf-8", "replace").split()
+    if len(parts) < 2 or parts[0] != _FORMAT:
+        raise ParseError("not a model file (bad magic)")
+    if parts[1] != str(_VERSION):
+        raise ParseError(f"unsupported model format version {parts[1]!r}")
+    header = {}
+    for tok in parts[2:]:
+        key, _, val = tok.partition("=")
+        if not val:
+            raise ParseError(f"malformed header field {tok!r}")
+        header[key] = val.split(",") if key in ("a", "c") else val
+    model, scales = _parse_header(header)
+    tables = _read_records(data, cut, {"B": model.naxes + 2, "E": 2, "X": 2})
     try:
-        tree = BoxTree.restore(model, addresses)
+        announced = [int(header.get(key, "0")) for key in ("boxes", "edges", "cross")]
+    except ValueError as exc:
+        raise ParseError(f"bad header count: {exc}") from None
+    found = [len(tables[tag]) for tag in "BEX"]
+    if found != announced:
+        raise ParseError(f"truncated model: header announces {announced} B/E/X lines, has {found}")
+    return model, scales, tables["B"], tables["E"], tables["X"]
+
+
+def _read_records(data: bytes, offset: int, widths: dict) -> dict:
+    """One int64 table per tag of the record lines ``TAG n_1 ... n_w``
+    in ``data[offset:]``, rows in file order; ``widths`` maps each tag to
+    its w.  Fields are separated by whitespace; blank lines are skipped.
+    The body is parsed in pieces of whole lines, which bounds the
+    per-token arrays."""
+    pieces = []
+    while offset < len(data):
+        stop = data.find(b"\n", offset + _PIECE_BYTES) + 1 or len(data)  # past a newline
+        pieces.append(_read_piece(data, offset, stop, widths))
+        offset = stop
+    return {
+        tag: np.concatenate([p[tag] for p in pieces] + [np.empty((0, width), dtype=np.int64)])
+        for tag, width in widths.items()
+    }
+
+
+def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
+    buf = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
+    edge = np.flatnonzero(np.diff(_SPACE[buf], prepend=True, append=True))
+    start, end = edge[0::2], edge[1::2]  # token k is buf[start[k]:end[k]]
+    # a line's first token, its tag, is the first token after a line break
+    # or after the piece's start, which starts a line
+    breaks = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    head = np.searchsorted(start, np.r_[0, breaks])
+    head = head[(np.diff(head, prepend=-1) > 0) & (head < len(start))]
+    nfields = np.diff(head, append=len(start)) - 1
+
+    def fail(token, message):
+        """Raise ``message``, formatted with the token's text."""
+        at = offset + start[token]
+        line = len(re.findall(rb"\r\n?|\n", data[:at])) + 1
+        text = data[at : offset + end[token]].decode("utf-8", "replace")
+        raise ParseError(f"line {line}: " + message.format(text))
+
+    value, bad = _integers(buf, start, end)
+    bad[head] = False
+    if bad.any():
+        fail(np.argmax(bad), "bad integer {!r}")
+    tag = np.where(end[head] - start[head] == 1, buf[start[head]], 0)
+    known = np.zeros(len(head), dtype=bool)
+    tables = {}
+    for name, width in widths.items():
+        rows = np.flatnonzero(tag == ord(name))
+        known[rows] = True
+        wrong = rows[nfields[rows] != width]
+        if len(wrong):
+            fail(head[wrong[0]], f"{{}} record with {nfields[wrong[0]]} integers, not {width}")
+        tables[name] = value[head[rows, None] + np.arange(1, width + 1)]
+    if not known.all():
+        fail(head[np.argmin(known)], "unknown record tag {!r}")
+    return tables
+
+
+def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The tokens buf[start:end] read as decimal integers (optional sign,
+    at most 18 digits, so within int64), and a mask of the tokens that
+    are not such integers."""
+    sign = buf[start]
+    first = start + ((sign == ord("-")) | (sign == ord("+")))
+    ndigits = end - first
+    bad = (ndigits < 1) | (ndigits > 18)
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(int(ndigits.max(initial=0, where=~bad))):
+        live = np.flatnonzero(~bad & (ndigits > k))
+        digit = buf[first[live] + k] - ord("0")  # wraps past 9 for a non-digit
+        bad[live] |= digit > 9
+        value[live] = value[live] * 10 + digit
+    value[sign == ord("-")] *= -1
+    return value, bad
+
+
+def _decode_json(data: bytes):
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise ParseError(f"bad JSON model: {exc}") from None
+    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
+        raise ParseError("unsupported model format")
+    model, scales = _parse_header(doc)
+    boxes = _int_table(doc["boxes"], model.naxes + 2, "box")
+    edges = _int_table(doc.get("edges", []), 2, "edge")
+    return model, scales, boxes, edges, _int_table(doc.get("cross_edges", []), 2, "cross edge")
+
+
+def _int_table(rows, width: int, what: str) -> np.ndarray:
+    """JSON rows as an int64 table of ``width`` columns."""
+    if rows == []:
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        table = np.array(rows)
+    except ValueError:  # ragged rows
+        table = np.array(None)
+    if table.ndim != 2 or table.shape[1] != width or table.dtype.kind != "i":
+        raise ParseError(f"each {what} must be a row of {width} 64-bit integers")
+    return table.astype(np.int64)
+
+
+def _rebuild(model: MapModel, scales, boxes, edges, cross):
+    """Tree and recurrent model of the decoded tables, checked for
+    consistency: the boxes tile, the header's box sides bound them,
+    component ids lie in [0, boxes), and the edges join distinct boxes
+    once each, E edges within one component, X edges between two."""
+    delta, epsilon, epsilon_min = scales
+    try:
+        tree = BoxTree.restore(model, boxes[:, :-1])
     except UsageError as exc:
         raise ParseError(str(exc)) from None
-    n = len(addresses)
+    n = len(boxes)
     # the header's values date from before pruning, so they bound the kept boxes
     if n and epsilon < tree.epsilon():
         raise ParseError(f"header epsilon {epsilon!r} < largest box side {tree.epsilon()!r}")
     if n and epsilon_min > tree.epsilon_min():
         raise ParseError(f"header epsilon_min {epsilon_min!r} > smallest box side {tree.epsilon_min()!r}")
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    if len(src):
-        if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
-            raise ParseError("edge endpoint out of range")
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    gamma = ChainGraph(
+    comp = np.ascontiguousarray(boxes[:, -1])
+    if ((comp < 0) | (comp >= n)).any():
+        raise ParseError(f"component id {int(comp[(comp < 0) | (comp >= n)][0])} outside [0, {n})")
+    radix = max(n, 1)
+    keys = {}
+    for tag, table, within in (("E", edges, True), ("X", cross, False)):
+        outside = ((table < 0) | (table >= n)).any(axis=1)
+        if outside.any():
+            raise ParseError(f"{tag} edge {table[outside][0].tolist()} outside [0, {n})")
+        wrong = (comp[table[:, 0]] == comp[table[:, 1]]) != within
+        if wrong.any():
+            where = "between two components" if within else "within one component"
+            raise ParseError(f"{tag} edge {table[wrong][0].tolist()} lies {where}")
+        keys[tag] = np.sort(table[:, 0] * radix + table[:, 1])
+        repeated = np.flatnonzero(keys[tag][1:] == keys[tag][:-1])
+        if len(repeated):
+            key = int(keys[tag][repeated[0]])
+            raise ParseError(f"{tag} edge {[key // radix, key % radix]} given twice")
+    gamma = ChainGraph.from_pairs(
+        keys["E"] // radix,
+        keys["E"] % radix,
+        np.arange(n, dtype=np.int64),
         tree=tree,
-        vertex_ids=np.arange(n, dtype=np.int64),
-        indptr=indptr,
-        indices=dst.astype(np.int32),
         delta=delta,
         epsilon=epsilon,
         epsilon_min=epsilon_min,
-        comp=np.array(comps, dtype=np.int64),
-        cross_edges=np.array(cross, dtype=np.int64).reshape(-1, 2),
+        comp=comp,
+        cross_edges=cross,
     )
     return model, tree, gamma

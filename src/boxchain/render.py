@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -73,16 +73,7 @@ class RenderConfig:
         if er < model.r_prime:
             raise UsageError("escape radius must be at least R'")
         hh = self.half_height if self.half_height is not None else self.half_width
-        return RenderConfig(
-            center=self.center,
-            half_width=self.half_width,
-            half_height=hh,
-            resolution=self.resolution,
-            gamma_depth=self.gamma_depth,
-            kplus_iters=self.kplus_iters,
-            escape_radius=er,
-            kplus_lighten=self.kplus_lighten,
-        )
+        return replace(self, half_height=hh, escape_radius=er)
 
 
 class Image:
@@ -315,5 +306,5 @@ def render_plane(gamma: ChainGraph, model: MapModel, config: RenderConfig) -> Im
         raise UsageError("render_plane needs a 1-D map or the real Henon map")
     config = config.validate(model)
     xs, ys = _pixel_grid(config)
-    points = [model.point_from_axes((x, y)) for y in ys for x in xs]
-    return _paint(gamma, model, config, tuple(np.array(c) for c in zip(*points)))
+    pt = model.point_from_axes((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
+    return _paint(gamma, model, config, pt)

@@ -6,23 +6,13 @@ from boxchain.chain_graph import ChainGraph
 
 
 def graph_from_adjacency(adj):
-    n = len(adj)
-    src = []
-    dst = []
-    for u, outs in enumerate(adj):
-        for v in sorted(set(outs)):
-            src.append(u)
-            dst.append(v)
-    src = np.array(src, dtype=np.int64)
-    dst = np.array(dst, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if n and len(src):
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return ChainGraph(
+    pairs = [(u, v) for u, outs in enumerate(adj) for v in sorted(set(outs))]
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return ChainGraph.from_pairs(
+        src,
+        dst,
+        np.arange(len(adj), dtype=np.int64),
         tree=None,
-        vertex_ids=np.arange(n, dtype=np.int64),
-        indptr=indptr,
-        indices=dst.astype(np.int32),
         delta=1e-3,
         epsilon=1.0,
         epsilon_min=1.0,

@@ -12,6 +12,7 @@ from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
 from boxchain.boxtree import init_root
 from boxchain.chain_graph import (
+    ChainGraph,
     build_edges,
     classify_components,
     recurrent_model,
@@ -106,6 +107,27 @@ def test_edges_rows_sorted_and_unique():
     for u in range(g.n_vertices):
         nb = g.out_neighbors(u)
         assert (np.diff(nb) > 0).all()
+
+
+def test_edge_rows_and_from_pairs_invert_each_other():
+    for adj in ([], [[]], [[1], [], [0, 1, 2]]):
+        src, dst = graph_from_adjacency(adj).edge_rows()
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (u, v) for u, outs in enumerate(adj) for v in sorted(outs)
+        ]
+    model = quad_c0()
+    built = build_edges(grown_tree(model, 4), model, 1e-4)
+    again = ChainGraph.from_pairs(
+        *built.edge_rows(),
+        built.vertex_ids,
+        tree=built.tree,
+        delta=built.delta,
+        epsilon=built.epsilon,
+        epsilon_min=built.epsilon_min,
+    )
+    for field in ("indptr", "indices", "vertex_ids"):
+        a, b = getattr(built, field), getattr(again, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_memory_budget_abort():

@@ -451,3 +451,33 @@ def test_model_validation():
         MapModel("henon_real", c="0,1", a="0.5")
     with pytest.raises(UsageError):
         MapModel("nope", c="0")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MapModel("quad_poly", c="0", r_prime=2.0),
+        MapModel("henon_real", c="-3", a="-0.25", r_prime=2.57),
+        MapModel("henon_complex", c="-1.1875", a="0.15", r_prime=1.9),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_point_from_axes_is_exactly_complex_of_the_parts(model):
+    special = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    rng = np.random.default_rng(3)
+    axes = [rng.choice(special, 300) for _ in range(model.naxes)]
+    pts = model.point_from_axes(axes)
+    assert all(z.dtype == complex and z.shape == (300,) for z in pts)
+
+    def parts(z):  # bit patterns, so signed zeros and NaNs compare exactly
+        return np.array([z.real, z.imag]).view(np.int64).tolist()
+
+    for i in range(300):
+        vals = [float(a[i]) for a in axes]
+        if model.real_mode:
+            want = [complex(v, 0.0) for v in vals]
+        else:
+            want = [complex(re, im) for re, im in zip(vals[0::2], vals[1::2])]
+        got = model.point_from_axes(vals)
+        assert all(type(z) is complex for z in got)
+        assert [parts(z) for z in got] == [parts(z[i]) for z in pts] == [parts(w) for w in want]

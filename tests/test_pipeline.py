@@ -3,12 +3,15 @@ model round-trips, CLI surface and exit codes, regression invariants."""
 
 import json
 import math
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boxchain import pipeline
 from boxchain.errors import MemoryBudgetError, ParseError
 from boxchain.ia import UsageError
 from boxchain.maps import MapModel
@@ -21,6 +24,8 @@ from boxchain.pipeline import (
     save_model,
 )
 from boxchain.render import RenderConfig, render_plane
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(**over):
@@ -315,13 +320,15 @@ def test_truncated_model_rejected(tmp_path):
         load_model(str(garbled))
 
 
-def _hand_model(tmp_path, box_lines):
+def _hand_model(tmp_path, lines):
+    count = {tag: sum(line.split()[0] == tag for line in lines) for tag in "BEX"}
     header = (
         "boxchain-model 1 kind=quad_poly c=0,0 rprime=2.0 m=2 delta=0.001"
-        f" epsilon=1.0 epsilon_min=1.0 boxes={len(box_lines)} comps=1 edges=0 cross=0"
+        f" epsilon=1.0 epsilon_min=1.0 boxes={count['B']} comps=1"
+        f" edges={count['E']} cross={count['X']}"
     )
     path = tmp_path / "hand.txt"
-    path.write_text("\n".join([header] + box_lines) + "\n")
+    path.write_text("\n".join([header] + lines) + "\n")
     return str(path)
 
 
@@ -385,6 +392,127 @@ def test_json_header_epsilon_checked_against_boxes(tmp_path, field, factor, mess
     bad.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=message):
         load_model(str(bad))
+
+
+# two boxes of one component, and two boxes of components 0 and 1
+_ONE_COMP = ["B 2 1 1 0", "B 2 3 0 0"]
+_TWO_COMPS = ["B 2 1 1 0", "B 2 3 0 1"]
+
+
+@pytest.mark.parametrize("comp", ["-5", "2", "99999999999"])
+def test_component_id_outside_box_range_rejected(tmp_path, comp):
+    path = _hand_model(tmp_path, ["B 2 1 1 0", f"B 2 3 0 {comp}"])
+    with pytest.raises(ParseError, match="component id"):
+        load_model(path)
+    assert _cli("inspect", "--model-in", path).returncode == 4
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        (_ONE_COMP + ["E 0 2"], "outside"),
+        (_TWO_COMPS + ["X 0 99"], "outside"),
+        (_TWO_COMPS + ["X -1 0"], "outside"),
+        (_ONE_COMP + ["E 0 1 7"], "3 integers"),
+        (_ONE_COMP + ["E 0"], "1 integers"),
+        (_ONE_COMP + ["E 0 x"], "bad integer"),
+        (_ONE_COMP + ["B 2 0 0 0 0"], "5 integers, not 4"),
+        (_ONE_COMP + ["Q 0 1"], "unknown record tag"),
+        (_TWO_COMPS + ["E 0 1"], "between two components"),
+        (_ONE_COMP + ["X 0 1"], "within one component"),
+        (_ONE_COMP + ["E 0 1", "E 0 1"], "given twice"),
+        (_TWO_COMPS + ["X 0 1", "X 0 1"], "given twice"),
+    ],
+)
+def test_malformed_or_inconsistent_records_rejected(tmp_path, records, message):
+    with pytest.raises(ParseError, match=message):
+        load_model(_hand_model(tmp_path, records))
+
+
+@pytest.mark.parametrize("edges", [[[0]], [[0, 1], [0]], [[0, 1, 2]], [[0, 1.5]], [["0", "1"]]])
+def test_json_edge_rows_must_be_integer_pairs(tmp_path, edges):
+    path, _ = _run_small_model(tmp_path, json_mode=True)
+    obj = json.loads(open(path).read())
+    obj["edges"] = edges
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="2 64-bit integers"):
+        load_model(str(bad))
+    assert _cli("inspect", "--model-in", str(bad)).returncode == 4
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 37, 1 << 20])
+def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
+    # the vectorized reader against int() per field, with the body cut
+    # into pieces of about piece_bytes
+    monkeypatch.setattr(pipeline, "_PIECE_BYTES", piece_bytes)
+    rng = random.Random(piece_bytes)
+    widths = {"B": 4, "E": 2, "X": 2}
+    want = {tag: [] for tag in widths}
+    text = ""
+    for _ in range(400):
+        tag = rng.choice("BEX")
+        values = ["0", "-0", "+7", "007", "-123456", str(10**18 - 1), "-42"]
+        fields = [rng.choice(values) for _ in range(widths[tag])]
+        want[tag].append([int(f) for f in fields])
+        gap = lambda: rng.choice([" ", "\t", "  ", " \t "])
+        text += rng.choice(["", " "]) + tag + "".join(gap() + f for f in fields)
+        text += rng.choice(["", " "]) + rng.choice(["\n", "\r\n", "\r", "\n\n", "\n \n"])
+    tables = pipeline._read_records(text.encode(), 0, widths)
+    for tag, width in widths.items():
+        expected = np.array(want[tag], dtype=np.int64).reshape(-1, width)
+        assert tables[tag].dtype == np.int64 and np.array_equal(tables[tag], expected)
+
+
+def _graph_tables(tree, gamma):
+    return (
+        gamma.indptr,
+        gamma.indices,
+        gamma.comp,
+        gamma.cross_edges,
+        tree.address_table(gamma.vertex_ids),
+    )
+
+
+def _assert_same_graph(a, b):
+    for x, y in zip(_graph_tables(*a), _graph_tables(*b)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_record_order_and_layout_do_not_matter(tmp_path):
+    path, _ = _run_small_model(tmp_path)
+    _, *saved = load_model(path)
+    header, *records = open(path).read().splitlines()
+    # interleave the record kinds and shuffle the E lines; B lines number
+    # the boxes and X lines list the cross edges, so those keep their order
+    in_order = {tag: iter([r for r in records if r[0] == tag]) for tag in "BX"}
+    random.Random(5).shuffle(records)
+    records = [next(in_order[r[0]]) if r[0] in in_order else r for r in records]
+    # tab and space padding, a blank line, CRLF line ends
+    lines = [header] + [f"  {r.replace(' ', chr(9) + ' ')} " for r in records[:40]]
+    lines += [""] + records[40:]
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    _, *loaded = load_model(str(shuffled))
+    _assert_same_graph(saved, loaded)
+
+
+def test_golden_model_files(tmp_path):
+    """Files written by an earlier version of the format: this version
+    writes the same bytes for the same run, and reads both layouts to the
+    same graph."""
+    cfg = RunConfig(kind="quad_poly", c="0", r_prime=2.0, schedule=["uniform"] * 3)
+    result = run_pipeline(cfg)
+    loaded = []
+    for name, json_mode in (("quad_uniform3.txt", False), ("quad_uniform3.json", True)):
+        golden = DATA / name
+        out = tmp_path / name
+        save_model(str(out), result.model, result.gamma, json_mode=json_mode, include_edges=True)
+        assert out.read_bytes() == golden.read_bytes()
+        loaded.append(load_model(str(golden))[1:])
+    assert len(result.gamma.cross_edges) > 0 and len(set(result.gamma.comp.tolist())) == 2
+    _assert_same_graph(loaded[0], loaded[1])
+    _assert_same_graph(loaded[0], (result.tree, result.gamma))
 
 
 # ---------------------------------------------------------------------------
