@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .ia import DomainError, UsageError
 from .maps import MapModel, fixed_points
 
@@ -267,7 +269,7 @@ class SinkSection:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """The accuracy ledger of one pipeline step (plus optional sink data)."""
+    """The accuracy ledger of one pipeline step."""
 
     epsilon: float
     delta: float
@@ -277,17 +279,12 @@ class BoundsReport:
     epsilon_prime: float
     delta_prime: float
     epsilon_min: float = 0.0
-    sink: Optional[SinkSection] = None
 
     def validate(self) -> None:
         if not self.epsilon < self.epsilon_prime:
             raise DomainError("bounds invariant violated: epsilon' <= epsilon")
         if not self.delta_prime < self.delta:
             raise DomainError("bounds invariant violated: delta' >= delta")
-        if self.sink is not None:
-            s = self.sink
-            if not (s.tau > 0 and s.r_p > 0 and s.eta > 0 and s.epsilon_star > 0):
-                raise DomainError("sink section constants must be positive")
 
     def text_block(self) -> str:
         """Flat key-value rendering of the containment ledger."""
@@ -323,57 +320,39 @@ def sink_section_for_map(
     if not sinks:
         return None
     fp = sinks[0]
-    loc = fp.location
-
-    if model.is_one_dim:
-        lam_c = fp.eigenvalues[0]
-        p = loc[0]
-        if sink_decimals is not None:
-            p = _round_complex(p, sink_decimals[0])
-            lam_c = _round_complex(lam_c, sink_decimals[1])
-        lam = abs(lam_c)
-        kappa, eta, eps_star, basin = one_dim_bounds(lam, abs(p), m_ratio)
-        return SinkSection(
-            location=(p,),
-            lambda1=lam_c,
-            lambda2=lam_c,
-            lam=lam,
-            c_const=1.0,
-            d_const=1.0,
-            tau=1.0,
-            r_p=basin,
-            kappa=kappa,
-            eta=eta,
-            epsilon_star=eps_star,
-            m_ratio=m_ratio,
-            p_norm=abs(p),
-            quantized=sink_decimals is not None,
-        )
-
-    l1, l2 = fp.eigenvalues
-    p = loc[0]
+    p = fp.location[0]
+    l1, l2 = fp.eigenvalues[0], fp.eigenvalues[-1]  # a 1-D sink has one
     if sink_decimals is not None:
         p = _round_complex(p, sink_decimals[0])
         l1 = _round_complex(l1, sink_decimals[1])
-        l2 = _round_complex(l2, sink_decimals[2])
-    if l1 == l2:
-        return None  # sigma machinery undefined at a degenerate sink
-    c, d, tau = sigma_constants(l1, l2, model.a_mod)
-    lam = max(abs(l1), abs(l2))
-    # sup norm of the fixed point (Re/Im componentwise over both coords)
-    p_norm = max(abs(p.real), abs(p.imag))
-    kappa, eps_star = separation_epsilon_bound(lam, tau, p_norm, model.a_mod, m_ratio)
+        l2 = _round_complex(l2, sink_decimals[1 if model.is_one_dim else 2])
+
+    if model.is_one_dim:
+        lam = abs(l1)
+        p_norm = abs(p)
+        c = d = tau = 1.0
+        kappa, eta, eps_star, r_p = one_dim_bounds(lam, p_norm, m_ratio)
+    else:
+        if l1 == l2:
+            return None  # sigma machinery undefined at a degenerate sink
+        c, d, tau = sigma_constants(l1, l2, model.a_mod)
+        lam = max(abs(l1), abs(l2))
+        # sup norm of the fixed point (Re/Im componentwise over both coords)
+        p_norm = max(abs(p.real), abs(p.imag))
+        kappa, eps_star = separation_epsilon_bound(lam, tau, p_norm, model.a_mod, m_ratio)
+        eta = separation_eta(lam, tau)
+        r_p = sink_basin_radius(lam, tau)
     return SinkSection(
-        location=(p, p),
+        location=(p,) * model.ncoords,
         lambda1=l1,
         lambda2=l2,
         lam=lam,
         c_const=c,
         d_const=d,
         tau=tau,
-        r_p=sink_basin_radius(lam, tau),
+        r_p=r_p,
         kappa=kappa,
-        eta=separation_eta(lam, tau),
+        eta=eta,
         epsilon_star=eps_star,
         m_ratio=m_ratio,
         p_norm=p_norm,
@@ -425,14 +404,10 @@ def enclosure_defect_sample(
         points = list(_it.product(*ticks))
         for _ in range(n_samples):
             points.append(tuple(rng.uniform(iv.lo, iv.hi) for iv in axes))
-        spans = [[math.inf, -math.inf] for _ in range(model.naxes)]
-        for vals in points:
-            img = model.point_forward(model.point_from_axes(vals))
-            for k, v in enumerate(model.point_axes(img)):
-                spans[k][0] = min(spans[k][0], v)
-                spans[k][1] = max(spans[k][1], v)
-        for k, iv in enumerate(fbox.axes()):
-            defect = (iv.hi - iv.lo) - (spans[k][1] - spans[k][0])
+        img = model.point_forward(model.point_from_axes(list(np.array(points).T)))
+        images = model.axes_from_coords(img, lambda z: (z.real, z.imag))
+        for iv, v in zip(fbox.axes(), images):
+            defect = (iv.hi - iv.lo) - float(v.max() - v.min())
             worst = max(worst, defect)
     return worst
 
@@ -443,9 +418,6 @@ def report_for_map(
     epsilon_min: Optional[float] = None,
     delta: Optional[float] = None,
     delta_ratio: float = 1000.0,
-    m_ratio: float = 1000.0,
-    sink_decimals: Optional[tuple[int, int, int]] = None,
-    with_sink: bool = True,
 ) -> BoundsReport:
     """Assemble the full ledger for one model state of a map.
 
@@ -468,11 +440,6 @@ def report_for_map(
         d_p = min(eta, model.delta0_prime)
     else:
         d_p = delta_prime(delta, rp, a_mod, model.delta0_prime)
-    sink = (
-        sink_section_for_map(model, m_ratio=m_ratio, sink_decimals=sink_decimals)
-        if with_sink
-        else None
-    )
     rep = BoundsReport(
         epsilon=epsilon,
         delta=delta,
@@ -482,7 +449,6 @@ def report_for_map(
         epsilon_prime=eps_p,
         delta_prime=d_p,
         epsilon_min=epsilon_min,
-        sink=sink,
     )
     rep.validate()
     return rep

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ResourceError
 from .ia import BoxRegion, Interval, UsageError
-from .maps import MapModel, batch_backward, batch_forward, sup_bounded
+from .maps import MapModel, batch_backward, batch_forward, forward_orbits
 
 __all__ = [
     "BoxTree",
@@ -419,36 +419,7 @@ def sink_basin_selector(
         raise UsageError("threshold must lie in (0, 1]")
     model = tree.model
     ids, _, _, lo, hi = tree.live_arrays()
-    mid = 0.5 * (lo + hi)
-    rp = tree.r_prime
-    n = len(ids)
-    pt = model.point_from_axes(list(mid.T))
-    ok = np.ones(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if model.is_henon:
-            m00 = np.ones(n, dtype=complex)
-            m01 = np.zeros(n, dtype=complex)
-            m10 = np.zeros(n, dtype=complex)
-            m11 = np.ones(n, dtype=complex)
-            a = model.a
-            for _ in range(iterates):
-                j00 = 2.0 * pt[0]
-                n00 = j00 * m00 - a * m10
-                n01 = j00 * m01 - a * m11
-                m00, m01, m10, m11 = n00, n01, m00, m01
-                pt = model.point_forward(pt)
-                ok &= sup_bounded(pt, rp)
-            tr = m00 + m11
-            det = m00 * m11 - m01 * m10
-            disc = np.sqrt(tr * tr - 4.0 * det)
-            lmax = np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
-            small = np.isfinite(lmax) & (lmax < threshold)
-        else:
-            prod = np.ones(n, dtype=complex)
-            for _ in range(iterates):
-                prod = prod * model.point_derivative(pt)
-                pt = model.point_forward(pt)
-                ok &= sup_bounded(pt, rp)
-            small = np.isfinite(np.abs(prod)) & (np.abs(prod) < threshold)
-    chosen = set(ids[ok & small].tolist())
+    pt = model.point_from_axes(list((0.5 * (lo + hi)).T))
+    rows, _, multiplier = forward_orbits(model, pt, iterates, tree.r_prime)
+    chosen = set(ids[rows[multiplier < threshold]].tolist())
     return lambda lid: lid in chosen

@@ -65,11 +65,6 @@ def _map_params(args) -> dict:
     return params
 
 
-def _build_model(args) -> MapModel:
-    p = _map_params(args)
-    return MapModel(p["kind"], c=p["c"], a=p.get("a"), r_prime=p.get("r_prime"))
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.6g}"
@@ -195,7 +190,7 @@ def _print_record(record, as_json: bool) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    model = _build_model(args)
+    model = MapModel(**_map_params(args))
     decimals = None
     if not args.exact:
         try:
@@ -216,8 +211,6 @@ def _cmd_bounds(args) -> int:
             args.epsilon,
             epsilon_min=args.epsilon_min,
             delta_ratio=args.delta_ratio,
-            m_ratio=args.m,
-            with_sink=False,
         )
         print("-- containment ledger --")
         print(rep.text_block())

@@ -16,7 +16,15 @@ polynomial of the family.  The trapping box V0 = {|x| <= R', |y| <= R'}
 
 Parameters arrive as decimal strings and are hulled outward for all
 interval evaluation; plain nearest-double values are kept alongside for
-the non-rigorous point-orbit helpers.
+point arithmetic (``point_forward``, ``point_derivative``).
+
+``forward_orbits`` is the one non-rigorous point-iteration path: it
+iterates arrays of points, drops each row at its first iterate outside
+a sup-norm ball, and composes ``point_derivative`` along the orbit.
+The sink-basin refinement selector, the heuristic sink-cycle search,
+the cycle multipliers of ``sink_orbits`` and the bounded-orbit (K+)
+lightening of renders all run through it; none of them enters a rigor
+claim.
 
 Each family's interval extension F (and F^-1 for Henon kinds) is
 written once, in ``MapModel.interval_forward``/``interval_backward``,
@@ -40,7 +48,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +76,7 @@ __all__ = [
     "sink_orbits",
     "snap_up_dyadic",
     "sup_bounded",
+    "forward_orbits",
 ]
 
 KINDS = ("henon_complex", "henon_real", "quad_poly", "cubic_poly")
@@ -471,7 +479,7 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
         roots = [r1] if rep else [r1, r2]
         for z in roots:
             z = _newton_polish(z, g, dg)
-            lam = 2.0 * z
+            lam = model.point_derivative((z,))
             out.append(
                 FixedPointInfo(
                     location=(z,),
@@ -494,7 +502,7 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
         if any(abs(z - w) < 1e-9 for w in seen):
             continue
         seen.append(z)
-        lam = 3.0 * z * z - 3.0 * a * a
+        lam = model.point_derivative((z,))
         out.append(
             FixedPointInfo(
                 location=(z,),
@@ -528,29 +536,48 @@ def sup_bounded(pt, radius: float):
     return np.isfinite(sup) & (sup <= radius)
 
 
-def _cycle_multiplier_max(model: MapModel, points) -> float:
-    if model.is_henon:
-        m = ((1.0 + 0j, 0.0 + 0j), (0.0 + 0j, 1.0 + 0j))
-        for pt in points:
-            j = model.point_derivative(pt)
-            m = (
-                (
-                    j[0][0] * m[0][0] + j[0][1] * m[1][0],
-                    j[0][0] * m[0][1] + j[0][1] * m[1][1],
-                ),
-                (
-                    j[1][0] * m[0][0] + j[1][1] * m[1][0],
-                    j[1][0] * m[0][1] + j[1][1] * m[1][1],
-                ),
-            )
-        tr = m[0][0] + m[1][1]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        l1, l2, _ = _quadratic_roots(-tr, det)
-        return max(abs(l1), abs(l2))
-    prod = 1.0 + 0j
-    for pt in points:
-        prod *= model.point_derivative(pt)
-    return abs(prod)
+def forward_orbits(model: MapModel, pt, steps: int, radius: float):
+    """Iterate points in point arithmetic while they stay in a ball.
+
+    ``pt`` holds one complex array (or one complex) per coordinate.
+    Returns ``(rows, points, multiplier)``: the indices of the rows whose
+    iterates f^1 ... f^steps all lie in the closed sup-norm ball of
+    ``radius`` (``sup_bounded``), their f^steps points, and the spectral
+    radius of D(f^steps) at those rows, the product of
+    ``point_derivative`` along the orbit (2x2 for Henon kinds, scalar
+    for 1-D).  A row is dropped at its first iterate outside the ball
+    and never iterated again.  Non-rigorous.
+    """
+    pt = tuple(np.atleast_1d(np.asarray(z, dtype=complex)) for z in pt)
+    rows = np.arange(len(pt[0]))
+    # D(f^0) = I as a broadcast view: no per-row copy before the first
+    # product, which runs on the rows still inside only
+    eye = np.eye(2, dtype=complex)[:, :, None] if model.is_henon else np.ones(1, dtype=complex)
+    jac = np.broadcast_to(eye, eye.shape[:-1] + rows.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            if not len(rows):
+                break
+            prev, pt = pt, model.point_forward(pt)
+            inside = sup_bounded(pt, radius)
+            if not inside.all():
+                rows, jac = rows[inside], jac[..., inside]
+                prev, pt = (tuple(z[inside] for z in v) for v in (prev, pt))
+            d = model.point_derivative(prev)
+            if model.is_henon:  # D(f) . jac
+                jac = np.array(
+                    [[d[i][0] * jac[0][k] + d[i][1] * jac[1][k] for k in (0, 1)] for i in (0, 1)]
+                )
+            else:
+                jac = jac * d
+        if model.is_henon:
+            tr = jac[0][0] + jac[1][1]
+            det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+            disc = np.sqrt(tr * tr - 4.0 * det)
+            mult = np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
+        else:
+            mult = np.abs(jac)
+    return rows, pt, mult
 
 
 def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
@@ -580,8 +607,8 @@ def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
     # reject the degenerate case where the "cycle" is a fixed point pair
     if abs(pts[0][0] - pts[1][0]) < 1e-12:
         return None
-    mult = _cycle_multiplier_max(model, pts)
-    if mult >= 1.0:
+    rows, _, mult = forward_orbits(model, pts[0], 2, math.inf)
+    if not rows.size or mult[0] >= 1.0:
         return None
     res = max(
         max(abs(u - v) for u, v in zip(model.point_forward(pts[0]), pts[1])),
@@ -589,63 +616,54 @@ def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
     )
     if res > 1e-9:
         return None
-    return SinkOrbit(points=pts, period=2, multiplier_max=mult, method="exact")
-
-
-def _seed_points(model: MapModel, per_axis: int):
-    rp = model.r_prime
-    ticks = [(-rp + (2.0 * rp) * (k + 0.5) / per_axis) for k in range(per_axis)]
-    for vals in itertools.product(ticks, repeat=model.naxes):
-        yield model.point_from_axes(vals)
+    return SinkOrbit(points=pts, period=2, multiplier_max=float(mult[0]), method="exact")
 
 
 def heuristic_sink_cycles(
     model: MapModel, max_period: int = 8, transient: int = 400
 ) -> list[SinkOrbit]:
     """Attracting cycles found by forward orbits of a deterministic seed
-    grid.  Non-rigorous: used only to label components and pick
+    grid; a seed is dropped once its orbit leaves the sup-norm ball of
+    radius 4 R'.  Non-rigorous: used only to label components and pick
     refinement targets, never in any rigor claim."""
-    escape = 4.0 * model.r_prime
-    found = {}
     per_axis = 5 if model.kind == "henon_complex" else 15
-    for seed in _seed_points(model, per_axis):
-        pt = seed
-        ok = True
-        for _ in range(transient):
-            pt = model.point_forward(pt)
-            if any(abs(z) > escape for z in pt):
-                ok = False
-                break
-        if not ok:
-            continue
-        orbit = [pt]
+    rp = model.r_prime
+    ticks = -rp + (2.0 * rp) * (np.arange(per_axis) + 0.5) / per_axis
+    grid = np.meshgrid(*[ticks] * model.naxes, indexing="ij")
+    seeds = model.point_from_axes([g.ravel() for g in grid])
+    _, pt, _ = forward_orbits(model, seeds, transient, 4.0 * rp)
+    orbit = [pt]
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_period):
             orbit.append(model.point_forward(orbit[-1]))
-        period = 0
-        for p in range(1, max_period + 1):
-            if max(abs(u - v) for u, v in zip(orbit[p], orbit[0])) < 1e-7:
-                period = p
-                break
-        if period == 0:
-            continue
-        pts = tuple(orbit[:period])
-        mult = _cycle_multiplier_max(model, pts)
-        if mult >= 0.999999:
-            continue
+    # smallest p with f^p within 1e-7 of the point, 0 where there is none
+    period = np.zeros(len(pt[0]), dtype=int)
+    for p in range(max_period, 0, -1):
+        gap = functools.reduce(np.maximum, [np.abs(u - v) for u, v in zip(orbit[p], pt)])
+        period[gap < 1e-7] = p
+    mult = np.full(len(period), np.inf)
+    for p in np.unique(period[period > 0]):
+        on = np.flatnonzero(period == p)
+        rows, _, mult_p = forward_orbits(model, [z[on] for z in pt], p, math.inf)
+        mult[on[rows]] = mult_p
+    found = {}
+    for i in np.flatnonzero(mult < 0.999999).tolist():
+        p = int(period[i])
+        pts = tuple(tuple(complex(z[i]) for z in point) for point in orbit[:p])
         key = (
-            period,
+            p,
             min(
                 tuple(
                     (round(w.real, 6), round(w.imag, 6))
                     for point in pts[k:] + pts[:k]
                     for w in point
                 )
-                for k in range(period)
+                for k in range(p)
             ),
         )
         if key not in found:
             found[key] = SinkOrbit(
-                points=pts, period=period, multiplier_max=mult, method="heuristic"
+                points=pts, period=p, multiplier_max=float(mult[i]), method="heuristic"
             )
     return sorted(found.values(), key=lambda o: (o.period, repr(o.points)))
 

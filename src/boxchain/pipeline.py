@@ -274,7 +274,6 @@ def run_pipeline(
             epsilon,
             epsilon_min=epsilon_min,
             delta=delta,
-            with_sink=False,
         )
         step = StepRecord(
             index=index,

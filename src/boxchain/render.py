@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ia import UsageError
-from .maps import FixedPointInfo, MapModel, fixed_points, sup_bounded
+from .maps import FixedPointInfo, MapModel, fixed_points, forward_orbits
 from .chain_graph import ChainGraph, components_at_points
 
 __all__ = [
@@ -221,19 +221,6 @@ def unstable_parameterization(
 # ---------------------------------------------------------------------------
 
 
-def _batch_kplus(model: MapModel, pt, iters: int, escape_radius: float):
-    """Boolean array: orbit stays sup-norm bounded for `iters` steps.
-    ``pt`` holds one complex array per coordinate."""
-    ok = np.ones(len(pt[0]), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            pt = model.point_forward(pt)
-            ok &= sup_bounded(pt, escape_radius)
-            if not ok.any():
-                break
-    return ok
-
-
 def kplus_heuristic(
     model: MapModel, point: Sequence[complex], iters: int, escape_radius: float
 ) -> bool:
@@ -241,8 +228,8 @@ def kplus_heuristic(
     for `iters` steps.  Explicitly non-rigorous."""
     if iters < 1:
         raise UsageError("iters must be at least 1")
-    pt = tuple(np.array([z], dtype=complex) for z in point)
-    return bool(_batch_kplus(model, pt, iters, escape_radius)[0])
+    rows, _, _ = forward_orbits(model, point, iters, escape_radius)
+    return bool(rows.size)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +266,7 @@ def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
     one = hits[point] == 1
     pix[point[one]] = palette[comp[one]]
     if config.kplus_lighten:
-        bounded = _batch_kplus(model, pt, config.kplus_iters, config.escape_radius)
+        bounded, _, _ = forward_orbits(model, pt, config.kplus_iters, config.escape_radius)
         pix[bounded] = np.minimum(pix[bounded], 215) + 40
     return Image(res, res, bytearray(pix.tobytes()))
 

@@ -260,7 +260,7 @@ def test_report_for_map_sandwich_and_sequence():
     prev_epsp = math.inf
     prev_dp = math.inf
     for _ in range(10):
-        rep = report_for_map(m, eps, with_sink=False)
+        rep = report_for_map(m, eps)
         rep.validate()
         assert rep.epsilon < rep.epsilon_prime
         assert rep.delta_prime < rep.delta
@@ -296,8 +296,6 @@ def test_report_exact_mode_differs_slightly():
 def test_report_no_sink_section_for_horseshoe():
     m = MapModel("henon_complex", c="-2.75", a="-0.74", r_prime=2.84)
     assert sink_section_for_map(m) is None
-    rep = report_for_map(m, 0.09)
-    assert rep.sink is None
 
 
 def test_one_dim_report_superattracting():
@@ -311,7 +309,7 @@ def test_one_dim_report_superattracting():
 def test_cubic_report_uses_cubic_growth():
     m = MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1)
     eps = 0.002
-    rep = report_for_map(m, eps, with_sink=False)
+    rep = report_for_map(m, eps)
     t1 = 3 * m.r_prime ** 2 + 3 * 0.01
     assert rep.r_coeff == pytest.approx(t1 + 3 * m.r_prime * eps + eps * eps)
     assert rep.epsilon_prime == pytest.approx(rep.delta + eps * (rep.r_coeff + 1))

@@ -207,11 +207,64 @@ def test_enclosure_defect_diagnostic():
     assert d3 < d2
 
 
+def reference_defect_sample(model, epsilon, n_boxes, n_samples, seed):
+    """enclosure_defect_sample as a loop of scalar point images."""
+    import itertools
+
+    from boxchain.ia import Interval
+
+    rng = random.Random(seed)
+    rp = model.r_prime
+    per_axis = 5 if model.naxes == 4 else 17
+    worst = 0.0
+    for _ in range(n_boxes):
+        axes = []
+        for _ in range(model.naxes):
+            lo = rng.uniform(-rp, rp - epsilon)
+            axes.append(Interval(lo, lo + epsilon))
+        fbox = model.image(model.box_from_axes(axes))
+        ticks = []
+        for iv in axes:
+            t = {iv.lo, iv.hi}
+            if iv.lo < 0.0 < iv.hi:
+                t.add(0.0)
+            for k in range(1, per_axis - 1):
+                t.add(iv.lo + (iv.hi - iv.lo) * k / (per_axis - 1))
+            ticks.append(sorted(t))
+        points = list(itertools.product(*ticks))
+        for _ in range(n_samples):
+            points.append(tuple(rng.uniform(iv.lo, iv.hi) for iv in axes))
+        spans = [[math.inf, -math.inf] for _ in range(model.naxes)]
+        for vals in points:
+            img = model.point_forward(model.point_from_axes(vals))
+            for k, v in enumerate(model.point_axes(img)):
+                spans[k][0] = min(spans[k][0], v)
+                spans[k][1] = max(spans[k][1], v)
+        for k, iv in enumerate(fbox.axes()):
+            worst = max(worst, (iv.hi - iv.lo) - (spans[k][1] - spans[k][0]))
+    return worst
+
+
+@pytest.mark.parametrize("preset", sorted(pipeline.PRESETS))
+def test_enclosure_defect_sample_matches_scalar_loop(preset):
+    # one array image per box samples the same boxes and points as the
+    # scalar loop; numpy's complex products may round differently
+    from boxchain.bounds import enclosure_defect_sample
+
+    model = MapModel(**pipeline.PRESETS[preset])
+    for eps, seed in ((0.05, 3), (0.01, 5)):
+        d = enclosure_defect_sample(model, eps, n_boxes=8, n_samples=32, seed=seed)
+        assert type(d) is float
+        assert d == pytest.approx(
+            reference_defect_sample(model, eps, 8, 32, seed), rel=0, abs=1e-12
+        )
+
+
 def test_bounds_text_block():
     from boxchain.bounds import report_for_map
 
     model = MapModel("henon_complex", c="-1.1875", a="0.15", r_prime=1.9)
-    rep = report_for_map(model, 0.059375, with_sink=False)
+    rep = report_for_map(model, 0.059375)
     block = rep.text_block()
     assert "epsilon_prime = " in block and "delta_prime = " in block
     for line in block.splitlines():
