@@ -422,29 +422,27 @@ def report_for_map(
     """Assemble the full ledger for one model state of a map.
 
     delta defaults to epsilon_min / delta_ratio (epsilon_min defaults
-    to epsilon).  The 1-D kinds use a_mod = 0 and their own growth /
-    edge-error polynomials.
+    to epsilon).  ``model.a_mod`` is the map's own |a| (0 for
+    quad_poly); the 1-D kinds use their own growth / edge-error
+    polynomials.
     """
     if epsilon_min is None:
         epsilon_min = epsilon
     if delta is None:
         delta = epsilon_min / delta_ratio
     rp = model.r_prime
-    # additive |a| term of the quadratic formulas: 0 for the 1-D kinds
-    a_mod = model.a_mod if model.is_henon else 0.0
-    # the growth coefficient of the cubic needs the polynomial's own |a|
     r = r_coefficient(model.kind, epsilon, rp, model.a_mod)
     eps_p = epsilon_prime(epsilon, delta, rp, model.a_mod, model.kind)
     if model.kind == "cubic_poly":
         eta = _eta_cubic(delta, rp, model.a_mod)
         d_p = min(eta, model.delta0_prime)
     else:
-        d_p = delta_prime(delta, rp, a_mod, model.delta0_prime)
+        d_p = delta_prime(delta, rp, model.a_mod, model.delta0_prime)
     rep = BoundsReport(
         epsilon=epsilon,
         delta=delta,
         r_prime=rp,
-        a_mod=a_mod,
+        a_mod=model.a_mod,
         r_coeff=r,
         epsilon_prime=eps_p,
         delta_prime=d_p,

@@ -45,6 +45,8 @@ __all__ = [
 
 _KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
 _CHUNK_CANDIDATES = 500_000  # grid cells expanded per lookup chunk
+_BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
+_SINK_ITERATES = 12  # orbit length of the sink-basin selector
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,11 @@ class SubdivisionReport:
 class BoxTree:
     """Live leaves over dyadic grids, one per depth, with one address index."""
 
-    def __init__(self, model: MapModel, max_depth: int = 32):
+    def __init__(self, model: MapModel):
         self.model = model
         self.r_prime = model.r_prime
         self.naxes = model.naxes
-        self.max_depth = min(max_depth, _KEY_BITS // self.naxes)
+        self.max_depth = _KEY_BITS // self.naxes
         one = np.zeros(1, dtype=np.int64)
         self._set(one, one.copy(), np.zeros((1, self.naxes), dtype=np.int64), 1)
 
@@ -276,12 +278,12 @@ class BoxTree:
 
     # -- escape pruning ----------------------------------------------------------
 
-    def prune_escaping(self, max_iter: int, blowup_factor: float = 8.0) -> int:
+    def prune_escaping(self, max_iter: int) -> int:
         """Drop leaves with a forward (or, for Henon kinds, backward)
         interval iterate disjoint from V0 within max_iter steps.
 
         Iteration for a leaf stops early once its iterate's side length
-        exceeds blowup_factor * R' (enclosure blowup) or the bounds stop
+        exceeds _BLOWUP_FACTOR * R' (enclosure blowup) or the bounds stop
         being finite; such leaves are kept.
         """
         if max_iter < 1:
@@ -292,7 +294,7 @@ class BoxTree:
         if self.model.is_henon:
             directions.append(batch_backward)
         rp = self.r_prime
-        bound = blowup_factor * rp
+        bound = _BLOWUP_FACTOR * rp
         for step in directions:
             cur_lo = lo.copy()
             cur_hi = hi.copy()
@@ -317,12 +319,12 @@ class BoxTree:
         return self._keep(~np.isin(self._ids, np.asarray(ids, dtype=np.int64)))
 
     @classmethod
-    def restore(cls, model: MapModel, addresses, max_depth: int = 32) -> "BoxTree":
+    def restore(cls, model: MapModel, addresses) -> "BoxTree":
         """Rebuild a tree from persisted leaf addresses, integer rows
         (depth, i_0, ..., i_{k-1}); leaf ids are 0..n-1 in row order.
         Addresses must be distinct, non-nested grid cells inside V0, no
         deeper than the tree's depth cap."""
-        tree = cls(model, max_depth=max_depth)
+        tree = cls(model)
         naxes = tree.naxes
         try:
             table = np.array(addresses, dtype=np.int64).reshape(len(addresses), 1 + naxes)
@@ -397,29 +399,23 @@ def cell_range(lo, hi, r_prime: float, depth: int):
     return np.maximum(i0, 0), np.minimum(i1, nmax)
 
 
-def init_root(model: MapModel, max_depth: int = 32) -> BoxTree:
+def init_root(model: MapModel) -> BoxTree:
     """Single live leaf covering V0 (side length 2 R')."""
-    return BoxTree(model, max_depth=max_depth)
+    return BoxTree(model)
 
 
-def sink_basin_selector(
-    tree: BoxTree, iterates: int = 12, threshold: float = 1.0
-) -> Callable[[int], bool]:
+def sink_basin_selector(tree: BoxTree) -> Callable[[int], bool]:
     """Heuristic predicate marking leaves that look like sink-basin boxes.
 
     Non-rigorous (point arithmetic on leaf centers): a leaf is selected
-    when the center's orbit stays sup-norm bounded by R' for `iterates`
-    steps AND every eigenvalue of the composed derivative along that
-    orbit has modulus below `threshold`.  Used only to choose where to
+    when the center's orbit stays sup-norm bounded by R' for
+    _SINK_ITERATES steps AND every eigenvalue of the composed derivative
+    along that orbit has modulus below 1.  Used only to choose where to
     refine; never in any rigor claim.
     """
-    if iterates < 1:
-        raise UsageError("iterates must be at least 1")
-    if not 0.0 < threshold <= 1.0:
-        raise UsageError("threshold must lie in (0, 1]")
     model = tree.model
     ids, _, _, lo, hi = tree.live_arrays()
     pt = model.point_from_axes(list((0.5 * (lo + hi)).T))
-    rows, _, multiplier = forward_orbits(model, pt, iterates, tree.r_prime)
-    chosen = set(ids[rows[multiplier < threshold]].tolist())
+    rows, _, multiplier = forward_orbits(model, pt, _SINK_ITERATES, tree.r_prime)
+    chosen = set(ids[rows[multiplier < 1.0]].tolist())
     return lambda lid: lid in chosen

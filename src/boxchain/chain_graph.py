@@ -244,15 +244,12 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     )
 
 
-def recurrent_model(
-    graph: ChainGraph, labeling: SccLabeling, prune_tree: bool = True
-) -> ChainGraph:
+def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
     """Restrict to the labeled vertices: the union of the SCCs.
 
     Primary edges are the cycle edges (within a component); edges
     between distinct labeled components are kept in ``cross_edges``,
-    flagged.  Leaves dropped from the model are pruned from the tree so
-    the next subdivision step sees the recurrent region only.
+    flagged.  The tree is left as it is.
     """
     keep = labeling.comp >= 0
     keep_rows = np.flatnonzero(keep)
@@ -265,7 +262,7 @@ def recurrent_model(
     same = labeling.comp[src_all[mask]] == labeling.comp[dst_all[mask]]
     cross = np.column_stack([src[~same], dst[~same]])
     # still sorted by (src, dst): new_row is monotone
-    gamma = ChainGraph.from_pairs(
+    return ChainGraph.from_pairs(
         src[same],
         dst[same],
         graph.vertex_ids[keep_rows],
@@ -276,9 +273,6 @@ def recurrent_model(
         comp=labeling.comp[keep_rows],
         cross_edges=cross,
     )
-    if prune_tree:
-        graph.tree.remove_leaves(graph.vertex_ids[~keep])
-    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,6 @@ def _cmd_run(args) -> int:
         delta_ratio=args.delta_ratio,
         prune_iters=args.prune_iters,
         mem_budget_mb=args.mem_budget_mb,
-        max_depth=args.max_depth,
-        sink_iterates=args.sink_iters,
-        sink_threshold=args.sink_threshold,
         model_out=args.model_out,
         save_edges=args.save_edges,
         json_model=args.json_model,
@@ -191,7 +188,7 @@ def _print_record(record, as_json: bool) -> None:
 
 def _cmd_bounds(args) -> int:
     model = MapModel(**_map_params(args))
-    decimals = None
+    sections = [("exact sink data", None)]
     if not args.exact:
         try:
             decimals = tuple(int(t) for t in args.sink_decimals.split(","))
@@ -201,6 +198,7 @@ def _cmd_bounds(args) -> int:
             raise ParseError(
                 f"--sink-decimals wants three comma-separated integers, got {args.sink_decimals!r}"
             ) from None
+        sections.insert(0, ("quantized sink data", decimals))
     print(f"map: {model.param_text()}")
     print(f"R = {model.R!r}")
     print(f"R' = {model.r_prime!r}")
@@ -220,14 +218,12 @@ def _cmd_bounds(args) -> int:
             d = enclosure_defect_sample(model, args.epsilon)
             print(f"enclosure_defect_sampled = {d!r}  (diagnostic only)")
     printed_any = False
-    for label, dec in (("quantized sink data", decimals), ("exact sink data", None)):
-        if dec is None and label.startswith("quantized"):
-            continue
-        section = sink_section_for_map(model, m_ratio=args.m, sink_decimals=dec)
+    for label, dec in sections:
+        section = sink_section_for_map(model, m_ratio=args.delta_ratio, sink_decimals=dec)
         if section is None:
             continue
         printed_any = True
-        print(f"-- separation constants ({label}, M = {args.m:g}) --")
+        print(f"-- separation constants ({label}, M = {args.delta_ratio:g}) --")
         for name, value in section.rows():
             if name == "p":
                 loc = section.location
@@ -328,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute the box chain pipeline")
     _add_map_args(run_p)
     run_p.add_argument("--schedule", required=True, help='e.g. "uniform*6,sink_basin*2"')
-    run_p.add_argument("--delta-ratio", type=float, default=1000.0, dest="delta_ratio")
-    run_p.add_argument("--prune-iters", type=int, default=6, dest="prune_iters")
-    run_p.add_argument("--mem-budget-mb", type=float, default=4096.0, dest="mem_budget_mb")
-    run_p.add_argument("--max-depth", type=int, default=32, dest="max_depth")
-    run_p.add_argument("--sink-iters", type=int, default=12, dest="sink_iters")
-    run_p.add_argument("--sink-threshold", type=float, default=1.0, dest="sink_threshold")
+    run_p.add_argument("--delta-ratio", type=float, default=RunConfig.delta_ratio,
+                       dest="delta_ratio")
+    run_p.add_argument("--prune-iters", type=int, default=RunConfig.prune_iters,
+                       dest="prune_iters")
+    run_p.add_argument("--mem-budget-mb", type=float, default=RunConfig.mem_budget_mb,
+                       dest="mem_budget_mb")
     run_p.add_argument("--model-out", dest="model_out")
     run_p.add_argument("--save-edges", action="store_true", dest="save_edges")
     run_p.add_argument("--json-model", action="store_true", dest="json_model",
@@ -344,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_p = sub.add_parser("bounds", help="print accuracy/separation constants")
     _add_map_args(bounds_p)
-    bounds_p.add_argument("--m", type=float, default=1000.0, help="ratio M with delta < epsilon/M")
     bounds_p.add_argument("--epsilon", type=float, help="box side for the epsilon'/delta' ledger")
     bounds_p.add_argument("--epsilon-min", type=float, dest="epsilon_min")
-    bounds_p.add_argument("--delta-ratio", type=float, default=1000.0, dest="delta_ratio")
+    bounds_p.add_argument("--delta-ratio", type=float, default=RunConfig.delta_ratio,
+                          dest="delta_ratio",
+                          help="ratio M: delta = epsilon_min/M in the ledger, "
+                          "delta < epsilon/M in the separation constants")
     bounds_p.add_argument(
         "--sink-decimals",
         default="3,3,2",

@@ -83,6 +83,8 @@ KINDS = ("henon_complex", "henon_real", "quad_poly", "cubic_poly")
 
 _ZERO = Interval(0.0, 0.0)
 _GRID_BITS = 12  # fractional bits of the dyadic grid radius
+_MAX_PERIOD = 8  # longest cycle heuristic_sink_cycles looks for
+_TRANSIENT = 400  # seed orbit steps before the cycle search
 
 
 def snap_up_dyadic(x: float, bits: int = _GRID_BITS) -> float:
@@ -405,7 +407,6 @@ class FixedPointInfo:
     location: tuple  # (z, z) for Henon, (z,) for 1-D
     eigenvalues: tuple  # (l1, l2) with |l1| >= |l2|, or (multiplier,)
     classification: str  # sink | saddle | repelling | neutral
-    degenerate: bool = False  # repeated root / repeated eigenvalue
 
 
 def _classify(moduli: Sequence[float]) -> str:
@@ -459,14 +460,13 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
         for z in roots:
             z = _newton_polish(z, g, dg)
             # eigenvalues of [[2z, -a], [1, 0]]: l^2 - 2z l + a = 0
-            l1, l2, deg = _quadratic_roots(-2.0 * z, a)
+            l1, l2, _ = _quadratic_roots(-2.0 * z, a)
             if abs(l2) > abs(l1):
                 l1, l2 = l2, l1
             info = FixedPointInfo(
                 location=(z, z),
                 eigenvalues=(l1, l2),
                 classification=_classify((abs(l1), abs(l2))),
-                degenerate=rep or deg,
             )
             out.append(info)
         return out
@@ -485,7 +485,6 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
                     location=(z,),
                     eigenvalues=(lam,),
                     classification=_classify((abs(lam),)),
-                    degenerate=rep,
                 )
             )
         return out
@@ -508,7 +507,6 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
                 location=(z,),
                 eigenvalues=(lam,),
                 classification=_classify((abs(lam),)),
-                degenerate=len(roots) != len(set(np.round(roots, 12))),
             )
         )
     return out
@@ -619,26 +617,25 @@ def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
     return SinkOrbit(points=pts, period=2, multiplier_max=float(mult[0]), method="exact")
 
 
-def heuristic_sink_cycles(
-    model: MapModel, max_period: int = 8, transient: int = 400
-) -> list[SinkOrbit]:
-    """Attracting cycles found by forward orbits of a deterministic seed
-    grid; a seed is dropped once its orbit leaves the sup-norm ball of
-    radius 4 R'.  Non-rigorous: used only to label components and pick
-    refinement targets, never in any rigor claim."""
+def heuristic_sink_cycles(model: MapModel) -> list[SinkOrbit]:
+    """Attracting cycles of period at most _MAX_PERIOD found by forward
+    orbits of a deterministic seed grid, after _TRANSIENT steps; a seed
+    is dropped once its orbit leaves the sup-norm ball of radius 4 R'.
+    Non-rigorous: used only to label components and pick refinement
+    targets, never in any rigor claim."""
     per_axis = 5 if model.kind == "henon_complex" else 15
     rp = model.r_prime
     ticks = -rp + (2.0 * rp) * (np.arange(per_axis) + 0.5) / per_axis
     grid = np.meshgrid(*[ticks] * model.naxes, indexing="ij")
     seeds = model.point_from_axes([g.ravel() for g in grid])
-    _, pt, _ = forward_orbits(model, seeds, transient, 4.0 * rp)
+    _, pt, _ = forward_orbits(model, seeds, _TRANSIENT, 4.0 * rp)
     orbit = [pt]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_period):
+        for _ in range(_MAX_PERIOD):
             orbit.append(model.point_forward(orbit[-1]))
     # smallest p with f^p within 1e-7 of the point, 0 where there is none
     period = np.zeros(len(pt[0]), dtype=int)
-    for p in range(max_period, 0, -1):
+    for p in range(_MAX_PERIOD, 0, -1):
         gap = functools.reduce(np.maximum, [np.abs(u - v) for u, v in zip(orbit[p], pt)])
         period[gap < 1e-7] = p
     mult = np.full(len(period), np.inf)
@@ -668,7 +665,7 @@ def heuristic_sink_cycles(
     return sorted(found.values(), key=lambda o: (o.period, repr(o.points)))
 
 
-def sink_orbits(model: MapModel, max_period: int = 8) -> list[SinkOrbit]:
+def sink_orbits(model: MapModel) -> list[SinkOrbit]:
     """Fixed sinks and attracting cycles: exact where closed forms exist
     (fixed points, period 2), heuristic sampling beyond."""
     out = []
@@ -685,21 +682,20 @@ def sink_orbits(model: MapModel, max_period: int = 8) -> list[SinkOrbit]:
     two = period2_sink_cycle(model)
     if two is not None:
         out.append(two)
-    if max_period > 2:
-        known = [p for orb in out for p in orb.points]
+    known = [p for orb in out for p in orb.points]
 
-        def is_known(orbit):
-            return any(
-                any(
-                    max(abs(u - v) for u, v in zip(pt, kp)) < 1e-5
-                    for kp in known
-                )
-                for pt in orbit.points
+    def is_known(orbit):
+        return any(
+            any(
+                max(abs(u - v) for u, v in zip(pt, kp)) < 1e-5
+                for kp in known
             )
+            for pt in orbit.points
+        )
 
-        for orb in heuristic_sink_cycles(model, max_period=max_period):
-            if not is_known(orb):
-                out.append(orb)
+    for orb in heuristic_sink_cycles(model):
+        if not is_known(orb):
+            out.append(orb)
     return out
 
 

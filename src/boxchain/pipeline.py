@@ -74,17 +74,12 @@ def parse_schedule(text) -> list[str]:
         tokens = [t.strip() for t in str(text).split(",") if t.strip()]
     steps = []
     for tok in tokens:
-        if "*" in tok:
-            name, _, count = tok.partition("*")
-        elif ":" in tok:
-            name, _, count = tok.partition(":")
-        else:
-            name, count = tok, "1"
+        name, star, count = tok.partition("*")
         name = name.strip()
         if name not in _MODES:
             raise ParseError(f"unknown schedule step {name!r}")
         try:
-            n = int(count)
+            n = int(count) if star else 1
         except ValueError:
             raise ParseError(f"bad repeat count in {tok!r}") from None
         if n < 1:
@@ -103,9 +98,6 @@ class RunConfig:
     delta_ratio: float = 1000.0
     prune_iters: int = 6
     mem_budget_mb: Optional[float] = 4096.0
-    max_depth: int = 32
-    sink_iterates: int = 12
-    sink_threshold: float = 1.0
     model_out: Optional[str] = None
     save_edges: bool = False
     json_model: bool = False
@@ -214,7 +206,7 @@ def run_pipeline(
     config.validate()
     model = config.build_model()
     orbits = sink_orbits(model)
-    tree = init_root(model, max_depth=config.max_depth)
+    tree = init_root(model)
     say = progress or (lambda s: None)
     steps: list[StepRecord] = []
     record = RunRecord(
@@ -242,9 +234,7 @@ def run_pipeline(
     for index, mode in enumerate(config.schedule, start=1):
         t0 = time.perf_counter()
         if mode == "sink_basin":
-            selector = sink_basin_selector(
-                tree, iterates=config.sink_iterates, threshold=config.sink_threshold
-            )
+            selector = sink_basin_selector(tree)
         else:
             selector = lambda lid: True
         tree.subdivide(selector)
@@ -268,6 +258,8 @@ def run_pipeline(
         say(f"step {index}: graph with {graph.n_vertices} boxes, {graph.n_edges} edges")
         labeling = scc_decompose(graph)
         gamma = recurrent_model(graph, labeling)
+        # the next subdivision step sees the recurrent region only
+        tree.remove_leaves(graph.vertex_ids[labeling.comp < 0])
         classification = classify_components(gamma, model, orbits)
         bounds = report_for_map(
             model,

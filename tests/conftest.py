@@ -13,6 +13,7 @@ from boxchain.pipeline import RunConfig, parse_schedule, run_pipeline
 class StepSnapshot:
     record: object
     gamma_addresses: set  # (depth, idx) of the recurrent-model leaves
+    tree_is_gamma: bool  # the live leaves are exactly the gamma boxes
     fixed_points_covered: bool
     exact_sinks_covered: bool
     separating: bool
@@ -45,6 +46,7 @@ class InstrumentedRun:
                 StepSnapshot(
                     record=step,
                     gamma_addresses=tree.addresses(),
+                    tree_is_gamma=tree.live_ids() == gamma.vertex_ids.tolist(),
                     fixed_points_covered=covered(self.known_points),
                     exact_sinks_covered=covered(self.exact_sink_points),
                     separating=classification.separating,

@@ -10,6 +10,7 @@ import pytest
 
 from boxchain.ia import DomainError
 from boxchain.maps import MapModel, fixed_points
+from boxchain.pipeline import PRESETS
 from boxchain.bounds import (
     annulus_radii,
     delta_prime,
@@ -318,6 +319,24 @@ def test_cubic_report_uses_cubic_growth():
     q = eta ** 3 + 3 * m.r_prime * eta ** 2 + eta * (t1 + 1) - rep.delta
     assert q <= 0.0
     assert eta < rep.delta
+
+
+@pytest.mark.parametrize(
+    "name, eps_p, d_p",
+    [
+        ("altper2", 0.1494187890625, 2.0200816360562364e-06),
+        ("complexhorse", 0.22351527343750002, 1.3476767233784928e-06),
+        ("cubicdouble", 0.43354417859268185, 7.012015480781878e-07),
+        ("per31", 0.1605105859375, 1.8796916830885323e-06),
+        ("realhorse", 0.1926141015625, 1.564911361240573e-06),
+    ],
+)
+def test_report_a_mod_is_the_maps_own(name, eps_p, d_p):
+    m = MapModel(**PRESETS[name])
+    rep = report_for_map(m, 0.03, epsilon_min=0.01)
+    assert rep.a_mod == m.a_mod
+    # epsilon' and delta' keep their recorded values, bit for bit
+    assert (rep.epsilon_prime, rep.delta_prime) == (eps_p, d_p)
 
 
 # ---------------------------------------------------------------------------

@@ -127,13 +127,9 @@ def test_nesting_under_subdivision():
 
 
 def test_depth_limit():
-    tree = init_root(quad_c0(), max_depth=2)
-    subdivide_all(tree, 2)
-    with pytest.raises(ResourceError):
-        tree.subdivide(lambda lid: True)
-    # packed addresses cap the depth at 62 // naxes whatever max_depth says
+    # packed addresses cap the depth at 62 // naxes
     for model, cap in ((quad_c0(), 31), (per31(), 15)):
-        tree = BoxTree.restore(model, [[cap] + [0] * model.naxes], max_depth=40)
+        tree = BoxTree.restore(model, [[cap] + [0] * model.naxes])
         assert tree.max_depth == cap
         with pytest.raises(ResourceError, match="62"):
             tree.subdivide(lambda lid: True)
@@ -372,7 +368,7 @@ def test_selector_marks_sink_leaf_and_not_escaping_leaf():
     tree = init_root(m)
     subdivide_all(tree, 4)
     tree.prune_escaping(6)
-    sel = sink_basin_selector(tree, iterates=12, threshold=1.0)
+    sel = sink_basin_selector(tree)
     sink = [f for f in fixed_points(m) if f.classification == "sink"][0]
     sink_leaves = tree.leaves_containing_point(tree.point_axis_values(sink.location))
     assert sink_leaves
@@ -382,22 +378,12 @@ def test_selector_marks_sink_leaf_and_not_escaping_leaf():
     assert not sel(corner)
 
 
-def test_selector_validation():
-    tree = init_root(quad_c0())
-    with pytest.raises(UsageError):
-        sink_basin_selector(tree, iterates=0)
-    with pytest.raises(UsageError):
-        sink_basin_selector(tree, threshold=0.0)
-    with pytest.raises(UsageError):
-        sink_basin_selector(tree, threshold=1.5)
-
-
 def test_selector_one_dim_superattracting():
     m = quad_c0()
     tree = init_root(m)
     subdivide_all(tree, 5)
     tree.prune_escaping(6)
-    sel = sink_basin_selector(tree, iterates=10, threshold=1.0)
+    sel = sink_basin_selector(tree)
     zero_leaves = tree.leaves_containing_point((0.05, 0.05))
     assert zero_leaves and all(sel(lid) for lid in zero_leaves)
     # a surviving leaf whose center sits outside the closed unit disk is

@@ -262,13 +262,13 @@ def test_scc_sizes_canonical_order():
 
 def test_chain_without_return_is_empty():
     g = graph_from_adjacency([[1], [2], []])
-    gamma = recurrent_model(g, scc_decompose(g), prune_tree=False)
+    gamma = recurrent_model(g, scc_decompose(g))
     assert gamma.n_vertices == 0 and gamma.n_edges == 0
 
 
 def test_cycle_with_pendant():
     g = graph_from_adjacency([[1], [0], [0]])
-    gamma = recurrent_model(g, scc_decompose(g), prune_tree=False)
+    gamma = recurrent_model(g, scc_decompose(g))
     assert sorted(gamma.vertex_ids.tolist()) == [0, 1]
     assert gamma.n_edges == 2
     assert len(gamma.cross_edges) == 0
@@ -277,7 +277,7 @@ def test_cycle_with_pendant():
 def test_cross_component_edges_flagged_not_primary():
     # two 2-cycles bridged by an edge: bridge is kept but flagged
     g = graph_from_adjacency([[1], [0, 2], [3], [2]])
-    gamma = recurrent_model(g, scc_decompose(g), prune_tree=False)
+    gamma = recurrent_model(g, scc_decompose(g))
     assert gamma.n_vertices == 4
     assert gamma.n_edges == 4  # the two cycles only
     assert gamma.cross_edges.shape == (1, 2)
@@ -290,20 +290,20 @@ def test_recurrent_model_matches_cycle_oracle_on_map_graph():
     adj = [list(map(int, g.out_neighbors(u))) for u in range(g.n_vertices)]
     _, want_member = _closure_partition(adj)
     lab = scc_decompose(g)
-    gamma = recurrent_model(g, lab, prune_tree=False)
+    gamma = recurrent_model(g, lab)
     got_rows = {int(g.row_of_leaf(int(v))) for v in gamma.vertex_ids}
     assert got_rows == set(want_member)
 
 
-def test_recurrent_model_prunes_tree():
+def test_recurrent_model_leaves_tree_unchanged():
     model = quad_c0()
     tree = grown_tree(model, 4)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    n_before = tree.leaf_count
-    lab = scc_decompose(g)
-    gamma = recurrent_model(g, lab)
-    assert tree.leaf_count == gamma.n_vertices <= n_before
-    assert sorted(tree.live_ids()) == sorted(int(v) for v in gamma.vertex_ids)
+    before = tree.address_table(tree.live_ids())
+    gamma = recurrent_model(g, scc_decompose(g))
+    assert gamma.n_vertices < tree.leaf_count
+    np.testing.assert_array_equal(tree.address_table(tree.live_ids()), before)
+    np.testing.assert_array_equal(tree.live_ids(), g.vertex_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ def test_parse_schedule_forms():
         parse_schedule("uniform*0")
     with pytest.raises(ParseError):
         parse_schedule("uniform*x")
+    with pytest.raises(ParseError):
+        parse_schedule("uniform:2")
 
 
 def test_config_validation():
@@ -151,6 +153,13 @@ def test_nesting_across_steps(
                         found = True
                         break
                 assert found, f"leaf {(depth, idx)} not nested in previous step"
+
+
+def test_tree_holds_gamma_after_every_step(
+    circle_run, per31_run, altper2_run, realhorse_run, cubic_run
+):
+    for run in (circle_run, per31_run, altper2_run, realhorse_run, cubic_run):
+        assert all(snap.tree_is_gamma for snap in run.snapshots)
 
 
 def test_fixed_point_coverage_all_regression_steps(
@@ -668,7 +677,7 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_bounds_table_output():
-    r = _cli("bounds", "--preset", "per31", "--m", "1000")
+    r = _cli("bounds", "--preset", "per31", "--delta-ratio", "1000")
     assert r.returncode == 0
     out = r.stdout
     assert "tau = 0.029871571" in out

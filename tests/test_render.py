@@ -181,9 +181,9 @@ def test_pixel_classification_soundness_single_box():
     gamma = small_gamma(m, 4)
     tree = gamma.tree
     palette = component_palette(int(gamma.comp.max()) + 1)
-    # centers of live leaves lie strictly inside exactly one box: the
+    # centers of model boxes lie strictly inside exactly one box: the
     # pixel at such a center must get that component's palette entry
-    for lid in list(tree.live_ids())[:12]:
+    for lid in gamma.vertex_ids[:12].tolist():
         box = tree.leaf_box(lid)
         cx = box.coords[0].re.mid()
         cy = box.coords[0].im.mid()
