@@ -233,6 +233,16 @@ def one_dim_bounds(lam: float, p_mod: float, m_ratio: float) -> OneDimBounds:
 # ---------------------------------------------------------------------------
 
 
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.6g}"
+    if isinstance(x, complex):
+        if x.imag == 0:
+            return f"{x.real:.8g}"
+        return f"{x.real:.8g}{x.imag:+.8g}i"
+    return str(x)
+
+
 @dataclass(frozen=True)
 class SinkSection:
     """Separation constants at an attracting fixed point."""
@@ -241,30 +251,31 @@ class SinkSection:
     lambda1: complex
     lambda2: complex
     lam: float
-    c_const: float
-    d_const: float
     tau: float
     r_p: float  # euclidean basin disk radius tau(1-lambda)
     kappa: float
     eta: float  # separating chain bound tau(1-lambda)^2/4
     epsilon_star: float
     m_ratio: float
-    p_norm: float
     quantized: bool  # inputs rounded to published precision
 
-    def rows(self):
-        """(name, value) pairs in the reference row order."""
-        return [
-            ("p", self.location),
-            ("lambda1", self.lambda1),
-            ("lambda2", self.lambda2),
-            ("lambda", self.lam),
-            ("tau", self.tau),
-            ("tau(1-lambda)", self.r_p),
-            ("kappa", self.kappa),
-            ("eta", self.eta),
-            ("epsilon_star", self.epsilon_star),
+    def text_block(self) -> str:
+        """The section as ``boxchain bounds`` prints it, header first."""
+        label = "quantized" if self.quantized else "exact"
+        p = ", ".join(_fmt(z) for z in self.location)
+        lines = [
+            f"-- separation constants ({label} sink data, M = {self.m_ratio:g}) --",
+            f"p = ({p})" if len(self.location) == 2 else f"p = {p}",
+            f"lambda1 = {_fmt(self.lambda1)}",
+            f"lambda2 = {_fmt(self.lambda2)}",
+            f"lambda = {_fmt(self.lam)}",
+            f"tau = {self.tau:.8g}",
+            f"tau(1-lambda) = {self.r_p:.8g}",
+            f"kappa = {self.kappa:.8g}",
+            f"eta = {self.eta:.7e}",
+            f"epsilon_star = {self.epsilon_star:.7e}",
         ]
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -274,7 +285,6 @@ class BoundsReport:
     epsilon: float
     delta: float
     r_prime: float
-    a_mod: float
     r_coeff: float
     epsilon_prime: float
     delta_prime: float
@@ -329,13 +339,12 @@ def sink_section_for_map(
 
     if model.is_one_dim:
         lam = abs(l1)
-        p_norm = abs(p)
-        c = d = tau = 1.0
-        kappa, eta, eps_star, r_p = one_dim_bounds(lam, p_norm, m_ratio)
+        tau = 1.0
+        kappa, eta, eps_star, r_p = one_dim_bounds(lam, abs(p), m_ratio)
     else:
         if l1 == l2:
             return None  # sigma machinery undefined at a degenerate sink
-        c, d, tau = sigma_constants(l1, l2, model.a_mod)
+        _, _, tau = sigma_constants(l1, l2, model.a_mod)
         lam = max(abs(l1), abs(l2))
         # sup norm of the fixed point (Re/Im componentwise over both coords)
         p_norm = max(abs(p.real), abs(p.imag))
@@ -347,15 +356,12 @@ def sink_section_for_map(
         lambda1=l1,
         lambda2=l2,
         lam=lam,
-        c_const=c,
-        d_const=d,
         tau=tau,
         r_p=r_p,
         kappa=kappa,
         eta=eta,
         epsilon_star=eps_star,
         m_ratio=m_ratio,
-        p_norm=p_norm,
         quantized=sink_decimals is not None,
     )
 
@@ -442,7 +448,6 @@ def report_for_map(
         epsilon=epsilon,
         delta=delta,
         r_prime=rp,
-        a_mod=model.a_mod,
         r_coeff=r,
         epsilon_prime=eps_p,
         delta_prime=d_p,

@@ -296,22 +296,20 @@ class BoxTree:
         rp = self.r_prime
         bound = _BLOWUP_FACTOR * rp
         for step in directions:
-            cur_lo = lo.copy()
-            cur_hi = hi.copy()
-            active = ~pruned
+            # the rows still iterated in this direction and their iterates
+            rows = np.flatnonzero(~pruned)
+            cur_lo, cur_hi = lo[rows], hi[rows]
             for _ in range(max_iter):
-                if not active.any():
+                if not len(rows):
                     break
                 with np.errstate(over="ignore", invalid="ignore"):
-                    nlo, nhi = step(self.model, cur_lo[active], cur_hi[active])
-                cur_lo[active] = nlo
-                cur_hi[active] = nhi
-                bad = ~np.isfinite(nlo).all(axis=1) | ~np.isfinite(nhi).all(axis=1)
-                blown = bad | ((nhi - nlo).max(axis=1) > bound)
-                escaped = ((nlo > rp) | (nhi < -rp)).any(axis=1) & ~bad
-                rows = np.flatnonzero(active)
+                    cur_lo, cur_hi = step(self.model, cur_lo, cur_hi)
+                bad = ~np.isfinite(cur_lo).all(axis=1) | ~np.isfinite(cur_hi).all(axis=1)
+                blown = bad | ((cur_hi - cur_lo).max(axis=1) > bound)
+                escaped = ((cur_lo > rp) | (cur_hi < -rp)).any(axis=1) & ~bad
                 pruned[rows[escaped]] = True
-                active[rows[escaped | blown]] = False
+                go_on = ~(escaped | blown)
+                rows, cur_lo, cur_hi = rows[go_on], cur_lo[go_on], cur_hi[go_on]
         return self._keep(~pruned)
 
     def remove_leaves(self, ids) -> int:

@@ -204,7 +204,6 @@ class SccLabeling:
 
     comp: np.ndarray
     sizes: tuple  # box count per component id
-    n_labeled: int
 
     @property
     def n_components(self) -> int:
@@ -219,7 +218,7 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     """
     n = graph.n_vertices
     if n == 0:
-        return SccLabeling(comp=np.empty(0, dtype=np.int64), sizes=(), n_labeled=0)
+        return SccLabeling(comp=np.empty(0, dtype=np.int64), sizes=())
     mat = csr_matrix(
         (np.ones(graph.n_edges, dtype=np.int8), graph.indices, graph.indptr),
         shape=(n, n),
@@ -236,11 +235,9 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     kept_sorted = kept_ids[np.lexsort((first_row[kept_ids], -counts[kept_ids]))]
     lookup = np.full(len(counts), -1, dtype=np.int64)
     lookup[kept_sorted] = np.arange(len(kept_sorted))
-    comp = lookup[raw]
     return SccLabeling(
-        comp=comp,
+        comp=lookup[raw],
         sizes=tuple(counts[kept_sorted].tolist()),
-        n_labeled=int((comp >= 0).sum()),
     )
 
 

@@ -22,7 +22,7 @@ import sys
 from .errors import MemoryBudgetError, ParseError, ResourceError
 from .ia import DomainError, UsageError
 from .maps import MapModel
-from .bounds import report_for_map, sink_section_for_map
+from .bounds import enclosure_defect_sample, report_for_map, sink_section_for_map
 from .chain_graph import labeling_sizes
 from .pipeline import (
     PRESETS,
@@ -63,16 +63,6 @@ def _map_params(args) -> dict:
     if not params.get("kind") or params.get("c") is None:
         raise UsageError("need --preset or both --map and --c")
     return params
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    if isinstance(x, complex):
-        if x.imag == 0:
-            return f"{x.real:.8g}"
-        return f"{x.real:.8g}{x.imag:+.8g}i"
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +177,10 @@ def _print_record(record, as_json: bool) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    """Compute the ledger and every sink section, then print them: a
+    rejected input prints nothing."""
     model = MapModel(**_map_params(args))
-    sections = [("exact sink data", None)]
+    sink_decimals = [None]
     if not args.exact:
         try:
             decimals = tuple(int(t) for t in args.sink_decimals.split(","))
@@ -198,11 +190,13 @@ def _cmd_bounds(args) -> int:
             raise ParseError(
                 f"--sink-decimals wants three comma-separated integers, got {args.sink_decimals!r}"
             ) from None
-        sections.insert(0, ("quantized sink data", decimals))
-    print(f"map: {model.param_text()}")
-    print(f"R = {model.R!r}")
-    print(f"R' = {model.r_prime!r}")
-    print(f"delta0' = {model.delta0_prime!r}")
+        sink_decimals.insert(0, decimals)
+    lines = [
+        f"map: {model.param_text()}",
+        f"R = {model.R!r}",
+        f"R' = {model.r_prime!r}",
+        f"delta0' = {model.delta0_prime!r}",
+    ]
     if args.epsilon is not None:
         rep = report_for_map(
             model,
@@ -210,35 +204,18 @@ def _cmd_bounds(args) -> int:
             epsilon_min=args.epsilon_min,
             delta_ratio=args.delta_ratio,
         )
-        print("-- containment ledger --")
-        print(rep.text_block())
+        lines += ["-- containment ledger --", rep.text_block()]
         if args.defect:
-            from .bounds import enclosure_defect_sample
-
             d = enclosure_defect_sample(model, args.epsilon)
-            print(f"enclosure_defect_sampled = {d!r}  (diagnostic only)")
-    printed_any = False
-    for label, dec in sections:
-        section = sink_section_for_map(model, m_ratio=args.delta_ratio, sink_decimals=dec)
-        if section is None:
-            continue
-        printed_any = True
-        print(f"-- separation constants ({label}, M = {args.delta_ratio:g}) --")
-        for name, value in section.rows():
-            if name == "p":
-                loc = section.location
-                if len(loc) == 2:
-                    print(f"p = ({_fmt(loc[0])}, {_fmt(loc[1])})")
-                else:
-                    print(f"p = {_fmt(loc[0])}")
-            elif name in ("tau", "tau(1-lambda)", "kappa"):
-                print(f"{name} = {value:.8g}")
-            elif name in ("eta", "epsilon_star"):
-                print(f"{name} = {value:.7e}")
-            else:
-                print(f"{name} = {_fmt(value)}")
-    if not printed_any:
-        print("-- separation constants: no attracting fixed point (section absent) --")
+            lines.append(f"enclosure_defect_sampled = {d!r}  (diagnostic only)")
+    sections = [
+        sink_section_for_map(model, m_ratio=args.delta_ratio, sink_decimals=dec)
+        for dec in sink_decimals
+    ]
+    lines += [s.text_block() for s in sections if s is not None] or [
+        "-- separation constants: no attracting fixed point (section absent) --"
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

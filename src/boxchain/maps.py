@@ -94,10 +94,13 @@ def snap_up_dyadic(x: float, bits: int = _GRID_BITS) -> float:
 
 
 def _parse_decimal(s) -> Fraction:
+    """The exact value of a decimal string that rounds to a finite double."""
     try:
-        return Fraction(str(s).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(str(s).strip())
+        float(value)  # OverflowError beyond the double range
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"bad decimal parameter {s!r}") from exc
+    return value
 
 
 def parse_complex_param(value) -> tuple[str, str]:
@@ -382,6 +385,8 @@ def trapping_box(model: MapModel, r_prime: float) -> tuple[BoxRegion, float, flo
     dyadic grid (12 fractional bits) and 2*delta0' = q(R') > 0.  The
     delta0'-chain recurrent set is contained in V0.
     """
+    if not math.isfinite(r_prime):
+        raise UsageError(f"r_prime={r_prime} is not a finite number")
     rp = snap_up_dyadic(float(r_prime))
     if not rp > model.R:
         raise UsageError(
@@ -449,66 +454,35 @@ def fixed_points(model: MapModel) -> list[FixedPointInfo]:
 
     Point (non-interval) arithmetic with Newton polishing; residuals
     ||f(p) - p|| are at the 1e-14 level for the studied parameters.
+    Each kind supplies its fixed-point polynomial g, g' and starting
+    roots; a polished root within 1e-9 of a kept one is dropped.
     """
-    out = []
+    a, c = model.a, model.c
     if model.is_henon:
-        a, c = model.a, model.c
         g = lambda z: z * z - (1.0 + a) * z + c
         dg = lambda z: 2.0 * z - (1.0 + a)
-        r1, r2, rep = _quadratic_roots(-(1.0 + a), c)
-        roots = [r1] if rep else [r1, r2]
-        for z in roots:
-            z = _newton_polish(z, g, dg)
-            # eigenvalues of [[2z, -a], [1, 0]]: l^2 - 2z l + a = 0
-            l1, l2, _ = _quadratic_roots(-2.0 * z, a)
-            if abs(l2) > abs(l1):
-                l1, l2 = l2, l1
-            info = FixedPointInfo(
-                location=(z, z),
-                eigenvalues=(l1, l2),
-                classification=_classify((abs(l1), abs(l2))),
-            )
-            out.append(info)
-        return out
-
-    if model.kind == "quad_poly":
-        c = model.c
+        starts = _quadratic_roots(-(1.0 + a), c)[:2]
+    elif model.kind == "quad_poly":
         g = lambda z: z * z + c - z
         dg = lambda z: 2.0 * z - 1.0
-        r1, r2, rep = _quadratic_roots(-1.0, c)
-        roots = [r1] if rep else [r1, r2]
-        for z in roots:
-            z = _newton_polish(z, g, dg)
-            lam = model.point_derivative((z,))
-            out.append(
-                FixedPointInfo(
-                    location=(z,),
-                    eigenvalues=(lam,),
-                    classification=_classify((abs(lam),)),
-                )
-            )
-        return out
-
-    # cubic: roots of z^3 - (3a^2 + 1) z + c
-    a, c = model.a, model.c
-    coeffs = [1.0, 0.0, -(3.0 * a * a + 1.0), c]
-    roots = np.roots(coeffs)
-    g = lambda z: z * z * z - (3.0 * a * a + 1.0) * z + c
-    dg = lambda z: 3.0 * z * z - (3.0 * a * a + 1.0)
-    seen = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
+        starts = _quadratic_roots(-1.0, c)[:2]
+    else:  # cubic: roots of z^3 - (3a^2 + 1) z + c
+        g = lambda z: z * z * z - (3.0 * a * a + 1.0) * z + c
+        dg = lambda z: 3.0 * z * z - (3.0 * a * a + 1.0)
+        roots = np.roots([1.0, 0.0, -(3.0 * a * a + 1.0), c])
+        starts = sorted(roots, key=lambda w: (w.real, w.imag))
+    out = []
+    for z in starts:
         z = _newton_polish(complex(z), g, dg)
-        if any(abs(z - w) < 1e-9 for w in seen):
+        if any(abs(z - fp.location[0]) < 1e-9 for fp in out):
             continue
-        seen.append(z)
-        lam = model.point_derivative((z,))
-        out.append(
-            FixedPointInfo(
-                location=(z,),
-                eigenvalues=(lam,),
-                classification=_classify((abs(lam),)),
-            )
-        )
+        if model.is_henon:
+            # eigenvalues of [[2z, -a], [1, 0]]: l^2 - 2z l + a = 0, larger modulus first
+            loc = (z, z)
+            eig = tuple(sorted(_quadratic_roots(-2.0 * z, a)[:2], key=abs, reverse=True))
+        else:
+            loc, eig = (z,), (model.point_derivative((z,)),)
+        out.append(FixedPointInfo(loc, eig, _classify([abs(l) for l in eig])))
     return out
 
 
@@ -581,27 +555,20 @@ def forward_orbits(model: MapModel, pt, steps: int, radius: float):
 def period2_sink_cycle(model: MapModel) -> Optional[SinkOrbit]:
     """Closed-form period-2 cycle for Henon / quadratic kinds, if it is
     attracting; None otherwise."""
+    if model.kind == "cubic_poly":
+        return None
+    # genuine 2-cycles satisfy x + y = -b and x^2 + b x + c + b^2 = 0 with
+    # b = 1 + a (a = 0 for quad_poly, where b stays complex: the root order
+    # must not hang on Python's mixed float/complex rules, changed in 3.14)
+    b, c = (1.0 + model.a if model.is_henon else 1.0 + 0j), model.c
+    x1, x2, rep = _quadratic_roots(b, c + b * b)
+    if rep:
+        return None
     if model.is_henon:
-        a, c = model.a, model.c
-        # genuine 2-cycles satisfy x + y = -(1+a) and
-        # x^2 + (1+a) x + c + (1+a)^2 = 0
-        b = 1.0 + a
-        x1, x2, rep = _quadratic_roots(b, c + b * b)
-        if rep:
-            return None
         g = lambda x: x * x + b * x + c + b * b
         dg = lambda x: 2.0 * x + b
-        x1 = _newton_polish(x1, g, dg)
-        x2 = _newton_polish(x2, g, dg)
-        pts = ((x1, x2), (x2, x1))
-    elif model.kind == "quad_poly":
-        c = model.c
-        x1, x2, rep = _quadratic_roots(1.0 + 0j, c + 1.0)
-        if rep:
-            return None
-        pts = ((x1,), (x2,))
-    else:
-        return None
+        x1, x2 = _newton_polish(x1, g, dg), _newton_polish(x2, g, dg)
+    pts = tuple(p[: model.ncoords] for p in ((x1, x2), (x2, x1)))
     # reject the degenerate case where the "cycle" is a fixed point pair
     if abs(pts[0][0] - pts[1][0]) < 1e-12:
         return None

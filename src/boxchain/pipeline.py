@@ -122,6 +122,8 @@ class RunConfig:
             raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
         if self.prune_iters < 1:
             raise UsageError("prune_iters must be at least 1")
+        if self.mem_budget_mb is not None and not self.mem_budget_mb > 0.0:
+            raise UsageError("mem_budget_mb must be positive, or None for no budget")
 
     def build_model(self) -> MapModel:
         return MapModel(self.kind, c=self.c, a=self.a, r_prime=self.r_prime)
@@ -159,7 +161,6 @@ class StepRecord:
 @dataclass
 class RunRecord:
     config: dict
-    map_r: float
     r_prime: float
     delta0_prime: float
     steps: list
@@ -219,7 +220,6 @@ def run_pipeline(
             "delta_ratio": config.delta_ratio,
             "prune_iters": config.prune_iters,
         },
-        map_r=model.R,
         r_prime=model.r_prime,
         delta0_prime=model.delta0_prime,
         steps=steps,
@@ -400,11 +400,15 @@ def _parse_header(header: dict):
     missing = [key for key in _REQUIRED if key not in header]
     if missing:
         raise ParseError(f"header missing field {missing[0]!r}")
+    a, c = header.get("a"), header["c"]
+    for key, value in (("a", a), ("c", c)):
+        pair = isinstance(value, list) and len(value) == 2
+        if value is not None and not (pair and all(isinstance(v, str) for v in value)):
+            raise ParseError(f"header field {key!r} must be two decimal strings [re, im]")
     try:
-        a = header.get("a")
         model = MapModel(
             header["kind"],
-            c=",".join(header["c"]),
+            c=",".join(c),
             a=None if a is None else ",".join(a),
             r_prime=float(header["rprime"]),
         )

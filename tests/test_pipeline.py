@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxchain import pipeline
+from boxchain import cli, pipeline
 from boxchain.errors import MemoryBudgetError, ParseError
 from boxchain.ia import UsageError
 from boxchain.maps import MapModel
@@ -575,6 +575,82 @@ def test_golden_model_files(tmp_path):
     assert len(result.gamma.cross_edges) > 0 and len(set(result.gamma.comp.tolist())) == 2
     _assert_same_graph(loaded[0], loaded[1])
     _assert_same_graph(loaded[0], (result.tree, result.gamma))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("rprime=2.0", "rprime=inf"), ("rprime=2.0", "rprime=nan"), ("c=0,0", "c=1e400,0")],
+)
+def test_text_header_with_a_non_finite_parameter_rejected(tmp_path, capsys, old, new):
+    path = _hand_model(tmp_path, ["B 2 1 1 0"])
+    Path(path).write_text(Path(path).read_text().replace(old, new))
+    with pytest.raises(ParseError):
+        load_model(path)
+    assert cli.main(["inspect", "--model-in", path]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("rprime", "1e999", "finite"),
+        ("c", "12", "two decimal strings"),
+        ("c", ["0"], "two decimal strings"),
+        ("c", ["0", "0", "0"], "two decimal strings"),
+        ("c", [0, 0], "two decimal strings"),
+        ("c", ["1e400", "0"], "bad decimal"),
+    ],
+)
+def test_json_header_parameters_checked(tmp_path, capsys, field, value, message):
+    path, _ = _run_small_model(tmp_path, json_mode=True, edges=False)
+    obj = json.loads(open(path).read())
+    obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=message):
+        load_model(str(bad))
+    assert cli.main(["inspect", "--model-in", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_non_finite_rprime_is_a_configuration_error(value):
+    with pytest.raises(UsageError, match="finite"):
+        MapModel("quad_poly", c="0", r_prime=value)
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["run", "--schedule", "uniform", "--quiet"]])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_rprime_exits_2(capsys, command, value):
+    assert cli.main([*command, "--preset", "per31", "--rprime", value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_parameter_beyond_the_double_range_is_a_parse_error(capsys):
+    with pytest.raises(ParseError, match="bad decimal"):
+        MapModel("quad_poly", c="1e400")
+    with pytest.raises(ParseError, match="bad decimal"):
+        MapModel("henon_complex", c="0", a="0.3,-1e400")
+    assert cli.main(["bounds", "--map", "quad_poly", "--c", "1e400"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget", [math.nan, -5.0, 0.0])
+def test_mem_budget_must_be_positive(capsys, budget):
+    with pytest.raises(UsageError, match="mem_budget_mb"):
+        small_config(mem_budget_mb=budget).validate()
+    argv = ["run", "--map", "quad_poly", "--c", "0", "--rprime", "2", "--schedule", "uniform"]
+    assert cli.main([*argv, "--quiet", "--mem-budget-mb", repr(budget)]) == 2
+    assert capsys.readouterr().out == ""
+    small_config(mem_budget_mb=None).validate()  # None: no budget
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--delta-ratio", "0.5", "--epsilon", "0.03"], ["--epsilon", "-1"]],
+)
+def test_cli_bounds_rejects_before_printing(capsys, argv):
+    assert cli.main(["bounds", "--preset", "per31", *argv]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
