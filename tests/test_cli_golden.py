@@ -1,0 +1,43 @@
+"""Golden stdout of ``boxchain run`` and ``boxchain bounds``.
+
+Each case runs the CLI in-process and compares its stdout byte for byte
+with a file under ``tests/data/cli/``.  The only machine-dependent
+values, the wall-time line of the text table and ``total_wall_s`` of
+the JSON record, are masked before the comparison.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from boxchain import cli
+from boxchain.pipeline import PRESETS
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
+QUAD = ["--map", "quad_poly", "--c", "0", "--rprime", "2", "--schedule", "uniform*4", "--quiet"]
+
+CASES = {
+    "run_quad_uniform4.txt": ["run", *QUAD],
+    "run_quad_uniform4.jsonl": ["run", *QUAD, "--json"],
+    "run_per31_uniform3.txt": ["run", "--preset", "per31", "--schedule", "uniform*3", "--quiet"],
+}
+for _name in sorted(PRESETS):
+    CASES[f"bounds_{_name}.txt"] = ["bounds", "--preset", _name, "--epsilon", "0.03"]
+    CASES[f"bounds_{_name}_exact.txt"] = ["bounds", "--preset", _name, "--epsilon", "0.03", "--exact"]
+
+
+def masked(out: str) -> str:
+    out = re.sub(r"(?m)^wall time: .* s$", "wall time: <masked> s", out)
+    return re.sub(r'"total_wall_s": [^,}]+', '"total_wall_s": "<masked>"', out)
+
+
+def cli_stdout(argv, capsys) -> str:
+    assert cli.main(argv) == 0
+    return masked(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, capsys):
+    assert cli_stdout(CASES[name], capsys) == (GOLDEN / name).read_text()
