@@ -70,6 +70,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _growth(kind: str, r_prime: float, a_mod: float) -> float:
+    """The family's linear growth term L: max(1, 3R'^2 + 3|a|^2) for the
+    cubic, max(1, 2R' + |a|) for the quadratic kinds.  It enters both
+    the growth coefficient r and the edge-error coefficient 1 + L."""
+    if kind == "cubic_poly":
+        return max(1.0, 3.0 * r_prime * r_prime + 3.0 * a_mod * a_mod)
+    return max(1.0, 2.0 * r_prime + a_mod)
+
+
 def r_coefficient(model_kind: str, epsilon: float, r_prime: float, a_mod: float) -> float:
     """Image-growth coefficient r: Hull(f(B)) has side <= r * side(B).
 
@@ -85,10 +94,10 @@ def r_coefficient(model_kind: str, epsilon: float, r_prime: float, a_mod: float)
     and the admissible edge error would be the minimum over factors;
     compositions are out of scope for this package.
     """
+    growth = _growth(model_kind, r_prime, a_mod)
     if model_kind == "cubic_poly":
-        t1 = 3.0 * r_prime * r_prime + 3.0 * a_mod * a_mod
-        return max(1.0, t1) + 3.0 * r_prime * epsilon + epsilon * epsilon
-    return epsilon + max(1.0, 2.0 * r_prime + a_mod)
+        return growth + 3.0 * r_prime * epsilon + epsilon * epsilon
+    return epsilon + growth
 
 
 def epsilon_prime(
@@ -114,26 +123,31 @@ def _eta_quadratic(delta: float, coeff: float) -> float:
 
 
 def delta_prime(
-    delta: float, r_prime: float, a_mod: float, delta0_prime: float
+    delta: float, r_prime: float, a_mod: float, delta0_prime: float, kind: str = "quad"
 ) -> float:
     """Inner accuracy: the model traps all delta'-pseudo-periodic orbits,
 
         delta' = min(eta, delta0'),
-        eta the smallest positive root of t^2 + t(2R' + |a| + 1) - delta.
+
+    eta the smallest positive root of t^2 + t(1 + L) - delta for the
+    quadratic kinds, of t^3 + 3R' t^2 + t(1 + L) - delta for the cubic,
+    with L the family's linear growth term (``r_coefficient``).
     """
     if not delta > 0.0:
         raise UsageError("delta must be positive")
     if not delta0_prime > 0.0:
         raise UsageError("delta0_prime must be positive")
-    coeff = max(2.0, 2.0 * r_prime + a_mod + 1.0)
-    return min(_eta_quadratic(delta, coeff), delta0_prime)
+    coeff = 1.0 + _growth(kind, r_prime, a_mod)
+    if kind == "cubic_poly":
+        eta = _eta_cubic(delta, r_prime, coeff)
+    else:
+        eta = _eta_quadratic(delta, coeff)
+    return min(eta, delta0_prime)
 
 
-def _eta_cubic(delta: float, r_prime: float, a_mod: float) -> float:
-    # smallest positive root of t^3 + 3R' t^2 + t (T1 + 1) - delta with
-    # T1 = 3R'^2 + 3|a|^2; bisected downward so the result stays admissible.
-    t1 = 3.0 * r_prime * r_prime + 3.0 * a_mod * a_mod
-    coeff = max(2.0, t1 + 1.0)
+def _eta_cubic(delta: float, r_prime: float, coeff: float) -> float:
+    # smallest positive root of t^3 + 3R' t^2 + t coeff - delta, bisected
+    # downward so the result stays admissible
     q = lambda t: t ** 3 + 3.0 * r_prime * t * t + t * coeff - delta
     hi = _eta_quadratic(delta, coeff)  # q(hi) >= 0 (extra positive terms)
     lo = 0.0
@@ -411,8 +425,7 @@ def enclosure_defect_sample(
         for _ in range(n_samples):
             points.append(tuple(rng.uniform(iv.lo, iv.hi) for iv in axes))
         img = model.point_forward(model.point_from_axes(list(np.array(points).T)))
-        images = model.axes_from_coords(img, lambda z: (z.real, z.imag))
-        for iv, v in zip(fbox.axes(), images):
+        for iv, v in zip(fbox.axes(), model.point_axes(img)):
             defect = (iv.hi - iv.lo) - float(v.max() - v.min())
             worst = max(worst, defect)
     return worst
@@ -428,29 +441,26 @@ def report_for_map(
     """Assemble the full ledger for one model state of a map.
 
     delta defaults to epsilon_min / delta_ratio (epsilon_min defaults
-    to epsilon).  ``model.a_mod`` is the map's own |a| (0 for
-    quad_poly); the 1-D kinds use their own growth / edge-error
-    polynomials.
+    to epsilon and may not exceed it; delta_ratio must exceed 1).
+    ``model.a_mod`` is the map's own |a| (0 for quad_poly); the cubic
+    uses its own growth / edge-error polynomials.
     """
+    if not delta_ratio > 1.0:
+        raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
     if epsilon_min is None:
         epsilon_min = epsilon
+    if not epsilon_min <= epsilon:
+        raise UsageError(f"epsilon_min={epsilon_min} must not exceed epsilon={epsilon}")
     if delta is None:
         delta = epsilon_min / delta_ratio
-    rp = model.r_prime
-    r = r_coefficient(model.kind, epsilon, rp, model.a_mod)
-    eps_p = epsilon_prime(epsilon, delta, rp, model.a_mod, model.kind)
-    if model.kind == "cubic_poly":
-        eta = _eta_cubic(delta, rp, model.a_mod)
-        d_p = min(eta, model.delta0_prime)
-    else:
-        d_p = delta_prime(delta, rp, model.a_mod, model.delta0_prime)
+    rp, a_mod = model.r_prime, model.a_mod
     rep = BoundsReport(
         epsilon=epsilon,
         delta=delta,
         r_prime=rp,
-        r_coeff=r,
-        epsilon_prime=eps_p,
-        delta_prime=d_p,
+        r_coeff=r_coefficient(model.kind, epsilon, rp, a_mod),
+        epsilon_prime=epsilon_prime(epsilon, delta, rp, a_mod, model.kind),
+        delta_prime=delta_prime(delta, rp, a_mod, model.delta0_prime, model.kind),
         epsilon_min=epsilon_min,
     )
     rep.validate()

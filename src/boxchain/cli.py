@@ -29,6 +29,7 @@ from .pipeline import (
     RunConfig,
     load_model,
     parse_schedule,
+    preset_params,
     run_pipeline,
 )
 from .render import RenderConfig, pick_saddle, render_plane, render_slice
@@ -48,18 +49,7 @@ def _add_map_args(p: argparse.ArgumentParser) -> None:
 
 
 def _map_params(args) -> dict:
-    if args.preset:
-        params = dict(PRESETS[args.preset])
-    else:
-        params = {"kind": None, "a": None, "c": None, "r_prime": None}
-    if args.kind:
-        params["kind"] = args.kind
-    if args.a is not None:
-        params["a"] = args.a
-    if args.c is not None:
-        params["c"] = args.c
-    if args.rprime is not None:
-        params["r_prime"] = args.rprime
+    params = preset_params(args.preset, kind=args.kind, a=args.a, c=args.c, r_prime=args.rprime)
     if not params.get("kind") or params.get("c") is None:
         raise UsageError("need --preset or both --map and --c")
     return params
@@ -92,6 +82,24 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+# the step table of ``boxchain run``: (header, width, cell of a StepRecord)
+_COLUMNS = (
+    ("step", 4, lambda s: str(s.index)),
+    ("mode", 10, lambda s: s.mode),
+    ("boxes", 9, lambda s: str(s.boxes_original)),
+    ("escape", 9, lambda s: str(s.boxes_escaping)),
+    ("V(Y)", 9, lambda s: str(s.upsilon_boxes)),
+    ("E(Y)", 11, lambda s: str(s.upsilon_edges)),
+    ("V(G)", 9, lambda s: str(s.gamma_boxes)),
+    ("E(G)", 11, lambda s: str(s.gamma_edges)),
+    ("comps", 6, lambda s: str(s.n_components)),
+    ("eps", 10, lambda s: f"{s.epsilon:.4g}"),
+    ("eps'", 10, lambda s: f"{s.epsilon_prime:.4g}"),
+    ("delta'", 10, lambda s: f"{s.delta_prime:.4g}"),
+    ("sep", 5, lambda s: "yes" if s.separating else "no"),
+)
+
+
 def _print_record(record, as_json: bool) -> None:
     if as_json:
         for step in record.steps:
@@ -116,39 +124,9 @@ def _print_record(record, as_json: bool) -> None:
             }
         print(json.dumps(final, sort_keys=True))
         return
-    cols = [
-        ("step", 4),
-        ("mode", 10),
-        ("boxes", 9),
-        ("escape", 9),
-        ("V(Y)", 9),
-        ("E(Y)", 11),
-        ("V(G)", 9),
-        ("E(G)", 11),
-        ("comps", 6),
-        ("eps", 10),
-        ("eps'", 10),
-        ("delta'", 10),
-        ("sep", 5),
-    ]
-    print("  ".join(name.ljust(w) for name, w in cols))
+    print("  ".join(name.ljust(width) for name, width, _ in _COLUMNS))
     for s in record.steps:
-        row = [
-            str(s.index),
-            s.mode,
-            str(s.boxes_original),
-            str(s.boxes_escaping),
-            str(s.upsilon_boxes),
-            str(s.upsilon_edges),
-            str(s.gamma_boxes),
-            str(s.gamma_edges),
-            str(s.n_components),
-            f"{s.epsilon:.4g}",
-            f"{s.epsilon_prime:.4g}",
-            f"{s.delta_prime:.4g}",
-            "yes" if s.separating else "no",
-        ]
-        print("  ".join(v.ljust(w) for v, (_, w) in zip(row, cols)))
+        print("  ".join(cell(s).ljust(width) for _, width, cell in _COLUMNS))
     if record.aborted:
         print(f"aborted: {record.aborted}")
     final = record.steps[-1] if record.steps else None
@@ -357,18 +335,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MemoryBudgetError as exc:
-        print(f"memory budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_MEMORY
     except (UsageError, DomainError, ResourceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

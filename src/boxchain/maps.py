@@ -14,9 +14,10 @@ exact doubles), and delta0' = q(R')/2 > 0, where q is the escape
 polynomial of the family.  The trapping box V0 = {|x| <= R', |y| <= R'}
 (Re/Im componentwise) then contains the delta0'-chain recurrent set.
 
-Parameters arrive as decimal strings and are hulled outward for all
-interval evaluation; plain nearest-double values are kept alongside for
-point arithmetic (``point_forward``, ``point_derivative``).
+Parameters arrive as decimal strings, parsed once to exact Fractions
+(``c_exact``, ``a_exact``).  Their outward hulls serve all interval
+evaluation; plain nearest-double values are kept alongside for point
+arithmetic (``point_forward``, ``point_derivative``).
 
 ``forward_orbits`` is the one non-rigorous point-iteration path: it
 iterates arrays of points, drops each row at its first iterate outside
@@ -63,6 +64,7 @@ from .ia import (
     Interval,
     IntervalArray,
     UsageError,
+    hull_complex,
 )
 
 __all__ = [
@@ -103,37 +105,28 @@ def _parse_decimal(s) -> Fraction:
     return value
 
 
-def parse_complex_param(value) -> tuple[str, str]:
-    """Normalize a parameter to ('re', 'im') decimal strings.
+def parse_complex_param(value) -> tuple:
+    """A parameter as ((re, im) decimal strings, their exact Fraction
+    values, the nearest complex double, the outward ComplexInterval
+    hull); each string is parsed once.
 
     Accepts "re", "re,im", numbers, or complex; float/complex inputs
     use repr so the decimal string round-trips the double exactly.
     """
     if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) == 1:
-            re_s, im_s = parts[0].strip(), "0"
-        elif len(parts) == 2:
-            re_s, im_s = parts[0].strip(), parts[1].strip()
-        else:
+        strs = tuple(part.strip() for part in value.split(","))
+        if len(strs) == 1:
+            strs += ("0",)
+        elif len(strs) != 2:
             raise ParseError(f"bad complex parameter {value!r}")
-        _parse_decimal(re_s), _parse_decimal(im_s)  # validate
-        return re_s, im_s
-    if isinstance(value, complex):
-        return repr(value.real), repr(value.imag)
-    if isinstance(value, (int, float, Fraction)):
-        return repr(float(value)) if isinstance(value, float) else str(value), "0"
-    raise ParseError(f"bad complex parameter {value!r}")
-
-
-def _hull_param(re_s: str, im_s: str) -> ComplexInterval:
-    return ComplexInterval(Interval.hull(re_s), Interval.hull(im_s))
-
-
-def _point_param(re_s: str, im_s: str) -> complex:
-    re = _parse_decimal(re_s)
-    im = _parse_decimal(im_s)
-    return complex(re.numerator / re.denominator, im.numerator / im.denominator)
+    elif isinstance(value, complex):
+        strs = repr(value.real), repr(value.imag)
+    elif isinstance(value, (int, float, Fraction)):
+        strs = repr(float(value)) if isinstance(value, float) else str(value), "0"
+    else:
+        raise ParseError(f"bad complex parameter {value!r}")
+    exact = tuple(_parse_decimal(part) for part in strs)
+    return strs, exact, complex(*map(float, exact)), hull_complex(*exact)
 
 
 class MapModel:
@@ -146,22 +139,16 @@ class MapModel:
         if kind not in KINDS:
             raise UsageError(f"unknown map kind {kind!r}")
         self.kind = kind
-        self.c_str = parse_complex_param(c)
-        self.c = _point_param(*self.c_str)
-        self.c_iv = _hull_param(*self.c_str)
+        self.c_str, self.c_exact, self.c, self.c_iv = parse_complex_param(c)
 
         if kind == "quad_poly":
             if a is not None:
                 raise UsageError("quad_poly takes no 'a' parameter")
-            self.a_str = None
-            self.a = None
-            self.a_iv = None
+            self.a_str = self.a_exact = self.a = self.a_iv = None
         else:
             if a is None:
                 raise UsageError(f"{kind} requires an 'a' parameter")
-            self.a_str = parse_complex_param(a)
-            self.a = _point_param(*self.a_str)
-            self.a_iv = _hull_param(*self.a_str)
+            self.a_str, self.a_exact, self.a, self.a_iv = parse_complex_param(a)
             if self.is_henon and self.a == 0:
                 raise UsageError("Henon maps need a != 0 for invertibility")
 
@@ -258,7 +245,9 @@ class MapModel:
         return self.coords_from_axes(vals, point)
 
     def point_axes(self, pt) -> tuple:
-        return self.axes_from_coords([complex(z) for z in pt], lambda z: (z.real, z.imag))
+        """The real axis values of a point (one complex per coordinate),
+        or axis arrays of points (one complex array per coordinate)."""
+        return self.axes_from_coords(pt, lambda z: (z.real, z.imag))
 
     def box_from_axes(self, axes) -> BoxRegion:
         coords = self.coords_from_axes(

@@ -23,6 +23,7 @@ save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import re
 import resource
 import time
@@ -46,6 +47,7 @@ from .chain_graph import (
 
 __all__ = [
     "PRESETS",
+    "preset_params",
     "RunConfig",
     "StepRecord",
     "RunRecord",
@@ -64,6 +66,19 @@ PRESETS = {
 }
 
 _MODES = ("uniform", "sink_basin")
+
+
+def preset_params(name: Optional[str], **given) -> dict:
+    """The map parameters of preset ``name`` (none when name is None),
+    each replaced by the matching given value that is not None."""
+    if name is None:
+        params = {}
+    elif name in PRESETS:
+        params = dict(PRESETS[name])
+    else:
+        raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    params.update((key, value) for key, value in given.items() if value is not None)
+    return params
 
 
 def parse_schedule(text) -> list[str]:
@@ -104,11 +119,7 @@ class RunConfig:
 
     @staticmethod
     def from_preset(name: str, **overrides) -> "RunConfig":
-        if name not in PRESETS:
-            raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-        params = dict(PRESETS[name])
-        params.update(overrides)
-        return RunConfig(**params)
+        return RunConfig(**{**preset_params(name), **overrides})
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -127,6 +138,10 @@ class RunConfig:
 
     def build_model(self) -> MapModel:
         return MapModel(self.kind, c=self.c, a=self.a, r_prime=self.r_prime)
+
+
+def _fields_except(record, skip) -> dict:
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 @dataclass
@@ -154,8 +169,7 @@ class StepRecord:
 
     def core_fields(self) -> dict:
         """Every field but the machine-dependent wall time and memory."""
-        skip = ("wall_s", "rss_mb")
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        return _fields_except(self, ("wall_s", "rss_mb"))
 
 
 @dataclass
@@ -171,14 +185,10 @@ class RunRecord:
     total_wall_s: float = 0.0
 
     def core(self) -> dict:
-        return {
-            "config": self.config,
-            "r_prime": self.r_prime,
-            "delta0_prime": self.delta0_prime,
-            "separating": self.separating,
-            "aborted": self.aborted,
-            "steps": [s.core_fields() for s in self.steps],
-        }
+        """The deterministic record: every field but the wall time and the
+        sink data, each step by its core fields."""
+        core = _fields_except(self, ("sink_rows", "sink_section", "total_wall_s"))
+        return dict(core, steps=[s.core_fields() for s in self.steps])
 
 
 def _rss_mb() -> float:
@@ -542,9 +552,13 @@ def _int_table(rows, width: int, what: str) -> np.ndarray:
 
 def _rebuild(model: MapModel, scales, boxes, edges, cross):
     """Tree and recurrent model of the decoded tables, checked for
-    consistency: the boxes tile, the header's box sides bound them,
+    consistency: delta, epsilon and epsilon_min are finite and positive,
+    the boxes tile, the header's box sides bound them,
     component ids lie in [0, boxes), and the edges join distinct boxes
     once each, E edges within one component, X edges between two."""
+    for key, value in zip(("delta", "epsilon", "epsilon_min"), scales):
+        if not 0.0 < value < math.inf:
+            raise ParseError(f"header {key} {value!r} is not a finite positive number")
     delta, epsilon, epsilon_min = scales
     try:
         tree = BoxTree.restore(model, boxes[:, :-1])

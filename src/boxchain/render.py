@@ -27,11 +27,12 @@ same inputs are byte-identical.
 
 from __future__ import annotations
 
+import cmath
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "pick_saddle",
     "render_slice",
     "render_plane",
-    "kplus_heuristic",
     "component_palette",
 ]
 
@@ -67,12 +67,18 @@ class RenderConfig:
     def validate(self, model: MapModel) -> "RenderConfig":
         if self.resolution < 1:
             raise UsageError("resolution must be at least 1")
+        if self.kplus_lighten and self.kplus_iters < 1:
+            raise UsageError("kplus_iters must be at least 1")
+        if not cmath.isfinite(self.center):
+            raise UsageError("window centre must be finite")
         er = self.escape_radius
         if er is None:
             er = 2.0 * model.r_prime
-        if er < model.r_prime:
+        if not er >= model.r_prime:
             raise UsageError("escape radius must be at least R'")
         hh = self.half_height if self.half_height is not None else self.half_width
+        if not (0.0 < self.half_width < math.inf and 0.0 < hh < math.inf):
+            raise UsageError("window half-width and half-height must be finite and positive")
         return replace(self, half_height=hh, escape_radius=er)
 
 
@@ -133,17 +139,10 @@ class Image:
 # ---------------------------------------------------------------------------
 
 
-def _longdouble_param(strs: tuple[str, str]):
-    re = Fraction(strs[0])
-    im = Fraction(strs[1])
+def _clongdouble(exact):
+    """An exact (re, im) Fraction pair in extended precision."""
     ld = np.longdouble
-    return (
-        ld(re.numerator) / ld(re.denominator),
-        ld(im.numerator) / ld(im.denominator),
-    )
-
-
-def _clongdouble(re, im):
+    re, im = (ld(v.numerator) / ld(v.denominator) for v in exact)
     return np.clongdouble(re) + np.clongdouble(1j) * np.clongdouble(im)
 
 
@@ -174,8 +173,8 @@ def unstable_parameterization(
         raise UsageError("unstable parameterization needs a saddle fixed point")
     if depth < 1:
         raise UsageError("depth must be at least 1")
-    a = _clongdouble(*_longdouble_param(model.a_str))
-    c = _clongdouble(*_longdouble_param(model.c_str))
+    a = _clongdouble(model.a_exact)
+    c = _clongdouble(model.c_exact)
     one = np.clongdouble(1.0)
     # polish the saddle in extended precision
     z = np.clongdouble(complex(saddle.location[0]))
@@ -217,22 +216,6 @@ def unstable_parameterization(
 
 
 # ---------------------------------------------------------------------------
-# K+ membership heuristic
-# ---------------------------------------------------------------------------
-
-
-def kplus_heuristic(
-    model: MapModel, point: Sequence[complex], iters: int, escape_radius: float
-) -> bool:
-    """True iff the point orbit stays within escape_radius (sup norm)
-    for `iters` steps.  Explicitly non-rigorous."""
-    if iters < 1:
-        raise UsageError("iters must be at least 1")
-    rows, _, _ = forward_orbits(model, point, iters, escape_radius)
-    return bool(rows.size)
-
-
-# ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
@@ -259,7 +242,7 @@ def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
     n_comp = int(gamma.comp.max()) + 1 if gamma.n_vertices else 0
     palette = np.array(component_palette(n_comp), dtype=np.uint8)
     res = config.resolution
-    axes = np.column_stack(model.axes_from_coords(pt, lambda z: (z.real, z.imag)))
+    axes = np.column_stack(model.point_axes(pt))
     point, comp = components_at_points(gamma, axes)
     hits = np.bincount(point, minlength=res * res)
     pix = np.where(hits == 0, 255, 0).astype(np.uint8)  # no component: white, several: black

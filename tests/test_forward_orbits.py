@@ -20,7 +20,6 @@ from boxchain.maps import (
     sup_bounded,
 )
 from boxchain.pipeline import PRESETS
-from boxchain.render import kplus_heuristic
 
 MAPS = {
     "per31": lambda: MapModel("henon_complex", c="-1.17", a="0.3", r_prime=2.01),
@@ -125,10 +124,10 @@ def test_kplus_rows_match_reference(name):
     rows, _, _ = forward_orbits(model, pt, iters, radius)
     np.testing.assert_array_equal(rows, np.flatnonzero(ok))
     assert 0 < len(rows) < len(ok)
-    # the scalar predicate is the same routine on one row
+    # one scalar point at a time gives the same answer
     for i in np.linspace(0, len(ok) - 1, 40).astype(int).tolist() + rows[:10].tolist():
         point = tuple(complex(z[i]) for z in pt)
-        assert kplus_heuristic(model, point, iters, radius) == bool(ok[i])
+        assert bool(forward_orbits(model, point, iters, radius)[0].size) == bool(ok[i])
 
 
 def test_row_that_leaves_and_returns_stays_dropped():

@@ -591,6 +591,26 @@ def test_text_header_with_a_non_finite_parameter_rejected(tmp_path, capsys, old,
 
 
 @pytest.mark.parametrize(
+    "old,new",
+    [
+        ("delta=0.001", "delta=nan"),
+        ("delta=0.001", "delta=-1"),
+        ("delta=0.001", "delta=inf"),
+        ("epsilon=1.0", "epsilon=nan"),
+        ("epsilon=1.0", "epsilon=inf"),
+        ("epsilon_min=1.0", "epsilon_min=nan"),
+    ],
+)
+def test_text_header_scales_must_be_finite_and_positive(tmp_path, capsys, old, new):
+    path = _hand_model(tmp_path, ["B 2 1 1 0"])
+    Path(path).write_text(Path(path).read_text().replace(old, new))
+    with pytest.raises(ParseError, match="finite positive"):
+        load_model(path)
+    assert cli.main(["inspect", "--model-in", path]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "field,value,message",
     [
         ("rprime", "1e999", "finite"),
@@ -650,6 +670,20 @@ def test_mem_budget_must_be_positive(capsys, budget):
 )
 def test_cli_bounds_rejects_before_printing(capsys, argv):
     assert cli.main(["bounds", "--preset", "per31", *argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "preset,argv",
+    [
+        # altper2 has no fixed sink, so only the ledger can check M
+        ("altper2", ["--delta-ratio", "0.5"]),
+        ("altper2", ["--delta-ratio", "nan"]),
+        ("per31", ["--epsilon-min", "1"]),
+    ],
+)
+def test_cli_bounds_ledger_checks_m_and_epsilon_min(capsys, preset, argv):
+    assert cli.main(["bounds", "--preset", preset, "--epsilon", "0.03", *argv]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -2,23 +2,27 @@
 pixel-classification soundness, escape heuristic, image formats."""
 
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boxchain import cli
 from boxchain.ia import UsageError
-from boxchain.maps import MapModel, fixed_points
+from boxchain.maps import MapModel, fixed_points, forward_orbits
 from boxchain.boxtree import init_root
 from boxchain.chain_graph import build_edges, recurrent_model, scc_decompose
 from boxchain.render import (
     RenderConfig,
     component_palette,
-    kplus_heuristic,
     pick_saddle,
     render_plane,
     render_slice,
     unstable_parameterization,
 )
+
+
+QUAD_MODEL = Path(__file__).parent / "data" / "quad_uniform3.txt"
 
 
 def per31():
@@ -108,18 +112,18 @@ def test_parameterization_rejects_non_saddle():
 def test_kplus_far_point_escapes_quickly():
     m = per31()
     er = 2.0 * m.r_prime
-    assert not kplus_heuristic(m, (10 + 0j, 10 + 0j), 2, er)
+    assert not forward_orbits(m, (10 + 0j, 10 + 0j), 2, er)[0].size
 
 
 def test_kplus_sink_point_always_bounded():
     m = per31()
     sink = [f for f in fixed_points(m) if f.classification == "sink"][0]
-    assert kplus_heuristic(m, sink.location, 500, 2.0 * m.r_prime)
+    assert forward_orbits(m, sink.location, 500, 2.0 * m.r_prime)[0].size
 
 
 def test_kplus_origin_alternate_basilica():
     m = MapModel("henon_complex", c="-1.1875", a="0.15", r_prime=1.9)
-    assert kplus_heuristic(m, (0j, 0j), 100, 2.0 * m.r_prime)
+    assert forward_orbits(m, (0j, 0j), 100, 2.0 * m.r_prime)[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +235,30 @@ def test_saddle_pixel_gets_j_candidate_shade(altper2_run):
     img = render_slice(gamma, model, sad, cfg)
     palette = component_palette(int(gamma.comp.max()) + 1)
     assert img.at(0, 0) == palette[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kplus-iters", "0"],
+        ["--kplus-iters", "-3"],
+        ["--window", "0,0,-1"],
+        ["--window", "0,0,0"],
+        ["--window", "0,0,1,-1"],
+        ["--window", "nan,0,1"],
+        ["--escape-radius", "nan"],
+    ],
+)
+def test_cli_render_rejects_settings_that_make_no_picture(tmp_path, capsys, argv):
+    image = tmp_path / "out.ppm"
+    argv = ["render", "--model-in", str(QUAD_MODEL), "--image-out", str(image), *argv]
+    assert cli.main([*argv, "--resolution", "8"]) == 2
+    assert capsys.readouterr().out == "" and not image.exists()
+
+
+def test_kplus_iters_unchecked_without_lightening(tmp_path):
+    argv = ["--model-in", str(QUAD_MODEL), "--image-out", str(tmp_path / "out.ppm")]
+    assert cli.main(["render", *argv, "--resolution", "8", "--kplus-iters", "0", "--no-kplus"]) == 0
 
 
 def test_render_plane_rejects_complex_henon():
