@@ -1,9 +1,12 @@
-"""Golden stdout of ``boxchain run`` and ``boxchain bounds``.
+"""Golden stdout of ``boxchain run`` and ``boxchain bounds``, and golden
+images of ``boxchain render``.
 
 Each case runs the CLI in-process and compares its stdout byte for byte
 with a file under ``tests/data/cli/``.  The only machine-dependent
 values, the wall-time line of the text table and ``total_wall_s`` of
-the JSON record, are masked before the comparison.
+the JSON record, are masked before the comparison.  Renders are pinned
+as PPM, whose bytes are the pixels themselves and do not depend on the
+zlib build the PNG encoder links against.
 """
 
 import re
@@ -41,3 +44,34 @@ def cli_stdout(argv, capsys) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_matches_golden(name, capsys):
     assert cli_stdout(CASES[name], capsys) == (GOLDEN / name).read_text()
+
+
+RENDER_CASES = {
+    "render_altper2_uniform4.ppm": ("altper2", ["--resolution", "96"]),
+    "render_altper2_uniform4_window.ppm": (
+        "altper2", ["--resolution", "96", "--window", "0.003,0.002,0.6"]),
+    "render_quad_uniform4.ppm": ("quad", ["--resolution", "64"]),
+}
+
+
+@pytest.fixture(scope="module")
+def render_models(tmp_path_factory):
+    out = tmp_path_factory.mktemp("render_models")
+    argvs = {
+        "altper2": ["--preset", "altper2", "--schedule", "uniform*4", "--quiet"],
+        "quad": QUAD,
+    }
+    paths = {}
+    for key, argv in argvs.items():
+        paths[key] = out / f"{key}.txt"
+        assert cli.main(["run", *argv, "--model-out", str(paths[key])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_render_matches_golden(name, render_models, tmp_path, capsys):
+    model, argv = RENDER_CASES[name]
+    image = tmp_path / name
+    argv = ["render", "--model-in", str(render_models[model]), "--image-out", str(image), *argv]
+    assert cli.main(argv) == 0
+    assert image.read_bytes() == (GOLDEN / name).read_bytes()
