@@ -90,9 +90,6 @@ class BoxTree:
             raise KeyError(lid)
         return row
 
-    def __len__(self):
-        return len(self._ids)
-
     @property
     def leaf_count(self) -> int:
         return len(self._ids)

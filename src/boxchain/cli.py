@@ -228,7 +228,6 @@ def _cmd_render(args) -> int:
         half_width=window[2],
         half_height=window[3] if len(window) == 4 else None,
         resolution=args.resolution,
-        gamma_depth=args.gamma_depth,
         kplus_iters=args.kplus_iters,
         escape_radius=args.escape_radius,
         kplus_lighten=not args.no_kplus,
@@ -318,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     render_p.add_argument("--image-out", required=True, dest="image_out")
     render_p.add_argument("--window", help='"cx,cy,half_width[,half_height]"')
     render_p.add_argument("--resolution", type=int, default=512)
-    render_p.add_argument("--gamma-depth", type=int, default=20, dest="gamma_depth")
-    render_p.add_argument("--kplus-iters", type=int, default=100, dest="kplus_iters")
+    render_p.add_argument("--kplus-iters", type=int, default=RenderConfig.kplus_iters,
+                          dest="kplus_iters")
     render_p.add_argument("--escape-radius", type=float, dest="escape_radius")
     render_p.add_argument("--no-kplus", action="store_true", dest="no_kplus")
     render_p.set_defaults(func=_cmd_render)

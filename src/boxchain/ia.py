@@ -12,6 +12,12 @@ comparisons for div/sqrt.  Endpoints are therefore the tightest
 representable directed-rounded values: an exactly representable result
 is returned unchanged (e.g. square([-1,1]) == [0,1]), and an inexact
 one is off by at most one ulp from the unrepresentable exact endpoint.
+Two ranges fall back to blind one-ulp outward rounding, where the
+endpoint stays outward but may sit one ulp looser than the tightest:
+mul_down/mul_up when the product's magnitude is below _SMALL = 1e-290
+or a factor's is above _BIG ~ 6.7e299 (the Dekker error term is not
+exact there), and div_down/div_up when an operand is infinite.  So
+mul_down(3e-300, 2.0) is one ulp below the exact double 6e-300.
 Hardware rounding-mode switching is deliberately not used; everything
 here is pure and thread-safe.
 
@@ -28,11 +34,10 @@ counterparts of the first two, with the same add/sub/mul/square/div
 API, for evaluating one formula on many boxes at once.  They round
 blindly: each endpoint is computed in round-to-nearest and then moved
 one ulp outward by nextafter, exact or not, so they are never tighter
-than the scalar operation on the same operands, except in two exact
-steps: a square is clamped at 0 (the scalar square of a subnormal may
-dip one ulp below it), and a complex square doubles Re*Im without
-rounding.  They do not validate: rows that overflow hold inf or NaN,
-and the caller masks them.
+than the scalar operation on the same operands, except in one exact
+step: a complex square doubles Re*Im without rounding.  They do not
+validate: rows that overflow hold inf or NaN, and the caller masks
+them.
 
 Box geometry (widen / intersects / sup_distance) is taken in the
 sup norm over all real coordinates: ||x|| = max(|Re x_k|, |Im x_k|).
@@ -359,12 +364,16 @@ class Interval:
         return Interval(lo, hi)
 
     def square(self) -> "Interval":
-        """Enclosure of {x^2 : x in self}; never extends below zero."""
+        """Enclosure of {x^2 : x in self}; never extends below zero.
+
+        A one-signed lower end is clamped at 0, which is exact since
+        x^2 >= 0: below ~1.5e-162 the product rounds to 0.0, which the
+        blind fallback of mul_down would move one ulp below zero."""
         lo, hi = self.lo, self.hi
         if lo >= 0.0:
-            return Interval(mul_down(lo, lo), mul_up(hi, hi))
+            return Interval(max(mul_down(lo, lo), 0.0), mul_up(hi, hi))
         if hi <= 0.0:
-            return Interval(mul_down(hi, hi), mul_up(lo, lo))
+            return Interval(max(mul_down(hi, hi), 0.0), mul_up(lo, lo))
         m = max(-lo, hi)
         return Interval(0.0, mul_up(m, m))
 
@@ -382,14 +391,6 @@ class Interval:
         if self.lo < 0.0:
             raise DomainError("sqrt of an interval extending below zero")
         return Interval(sqrt_down(self.lo), sqrt_up(self.hi))
-
-    def abs(self) -> "Interval":
-        """Enclosure of {|x| : x in self}."""
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return self.neg()
-        return Interval(0.0, max(-self.lo, self.hi))
 
     def widen(self, r: float) -> "Interval":
         """Enclosure of the closed r-neighborhood (r >= 0)."""
@@ -513,10 +514,6 @@ class ComplexInterval:
 
 def hull_complex(re, im="0") -> ComplexInterval:
     return ComplexInterval(Interval.hull(re), Interval.hull(im))
-
-
-def ci_mul(a: ComplexInterval, b: ComplexInterval) -> ComplexInterval:
-    return a.mul(b)
 
 
 class BoxPredicates(NamedTuple):

@@ -7,11 +7,12 @@ of a saddle fixed point p, parameterized by the plane through
     gamma_N(z) = f^N(p + (z / l1^N) v1),
 
 where l1 is the unstable eigenvalue and v1 = (l1, 1) its eigenvector.
-gamma_N is evaluated in extended-precision point arithmetic (the
-forward iteration amplifies roundoff by ~|l1|^N) and satisfies the
-conjugation f(gamma(z)) = gamma(l1 z) up to a residual that shrinks
-with N.  Everything here is explicitly non-rigorous: pictures guide
-the construction, the graph and bounds carry the guarantees.
+gamma_N is evaluated in double precision on deviations u = (x, y) - p,
+whose roundoff stays relative to |u| instead of growing like |l1|^N,
+and satisfies the conjugation f(gamma(z)) = gamma(l1 z) up to a
+residual that shrinks with N.  Everything here is explicitly
+non-rigorous: pictures guide the construction, the graph and bounds
+carry the guarantees.
 
 Pixel coloring: boxes of the recurrent model hit by the pixel's point
 are mapped through a palette (one gray per component, sized-ordered,
@@ -59,7 +60,6 @@ class RenderConfig:
     half_width: float = 1.0
     half_height: Optional[float] = None
     resolution: int = 256
-    gamma_depth: int = 20
     kplus_iters: int = 100
     escape_radius: Optional[float] = None  # defaults to 2 R'
     kplus_lighten: bool = True
@@ -139,13 +139,6 @@ class Image:
 # ---------------------------------------------------------------------------
 
 
-def _clongdouble(exact):
-    """An exact (re, im) Fraction pair in extended precision."""
-    ld = np.longdouble
-    re, im = (ld(v.numerator) / ld(v.denominator) for v in exact)
-    return np.clongdouble(re) + np.clongdouble(1j) * np.clongdouble(im)
-
-
 def pick_saddle(model: MapModel) -> FixedPointInfo:
     """Deterministic saddle choice: largest unstable eigenvalue modulus."""
     saddles = [f for f in fixed_points(model) if f.classification == "saddle"]
@@ -164,8 +157,9 @@ def unstable_parameterization(
     """Evaluator z -> point in C^2 approximating the natural unstable
     parameterization at the saddle; f(gamma(z)) ~ gamma(l1 z).
 
-    Pure point arithmetic (extended precision internally); vectorized
-    over numpy arrays of z.  Non-rigorous by construction.
+    Pure double-precision point arithmetic on the saddle data of
+    ``fixed_points``; vectorized over numpy arrays of z.  Non-rigorous
+    by construction.
     """
     if not model.is_henon:
         raise UsageError("unstable slices are defined for Henon kinds only")
@@ -173,17 +167,10 @@ def unstable_parameterization(
         raise UsageError("unstable parameterization needs a saddle fixed point")
     if depth < 1:
         raise UsageError("depth must be at least 1")
-    a = _clongdouble(model.a_exact)
-    c = _clongdouble(model.c_exact)
-    one = np.clongdouble(1.0)
-    # polish the saddle in extended precision
-    z = np.clongdouble(complex(saddle.location[0]))
-    for _ in range(8):
-        z = z - (z * z - (one + a) * z + c) / (2.0 * z - (one + a))
-    lam = z + np.sqrt(z * z - a)
-    if abs(complex(lam)) <= 1.0:
-        lam = z - np.sqrt(z * z - a)
-    lam_pow = lam ** np.clongdouble(depth)
+    a = model.a
+    z = saddle.location[0]
+    lam = max(saddle.eigenvalues, key=abs)
+    lam_pow = lam ** depth
     # quadratic manifold correction h: f(p + wv + w^2 h) = gamma(lam w) +
     # O(w^3), i.e. (lam^2 I - Df_p) h = (lam^2, 0); cuts the seed defect
     # from O(w^2) to O(w^3) so the iteration starts on-manifold.
@@ -193,25 +180,19 @@ def unstable_parameterization(
 
     def evaluate(zs):
         # iterate deviations u = (x, y) - p: u' = 2z ux - a uy + ux^2.
-        # All terms scale with |u|, so roundoff stays relative instead of
-        # being amplified by the unstable eigenvalue, and the polished
+        # All terms scale with |u|, so roundoff stays relative to |u|
+        # instead of being amplified by the unstable eigenvalue, and the
         # saddle is an exact fixed point of the deviation form.
-        zs = np.asarray(zs, dtype=complex)
-        w = zs.astype(np.clongdouble) / lam_pow
+        w = np.asarray(zs, dtype=complex) / lam_pow
         w2 = w * w
         ux = w * lam + w2 * h_x  # (z / l1^N) v1 + (z / l1^N)^2 h
         uy = w + w2 * h_y
         two_z = 2.0 * z
         for _ in range(depth):
             ux, uy = two_z * ux - a * uy + ux * ux, ux
-        return (
-            np.asarray(z + ux, dtype=complex),
-            np.asarray(z + uy, dtype=complex),
-        )
+        return z + ux, z + uy
 
-    evaluate.unstable_eigenvalue = complex(lam)
-    evaluate.saddle_point = complex(z)
-    evaluate.depth = depth
+    evaluate.unstable_eigenvalue = lam
     return evaluate
 
 
@@ -263,7 +244,7 @@ def render_slice(
     """Sketch the model on the parameterized unstable manifold of a
     saddle fixed point (Henon kinds)."""
     config = config.validate(model)
-    evaluate = unstable_parameterization(model, saddle, config.gamma_depth)
+    evaluate = unstable_parameterization(model, saddle)
     xs, ys = _pixel_grid(config)
     zz = (xs[None, :] + 1j * ys[:, None]).ravel()
     return _paint(gamma, model, config, evaluate(zz))

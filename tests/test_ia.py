@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from boxchain import cli
 from boxchain.ia import (
     BoxRegion,
     ComplexInterval,
@@ -28,6 +29,7 @@ from boxchain.ia import (
     sqrt_down,
     sqrt_up,
 )
+from boxchain.maps import MapModel
 
 ULP = math.ulp
 
@@ -127,6 +129,43 @@ def test_directed_endpoints_are_tightest():
         assert su <= math.nextafter(sd, math.inf)
 
 
+def _assert_outward_down(got, exact):
+    # a lower bound, and at most one double strictly between it and the
+    # exact value (tight, or one ulp loose where mul/div round blindly);
+    # -inf only when the exact value lies beyond the largest double
+    if got == -math.inf:
+        assert exact < -sys.float_info.max
+        return
+    assert Fraction(got) <= exact
+    nxt = math.nextafter(math.nextafter(got, math.inf), math.inf)
+    assert nxt == math.inf or Fraction(nxt) > exact
+
+
+def test_directed_ops_outward_over_full_exponent_range():
+    # blind one-ulp rounding: a product below 1e-290 or a factor above
+    # ~6.7e299; both examples below are exact products one ulp off
+    assert mul_down(3e-300, 2.0) == math.nextafter(6e-300, -math.inf)
+    assert mul_down(2.0**1000, 1.5) == math.nextafter(1.5 * 2.0**1000, -math.inf)
+    rng = random.Random(6011)
+    for _ in range(6000):
+        a = math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
+        b = math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
+        fa, fb = Fraction(a), Fraction(b)
+        for op_down, op_up, exact in (
+            (add_down, add_up, fa + fb),
+            (mul_down, mul_up, fa * fb),
+            (div_down, div_up, fa / fb if b != 0.0 else None),
+        ):
+            if exact is not None:
+                _assert_outward_down(op_down(a, b), exact)
+                _assert_outward_down(-op_up(a, b), -exact)
+        x = abs(a)
+        sd, su = sqrt_down(x), sqrt_up(x)
+        assert Fraction(sd) ** 2 <= Fraction(x) <= Fraction(su) ** 2
+    for a, b in ((math.inf, 3.0), (3.0, math.inf), (-math.inf, 2.0), (2.0, -math.inf)):
+        assert div_down(a, b) <= a / b <= div_up(a, b)
+
+
 # ---------------------------------------------------------------------------
 # containment soundness sweep (1e5 point pairs across all ops)
 # ---------------------------------------------------------------------------
@@ -172,15 +211,24 @@ def test_inclusion_monotonicity():
 
 def test_square_inside_self_product_and_nonnegative():
     rng = random.Random(4242)
-    for _ in range(2000):
-        a = _rand_interval(rng)
+    tiny = [Interval(1e-300, 2e-300), Interval(-2e-300, -1e-300), Interval(5e-324, 5e-324),
+            Interval(-1e-170, -1e-200), Interval(1e-162, 1e-150), Interval(-1e-300, 1e-300)]
+    for a in tiny + [_rand_interval(rng) for _ in range(2000)]:
         sq = a.square()
         assert sq.lo >= 0.0
         assert a.mul(a).encloses(sq)
 
 
+def test_tiny_parameters_square_without_dipping_below_zero():
+    # |c|^2 and |a|^2 of parameters near 1e-300 square to 0.0 in double
+    # precision; their enclosures must stay at or above zero for the sqrt.
+    model = MapModel("cubic_poly", c="1e-300,-1e-300", a="1e-300,-1e-300")
+    assert model.r_prime > 0.0
+    assert cli.main(["bounds", "--map", "quad_poly", "--c", "1e-300", "--rprime", "2"]) == 0
+
+
 # ---------------------------------------------------------------------------
-# ci_mul examples
+# complex multiplication examples
 # ---------------------------------------------------------------------------
 
 
