@@ -15,8 +15,6 @@ from .ia import (
     Interval,
     UsageError,
     box_predicates,
-    box_widen,
-    hull,
     hull_complex,
 )
 from .errors import ParseError, ResourceError, MemoryBudgetError
@@ -27,8 +25,6 @@ __all__ = [
     "BoxRegion",
     "BoxPredicates",
     "box_predicates",
-    "box_widen",
-    "hull",
     "hull_complex",
     "DomainError",
     "UsageError",

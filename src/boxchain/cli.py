@@ -9,14 +9,15 @@ Subcommands:
                  maps of C^2, direct plane render otherwise);
 * ``inspect`` -- summarize a persisted model file.
 
-Exit codes: 0 success, 2 configuration error, 3 memory budget abort,
-4 parse error.
+Exit codes: 0 success (also when the reader of stdout closes it early),
+2 configuration error, 3 memory budget abort, 4 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import MemoryBudgetError, ParseError, ResourceError
@@ -65,11 +66,9 @@ def _cmd_run(args) -> int:
         **_map_params(args),
         schedule=parse_schedule(args.schedule),
         delta_ratio=args.delta_ratio,
-        prune_iters=args.prune_iters,
         mem_budget_mb=args.mem_budget_mb,
         model_out=args.model_out,
         save_edges=args.save_edges,
-        json_model=args.json_model,
     )
     progress = (lambda s: print(s, file=sys.stderr, flush=True)) if not args.quiet else None
     try:
@@ -280,14 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--schedule", required=True, help='e.g. "uniform*6,sink_basin*2"')
     run_p.add_argument("--delta-ratio", type=float, default=RunConfig.delta_ratio,
                        dest="delta_ratio")
-    run_p.add_argument("--prune-iters", type=int, default=RunConfig.prune_iters,
-                       dest="prune_iters")
     run_p.add_argument("--mem-budget-mb", type=float, default=RunConfig.mem_budget_mb,
                        dest="mem_budget_mb")
     run_p.add_argument("--model-out", dest="model_out")
     run_p.add_argument("--save-edges", action="store_true", dest="save_edges")
-    run_p.add_argument("--json-model", action="store_true", dest="json_model",
-                       help="persist the model as JSON instead of text lines")
     run_p.add_argument("--json", action="store_true", help="print the record as JSON lines")
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=_cmd_run)
@@ -332,14 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped reading: the unwritten rest goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, DomainError, ResourceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

@@ -61,9 +61,7 @@ __all__ = [
     "IntervalArray",
     "ComplexIntervalArray",
     "BoxPredicates",
-    "box_widen",
     "box_predicates",
-    "hull",
     "hull_complex",
 ]
 
@@ -408,23 +406,6 @@ class Interval:
     __neg__ = neg
 
 
-def arith(op: str, a: Interval, b: Optional[Interval] = None) -> Interval:
-    """Dispatch by operation name: add, sub, mul, square, div."""
-    if op == "square":
-        return a.square()
-    if b is None:
-        raise UsageError(f"operation {op!r} needs two operands")
-    try:
-        f = {"add": a.add, "sub": a.sub, "mul": a.mul, "div": a.div}[op]
-    except KeyError:
-        raise UsageError(f"unknown interval operation {op!r}") from None
-    return f(b)
-
-
-def hull(value) -> Interval:
-    return Interval.hull(value)
-
-
 _ZERO = Interval(0.0, 0.0)
 
 
@@ -610,10 +591,6 @@ class BoxRegion:
             if gap > d:
                 d = gap
         return d
-
-
-def box_widen(box: BoxRegion, r: float) -> BoxRegion:
-    return box.widen(r)
 
 
 def box_predicates(a: BoxRegion, b: BoxRegion) -> BoxPredicates:

@@ -8,21 +8,18 @@ recurrent model, prune dropped leaves, classify components, and record
 the accuracy ledger.  Everything recorded is deterministic for a given
 configuration (wall time and memory excluded).
 
-Models persist through one codec built on four tables: the header
-fields (format version, map parameters as decimal strings, the
-grid/accuracy constants), the boxes as int64 rows (depth, grid indices,
-component id), and optionally the cycle edges and the flagged
-cross-component edges as k x 2 tables of box rows.  Two layouts write
-the same tables: line-oriented text (``B ...``, ``E u v``, ``X u v``
-records after a one-line header) or, behind a flag, JSON.  Both readers
-decode to the same tables, and one rebuild checks them and constructs
-the tree and graph.  Serialization is canonical, so save -> load ->
-save is byte-identical.
+A model file holds four tables: the header fields (format version, map
+parameters as decimal strings, the grid/accuracy constants), the boxes
+as int64 rows (depth, grid indices, component id), and optionally the
+cycle edges and the flagged cross-component edges as k x 2 tables of
+box rows.  The file is line-oriented text: a one-line header, then
+``B ...``, ``E u v`` and ``X u v`` records.  The reader decodes the
+tables, and one rebuild checks them and constructs the tree and graph.
+Serialization is canonical, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import resource
@@ -66,6 +63,7 @@ PRESETS = {
 }
 
 _MODES = ("uniform", "sink_basin")
+_PRUNE_ITERS = 6  # forward (and Henon backward) escape checks per step
 
 
 def preset_params(name: Optional[str], **given) -> dict:
@@ -111,11 +109,9 @@ class RunConfig:
     r_prime: Optional[float] = None
     schedule: list = field(default_factory=list)
     delta_ratio: float = 1000.0
-    prune_iters: int = 6
     mem_budget_mb: Optional[float] = 4096.0
     model_out: Optional[str] = None
     save_edges: bool = False
-    json_model: bool = False
 
     @staticmethod
     def from_preset(name: str, **overrides) -> "RunConfig":
@@ -131,8 +127,6 @@ class RunConfig:
                 raise UsageError(f"unknown schedule step {tok!r}")
         if not self.delta_ratio > 1.0:
             raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
-        if self.prune_iters < 1:
-            raise UsageError("prune_iters must be at least 1")
         if self.mem_budget_mb is not None and not self.mem_budget_mb > 0.0:
             raise UsageError("mem_budget_mb must be positive, or None for no budget")
 
@@ -228,7 +222,7 @@ def run_pipeline(
             "r_prime": model.r_prime,
             "schedule": list(config.schedule),
             "delta_ratio": config.delta_ratio,
-            "prune_iters": config.prune_iters,
+            "prune_iters": _PRUNE_ITERS,
         },
         r_prime=model.r_prime,
         delta0_prime=model.delta0_prime,
@@ -250,7 +244,7 @@ def run_pipeline(
         tree.subdivide(selector)
         n_original = tree.leaf_count
         say(f"step {index} ({mode}): {n_original} boxes after subdivision")
-        n_escaping = tree.prune_escaping(config.prune_iters)
+        n_escaping = tree.prune_escaping(_PRUNE_ITERS)
         say(f"step {index}: {n_escaping} escaping boxes eliminated")
         epsilon = tree.epsilon()
         epsilon_min = tree.epsilon_min()
@@ -312,13 +306,7 @@ def run_pipeline(
     record.sink_section = sink_section_for_map(model, m_ratio=config.delta_ratio)
     record.total_wall_s = time.perf_counter() - t_run
     if config.model_out:
-        save_model(
-            config.model_out,
-            model,
-            gamma,
-            json_mode=config.json_model,
-            include_edges=config.save_edges,
-        )
+        save_model(config.model_out, model, gamma, include_edges=config.save_edges)
     return PipelineResult(record, model, tree, gamma, classification)
 
 
@@ -335,95 +323,69 @@ _ROWS_PER_WRITE = 1 << 16  # text records formatted per write
 _PIECE_BYTES = 1 << 20  # text body bytes parsed at a time (whole lines)
 
 
-def _encode(model: MapModel, gamma: ChainGraph, include_edges: bool):
-    """The four tables of a model file: the header fields, the boxes
-    (depth, grid indices, component id), the cycle edges and the cross
-    edges (vertex row pairs)."""
+def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = False) -> None:
+    """Persist the recurrent model; canonical, lossless, diffable.  The
+    header line is followed by the boxes (depth, grid indices, component
+    id) and, with ``include_edges``, the cycle and cross edges (pairs of
+    box rows)."""
     if gamma is None or gamma.comp is None:
         raise UsageError("save_model needs a completed recurrent model")
+    boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
+    edges = cross = np.empty((0, 2), dtype=np.int64)
+    if include_edges:
+        edges, cross = np.column_stack(gamma.edge_rows()), gamma.cross_edges
     header = {
         "kind": model.kind,
-        "a": None if model.a_str is None else list(model.a_str),
-        "c": list(model.c_str),
+        "a": None if model.a_str is None else ",".join(model.a_str),
+        "c": ",".join(model.c_str),
         "rprime": repr(model.r_prime),
         "m": 2,
         "delta": repr(gamma.delta),
         "epsilon": repr(gamma.epsilon),
         "epsilon_min": repr(gamma.epsilon_min),
+        "boxes": len(boxes),
+        "comps": int(boxes[:, -1].max()) + 1 if len(boxes) else 0,
+        "edges": len(edges),
+        "cross": len(cross),
     }
-    boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
-    edges = cross = np.empty((0, 2), dtype=np.int64)
-    if include_edges:
-        edges, cross = np.column_stack(gamma.edge_rows()), gamma.cross_edges
-    return header, boxes, edges, cross
-
-
-def _write_text(fh, header, boxes, edges, cross) -> None:
-    comps = int(boxes[:, -1].max()) + 1 if len(boxes) else 0
-    counts = dict(boxes=len(boxes), comps=comps, edges=len(edges), cross=len(cross))
-    items = [
-        f"{key}={','.join(val) if isinstance(val, list) else val}"
-        for key, val in {**header, **counts}.items()
-        if val is not None
-    ]
-    fh.write(" ".join([_FORMAT, str(_VERSION)] + items) + "\n")
-    for tag, table in (("B", boxes), ("E", edges), ("X", cross)):
-        line = tag + " %d" * table.shape[1] + "\n"
-        for first in range(0, len(table), _ROWS_PER_WRITE):
-            part = table[first : first + _ROWS_PER_WRITE]
-            fh.write(line * len(part) % tuple(part.ravel().tolist()))
-
-
-def _write_json(fh, header, boxes, edges, cross) -> None:
-    tables = dict(boxes=boxes.tolist(), edges=edges.tolist(), cross_edges=cross.tolist())
-    doc = dict(header, format=_FORMAT, version=_VERSION, **tables)
-    fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def save_model(
-    path,
-    model: MapModel,
-    gamma: ChainGraph,
-    json_mode: bool = False,
-    include_edges: bool = False,
-) -> None:
-    """Persist the recurrent model; canonical, lossless, diffable."""
-    tables = _encode(model, gamma, include_edges)
+    items = [f"{key}={val}" for key, val in header.items() if val is not None]
     with open(path, "w") as fh:
-        (_write_json if json_mode else _write_text)(fh, *tables)
+        fh.write(" ".join([_FORMAT, str(_VERSION)] + items) + "\n")
+        for tag, table in (("B", boxes), ("E", edges), ("X", cross)):
+            line = tag + " %d" * table.shape[1] + "\n"
+            for first in range(0, len(table), _ROWS_PER_WRITE):
+                part = table[first : first + _ROWS_PER_WRITE]
+                fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def load_model(path):
     """Load a persisted model: returns (model, tree, gamma)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    decode = _decode_json if re.match(rb"\s*{", data) else _decode_text
     try:
-        return _rebuild(*decode(data))
+        return _rebuild(*_decode_text(data))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_header(header: dict):
-    """The map and (delta, epsilon, epsilon_min) of decoded header
-    fields; ``a`` and ``c`` are [re, im] decimal strings."""
+    """The map and (delta, epsilon, epsilon_min) of the header fields;
+    ``a`` and ``c`` are "re,im" decimal strings."""
     missing = [key for key in _REQUIRED if key not in header]
     if missing:
         raise ParseError(f"header missing field {missing[0]!r}")
-    a, c = header.get("a"), header["c"]
-    for key, value in (("a", a), ("c", c)):
-        pair = isinstance(value, list) and len(value) == 2
-        if value is not None and not (pair and all(isinstance(v, str) for v in value)):
-            raise ParseError(f"header field {key!r} must be two decimal strings [re, im]")
+    for key in ("a", "c"):
+        if key in header and header[key].count(",") != 1:
+            raise ParseError(f"header field {key!r} must be two decimal strings re,im")
     try:
         model = MapModel(
             header["kind"],
-            c=",".join(c),
-            a=None if a is None else ",".join(a),
+            c=header["c"],
+            a=header.get("a"),
             r_prime=float(header["rprime"]),
         )
         return model, tuple(float(header[key]) for key in ("delta", "epsilon", "epsilon_min"))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad header: {exc}") from None
 
 
@@ -439,7 +401,7 @@ def _decode_text(data: bytes):
         key, _, val = tok.partition("=")
         if not val:
             raise ParseError(f"malformed header field {tok!r}")
-        header[key] = val.split(",") if key in ("a", "c") else val
+        header[key] = val
     model, scales = _parse_header(header)
     tables = _read_records(data, cut, {"B": model.naxes + 2, "E": 2, "X": 2})
     try:
@@ -522,32 +484,6 @@ def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
         value[live] = value[live] * 10 + digit
     value[sign == ord("-")] *= -1
     return value, bad
-
-
-def _decode_json(data: bytes):
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise ParseError(f"bad JSON model: {exc}") from None
-    if doc.get("format") != _FORMAT or doc.get("version") != _VERSION:
-        raise ParseError("unsupported model format")
-    model, scales = _parse_header(doc)
-    boxes = _int_table(doc["boxes"], model.naxes + 2, "box")
-    edges = _int_table(doc.get("edges", []), 2, "edge")
-    return model, scales, boxes, edges, _int_table(doc.get("cross_edges", []), 2, "cross edge")
-
-
-def _int_table(rows, width: int, what: str) -> np.ndarray:
-    """JSON rows as an int64 table of ``width`` columns."""
-    if rows == []:
-        return np.empty((0, width), dtype=np.int64)
-    try:
-        table = np.array(rows)
-    except ValueError:  # ragged rows
-        table = np.array(None)
-    if table.ndim != 2 or table.shape[1] != width or table.dtype.kind != "i":
-        raise ParseError(f"each {what} must be a row of {width} 64-bit integers")
-    return table.astype(np.int64)
 
 
 def _rebuild(model: MapModel, scales, boxes, edges, cross):

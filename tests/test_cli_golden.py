@@ -1,5 +1,5 @@
-"""Golden stdout of ``boxchain run`` and ``boxchain bounds``, and golden
-images of ``boxchain render``.
+"""Golden stdout of ``boxchain run``, ``boxchain bounds`` and ``boxchain
+inspect``, and golden images of ``boxchain render``.
 
 Each case runs the CLI in-process and compares its stdout byte for byte
 with a file under ``tests/data/cli/``.  The only machine-dependent
@@ -17,7 +17,8 @@ import pytest
 from boxchain import cli
 from boxchain.pipeline import PRESETS
 
-GOLDEN = Path(__file__).parent / "data" / "cli"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli"
 
 QUAD = ["--map", "quad_poly", "--c", "0", "--rprime", "2", "--schedule", "uniform*4", "--quiet"]
 
@@ -25,6 +26,7 @@ CASES = {
     "run_quad_uniform4.txt": ["run", *QUAD],
     "run_quad_uniform4.jsonl": ["run", *QUAD, "--json"],
     "run_per31_uniform3.txt": ["run", "--preset", "per31", "--schedule", "uniform*3", "--quiet"],
+    "inspect_quad_uniform3.txt": ["inspect", "--model-in", str(DATA / "quad_uniform3.txt")],
 }
 for _name in sorted(PRESETS):
     CASES[f"bounds_{_name}.txt"] = ["bounds", "--preset", _name, "--epsilon", "0.03"]

@@ -17,12 +17,9 @@ from boxchain.ia import (
     UsageError,
     add_down,
     add_up,
-    arith,
     box_predicates,
-    box_widen,
     div_down,
     div_up,
-    hull,
     hull_complex,
     mul_down,
     mul_up,
@@ -68,7 +65,7 @@ def test_square_is_dedicated_not_mul():
 
 
 def test_hull_non_dyadic_is_one_ulp():
-    h = hull("0.1")
+    h = Interval.hull("0.1")
     assert h.lo < Fraction("0.1") < h.hi
     assert h.hi == math.nextafter(h.lo, math.inf)
 
@@ -89,10 +86,15 @@ def test_overflow_saturates():
 
 
 def test_arith_dispatch():
-    assert arith("add", iv(0, 1), iv(1, 2)) == iv(1, 3)
-    assert arith("square", iv(-2, 1)) == iv(0, 4)
-    with pytest.raises(UsageError):
-        arith("pow", iv(0, 1), iv(0, 1))
+    # the operators are the methods; there is no power operator
+    assert iv(0, 1) + iv(1, 2) == iv(0, 1).add(iv(1, 2)) == iv(1, 3)
+    assert iv(0, 1) - iv(1, 2) == iv(0, 1).sub(iv(1, 2)) == iv(-2, 0)
+    assert iv(-2, 1) * iv(-2, 1) == iv(-2, 1).mul(iv(-2, 1)) == iv(-2, 4)
+    assert iv(1, 2) / iv(2, 4) == iv(1, 2).div(iv(2, 4)) == iv(0.25, 1)
+    assert -iv(0, 1) == iv(0, 1).neg() == iv(-1, 0)
+    assert iv(-2, 1).square() == iv(0, 4)
+    with pytest.raises(TypeError):
+        iv(0, 1) ** iv(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def test_complex_div_roundtrip_and_zero_rejection():
 
 
 # ---------------------------------------------------------------------------
-# box_widen
+# BoxRegion.widen
 # ---------------------------------------------------------------------------
 
 
@@ -278,7 +280,7 @@ def _unit_box():
 
 
 def test_widen_half_per_axis():
-    w = box_widen(_unit_box(), 0.5)
+    w = _unit_box().widen(0.5)
     for ax in w.axes():
         assert ax.lo <= -0.5 and ax.hi >= 1.5
         assert abs(ax.lo + 0.5) <= ULP(0.5) and abs(ax.hi - 1.5) <= ULP(1.5)
@@ -286,7 +288,7 @@ def test_widen_half_per_axis():
 
 def test_widen_zero_is_identity():
     b = _unit_box()
-    assert box_widen(b, 0.0) == b
+    assert b.widen(0.0) == b
 
 
 def test_widen_contains_near_points():
@@ -298,7 +300,7 @@ def test_widen_contains_near_points():
             Interval(*lox), Interval(-0.5, 0.5), Interval(*loy), Interval(-1, 1)
         )
         r = rng.uniform(0, 1)
-        w = box_widen(b, r)
+        w = b.widen(r)
         for _ in range(30):
             # sample a point at sup-distance < r from b
             base = [
@@ -313,7 +315,7 @@ def test_widen_contains_near_points():
 def test_widen_monotone_in_radius():
     b = _unit_box()
     r1, r2 = 0.125, 0.5
-    assert box_widen(b, r2).encloses(box_widen(b, r1))
+    assert b.widen(r2).encloses(b.widen(r1))
 
 
 def test_real_mode_pins_imaginary():
@@ -389,7 +391,7 @@ def test_sup_distance_is_lower_bound():
 
 
 def test_hull_exact_decimal_and_complex():
-    assert hull("-1.1875") == Interval(-1.1875, -1.1875)  # dyadic, exact
+    assert Interval.hull("-1.1875") == Interval(-1.1875, -1.1875)  # dyadic, exact
     c = hull_complex("-1.17")
     assert c.re.lo < Fraction("-1.17") < c.re.hi
     assert c.im == Interval(0.0, 0.0)

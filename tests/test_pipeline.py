@@ -3,6 +3,7 @@ model round-trips, CLI surface and exit codes, regression invariants."""
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -67,8 +68,6 @@ def test_config_validation():
         small_config(schedule=[]).validate()
     with pytest.raises(UsageError):
         small_config(delta_ratio=1.0).validate()
-    with pytest.raises(UsageError):
-        small_config(prune_iters=0).validate()
     with pytest.raises(UsageError):
         RunConfig.from_preset("nope")
     small_config().validate()
@@ -313,12 +312,8 @@ def test_memory_budget_abort_carries_partial_record():
 # ---------------------------------------------------------------------------
 
 
-def _run_small_model(tmp_path, json_mode=False, edges=True):
-    cfg = small_config(
-        model_out=str(tmp_path / ("m.json" if json_mode else "m.txt")),
-        save_edges=edges,
-        json_model=json_mode,
-    )
+def _run_small_model(tmp_path):
+    cfg = small_config(model_out=str(tmp_path / "m.txt"), save_edges=True)
     result = run_pipeline(cfg)
     return cfg.model_out, result
 
@@ -330,17 +325,6 @@ def test_model_roundtrip_byte_identical(tmp_path):
     save_model(str(tmp_path / "resaved.txt"), model, gamma, include_edges=True)
     second = open(tmp_path / "resaved.txt", "rb").read()
     assert first == second
-
-
-def test_model_roundtrip_json(tmp_path):
-    path, result = _run_small_model(tmp_path, json_mode=True)
-    first = open(path, "rb").read()
-    model, tree, gamma = load_model(path)
-    save_model(
-        str(tmp_path / "resaved.json"), model, gamma, json_mode=True, include_edges=True
-    )
-    assert first == open(tmp_path / "resaved.json", "rb").read()
-    json.loads(first)  # valid JSON document
 
 
 def test_model_roundtrip_preserves_everything(tmp_path):
@@ -441,21 +425,6 @@ def test_header_epsilon_checked_against_boxes(tmp_path):
         load_model(_hand_model(tmp_path, ["B 3 0 0 0"]))
 
 
-@pytest.mark.parametrize(
-    "field,factor,message",
-    [("epsilon", 0.5, "largest box side"), ("epsilon_min", 2.0, "smallest box side")],
-)
-def test_json_header_epsilon_checked_against_boxes(tmp_path, field, factor, message):
-    path, _ = _run_small_model(tmp_path, json_mode=True)
-    load_model(path)  # a saved model is consistent
-    obj = json.loads(open(path).read())
-    obj[field] = repr(float(obj[field]) * factor)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    with pytest.raises(ParseError, match=message):
-        load_model(str(bad))
-
-
 # two boxes of one component, and two boxes of components 0 and 1
 _ONE_COMP = ["B 2 1 1 0", "B 2 3 0 0"]
 _TWO_COMPS = ["B 2 1 1 0", "B 2 3 0 1"]
@@ -484,23 +453,15 @@ def test_component_id_outside_box_range_rejected(tmp_path, comp):
         (_ONE_COMP + ["X 0 1"], "within one component"),
         (_ONE_COMP + ["E 0 1", "E 0 1"], "given twice"),
         (_TWO_COMPS + ["X 0 1", "X 0 1"], "given twice"),
+        (_ONE_COMP + ["E 0 1.5"], "bad integer"),
     ],
 )
-def test_malformed_or_inconsistent_records_rejected(tmp_path, records, message):
+def test_malformed_or_inconsistent_records_rejected(tmp_path, capsys, records, message):
+    path = _hand_model(tmp_path, records)
     with pytest.raises(ParseError, match=message):
-        load_model(_hand_model(tmp_path, records))
-
-
-@pytest.mark.parametrize("edges", [[[0]], [[0, 1], [0]], [[0, 1, 2]], [[0, 1.5]], [["0", "1"]]])
-def test_json_edge_rows_must_be_integer_pairs(tmp_path, edges):
-    path, _ = _run_small_model(tmp_path, json_mode=True)
-    obj = json.loads(open(path).read())
-    obj["edges"] = edges
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    with pytest.raises(ParseError, match="2 64-bit integers"):
-        load_model(str(bad))
-    assert _cli("inspect", "--model-in", str(bad)).returncode == 4
+        load_model(path)
+    assert cli.main(["inspect", "--model-in", path]) == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("piece_bytes", [1, 37, 1 << 20])
@@ -560,21 +521,29 @@ def test_record_order_and_layout_do_not_matter(tmp_path):
 
 
 def test_golden_model_files(tmp_path):
-    """Files written by an earlier version of the format: this version
-    writes the same bytes for the same run, and reads both layouts to the
-    same graph."""
+    """A file written by an earlier version of the format: this version
+    writes the same bytes for the same run, and reads it to the same
+    graph."""
     cfg = RunConfig(kind="quad_poly", c="0", r_prime=2.0, schedule=["uniform"] * 3)
     result = run_pipeline(cfg)
-    loaded = []
-    for name, json_mode in (("quad_uniform3.txt", False), ("quad_uniform3.json", True)):
-        golden = DATA / name
-        out = tmp_path / name
-        save_model(str(out), result.model, result.gamma, json_mode=json_mode, include_edges=True)
-        assert out.read_bytes() == golden.read_bytes()
-        loaded.append(load_model(str(golden))[1:])
+    golden = DATA / "quad_uniform3.txt"
+    out = tmp_path / "quad_uniform3.txt"
+    save_model(str(out), result.model, result.gamma, include_edges=True)
+    assert out.read_bytes() == golden.read_bytes()
     assert len(result.gamma.cross_edges) > 0 and len(set(result.gamma.comp.tolist())) == 2
-    _assert_same_graph(loaded[0], loaded[1])
-    _assert_same_graph(loaded[0], (result.tree, result.gamma))
+    _assert_same_graph(load_model(str(golden))[1:], (result.tree, result.gamma))
+
+
+def test_json_document_rejected(tmp_path, capsys):
+    # the text layout is the only model file format
+    doc = dict(format="boxchain-model", version=1, kind="quad_poly", c=["0", "0"], rprime="2.0",
+               m=2, delta="0.001", epsilon="1.0", epsilon_min="1.0", boxes=[[2, 1, 1, 0]])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(ParseError, match="bad magic"):
+        load_model(str(path))
+    assert cli.main(["inspect", "--model-in", str(path)]) == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -584,7 +553,7 @@ def test_golden_model_files(tmp_path):
 def test_text_header_with_a_non_finite_parameter_rejected(tmp_path, capsys, old, new):
     path = _hand_model(tmp_path, ["B 2 1 1 0"])
     Path(path).write_text(Path(path).read_text().replace(old, new))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="bad decimal" if new.startswith("c=") else "finite"):
         load_model(path)
     assert cli.main(["inspect", "--model-in", path]) == 4
     assert capsys.readouterr().out == ""
@@ -610,26 +579,14 @@ def test_text_header_scales_must_be_finite_and_positive(tmp_path, capsys, old, n
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize(
-    "field,value,message",
-    [
-        ("rprime", "1e999", "finite"),
-        ("c", "12", "two decimal strings"),
-        ("c", ["0"], "two decimal strings"),
-        ("c", ["0", "0", "0"], "two decimal strings"),
-        ("c", [0, 0], "two decimal strings"),
-        ("c", ["1e400", "0"], "bad decimal"),
-    ],
-)
-def test_json_header_parameters_checked(tmp_path, capsys, field, value, message):
-    path, _ = _run_small_model(tmp_path, json_mode=True, edges=False)
-    obj = json.loads(open(path).read())
-    obj[field] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    with pytest.raises(ParseError, match=message):
-        load_model(str(bad))
-    assert cli.main(["inspect", "--model-in", str(bad)]) == 4
+@pytest.mark.parametrize("old,new", [("c=0,0", "c=0"), ("c=0,0", "c=0,0,0"), ("c=0,0", "c=0,0 a=0")])
+def test_text_header_parameters_must_have_two_parts(tmp_path, capsys, old, new):
+    path = _hand_model(tmp_path, ["B 2 1 1 0"])
+    Path(path).write_text(Path(path).read_text().replace(old, new))
+    with pytest.raises(ParseError, match="two decimal strings"):
+        load_model(path)
+    assert cli.main(["inspect", "--model-in", path]) == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
@@ -698,6 +655,35 @@ def _cli(*argv):
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--preset", "per31", "--epsilon", "0.03"],
+        ["run", "--map", "quad_poly", "--c", "0", "--rprime", "2", "--schedule", "uniform*2", "--quiet"],
+        ["inspect", "--model-in", str(DATA / "quad_uniform3.txt")],
+        ["render", "--model-in", str(DATA / "quad_uniform3.txt"), "--resolution", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_stdout_closed_early_exits_quietly(tmp_path, argv, unbuffered):
+    # the reader closes its end before the command writes: exit 0, no
+    # traceback and no "Exception ignored" line at interpreter exit
+    if argv[0] == "render":
+        argv = [*argv, "--image-out", str(tmp_path / "out.ppm")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxchain.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_cli_run_and_render_roundtrip(tmp_path):
