@@ -1,7 +1,9 @@
 """Iterative pipeline driver and model persistence.
 
 One run executes, per scheduled step: subdivide (uniform or sink-basin
-selective), eliminate V0-escaping boxes, build the box chain model
+selective), for Henon maps eliminate V0-escaping boxes (for 1-D maps the
+strongly connected components alone drop the boxes that never return),
+build the box chain model
 with delta = epsilon_min / delta_ratio (never more than half the
 previous delta), extract the strongly connected subgraph as the
 recurrent model, prune dropped leaves, classify components, and record
@@ -63,7 +65,7 @@ PRESETS = {
 }
 
 _MODES = ("uniform", "sink_basin")
-_PRUNE_ITERS = 6  # forward (and Henon backward) escape checks per step
+_PRUNE_ITERS = 6  # forward and backward escape checks per step of a Henon map
 
 
 def preset_params(name: Optional[str], **given) -> dict:
@@ -212,6 +214,7 @@ def run_pipeline(
     model = config.build_model()
     orbits = sink_orbits(model)
     tree = init_root(model)
+    prune_iters = _PRUNE_ITERS if model.is_henon else 0
     say = progress or (lambda s: None)
     steps: list[StepRecord] = []
     record = RunRecord(
@@ -222,7 +225,7 @@ def run_pipeline(
             "r_prime": model.r_prime,
             "schedule": list(config.schedule),
             "delta_ratio": config.delta_ratio,
-            "prune_iters": _PRUNE_ITERS,
+            "prune_iters": prune_iters,
         },
         r_prime=model.r_prime,
         delta0_prime=model.delta0_prime,
@@ -244,8 +247,10 @@ def run_pipeline(
         tree.subdivide(selector)
         n_original = tree.leaf_count
         say(f"step {index} ({mode}): {n_original} boxes after subdivision")
-        n_escaping = tree.prune_escaping(_PRUNE_ITERS)
-        say(f"step {index}: {n_escaping} escaping boxes eliminated")
+        n_escaping = 0
+        if prune_iters:
+            n_escaping = tree.prune_escaping(prune_iters)
+            say(f"step {index}: {n_escaping} escaping boxes eliminated")
         epsilon = tree.epsilon()
         epsilon_min = tree.epsilon_min()
         delta = epsilon_min / config.delta_ratio
