@@ -2,20 +2,24 @@
 
 Subcommands:
 
-* ``run``     -- execute the subdivide/prune/edges/SCC pipeline and
-                 print the per-step record (optionally persist the model);
+* ``run``     -- execute the subdivide/prune/edges/SCC pipeline (escape
+                 pruning for Henon maps only) and print the per-step
+                 record (optionally persist the model);
 * ``bounds``  -- print the accuracy/separation constants for a map;
 * ``render``  -- draw a persisted model (unstable-manifold slice for
                  maps of C^2, direct plane render otherwise);
 * ``inspect`` -- summarize a persisted model file.
 
-Exit codes: 0 success (also when the reader of stdout closes it early),
-2 configuration error, 3 memory budget abort, 4 parse error.
+Exit codes: 0 success, 2 configuration error, 3 memory budget abort,
+4 parse error.  A command keeps its exit code when the reader of stdout
+closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -74,8 +78,8 @@ def _cmd_run(args) -> int:
     try:
         result = run_pipeline(config, progress=progress)
     except MemoryBudgetError as exc:
-        _print_record(exc.record, args.json)
         print(f"aborted: {exc}", file=sys.stderr)
+        _print_record(exc.record, args.json)
         return EXIT_MEMORY
     _print_record(result.record, args.json)
     return EXIT_OK
@@ -327,19 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    code = EXIT_OK
+    # stdout is written once the command has returned its exit code, so a
+    # reader that closes the pipe early cannot change that code
+    out = io.StringIO()
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader stopped reading: the unwritten rest goes to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, DomainError, ResourceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped reading: the unwritten rest goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

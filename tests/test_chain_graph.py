@@ -30,10 +30,13 @@ def per31():
 
 
 def grown_tree(model, depth, prune=6):
+    """A tree subdivided ``depth`` times, with ``prune`` escape checks
+    after each subdivision (none when prune is 0)."""
     tree = init_root(model)
     for _ in range(depth):
         tree.subdivide(lambda lid: True)
-        tree.prune_escaping(prune)
+        if prune:
+            tree.prune_escaping(prune)
     return tree
 
 
@@ -293,6 +296,27 @@ def test_recurrent_model_matches_cycle_oracle_on_map_graph():
     gamma = recurrent_model(g, lab)
     got_rows = {int(g.row_of_leaf(int(v))) for v in gamma.vertex_ids}
     assert got_rows == set(want_member)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+@pytest.mark.parametrize(
+    "model",
+    [quad_c0(), MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1)],
+    ids=["quad", "cubic"],
+)
+def test_escape_pruning_only_shrinks_gamma_of_1d_maps(model, depth):
+    # the pipeline runs no escape pruning for 1-D maps: on the same boxes
+    # and delta, gamma with pruning is a subset of gamma without it,
+    # because the pruned graph is the subgraph induced by the kept boxes
+    gamma_ids = []
+    for prune in (False, True):
+        tree = grown_tree(model, depth, prune=0)
+        if prune:
+            assert tree.prune_escaping(6) > 0
+        g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+        gamma_ids.append(set(recurrent_model(g, scc_decompose(g)).vertex_ids.tolist()))
+    unpruned, pruned = gamma_ids
+    assert pruned <= unpruned
 
 
 def test_recurrent_model_leaves_tree_unchanged():

@@ -293,11 +293,33 @@ def test_selective_step_fraction_roughly_half(altper2_run):
 
 def test_complexhorse_prune_fraction_band():
     cfg = RunConfig.from_preset("complexhorse", schedule=["uniform"] * 6)
-    result = run_pipeline(cfg)
+    said = []
+    result = run_pipeline(cfg, progress=said.append)
+    assert result.record.config["prune_iters"] == 6
+    assert sum("escaping boxes eliminated" in line for line in said) == 6
     last = result.record.steps[-1]
     frac = last.boxes_escaping / last.boxes_original
     assert frac > 0.5
     assert 0.5667 <= frac <= 0.8667  # reference 43k/60k with +-15pp
+
+
+@pytest.mark.parametrize("preset", ["cubicdouble", None])
+def test_1d_runs_skip_escape_pruning(preset):
+    # the strongly connected components alone drop the boxes of a 1-D map
+    # that never return: no step prunes, and every box enters the graph
+    if preset:
+        cfg = RunConfig.from_preset(preset, schedule=["uniform"] * 8)
+    else:
+        cfg = small_config(schedule=["uniform"] * 6)
+    said = []
+    record = run_pipeline(cfg, progress=said.append).record
+    assert record.config["prune_iters"] == 0
+    assert not any("escaping" in line for line in said)
+    for s in record.steps:
+        assert s.boxes_escaping == 0 and s.upsilon_boxes == s.boxes_original
+    if preset:
+        # gamma per step as when six escape checks ran at every step
+        assert [s.gamma_boxes for s in record.steps] == [4, 16, 36, 83, 215, 617, 1994, 6449]
 
 
 def test_memory_budget_abort_carries_partial_record():
@@ -684,6 +706,24 @@ def test_cli_stdout_closed_early_exits_quietly(tmp_path, argv, unbuffered):
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_cli_aborted_run_keeps_exit_code_on_closed_stdout(unbuffered):
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "boxchain.cli", "run", "--map", "quad_poly", "--c", "0",
+            "--rprime", "2", "--schedule", "uniform*5", "--mem-budget-mb", "0.005", "--quiet",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err.startswith("aborted: ") and err.count("\n") == 1, err
 
 
 def test_cli_run_and_render_roundtrip(tmp_path):
