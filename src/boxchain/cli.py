@@ -78,8 +78,8 @@ def _cmd_run(args) -> int:
     try:
         result = run_pipeline(config, progress=progress)
     except MemoryBudgetError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
         _print_record(exc.record, args.json)
+        print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_MEMORY
     _print_record(result.record, args.json)
     return EXIT_OK

@@ -1,13 +1,12 @@
 """Iterative pipeline driver and model persistence.
 
 One run executes, per scheduled step: subdivide (uniform or sink-basin
-selective), for Henon maps eliminate V0-escaping boxes (for 1-D maps the
-strongly connected components alone drop the boxes that never return),
-build the box chain model
-with delta = epsilon_min / delta_ratio (never more than half the
-previous delta), extract the strongly connected subgraph as the
-recurrent model, prune dropped leaves, classify components, and record
-the accuracy ledger.  Everything recorded is deterministic for a given
+selective), eliminate V0-escaping boxes (Henon maps only; for 1-D maps
+the strongly connected components alone drop the boxes that never
+return), build the box chain model with delta = epsilon_min /
+delta_ratio (never more than half the previous delta), extract the
+strongly connected subgraph as the recurrent model, prune dropped
+leaves, classify components, and record the accuracy ledger.  Everything recorded is deterministic for a given
 configuration (wall time and memory excluded).
 
 A model file holds four tables: the header fields (format version, map
