@@ -16,10 +16,15 @@ keeps a mask; the box bounds are derived from the arrays on demand.
 One address index answers every "which leaves meet this closed box"
 question (the edge build, box and point queries, classification,
 rendering, the nesting check on load): per live depth, the packed
-addresses of the leaves, sorted.  A leaf's indices are packed into one
-int64 key, axis 0 in the high bits, so every address needs
-naxes * depth <= 62 bits; the tree enforces that as its depth cap.  The
-index and the bounds are rebuilt lazily after each mutation.
+addresses of the leaves, sorted, and for the depths below the
+shallowest live one, the sorted addresses of their leaves' ancestors at
+that shallowest depth.  A lookup reaches a deeper grid in two stages:
+it expands a query's range at the shallowest depth, keeps the cells
+that hold deeper leaves, and expands only the fine cells inside those.
+A leaf's indices are packed into one int64 key, axis 0 in the high
+bits, so every address needs naxes * depth <= 62 bits; the tree
+enforces that as its depth cap.  The index and the bounds are rebuilt
+lazily after each mutation.
 """
 
 from __future__ import annotations
@@ -188,14 +193,20 @@ class BoxTree:
     # -- the address index and its lookup ----------------------------------------
 
     def _address_index(self) -> list:
-        """Per live depth: (depth, sorted packed keys, their rows)."""
+        """Per live depth: (depth, sorted packed keys, their rows, the
+        sorted distinct keys of the leaves' ancestors at the shallowest
+        live depth; at that depth, the keys themselves)."""
         if self._index is None:
             self._index = []
-            for depth in self.live_depths():
+            depths = self.live_depths()
+            for depth in depths:
                 rows = np.flatnonzero(self._depths == depth)
                 keys = _pack(self._idx[rows], depth)
                 order = np.argsort(keys)
-                self._index.append((depth, keys[order], rows[order]))
+                keys = keys[order]
+                top = depths[0]
+                coarse = keys if depth == top else np.unique(_pack(self._idx[rows] >> (depth - top), top))
+                self._index.append((depth, keys, rows[order], coarse))
         return self._index
 
     def lookup(self, lo, hi, before_chunk: Callable[[int], None] | None = None):
@@ -203,42 +214,39 @@ class BoxTree:
         closed query box [lo[q], hi[q]] (arrays n x naxes) and a live leaf
         meeting it, each pair once.
 
-        Per live depth, each query gets the exact index range of the cells
-        it meets (``cell_range``); the ranges are expanded in one ragged
-        pass over whole queries, about _CHUNK_CANDIDATES cells per chunk,
-        and the cells are looked up in the depth's sorted keys.
+        Per live depth d, each query gets the exact index range of the
+        depth-d cells it meets (``cell_range``).  The range shifted to the
+        shallowest live depth is expanded first, and its cells are looked
+        up among the ancestors of the depth-d leaves; each ancestor found
+        is then expanded into the part of the depth-d range inside it, and
+        those cells are looked up among the depth-d leaves.  A depth-d cell
+        has one ancestor, so no pair is found twice; at the shallowest
+        depth the first stage is the whole lookup.  Both stages expand
+        about _CHUNK_CANDIDATES cells per chunk, and
         ``before_chunk(candidates)`` runs before each chunk is expanded.
         """
-        naxes = self.naxes
-        for depth, keys, level_rows in self._address_index():
+        index = self._address_index()
+        for depth, keys, level_rows, coarse in index:
+            top = index[0][0]
+            shift = depth - top
             i0, i1 = cell_range(lo, hi, self.r_prime, depth)
-            sizes = np.maximum(i1 - i0 + 1, 0)
-            counts = sizes.prod(axis=1)
-            rows = np.flatnonzero(counts)
-            sizes, counts = sizes[rows], counts[rows]
-            base = _pack(i0[rows], depth)  # key of each query's first cell
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            start = 0
-            while start < len(rows):
-                first = int(starts[start])
-                stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK_CANDIDATES, side="right")))
-                ncand = int(ends[stop - 1]) - first
-                if before_chunk is not None:
-                    before_chunk(ncand)
-                # chunk-local query and mixed-radix offset per candidate cell
-                local = np.repeat(np.arange(stop - start), counts[start:stop])
-                off = np.arange(first, first + ncand) - starts[start:stop][local]
-                key = base[start:stop][local]
-                for axis in range(naxes - 1, 0, -1):
-                    off, digit = np.divmod(off, sizes[start:stop, axis][local])
-                    key += digit << (depth * (naxes - 1 - axis))
-                key += off << (depth * (naxes - 1))
-                pos = np.searchsorted(keys, key)
-                np.minimum(pos, len(keys) - 1, out=pos)
-                found = keys[pos] == key
-                yield rows[start:stop][local[found]], level_rows[pos[found]]
-                start = stop
+            rows = np.flatnonzero((i0 <= i1).all(axis=1))
+            i0, i1 = i0[rows], i1[rows]
+            c0, c1 = i0 >> shift, i1 >> shift
+            stage1 = _expand(_pack(c0, top), c1 - c0 + 1, top, before_chunk)
+            del c0, c1
+            for query, key in stage1:
+                pos, found = _find(coarse, key)
+                if not shift:
+                    yield rows[query[found]], level_rows[pos[found]]
+                    continue
+                query, key = query[found], key[found]
+                del pos, found
+                first, sizes = _clip(i0, i1, query, key, top, depth)
+                del key
+                for pair, key in _expand(first, sizes, depth, before_chunk):
+                    pos, found = _find(keys, key)
+                    yield rows[query[pair[found]]], level_rows[pos[found]]
 
     def meeting(self, lo, hi):
         """(query rows, leaf ids) of all the pairs ``lookup`` yields."""
@@ -345,9 +353,13 @@ class BoxTree:
         _, _, _, lo, hi = tree.live_arrays()
         centre = 0.5 * (lo + hi)
         query, leaf = tree.meeting(centre, centre)
-        clash = np.flatnonzero(query != leaf)
-        if len(clash):
-            a, b = sorted((int(query[clash[0]]), int(leaf[clash[0]])))
+        clash = query != leaf
+        if clash.any():
+            # name the smallest clashing (row, row) pair, whatever the lookup's order
+            first = np.minimum(query, leaf)[clash]
+            second = np.maximum(query, leaf)[clash]
+            k = np.lexsort((second, first))[0]
+            a, b = int(first[k]), int(second[k])
             what = "duplicate" if depths[a] == depths[b] else "nested"
             raise UsageError(f"{what} addresses {describe(a)} and {describe(b)}")
         return tree
@@ -360,6 +372,76 @@ def _pack(idx: np.ndarray, depth: int) -> np.ndarray:
         key <<= depth
         key |= idx[:, k]
     return key
+
+
+def _find(keys: np.ndarray, key: np.ndarray):
+    """(position, found) of each ``key`` in the sorted ``keys``."""
+    pos = np.searchsorted(keys, key)
+    np.minimum(pos, len(keys) - 1, out=pos)
+    return pos, keys[pos] == key
+
+
+def _clip(i0, i1, query, coarse, top: int, depth: int):
+    """(first key, sizes) of the depth-``depth`` index ranges of
+    ``query`` (rows of [i0, i1]), each clipped to the descendants of its
+    depth-``top`` cell ``coarse`` (packed keys); built axis by axis."""
+    naxes = i0.shape[1]
+    shift = depth - top
+    first = np.zeros(len(query), dtype=np.int64)
+    sizes = np.empty((len(query), naxes), dtype=np.int64)
+    for k in range(naxes):
+        cell = (coarse >> (top * (naxes - 1 - k))) & ((1 << top) - 1)
+        cell <<= shift
+        f0 = np.maximum(i0[query, k], cell)
+        cell += (1 << shift) - 1
+        np.minimum(i1[query, k], cell, out=cell)
+        first <<= depth
+        first |= f0
+        sizes[:, k] = cell - f0 + 1
+    return first, sizes
+
+
+def _expand(first, sizes, depth: int, before_chunk):
+    """Yield (item, key) chunk by chunk: the packed keys of the depth-
+    ``depth`` cells first + o, 0 <= o < sizes per axis, of every item
+    (``first`` packed keys, ``sizes`` n x naxes), and the item of each.
+
+    A chunk holds whole items, about _CHUNK_CANDIDATES cells (at least
+    one item); ``before_chunk(cells)`` runs before it is expanded."""
+    counts = sizes.prod(axis=1)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(ends):
+        done = int(ends[start] - counts[start])
+        stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_CANDIDATES, side="right")))
+        total = int(ends[stop - 1]) - done
+        if before_chunk is not None:
+            before_chunk(total)
+        yield _cells(first, sizes, start, stop, total, depth)
+        start = stop
+
+
+def _cells(first, sizes, start: int, stop: int, total: int, depth: int):
+    """(item, key) of the ``total`` cells of the ranges of items
+    start..stop-1: the items are grouped by their sizes, and each group's
+    first keys get one broadcast table of key offsets."""
+    code = _pack(sizes[start:stop] - 1, depth)  # sizes - 1 < 2^depth: one code per shape
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    bounds = np.flatnonzero(code[1:] != code[:-1]) + 1
+    order += start
+    item = np.empty(total, dtype=np.int64)
+    key = np.empty(total, dtype=np.int64)
+    at = 0
+    for members in np.split(order, bounds):
+        table = np.zeros(1, dtype=np.int64)
+        for size in sizes[members[0]].tolist():
+            table = ((table << depth)[:, None] + np.arange(size)).ravel()
+        span = len(members) * len(table)
+        np.add(first[members][:, None], table, out=key[at : at + span].reshape(len(members), -1))
+        item[at : at + span].reshape(len(members), -1)[:] = members[:, None]
+        at += span
+    return item, key
 
 
 def cell_range(lo, hi, r_prime: float, depth: int):

@@ -16,8 +16,12 @@ Edge building is one call of the tree's address lookup
 (``BoxTree.lookup``) on the widened images: per depth, each image gets
 the exact index range of the grid cells it meets and the ranges are
 matched against the sorted live addresses, so no candidate needs a
-further check.  This is checked against the all-pairs oracle in the
-tests.  Classification uses the same lookup on the sink orbit points.
+further check.  A deeper grid is matched in two stages, first the
+range's cells at the shallowest live depth against the ancestors of
+that grid's leaves, then only the fine cells inside the ancestors
+found, so sparse deep grids cost about as many candidates per edge as
+a single-depth tree.  This is checked against the all-pairs oracle in
+the tests, on single- and three-depth trees.  Classification uses the same lookup on the sink orbit points.
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
@@ -34,7 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import MemoryBudgetError
-from .ia import UsageError
+from .ia import UsageError, _down_arr, _up_arr
 from .maps import MapModel, batch_forward, sink_orbits
 from .boxtree import BoxTree
 
@@ -52,13 +56,20 @@ __all__ = [
 
 # Memory budget of build_edges, in tracemalloc bytes.  A vertex costs
 # its live_arrays rows, address index, interval images and per-depth
-# index ranges, counted per axis; a chunk of candidates (the lookup
-# expands about boxtree._CHUNK_CANDIDATES at a time) costs its
-# expansion, lookup and edge keys; an edge costs its 8-byte key in the
+# index ranges, counted per axis; an edge costs its 8-byte key in the
 # parts, the concatenated copy that is sorted in place, and the int32
-# index.
+# index.  The lookup expands about boxtree._CHUNK_CANDIDATES cells at a
+# time, in either of its two stages.  A cell of a chunk costs at most
+# 57 bytes: its key and item, search position, gathered key and match
+# flag (33), and the query and leaf rows of a match (24).  A coarse
+# cell that the first stage matches holds its query, first fine key,
+# count, end and sizes, 8 * (4 + naxes) <= 64 bytes with 4 axes, until
+# the fine chunks have expanded it.  A fine chunk's working set is then
+# at most the mean of its own estimate and that of the coarse chunk
+# the cell came from, when a candidate costs twice the larger of the
+# two: 128 bytes.  (Measured, a chunk holds 35-42 bytes per cell.)
 _BYTES_PER_VERTEX_AXIS = 160.0
-_BYTES_PER_CANDIDATE = 64.0
+_BYTES_PER_CANDIDATE = 128.0
 _BYTES_PER_EDGE = 16.0
 
 
@@ -124,8 +135,8 @@ def widened_images(tree: BoxTree, model: MapModel, delta: float):
     flo, fhi = batch_forward(model, lo, hi)
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):
         raise UsageError("interval image blew up inside V0")
-    wlo = np.nextafter(flo - delta, -np.inf)
-    whi = np.nextafter(fhi + delta, np.inf)
+    wlo = _down_arr(flo - delta)
+    whi = _up_arr(fhi + delta)
     return ids, wlo, whi
 
 

@@ -33,9 +33,10 @@ Three layers of data live here:
 counterparts of the first two, with the same add/sub/mul/square/div
 API, for evaluating one formula on many boxes at once.  They round
 blindly: each endpoint is computed in round-to-nearest and then moved
-one ulp outward by nextafter, exact or not, so they are never tighter
-than the scalar operation on the same operands, except in one exact
-step: a complex square doubles Re*Im without rounding.  They do not
+one ulp outward (np.nextafter's result, taken as an integer step on
+the bits), exact or not, so they are never tighter than the scalar
+operation on the same operands, except in one exact step: a complex
+square doubles Re*Im without rounding.  They do not
 validate: rows that overflow hold inf or NaN, and the caller masks
 them.
 
@@ -610,11 +611,35 @@ def box_predicates(a: BoxRegion, b: BoxRegion) -> BoxPredicates:
 
 
 def _down_arr(x):
-    return np.nextafter(x, -np.inf)
+    """np.nextafter(x, -inf) of a float64 array, bit for bit."""
+    return _ulp_arr(x, -np.inf)
 
 
 def _up_arr(x):
-    return np.nextafter(x, np.inf)
+    """np.nextafter(x, inf) of a float64 array, bit for bit."""
+    return _ulp_arr(x, np.inf)
+
+
+def _ulp_arr(x, toward):
+    """One-ulp step of every element of ``x`` toward ``toward`` (+-inf).
+
+    The doubles of one sign are ordered like their int64 bit patterns, so
+    the neighbour of a finite nonzero x is one integer step away: +1 on
+    the pattern raises |x|, -1 lowers it.  Zeros, infinities and NaN,
+    where that step is wrong, get np.nextafter itself; they are rare, and
+    the integer step costs a fraction of np.nextafter on every element.
+    """
+    bits = x.view(np.int64)
+    sign = bits >> 63
+    sign |= 1  # 1 for a clear sign bit, -1 for a set one
+    step = np.add if toward > 0 else np.subtract
+    out = step(bits, sign, out=sign).view(np.float64)
+    plain = np.isfinite(x)
+    plain &= x != 0.0
+    if not plain.all():
+        odd = np.flatnonzero(~plain)
+        out.flat[odd] = np.nextafter(x.flat[odd], toward)
+    return out
 
 
 def _hull4(p1, p2, p3, p4) -> "IntervalArray":

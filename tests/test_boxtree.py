@@ -135,6 +135,13 @@ def test_depth_limit():
             tree.subdivide(lambda lid: True)
 
 
+def test_restore_names_the_smallest_clashing_pair():
+    # rows 0 and 3 nest, and so do rows 2 and 1; the message names (0, 3)
+    # whichever pair the lookup yields first
+    with pytest.raises(UsageError, match=r"^nested addresses 1 \(0, 0\) and 3 \(0, 0\)$"):
+        BoxTree.restore(quad_c0(), [[1, 0, 0], [3, 7, 7], [1, 1, 1], [3, 0, 0]])
+
+
 # ---------------------------------------------------------------------------
 # query_intersect
 # ---------------------------------------------------------------------------
@@ -181,9 +188,11 @@ def _random_probe(rng, rp, ncoords, real, point=False):
 
 def _check_against_linear_scan(tree, ncoords, probes, seed):
     """query_intersect, and leaves_containing_point for the degenerate
-    probes (every fourth), equal a linear scan over the leaves."""
+    probes (every fourth), equal a linear scan over the leaves; one bulk
+    lookup of all the probes yields each meeting pair exactly once."""
     rng = random.Random(seed)
     boxes = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
+    want_pairs, axes = [], []
     for k in range(probes):
         point = k % 4 == 0
         probe = _random_probe(rng, tree.r_prime, ncoords, False, point)
@@ -194,6 +203,14 @@ def _check_against_linear_scan(tree, ncoords, probes, seed):
         if point:
             values = tuple(iv.lo for iv in probe.axes())
             assert tree.leaves_containing_point(values) == want, values
+        want_pairs += [(k, lid) for lid in want]
+        axes.append(probe.axes())
+    lo = np.array([[iv.lo for iv in row] for row in axes])
+    hi = np.array([[iv.hi for iv in row] for row in axes])
+    query, lid = tree.meeting(lo, hi)
+    got = list(zip(query.tolist(), lid.tolist()))
+    assert len(got) == len(set(got)), "a pair was yielded twice"
+    assert sorted(got) == want_pairs
 
 
 def test_query_matches_linear_scan_oracle():
@@ -210,6 +227,19 @@ def test_query_matches_linear_scan_henon():
     subdivide_all(tree, 2)
     tree.subdivide(lambda lid: lid % 2 == 0)
     _check_against_linear_scan(tree, 2, 200, seed=13)
+
+
+@pytest.mark.parametrize("make,ncoords,depth,every", [(quad_c0, 1, 4, 4), (per31, 2, 2, 16)])
+def test_query_matches_linear_scan_three_depths(make, ncoords, depth, every):
+    # a small subset subdivided twice, as two sink-basin steps do: three
+    # live depths, the deepest one sparse in its grid
+    tree = init_root(make())
+    subdivide_all(tree, depth)
+    old = max(tree.live_ids())
+    tree.subdivide(lambda lid: lid % 8 == 0)
+    tree.subdivide(lambda lid: lid > old and (lid - old) % every == 1)
+    assert len(tree.depth_counts()) == 3
+    _check_against_linear_scan(tree, ncoords, 150, seed=14)
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 from boxchain.ia import Interval
 from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
-from boxchain.boxtree import init_root
+from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
 from boxchain.chain_graph import (
     ChainGraph,
     build_edges,
@@ -37,6 +37,20 @@ def grown_tree(model, depth, prune=6):
         tree.subdivide(lambda lid: True)
         if prune:
             tree.prune_escaping(prune)
+    return tree
+
+
+def mixed_tree(model, depth):
+    """grown_tree(model, depth), then a small subset subdivided twice, as
+    two sink-basin steps do, each step pruned: three live depths, the
+    deepest one sparse in its grid."""
+    tree = grown_tree(model, depth)
+    old = max(tree.live_ids())
+    tree.subdivide(lambda lid: lid % 8 == 0)
+    tree.prune_escaping(6)
+    tree.subdivide(lambda lid: lid > old and lid % 8 == 1)
+    tree.prune_escaping(6)
+    assert len(tree.depth_counts()) == 3
     return tree
 
 
@@ -86,10 +100,18 @@ def _oracle_edges(tree, model, delta):
     return edges
 
 
-@pytest.mark.parametrize("make,depth", [(quad_c0, 4), (per31, 4)])
-def test_edges_match_all_pairs_oracle(make, depth):
+@pytest.mark.parametrize(
+    "make,depth,grow",
+    [
+        pytest.param(quad_c0, 4, grown_tree, id="quad_c0-4"),
+        pytest.param(per31, 4, grown_tree, id="per31-4"),
+        pytest.param(quad_c0, 4, mixed_tree, id="quad_c0-4-three_depths"),
+        pytest.param(per31, 3, mixed_tree, id="per31-3-three_depths"),
+    ],
+)
+def test_edges_match_all_pairs_oracle(make, depth, grow):
     model = make()
-    tree = grown_tree(model, depth)
+    tree = grow(model, depth)
     delta = tree.epsilon_min() / 1000.0
     g = build_edges(tree, model, delta)
     got = {
@@ -99,6 +121,7 @@ def test_edges_match_all_pairs_oracle(make, depth):
     }
     want = _oracle_edges(tree, model, delta)
     assert got == want
+    assert g.n_edges == len(want)  # no edge twice
     # edge-soundness spot check: absent pairs are genuinely disjoint
     assert all(pair in got for pair in want)
 
@@ -141,12 +164,36 @@ def test_memory_budget_abort():
     assert ei.value.vertices > 0
 
 
+def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
+    """The lookup reaches the deeper leaves through the occupied cells of
+    the shallowest depth: at most 3 candidate cells per edge on a
+    three-depth tree (a scan of the deeper grids needs about 14)."""
+    model = per31()
+    tree = grown_tree(model, 4)
+    for _ in range(2):
+        tree.subdivide(sink_basin_selector(tree))
+        tree.prune_escaping(6)
+    assert len(tree.depth_counts()) == 3
+    counts = []
+    lookup = BoxTree.lookup
+
+    def counting(self, lo, hi, before_chunk=None):
+        def count(ncand):
+            counts.append(ncand)
+            before_chunk(ncand)
+
+        return lookup(self, lo, hi, before_chunk=count)
+
+    monkeypatch.setattr(BoxTree, "lookup", counting)
+    g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+    assert sum(counts) <= 3 * g.n_edges, (sum(counts), g.n_edges)
+
+
 def test_memory_budget_bounds_traced_peak():
     """Under a budget, build_edges either returns within it (tracemalloc
     peak) or aborts with MemoryBudgetError."""
     model = per31()
-    tree = grown_tree(model, 4)
-    tree.subdivide(lambda lid: lid % 3 == 0)  # mixed depths
+    tree = mixed_tree(model, 4)
     delta = tree.epsilon_min() / 1000.0
     outcomes = set()
     for budget_mb in np.geomspace(1.0, 100.0, 25):

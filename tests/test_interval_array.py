@@ -7,6 +7,7 @@ Rows whose array enclosure blows up to inf or NaN are exempt: the
 pipeline masks them (prune_escaping keeps such leaves, build_edges
 refuses to run on them)."""
 
+import math
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxchain.ia import ComplexInterval, ComplexIntervalArray, Interval, IntervalArray
+from boxchain.ia import _down_arr, _up_arr, ComplexInterval, ComplexIntervalArray, Interval, IntervalArray
 from boxchain.maps import MapModel, batch_backward, batch_forward
 
 MAX = sys.float_info.max
@@ -87,6 +88,39 @@ def test_interval_array_ops_enclose_scalar_ops(a, b):
     for got, want in pairs:
         if np.isfinite(got.lo[0]) and np.isfinite(got.hi[0]):
             assert got.lo[0] <= want.lo and want.hi <= got.hi[0], (a, b)
+
+
+# every value class: signed zeros, subnormals, +/-max, infinities, NaN
+# (quiet, signalling, either sign), normals of every exponent, and any
+# bit pattern at all
+quiet_nan, signalling_nan = (
+    np.array([0x7FF8000000000000, 0x7FF0000000000001], dtype=np.int64).view(np.float64)
+)
+any_double = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, MIN_NORMAL, -MIN_NORMAL, MAX, -MAX, math.inf, -math.inf]
+        + [quiet_nan, -quiet_nan, signalling_nan, -signalling_nan]
+    ),
+    st.builds(
+        lambda sign, m, e: sign * math.ldexp(m, e),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(-1021, 1024),
+    ),
+    st.integers(-(2**63), 2**63 - 1).map(lambda b: np.int64(b).view(np.float64)),
+)
+
+
+@given(values=st.lists(any_double, min_size=1, max_size=40))
+@PROPERTY
+def test_ulp_steps_equal_nextafter_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    column = np.stack([x, x[::-1]], axis=1)[:, 0]  # a strided view, as batch rows give
+    with np.errstate(all="ignore"):
+        for arr in (x, column):
+            for ours, toward in ((_down_arr, -np.inf), (_up_arr, np.inf)):
+                want = np.nextafter(arr, toward).view(np.int64)
+                assert np.array_equal(ours(arr).view(np.int64), want), arr
 
 
 def test_real_mode_array_stores_no_imaginary_part():
