@@ -240,6 +240,7 @@ class BoxTree:
                 if not shift:
                     yield rows[query[found]], level_rows[pos[found]]
                     continue
+                # keep only the matched coarse cells while the fine chunks run
                 query, key = query[found], key[found]
                 del pos, found
                 first, sizes = _clip(i0, i1, query, key, top, depth)

@@ -21,7 +21,8 @@ range's cells at the shallowest live depth against the ancestors of
 that grid's leaves, then only the fine cells inside the ancestors
 found, so sparse deep grids cost about as many candidates per edge as
 a single-depth tree.  This is checked against the all-pairs oracle in
-the tests, on single- and three-depth trees.  Classification uses the same lookup on the sink orbit points.
+the tests, on single- and three-depth trees.  Classification uses the
+same lookup on the sink orbit points.
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
