@@ -441,12 +441,12 @@ def report_for_map(
     """Assemble the full ledger for one model state of a map.
 
     delta defaults to epsilon_min / delta_ratio (epsilon_min defaults
-    to epsilon and may not exceed it; delta_ratio must exceed 1).
+    to epsilon and may not exceed it; 1 < delta_ratio < inf).
     ``model.a_mod`` is the map's own |a| (0 for quad_poly); the cubic
     uses its own growth / edge-error polynomials.
     """
-    if not delta_ratio > 1.0:
-        raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
+    if not 1.0 < delta_ratio < math.inf:
+        raise UsageError("delta_ratio must be finite and exceed 1 (delta << epsilon)")
     if epsilon_min is None:
         epsilon_min = epsilon
     if not epsilon_min <= epsilon:

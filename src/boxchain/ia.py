@@ -18,27 +18,30 @@ mul_down/mul_up when the product's magnitude is below _SMALL = 1e-290
 or a factor's is above _BIG ~ 6.7e299 (the Dekker error term is not
 exact there), and div_down/div_up when an operand is infinite.  So
 mul_down(3e-300, 2.0) is one ulp below the exact double 6e-300.
-Hardware rounding-mode switching is deliberately not used; everything
-here is pure and thread-safe.
+Each upward bound is a negated downward one (rounding is odd), so the
+rounding is written once per operation.  Hardware rounding-mode
+switching is deliberately not used; everything here is pure and
+thread-safe.
 
-Three layers of data live here:
+Four layers of data live here:
 
 * ``Interval``        -- a closed real interval [lo, hi];
-* ``ComplexInterval`` -- a rectangle re + i*im, re/im intervals;
-* ``BoxRegion``       -- a vector of ComplexIntervals (length 2 for
-  maps of C^2, length 1 for maps of C), optionally flagged real-mode,
-  in which case imaginary parts are pinned to [0, 0].
+* ``IntervalArray``   -- its numpy counterpart, element-wise intervals
+  over float64 arrays, for evaluating one formula on many boxes at once;
+* ``ComplexInterval`` -- a rectangle re + i*im whose parts are both
+  Intervals or both IntervalArrays (im None in real mode), with one
+  add/sub/mul/square/div for either;
+* ``BoxRegion``       -- a vector of scalar ComplexIntervals (length 2
+  for maps of C^2, length 1 for maps of C), optionally flagged
+  real-mode, in which case imaginary parts are pinned to [0, 0].
 
-``IntervalArray`` and ``ComplexIntervalArray`` are the numpy
-counterparts of the first two, with the same add/sub/mul/square/div
-API, for evaluating one formula on many boxes at once.  They round
-blindly: each endpoint is computed in round-to-nearest and then moved
-one ulp outward (np.nextafter's result, taken as an integer step on
-the bits), exact or not, so they are never tighter than the scalar
-operation on the same operands, except in one exact step: a complex
-square doubles Re*Im without rounding.  They do not
-validate: rows that overflow hold inf or NaN, and the caller masks
-them.
+``IntervalArray`` rounds blindly: each endpoint is computed in
+round-to-nearest and then moved one ulp outward (np.nextafter's result,
+taken as an integer step on the bits), exact or not, so array results
+are never tighter than the scalar operation on the same operands,
+except in one exact step: a complex square doubles Re*Im without
+rounding.  Arrays do not validate: rows that overflow hold inf or NaN,
+and the caller masks them.
 
 Box geometry (widen / intersects / sup_distance) is taken in the
 sup norm over all real coordinates: ||x|| = max(|Re x_k|, |Im x_k|).
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -60,7 +63,6 @@ __all__ = [
     "ComplexInterval",
     "BoxRegion",
     "IntervalArray",
-    "ComplexIntervalArray",
     "BoxPredicates",
     "box_predicates",
     "hull_complex",
@@ -87,19 +89,13 @@ _nextafter = math.nextafter
 
 
 def _down_blind(x: float) -> float:
-    if x == _INF:
-        return _MAX
-    if x == -_INF:
-        return -_INF
-    return _nextafter(x, -_INF)
+    # nextafter(-inf, -inf) is -inf, so only +inf needs a rule.
+    return _MAX if x == _INF else _nextafter(x, -_INF)
 
 
-def _up_blind(x: float) -> float:
-    if x == -_INF:
-        return -_MAX
-    if x == _INF:
-        return _INF
-    return _nextafter(x, _INF)
+# Rounding is odd, so up(a, b) = -down(-a, b) (-down(-a, -b) for add);
+# lower bounds saturate +inf to MAX, hence upper ones -inf to -MAX, and
+# "0.0 -" turns a -0.0 into +0.0.
 
 
 def add_down(a: float, b: float) -> float:
@@ -120,18 +116,7 @@ def add_down(a: float, b: float) -> float:
 
 def add_up(a: float, b: float) -> float:
     """Smallest double >= the exact a + b."""
-    s = a + b
-    if s != s:
-        return _INF
-    if s == -_INF:
-        return -_MAX
-    if s == _INF:
-        return _INF
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    if err != err:
-        return _up_blind(s)
-    return s if err <= 0.0 else _nextafter(s, _INF)
+    return 0.0 - add_down(-a, -b)
 
 
 def sub_down(a: float, b: float) -> float:
@@ -139,7 +124,7 @@ def sub_down(a: float, b: float) -> float:
 
 
 def sub_up(a: float, b: float) -> float:
-    return add_up(a, -b)
+    return 0.0 - add_down(-a, b)
 
 
 def _prod_err(a: float, b: float, p: float) -> float:
@@ -172,19 +157,7 @@ def mul_down(a: float, b: float) -> float:
 
 def mul_up(a: float, b: float) -> float:
     """Smallest double >= the exact a * b."""
-    p = a * b
-    if p != p:
-        return _INF
-    if p == -_INF:
-        return -_MAX
-    if p == _INF:
-        return _INF
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if abs(a) > _BIG or abs(b) > _BIG or abs(p) < _SMALL:
-        return _up_blind(p)
-    err = _prod_err(a, b, p)
-    return p if err <= 0.0 else _nextafter(p, _INF)
+    return 0.0 - mul_down(-a, b)
 
 
 def _cmp_quot(q: float, a: float, b: float) -> int:
@@ -217,47 +190,30 @@ def div_down(a: float, b: float) -> float:
 
 def div_up(a: float, b: float) -> float:
     """Smallest double >= the exact a / b (b != 0)."""
-    q = a / b
-    if q != q:
-        return _INF
-    if q == -_INF:
-        return -_MAX
-    if q == _INF:
-        return _INF
-    if a == 0.0:
+    return 0.0 - div_down(-a, b)
+
+
+def _sqrt_toward(x: float, toward: float) -> float:
+    # sqrt(x) (x >= 0) rounded to the nearest double toward +-inf.
+    if x == 0.0:
         return 0.0
-    if abs(a) == _INF or abs(b) == _INF:
-        return _up_blind(q)
-    c = _cmp_quot(q, a, b)
-    return q if c >= 0 else _nextafter(q, _INF)
+    if x == _INF:
+        return _INF if toward > 0.0 else _MAX
+    s = math.sqrt(x)
+    sn, sd = s.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    over = sn * sn * xd - xn * sd * sd  # sign of s^2 - x
+    return s if over == 0 or (over > 0) == (toward > 0.0) else _nextafter(s, toward)
 
 
 def sqrt_down(x: float) -> float:
     """Largest double <= the exact sqrt(x) (x >= 0)."""
-    if x == 0.0:
-        return 0.0
-    if x == _INF:
-        return _MAX
-    s = math.sqrt(x)
-    sn, sd = s.as_integer_ratio()
-    xn, xd = x.as_integer_ratio()
-    lhs = sn * sn * xd  # sign of s^2 - x
-    rhs = xn * sd * sd
-    return s if lhs <= rhs else _nextafter(s, -_INF)
+    return _sqrt_toward(x, -_INF)
 
 
 def sqrt_up(x: float) -> float:
     """Smallest double >= the exact sqrt(x) (x >= 0)."""
-    if x == 0.0:
-        return 0.0
-    if x == _INF:
-        return _INF
-    s = math.sqrt(x)
-    sn, sd = s.as_integer_ratio()
-    xn, xd = x.as_integer_ratio()
-    lhs = sn * sn * xd
-    rhs = xn * sd * sd
-    return s if lhs >= rhs else _nextafter(s, _INF)
+    return _sqrt_toward(x, _INF)
 
 
 class Interval:
@@ -400,6 +356,10 @@ class Interval:
     def scale(self, s: float) -> "Interval":
         return self.mul(Interval.point(s))
 
+    def twice(self) -> "Interval":
+        """2 * self, outward rounded: a lower end saturates at MAX."""
+        return self.scale(2.0)
+
     __add__ = add
     __sub__ = sub
     __mul__ = mul
@@ -411,11 +371,18 @@ _ZERO = Interval(0.0, 0.0)
 
 
 class ComplexInterval:
-    """Rectangle {x + iy : x in re, y in im}.  Immutable."""
+    """Rectangle {x + iy : x in re, y in im}.  Immutable.
+
+    The parts are both ``Interval``s (one rectangle) or both
+    ``IntervalArray``s (one rectangle per row).  ``im=None`` is real
+    mode: the imaginary part is exactly zero and is not stored, and the
+    other operand of an operation must then be real (zero imaginary
+    part) as well, since its imaginary part is ignored.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Interval, im: Interval):
+    def __init__(self, re, im):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -447,29 +414,29 @@ class ComplexInterval:
         return self.re.encloses(other.re) and self.im.encloses(other.im)
 
     def add(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re.add(other.re), self.im.add(other.im))
+        im = None if self.im is None else self.im.add(other.im)
+        return ComplexInterval(self.re.add(other.re), im)
 
     def sub(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re.sub(other.re), self.im.sub(other.im))
+        im = None if self.im is None else self.im.sub(other.im)
+        return ComplexInterval(self.re.sub(other.re), im)
 
     def neg(self) -> "ComplexInterval":
         return ComplexInterval(self.re.neg(), self.im.neg())
 
     def mul(self, other: "ComplexInterval") -> "ComplexInterval":
         # (a+bi)(c+di): re = ac - bd, im = ad + bc, each outward rounded.
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        return ComplexInterval(
-            a.mul(c).sub(b.mul(d)),
-            a.mul(d).add(b.mul(c)),
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b is None:
+            return ComplexInterval(a.mul(c), None)
+        return ComplexInterval(a.mul(c).sub(b.mul(d)), a.mul(d).add(b.mul(c)))
 
     def square(self) -> "ComplexInterval":
         # re^2 - im^2 via dedicated squares (tighter than self*self).
-        return ComplexInterval(
-            self.re.square().sub(self.im.square()),
-            self.re.mul(self.im).scale(2.0),
-        )
+        if self.im is None:
+            return ComplexInterval(self.re.square(), None)
+        p = self.re.mul(self.im)
+        return ComplexInterval(self.re.square().sub(self.im.square()), p.twice())
 
     def abs_sq(self) -> Interval:
         """Enclosure of |z|^2."""
@@ -480,12 +447,14 @@ class ComplexInterval:
         return self.abs_sq().sqrt()
 
     def div(self, other: "ComplexInterval") -> "ComplexInterval":
-        """Enclosure of {u / v}; requires 0 not in the |v|^2 enclosure."""
+        """Quotient by a scalar rectangle: u * conj(v) / |v|^2, with the
+        tight scalar enclosure of |v|^2; requires 0 not in it."""
         den = other.abs_sq()
         if den.lo <= 0.0:
             raise DomainError("complex division by a rectangle meeting zero")
         num = self.mul(ComplexInterval(other.re, other.im.neg()))
-        return ComplexInterval(num.re.div(den), num.im.div(den))
+        im = None if num.im is None else num.im.div(den)
+        return ComplexInterval(num.re.div(den), im)
 
     __add__ = add
     __sub__ = sub
@@ -685,49 +654,6 @@ class IntervalArray:
         al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
         return _hull4(al / bl, al / bh, ah / bl, ah / bh)
 
-
-class ComplexIntervalArray:
-    """Element-wise rectangles re + i*im over IntervalArrays.
-
-    ``im=None`` is real mode: the imaginary part is exactly zero and is
-    not stored.  A real-mode array ignores the imaginary part of the
-    other operand, which must therefore be real (zero) as well.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: IntervalArray, im: Optional[IntervalArray]):
-        self.re = re
-        self.im = im
-
-    def add(self, other) -> "ComplexIntervalArray":
-        im = None if self.im is None else self.im.add(other.im)
-        return ComplexIntervalArray(self.re.add(other.re), im)
-
-    def sub(self, other) -> "ComplexIntervalArray":
-        im = None if self.im is None else self.im.sub(other.im)
-        return ComplexIntervalArray(self.re.sub(other.re), im)
-
-    def mul(self, other) -> "ComplexIntervalArray":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b is None:
-            return ComplexIntervalArray(a.mul(c), None)
-        return ComplexIntervalArray(a.mul(c).sub(b.mul(d)), a.mul(d).add(b.mul(c)))
-
-    def square(self) -> "ComplexIntervalArray":
-        if self.im is None:
-            return ComplexIntervalArray(self.re.square(), None)
-        p = self.re.mul(self.im)  # doubling is exact: no rounding step
-        return ComplexIntervalArray(
-            self.re.square().sub(self.im.square()), IntervalArray(2.0 * p.lo, 2.0 * p.hi)
-        )
-
-    def div(self, other: ComplexInterval) -> "ComplexIntervalArray":
-        """Quotient by a scalar rectangle: u * conj(v) / |v|^2, with the
-        tight scalar enclosure of |v|^2."""
-        den = other.abs_sq()
-        if den.lo <= 0.0:
-            raise DomainError("complex division by a rectangle meeting zero")
-        num = self.mul(ComplexInterval(other.re, other.im.neg()))
-        im = None if num.im is None else num.im.div(den)
-        return ComplexIntervalArray(num.re.div(den), im)
+    def twice(self) -> "IntervalArray":
+        """2 * self; doubling is exact, so there is no rounding step."""
+        return IntervalArray(2.0 * self.lo, 2.0 * self.hi)

@@ -34,12 +34,13 @@ API of ``ia``.  Two arithmetics run it:
 
 * ``image``/``preimage`` pass the ComplexIntervals of a ``BoxRegion``:
   the tightest directed rounding, the independent oracle;
-* ``batch_forward``/``batch_backward`` pass ComplexIntervalArrays built
-  from [N, naxes] endpoint arrays: blind one-ulp outward rounding, used
-  by every bulk pipeline phase.  Both enclose the exact image, and on
-  every row whose result is finite the array enclosure contains the
-  scalar one (tests/test_interval_array.py checks this on adversarial
-  endpoints), so an edge or escape decision made from it is as sound.
+* ``batch_forward``/``batch_backward`` pass ComplexIntervals of
+  IntervalArrays built from [N, naxes] endpoint arrays (imaginary part
+  None in real mode): blind one-ulp outward rounding, used by every
+  bulk pipeline phase.  Both enclose the exact image, and on every row
+  whose result is finite the array enclosure contains the scalar one
+  (tests/test_interval_array.py checks this on adversarial endpoints),
+  so an edge or escape decision made from it is as sound.
 
 ``coords_from_axes``/``axes_from_coords`` hold the phase-space layout:
 which real axes make up a point or box of each kind.
@@ -60,7 +61,6 @@ from .errors import ParseError
 from .ia import (
     BoxRegion,
     ComplexInterval,
-    ComplexIntervalArray,
     Interval,
     IntervalArray,
     UsageError,
@@ -250,10 +250,7 @@ class MapModel:
         return self.axes_from_coords(pt, lambda z: (z.real, z.imag))
 
     def box_from_axes(self, axes) -> BoxRegion:
-        coords = self.coords_from_axes(
-            axes, lambda re, im: ComplexInterval(re, _ZERO if im is None else im)
-        )
-        return BoxRegion(coords, real=self.real_mode)
+        return BoxRegion(self.coords_from_axes(axes, ComplexInterval), real=self.real_mode)
 
     # -- interval extension F (one formula, scalar or array coordinates) -----
 
@@ -263,9 +260,9 @@ class MapModel:
         return ComplexInterval(asq.re.mul(three), asq.im.mul(three))
 
     def interval_forward(self, coords) -> tuple:
-        """F on ComplexIntervals or ComplexIntervalArrays.  A box variable
-        is always the receiver (y.mul(a), not a.mul(y)): the scalar
-        constants take no array operand."""
+        """F on ComplexIntervals whose parts are Intervals or
+        IntervalArrays.  A box variable is always the receiver (y.mul(a),
+        not a.mul(y)): the scalar constants take no array operand."""
         if self.is_henon:
             x, y = coords
             return (x.square().add(self.c_iv).sub(y.mul(self.a_iv)), x)
@@ -662,7 +659,7 @@ def sink_orbits(model: MapModel) -> list[SinkOrbit]:
 
 def _on_rows(model: MapModel, formula, lo, hi):
     axes = [IntervalArray(lo[:, k], hi[:, k]) for k in range(model.naxes)]
-    out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexIntervalArray)))
+    out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexInterval)))
     return np.column_stack([v.lo for v in out]), np.column_stack([v.hi for v in out])
 
 

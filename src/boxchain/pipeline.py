@@ -126,8 +126,8 @@ class RunConfig:
         for tok in self.schedule:
             if tok not in _MODES:
                 raise UsageError(f"unknown schedule step {tok!r}")
-        if not self.delta_ratio > 1.0:
-            raise UsageError("delta_ratio must exceed 1 (delta << epsilon)")
+        if not 1.0 < self.delta_ratio < math.inf:
+            raise UsageError("delta_ratio must be finite and exceed 1 (delta << epsilon)")
         if self.mem_budget_mb is not None and not self.mem_budget_mb > 0.0:
             raise UsageError("mem_budget_mb must be positive, or None for no budget")
 

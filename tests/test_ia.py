@@ -2,6 +2,7 @@
 soundness sweeps, and the rational-arithmetic oracles."""
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -25,6 +26,8 @@ from boxchain.ia import (
     mul_up,
     sqrt_down,
     sqrt_up,
+    sub_down,
+    sub_up,
 )
 from boxchain.maps import MapModel
 
@@ -166,6 +169,69 @@ def test_directed_ops_outward_over_full_exponent_range():
         assert Fraction(sd) ** 2 <= Fraction(x) <= Fraction(su) ** 2
     for a, b in ((math.inf, 3.0), (3.0, math.inf), (-math.inf, 2.0), (2.0, -math.inf)):
         assert div_down(a, b) <= a / b <= div_up(a, b)
+
+
+MAX = sys.float_info.max
+SPECIAL_GRID = [
+    0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+    1.0, -1.0, MAX, -MAX, math.inf, -math.inf,
+]  # fmt: skip
+
+
+def _blind_mul(a, b):
+    # the documented range where mul rounds one ulp outward blindly
+    return max(abs(a), abs(b)) > 6.696928794914171e299 or abs(a * b) < 1e-290
+
+
+def _assert_bound_down(got, exact, slack):
+    # got <= exact, and at most `slack` doubles strictly between them;
+    # -inf counts as the double just below -MAX
+    assert got == -math.inf or Fraction(got) <= exact
+    nxt = got
+    for _ in range(slack + 1):
+        nxt = math.nextafter(nxt, math.inf)
+    assert nxt == math.inf or Fraction(nxt) > exact
+
+
+@pytest.mark.parametrize("a", SPECIAL_GRID, ids=repr)
+def test_directed_pairs_on_special_values(a):
+    for b in SPECIAL_GRID:
+        ops = [
+            (add_down, add_up, operator.add),
+            (sub_down, sub_up, operator.sub),
+            (mul_down, mul_up, operator.mul),
+        ]
+        if b != 0.0:
+            ops.append((div_down, div_up, operator.truediv))
+        for down, up, op in ops:
+            lo, hi = down(a, b), up(a, b)
+            if math.isinf(a) or math.isinf(b):
+                r = op(a, b)
+                if r != r:  # inf - inf, 0 * inf, inf / inf: everything
+                    assert (lo, hi) == (-math.inf, math.inf), (down, a, b)
+                elif r == math.inf:
+                    assert (lo, hi) == (MAX, math.inf), (down, a, b)
+                elif r == -math.inf:
+                    assert (lo, hi) == (-math.inf, -MAX), (down, a, b)
+                else:  # a finite quotient by an infinity rounds blindly
+                    _assert_bound_down(lo, Fraction(r), 1)
+                    _assert_bound_down(-hi, -Fraction(r), 1)
+                continue
+            # tight wherever the result is finite; an infinite end only
+            # where the exact value overflows or mul rounds blindly
+            exact = op(Fraction(a), Fraction(b))
+            slack = 1 if op is operator.mul and _blind_mul(a, b) else 0
+            _assert_bound_down(lo, exact, slack)
+            _assert_bound_down(-hi, -exact, slack)
+
+
+def test_directed_saturation_rules():
+    assert add_up(MAX, MAX) == math.inf
+    assert add_down(MAX, MAX) == MAX
+    assert mul_up(-MAX, 2.0) == -MAX
+    assert mul_down(MAX, 2.0) == MAX
+    assert (add_down(math.inf, -math.inf), add_up(math.inf, -math.inf)) == (-math.inf, math.inf)
+    assert iv(math.inf, math.inf).add(iv(-math.inf, -math.inf)) == iv(-math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: the numpy interval-array path (batch_forward /
-batch_backward) encloses the tight scalar ia path (MapModel.image /
-preimage) on adversarial endpoints -- signed zeros, subnormals, +/-max
+batch_backward, ComplexIntervals of IntervalArrays) encloses the tight
+scalar ia path (MapModel.image / preimage, ComplexIntervals of
+Intervals) on adversarial endpoints -- signed zeros, subnormals, +/-max
 and boxes of huge width -- for every map family, in both directions.
 
 Rows whose array enclosure blows up to inf or NaN are exempt: the
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxchain.ia import _down_arr, _up_arr, ComplexInterval, ComplexIntervalArray, Interval, IntervalArray
+from boxchain.ia import _down_arr, _up_arr, ComplexInterval, Interval, IntervalArray
 from boxchain.maps import MapModel, batch_backward, batch_forward
 
 MAX = sys.float_info.max
@@ -124,8 +125,21 @@ def test_ulp_steps_equal_nextafter_bit_for_bit(values):
 
 
 def test_real_mode_array_stores_no_imaginary_part():
-    x = ComplexIntervalArray(IntervalArray(np.array([1.0]), np.array([2.0])), None)
+    x = ComplexInterval(IntervalArray(np.array([1.0]), np.array([2.0])), None)
     a = ComplexInterval(Interval(-0.25, -0.25), Interval(0.0, 0.0))
     out = x.square().add(a).sub(x).mul(a).div(a)
     assert out.im is None
     assert out.re.lo[0] <= -1.25 and 2.75 <= out.re.hi[0]
+
+
+def test_square_doubles_re_im_by_part_type():
+    # the scalar oracle rounds the doubling outward: a lower end
+    # saturates at MAX where exact doubling would make it +inf
+    big = ComplexInterval(Interval(1e300, 1e300), Interval(1e300, 1e300))
+    assert big.square().im == Interval(MAX, math.inf)
+    # the array path doubles Re*Im exactly, with no rounding step
+    re = IntervalArray(np.array([0.1, -3.0, -0.0]), np.array([0.7, 2.5, 5e-324]))
+    im = IntervalArray(np.array([-0.3, 1e-3, -1e-300]), np.array([0.9, 4.0, 1e-300]))
+    p = re.mul(im)
+    sq = ComplexInterval(re, im).square()
+    assert np.array_equal(sq.im.lo, 2.0 * p.lo) and np.array_equal(sq.im.hi, 2.0 * p.hi)

@@ -1,9 +1,11 @@
 """Pipeline and persistence tests: schedule parsing, reproducibility,
 model round-trips, CLI surface and exit codes, regression invariants."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boxchain
 from boxchain import cli, pipeline
 from boxchain.errors import MemoryBudgetError, ParseError
 from boxchain.ia import UsageError
@@ -664,6 +667,33 @@ def test_cli_bounds_rejects_before_printing(capsys, argv):
 def test_cli_bounds_ledger_checks_m_and_epsilon_min(capsys, preset, argv):
     assert cli.main(["bounds", "--preset", preset, "--epsilon", "0.03", *argv]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "altper2", "--schedule", "uniform*2"],
+        ["bounds", "--preset", "altper2", "--epsilon", "0.1"],
+    ],
+)
+def test_infinite_delta_ratio_is_rejected_before_any_step(capsys, argv):
+    # delta = epsilon_min / inf would be 0; the run must not subdivide first
+    with pytest.raises(UsageError, match="delta_ratio"):
+        small_config(delta_ratio=math.inf).validate()
+    assert cli.main([*argv, "--delta-ratio", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "configuration error: delta_ratio must be finite and exceed 1 (delta << epsilon)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["boxchain"] + [f"boxchain.{m.name}" for m in pkgutil.iter_modules(boxchain.__path__)]
+)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 # ---------------------------------------------------------------------------
