@@ -440,11 +440,14 @@ def report_for_map(
 ) -> BoundsReport:
     """Assemble the full ledger for one model state of a map.
 
-    delta defaults to epsilon_min / delta_ratio (epsilon_min defaults
-    to epsilon and may not exceed it; 1 < delta_ratio < inf).
+    delta defaults to epsilon_min / delta_ratio (0 < epsilon < inf;
+    epsilon_min defaults to epsilon and may not exceed it;
+    1 < delta_ratio < inf).
     ``model.a_mod`` is the map's own |a| (0 for quad_poly); the cubic
     uses its own growth / edge-error polynomials.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not 1.0 < delta_ratio < math.inf:
         raise UsageError("delta_ratio must be finite and exceed 1 (delta << epsilon)")
     if epsilon_min is None:

@@ -130,8 +130,8 @@ def widened_images(tree: BoxTree, model: MapModel, delta: float):
     Returns (ids, wlo, whi); the same arrays drive build_edges and the
     all-pairs test oracle.
     """
-    if delta <= 0.0:
-        raise UsageError("delta must be positive")
+    if not delta > 0.0:  # also rejects NaN
+        raise UsageError(f"delta must be positive, got {delta!r}")
     ids, _, _, lo, hi = tree.live_arrays()
     flo, fhi = batch_forward(model, lo, hi)
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):

@@ -6,18 +6,15 @@ doubles; +/-inf endpoints encode saturation, never NaN.
 
 Rounding strategy (scalar path): results are computed in the default
 round-to-nearest mode and then adjusted outward *only when inexact*.
-Exactness is decided with error-free transformations (two-sum for
-add/sub, Dekker two-product for mul/square) and exact integer-ratio
-comparisons for div/sqrt.  Endpoints are therefore the tightest
+Exactness is decided by one exact comparison over the integers: the
+rounded result's ratio (float.as_integer_ratio) against the exact
+rational sum, product or quotient of the operands' ratios (sqrt
+compares squares the same way).  Endpoints are therefore the tightest
 representable directed-rounded values: an exactly representable result
 is returned unchanged (e.g. square([-1,1]) == [0,1]), and an inexact
 one is off by at most one ulp from the unrepresentable exact endpoint.
-Two ranges fall back to blind one-ulp outward rounding, where the
-endpoint stays outward but may sit one ulp looser than the tightest:
-mul_down/mul_up when the product's magnitude is below _SMALL = 1e-290
-or a factor's is above _BIG ~ 6.7e299 (the Dekker error term is not
-exact there), and div_down/div_up when an operand is infinite.  So
-mul_down(3e-300, 2.0) is one ulp below the exact double 6e-300.
+The one loose case is a quotient of a nonzero finite number by an
+infinite endpoint: it rounds to 0 and is moved one ulp outward.
 Each upward bound is a negated downward one (rounding is odd), so the
 rounding is written once per operation.  Hardware rounding-mode
 switching is deliberately not used; everything here is pure and
@@ -81,37 +78,50 @@ class UsageError(ValueError):
 
 _INF = math.inf
 _MAX = sys.float_info.max
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-_BIG = 6.696928794914171e299  # ~2**996, Dekker overflow guard
-_SMALL = 1e-290  # products below this may have inexact error terms
 
 _nextafter = math.nextafter
 
 
-def _down_blind(x: float) -> float:
-    # nextafter(-inf, -inf) is -inf, so only +inf needs a rule.
-    return _MAX if x == _INF else _nextafter(x, -_INF)
+def _down(r: float, a, b, exact) -> float:
+    """Largest double <= the exact result of an operation on a and b.
+
+    r is that result rounded to nearest; a and b are finite doubles (or
+    ints).  ``exact`` maps their integer ratios an/ad and bn/bd to the
+    result's ratio num/den with den > 0, and one integer comparison
+    then steps r one ulp down only when it lies above num/den.  A
+    non-finite r saturates: +inf to MAX, -inf to -inf, and NaN
+    (inf - inf or 0 * inf from saturated endpoints) to -inf.
+    """
+    if not math.isfinite(r):
+        return _MAX if r == _INF else -_INF
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    num, den = exact(an, ad, bn, bd)
+    rn, rd = r.as_integer_ratio()
+    return _nextafter(r, -_INF) if rn * den > num * rd else r
+
+
+def _sum(an, ad, bn, bd):
+    return an * bd + bn * ad, ad * bd
+
+
+def _prod(an, ad, bn, bd):
+    return an * bn, ad * bd
+
+
+def _quot(an, ad, bn, bd):
+    return (an * bd, ad * bn) if bn > 0 else (-an * bd, -ad * bn)
 
 
 # Rounding is odd, so up(a, b) = -down(-a, b) (-down(-a, -b) for add);
 # lower bounds saturate +inf to MAX, hence upper ones -inf to -MAX, and
-# "0.0 -" turns a -0.0 into +0.0.
+# "0.0 -" turns a -0.0 into +0.0, as "+ 0.0" does for a zero product
+# or quotient.
 
 
 def add_down(a: float, b: float) -> float:
     """Largest double <= the exact a + b."""
-    s = a + b
-    if s != s:  # inf + -inf from saturated endpoints
-        return -_INF
-    if s == _INF:
-        return _MAX
-    if s == -_INF:
-        return -_INF
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    if err != err:
-        return _down_blind(s)
-    return s if err >= 0.0 else _nextafter(s, -_INF)
+    return _down(a + b, a, b, _sum)
 
 
 def add_up(a: float, b: float) -> float:
@@ -127,32 +137,9 @@ def sub_up(a: float, b: float) -> float:
     return 0.0 - add_down(-a, b)
 
 
-def _prod_err(a: float, b: float, p: float) -> float:
-    # Dekker two-product error term; caller guarantees the guards.
-    aa = a * _SPLIT
-    ah = aa - (aa - a)
-    al = a - ah
-    bb = b * _SPLIT
-    bh = bb - (bb - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def mul_down(a: float, b: float) -> float:
     """Largest double <= the exact a * b."""
-    p = a * b
-    if p != p:  # 0 * inf from saturated endpoints
-        return -_INF
-    if p == _INF:
-        return _MAX
-    if p == -_INF:
-        return -_INF
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if abs(a) > _BIG or abs(b) > _BIG or abs(p) < _SMALL:
-        return _down_blind(p)
-    err = _prod_err(a, b, p)
-    return p if err >= 0.0 else _nextafter(p, -_INF)
+    return _down(a * b + 0.0, a, b, _prod)
 
 
 def mul_up(a: float, b: float) -> float:
@@ -160,32 +147,12 @@ def mul_up(a: float, b: float) -> float:
     return 0.0 - mul_down(-a, b)
 
 
-def _cmp_quot(q: float, a: float, b: float) -> int:
-    # sign of q - a/b, all finite, b != 0, decided exactly over Q.
-    qn, qd = q.as_integer_ratio()
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    lhs = qn * bn * ad  # sign of q*b - a, then corrected by sign(b)
-    rhs = an * qd * bd
-    c = (lhs > rhs) - (lhs < rhs)
-    return -c if b < 0 else c
-
-
 def div_down(a: float, b: float) -> float:
     """Largest double <= the exact a / b (b != 0)."""
-    q = a / b
-    if q != q:
-        return -_INF
-    if q == _INF:
-        return _MAX
-    if q == -_INF:
-        return -_INF
-    if a == 0.0:
-        return 0.0
-    if abs(a) == _INF or abs(b) == _INF:
-        return _down_blind(q)
-    c = _cmp_quot(q, a, b)
-    return q if c <= 0 else _nextafter(q, -_INF)
+    q = a / b + 0.0
+    if math.isinf(b) and math.isfinite(a):  # q is 0.0: one ulp loose unless a is 0
+        return _nextafter(q, -_INF) if a else q
+    return _down(q, a, b, _quot)
 
 
 def div_up(a: float, b: float) -> float:
@@ -243,27 +210,20 @@ class Interval:
         """Smallest double interval containing the exact value.
 
         Strings are parsed as exact decimals, so non-dyadic parameters
-        like "-1.17" come out as genuine 1-ulp enclosures.
+        like "-1.17" come out as genuine 1-ulp enclosures.  A value
+        beyond the double range is a DomainError.
         """
         if isinstance(value, float):
             return Interval(value, value)
-        if isinstance(value, int):
-            fr = Fraction(value)
-        elif isinstance(value, (str, Fraction)):
-            fr = Fraction(value)
-        else:
+        if not isinstance(value, (int, str, Fraction)):
             raise UsageError(f"cannot hull {type(value).__name__}")
-        f = fr.numerator / fr.denominator  # correctly rounded
-        if f == _INF:
-            return Interval(_MAX, _INF)
-        if f == -_INF:
-            return Interval(-_INF, -_MAX)
-        exact = Fraction(f)
-        if exact == fr:
-            return Interval(f, f)
-        if exact < fr:
-            return Interval(f, _nextafter(f, _INF))
-        return Interval(_nextafter(f, -_INF), f)
+        fr = Fraction(value)
+        n, d = fr.numerator, fr.denominator
+        try:
+            f = n / d  # correctly rounded
+        except OverflowError:
+            raise DomainError(f"{value!r} lies beyond the largest double") from None
+        return Interval(_down(f, n, d, _quot), -_down(-f, -n, d, _quot))
 
     # -- basic queries ---------------------------------------------------
 
@@ -319,16 +279,12 @@ class Interval:
         return Interval(lo, hi)
 
     def square(self) -> "Interval":
-        """Enclosure of {x^2 : x in self}; never extends below zero.
-
-        A one-signed lower end is clamped at 0, which is exact since
-        x^2 >= 0: below ~1.5e-162 the product rounds to 0.0, which the
-        blind fallback of mul_down would move one ulp below zero."""
+        """Enclosure of {x^2 : x in self}; never extends below zero."""
         lo, hi = self.lo, self.hi
         if lo >= 0.0:
-            return Interval(max(mul_down(lo, lo), 0.0), mul_up(hi, hi))
+            return Interval(mul_down(lo, lo), mul_up(hi, hi))
         if hi <= 0.0:
-            return Interval(max(mul_down(hi, hi), 0.0), mul_up(lo, lo))
+            return Interval(mul_down(hi, hi), mul_up(lo, lo))
         m = max(-lo, hi)
         return Interval(0.0, mul_up(m, m))
 

@@ -1,13 +1,14 @@
 """Chain graph tests: edge examples, the all-pairs oracle, SCC vs the
 transitive-closure oracle, recurrent-model extraction, classification."""
 
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from boxchain.ia import Interval
+from boxchain.ia import Interval, UsageError
 from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
 from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
@@ -154,6 +155,15 @@ def test_edge_rows_and_from_pairs_invert_each_other():
     for field in ("indptr", "indices", "vertex_ids"):
         a, b = getattr(built, field), getattr(again, field)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("delta", [math.nan, 0.0, -1e-3])
+def test_delta_must_be_positive(delta):
+    # a NaN delta would widen no image and leave a graph without edges
+    model = per31()
+    tree = grown_tree(model, 1)
+    with pytest.raises(UsageError, match="delta must be positive"):
+        build_edges(tree, model, delta)
 
 
 def test_memory_budget_abort():

@@ -73,6 +73,17 @@ def test_hull_non_dyadic_is_one_ulp():
     assert h.hi == math.nextafter(h.lo, math.inf)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [10**400, -(10**400), "1e400", Fraction(10**400, 3)],
+    ids=["int", "-int", "str", "fraction"],
+)
+def test_hull_beyond_the_double_range_is_a_domain_error(value):
+    with pytest.raises(DomainError, match="beyond the largest double") as ei:
+        Interval.hull(value)
+    assert repr(value) in str(ei.value)
+
+
 def test_div_by_zero_interval_is_domain_error():
     with pytest.raises(DomainError):
         iv(1, 2).div(iv(-1, 1))
@@ -134,23 +145,24 @@ def test_directed_endpoints_are_tightest():
         assert su <= math.nextafter(sd, math.inf)
 
 
-def _assert_outward_down(got, exact):
-    # a lower bound, and at most one double strictly between it and the
-    # exact value (tight, or one ulp loose where mul/div round blindly);
-    # -inf only when the exact value lies beyond the largest double
-    if got == -math.inf:
-        assert exact < -sys.float_info.max
-        return
-    assert Fraction(got) <= exact
-    nxt = math.nextafter(math.nextafter(got, math.inf), math.inf)
+MAX = sys.float_info.max
+
+
+def _assert_bound_down(got, exact, slack=0):
+    # got <= exact, and at most `slack` doubles strictly between them;
+    # -inf counts as the double just below -MAX
+    assert got == -math.inf or Fraction(got) <= exact
+    nxt = got
+    for _ in range(slack + 1):
+        nxt = math.nextafter(nxt, math.inf)
     assert nxt == math.inf or Fraction(nxt) > exact
 
 
 def test_directed_ops_outward_over_full_exponent_range():
-    # blind one-ulp rounding: a product below 1e-290 or a factor above
-    # ~6.7e299; both examples below are exact products one ulp off
-    assert mul_down(3e-300, 2.0) == math.nextafter(6e-300, -math.inf)
-    assert mul_down(2.0**1000, 1.5) == math.nextafter(1.5 * 2.0**1000, -math.inf)
+    # every finite bound is tight, exact products of a tiny or a huge
+    # factor included
+    assert mul_down(3e-300, 2.0) == 6e-300
+    assert mul_down(2.0**1000, 1.5) == 1.5 * 2.0**1000
     rng = random.Random(6011)
     for _ in range(6000):
         a = math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
@@ -162,8 +174,8 @@ def test_directed_ops_outward_over_full_exponent_range():
             (div_down, div_up, fa / fb if b != 0.0 else None),
         ):
             if exact is not None:
-                _assert_outward_down(op_down(a, b), exact)
-                _assert_outward_down(-op_up(a, b), -exact)
+                _assert_bound_down(op_down(a, b), exact)
+                _assert_bound_down(-op_up(a, b), -exact)
         x = abs(a)
         sd, su = sqrt_down(x), sqrt_up(x)
         assert Fraction(sd) ** 2 <= Fraction(x) <= Fraction(su) ** 2
@@ -171,26 +183,36 @@ def test_directed_ops_outward_over_full_exponent_range():
         assert div_down(a, b) <= a / b <= div_up(a, b)
 
 
-MAX = sys.float_info.max
+def test_mul_tight_where_products_underflow_or_factors_are_huge():
+    # products below 1e-290 (~2**-963) and factors above 2**996, where a
+    # two-product error term is not exact, round to the tightest double
+    rng = random.Random(3003)
+    for _ in range(4000):
+        if rng.random() < 0.5:
+            ea, t = rng.randint(-1074, 1024), rng.randint(-1130, -963)
+        else:
+            ea, t = rng.randint(997, 1024), rng.randint(-1130, 1100)
+        a = math.ldexp(rng.uniform(-1, 1), ea)
+        b = math.ldexp(rng.uniform(-1, 1), max(-1074, min(1024, t - ea)))
+        exact = Fraction(a) * Fraction(b)
+        _assert_bound_down(mul_down(a, b), exact)
+        _assert_bound_down(-mul_up(a, b), -exact)
+    # a one-signed square that rounds to 0 has the lower end 0, not below
+    assert iv(1e-200, 1e-200).square() == iv(0.0, 5e-324)
+    assert iv(-1e-170, -1e-200).square().lo == 0.0
+
+
+def test_mul_by_one_keeps_the_largest_double():
+    assert mul_up(MAX, 1.0) == MAX
+    assert mul_down(-MAX, 1.0) == -MAX
+    assert mul_down(MAX, 1.0) == MAX and mul_up(-MAX, 1.0) == -MAX
+    assert iv(MAX, MAX).mul(iv(1.0, 1.0)) == iv(MAX, MAX)
+
+
 SPECIAL_GRID = [
     0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
     1.0, -1.0, MAX, -MAX, math.inf, -math.inf,
 ]  # fmt: skip
-
-
-def _blind_mul(a, b):
-    # the documented range where mul rounds one ulp outward blindly
-    return max(abs(a), abs(b)) > 6.696928794914171e299 or abs(a * b) < 1e-290
-
-
-def _assert_bound_down(got, exact, slack):
-    # got <= exact, and at most `slack` doubles strictly between them;
-    # -inf counts as the double just below -MAX
-    assert got == -math.inf or Fraction(got) <= exact
-    nxt = got
-    for _ in range(slack + 1):
-        nxt = math.nextafter(nxt, math.inf)
-    assert nxt == math.inf or Fraction(nxt) > exact
 
 
 @pytest.mark.parametrize("a", SPECIAL_GRID, ids=repr)
@@ -218,11 +240,10 @@ def test_directed_pairs_on_special_values(a):
                     _assert_bound_down(-hi, -Fraction(r), 1)
                 continue
             # tight wherever the result is finite; an infinite end only
-            # where the exact value overflows or mul rounds blindly
+            # where the exact value overflows
             exact = op(Fraction(a), Fraction(b))
-            slack = 1 if op is operator.mul and _blind_mul(a, b) else 0
-            _assert_bound_down(lo, exact, slack)
-            _assert_bound_down(-hi, -exact, slack)
+            _assert_bound_down(lo, exact)
+            _assert_bound_down(-hi, -exact)
 
 
 def test_directed_saturation_rules():

@@ -669,6 +669,17 @@ def test_cli_bounds_ledger_checks_m_and_epsilon_min(capsys, preset, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_cli_bounds_epsilon_must_be_positive_and_finite(capsys, value):
+    # checked before epsilon_min, the ledger invariants and delta
+    assert cli.main(["bounds", "--preset", "per31", "--epsilon", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"configuration error: epsilon must be positive and finite, got {float(value)!r}"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
