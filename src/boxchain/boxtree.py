@@ -25,6 +25,13 @@ A leaf's indices are packed into one int64 key, axis 0 in the high
 bits, so every address needs naxes * depth <= 62 bits; the tree
 enforces that as its depth cap.  The index and the bounds are rebuilt
 lazily after each mutation.
+
+When the map commutes with complex conjugation (its
+``conjugation_axes``), so does the grid: conjugation takes a depth-d
+cell i to 2^d - 1 - i on those axes, and the cell ends to their exact
+negatives.  ``conjugate_rows`` pairs each live leaf with its mirror
+through the address index, and escape pruning iterates one leaf of each
+pair and gives the other the same decision.
 """
 
 from __future__ import annotations
@@ -99,23 +106,12 @@ class BoxTree:
     def leaf_count(self) -> int:
         return len(self._ids)
 
-    def live_ids(self) -> list[int]:
-        return self._ids.tolist()
-
     def live_depths(self) -> list[int]:
         return np.unique(self._depths).tolist()
 
     def depth_counts(self) -> dict[int, int]:
         depths, counts = np.unique(self._depths, return_counts=True)
         return dict(zip(depths.tolist(), counts.tolist()))
-
-    def leaf_address(self, lid: int) -> tuple[int, tuple]:
-        row = self._row(lid)
-        return int(self._depths[row]), tuple(self._idx[row].tolist())
-
-    def has_leaf(self, lid: int) -> bool:
-        row = int(np.searchsorted(self._ids, lid))
-        return row < len(self._ids) and self._ids[row] == lid
 
     def address_table(self, lids) -> np.ndarray:
         """Rows (depth, i_0, ..., i_{k-1}) of the live leaves ``lids``:
@@ -249,6 +245,34 @@ class BoxTree:
                     pos, found = _find(keys, key)
                     yield rows[query[pair[found]]], level_rows[pos[found]]
 
+    def conjugate_rows(self):
+        """(rows, mirror): the rows whose results must be computed, and
+        the row of every live leaf's mirror under complex conjugation,
+        or None when nothing is mirrored and ``rows`` are all the rows.
+
+        Conjugation negates the map's ``conjugation_axes``; on a depth-d
+        grid it takes cell i to 2^d - 1 - i on those axes.  When every
+        live leaf's mirror is a live leaf, the rows are those with an
+        index below 2^(d-1) on the first of the axes: one leaf of each
+        mirrored pair, as no leaf below the root is its own mirror.
+        Otherwise (no such axes, the root alone, or a mirror that is not
+        a live leaf) every row is computed.
+        """
+        every = np.arange(len(self._ids)), None
+        axes = list(self.model.conjugation_axes)
+        if not axes or self._depths.min() == 0:
+            return every
+        mirror = np.empty(len(self._ids), dtype=np.int64)
+        for depth, keys, level_rows, _ in self._address_index():
+            idx = self._idx[level_rows]
+            idx[:, axes] ^= (1 << depth) - 1  # i -> 2^d - 1 - i
+            pos, found = _find(keys, _pack(idx, depth))
+            if not found.all():
+                return every
+            mirror[level_rows] = level_rows[pos]
+        rows = np.flatnonzero((self._idx[:, axes[0]] >> (self._depths - 1)) == 0)
+        return rows, mirror
+
     def meeting(self, lo, hi):
         """(query rows, leaf ids) of all the pairs ``lookup`` yields."""
         parts = list(self.lookup(lo, hi))
@@ -290,12 +314,15 @@ class BoxTree:
 
         Iteration for a leaf stops early once its iterate's side length
         exceeds _BLOWUP_FACTOR * R' (enclosure blowup) or the bounds stop
-        being finite; such leaves are kept.
+        being finite; such leaves are kept.  Only the ``conjugate_rows``
+        are iterated: the iterates of a leaf's mirror are the mirrors of
+        its iterates, and every test here is symmetric in each axis.
         """
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
         ids, _, _, lo, hi = self.live_arrays()
         pruned = np.zeros(len(ids), dtype=bool)
+        todo, mirror = self.conjugate_rows()
         directions = [batch_forward]
         if self.model.is_henon:
             directions.append(batch_backward)
@@ -303,7 +330,7 @@ class BoxTree:
         bound = _BLOWUP_FACTOR * rp
         for step in directions:
             # the rows still iterated in this direction and their iterates
-            rows = np.flatnonzero(~pruned)
+            rows = todo[~pruned[todo]]
             cur_lo, cur_hi = lo[rows], hi[rows]
             for _ in range(max_iter):
                 if not len(rows):
@@ -316,6 +343,8 @@ class BoxTree:
                 pruned[rows[escaped]] = True
                 go_on = ~(escaped | blown)
                 rows, cur_lo, cur_hi = rows[go_on], cur_lo[go_on], cur_hi[go_on]
+        if mirror is not None:
+            pruned |= pruned[mirror]
         return self._keep(~pruned)
 
     def remove_leaves(self, ids) -> int:

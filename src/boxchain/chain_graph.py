@@ -23,6 +23,14 @@ found, so sparse deep grids cost about as many candidates per edge as
 a single-depth tree.  This is checked against the all-pairs oracle in
 the tests, on single- and three-depth trees.  Classification uses the
 same lookup on the sink orbit points.
+
+When the live leaves pair up under complex conjugation σ
+(``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
+only one leaf of each pair is imaged and looked up.  The grid is
+σ-symmetric and the interval images commute with σ bit for bit, so
+k -> j is an edge iff σk -> σj is; each edge found is stored with its
+mirror, and one sort orders both halves.
+
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
@@ -57,18 +65,23 @@ __all__ = [
 
 # Memory budget of build_edges, in tracemalloc bytes.  A vertex costs
 # its live_arrays rows, address index, interval images and per-depth
-# index ranges, counted per axis; an edge costs its 8-byte key in the
-# parts, the concatenated copy that is sorted in place, and the int32
-# index.  The lookup expands about boxtree._CHUNK_CANDIDATES cells at a
-# time, in either of its two stages.  A cell of a chunk costs at most
-# 57 bytes: its key and item, search position, gathered key and match
-# flag (33), and the query and leaf rows of a match (24).  A coarse
-# cell that the first stage matches holds its query, first fine key,
-# count, end and sizes, 8 * (4 + naxes) <= 64 bytes with 4 axes, until
-# the fine chunks have expanded it.  A fine chunk's working set is then
-# at most the mean of its own estimate and that of the coarse chunk
-# the cell came from, when a candidate costs twice the larger of the
-# two: 128 bytes.  (Measured, a chunk holds 35-42 bytes per cell.)
+# index ranges, counted per axis.  The rows and mirror rows of
+# ``BoxTree.conjugate_rows`` (at most 16 bytes a vertex) fit in that
+# figure too: with a mirror, only half the vertices are imaged and
+# ranged.  An edge costs its 8-byte key in the parts, the concatenated
+# copy that is sorted in place, and the int32 index.  The lookup
+# expands about boxtree._CHUNK_CANDIDATES cells at a time, in either of
+# its two stages.  A cell of a chunk costs at most 57 bytes: its key
+# and item, search position, gathered key and match flag (33), and the
+# query and leaf rows of a match (24).  Once a chunk is yielded its
+# gathered key is freed, which leaves room for the source row, mirrored
+# key and mirrored leaf row of a match.  A coarse cell that the first
+# stage matches holds its query, first fine key, count, end and sizes,
+# 8 * (4 + naxes) <= 64 bytes with 4 axes, until the fine chunks have
+# expanded it.  A fine chunk's working set is then at most the mean of
+# its own estimate and that of the coarse chunk the cell came from,
+# when a candidate costs twice the larger of the two: 128 bytes.
+# (Measured, a chunk holds 35-42 bytes per cell.)
 _BYTES_PER_VERTEX_AXIS = 160.0
 _BYTES_PER_CANDIDATE = 128.0
 _BYTES_PER_EDGE = 16.0
@@ -124,15 +137,17 @@ class ChainGraph:
         return k
 
 
-def widened_images(tree: BoxTree, model: MapModel, delta: float):
-    """Bulk widened interval images: bounds of N_delta(F(B)) per live leaf.
+def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
+    """Bulk widened interval images: bounds of N_delta(F(B)) of the live
+    leaves at ``rows``.
 
-    Returns (ids, wlo, whi); the same arrays drive build_edges and the
-    all-pairs test oracle.
+    Returns (ids, wlo, whi) of those leaves; the same arrays drive
+    build_edges and the all-pairs test oracle.
     """
     if not delta > 0.0:  # also rejects NaN
         raise UsageError(f"delta must be positive, got {delta!r}")
     ids, _, _, lo, hi = tree.live_arrays()
+    ids, lo, hi = ids[rows], lo[rows], hi[rows]
     flo, fhi = batch_forward(model, lo, hi)
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):
         raise UsageError("interval image blew up inside V0")
@@ -174,11 +189,21 @@ def build_edges(
             )
 
     check_budget(0, 0)
-    ids, wlo, whi = widened_images(tree, model, delta)
+    # k -> j is an edge iff its mirror is: image and look up one of each pair
+    rows, mirror = tree.conjugate_rows()
+    _, wlo, whi = widened_images(tree, model, delta, rows)
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
     chunks = tree.lookup(wlo, whi, before_chunk=lambda ncand: check_budget(total_edges, ncand))
-    for edge, dst in chunks:
+    for query, dst in chunks:
+        edge = rows[query]
+        del query  # before the mirrored keys are made
+        if mirror is not None:
+            back = mirror[edge]
+            back <<= 32
+            back |= mirror[dst]
+            edge_parts.append(back)
+            total_edges += len(back)
         edge <<= 32
         edge |= dst
         edge_parts.append(edge)
@@ -191,7 +216,7 @@ def build_edges(
     edges &= 0xFFFFFFFF  # keep dst
     return ChainGraph(
         tree=tree,
-        vertex_ids=ids.copy(),
+        vertex_ids=tree.live_arrays()[0].copy(),
         indptr=indptr,
         indices=edges.astype(np.int32),
         delta=float(delta),

@@ -478,10 +478,6 @@ class BoxRegion:
         if len(self.coords) != len(other.coords) or self.real != other.real:
             raise UsageError("box dimensionality mismatch")
 
-    def side_length(self) -> float:
-        """max over real-interval components of (hi - lo), upper rounded."""
-        return max(iv.width() for iv in self.axes())
-
     def contains_point(self, point: Sequence[complex]) -> bool:
         if len(point) != len(self.coords):
             raise UsageError("box dimensionality mismatch")

@@ -149,8 +149,12 @@ class MapModel:
             if a is None:
                 raise UsageError(f"{kind} requires an 'a' parameter")
             self.a_str, self.a_exact, self.a, self.a_iv = parse_complex_param(a)
-            if self.is_henon and self.a == 0:
-                raise UsageError("Henon maps need a != 0 for invertibility")
+            # F^-1 divides by a, through an enclosure of |a|^2 that must exclude 0
+            if self.is_henon and not self.a_iv.abs_sq().lo > 0.0:
+                raise UsageError(
+                    "Henon maps need a != 0 for invertibility, with |a|^2 above 0 "
+                    f"in double precision; got a={self.a_str[0]},{self.a_str[1]}"
+                )
 
         if kind == "henon_real":
             if self.a.imag != 0 or self.c.imag != 0:
@@ -177,6 +181,23 @@ class MapModel:
     @property
     def real_mode(self) -> bool:
         return self.kind == "henon_real"
+
+    @property
+    def conjugation_axes(self) -> tuple:
+        """The real axes complex conjugation negates (Im x and Im y on
+        C^2, Im z on C) when F commutes with it, else ().
+
+        F commutes with conjugation when its formula has real
+        coefficients: every parameter's imaginary hull is exactly
+        [0, 0].  The interval extensions then commute with it exactly:
+        negating the imaginary axes of a box negates those of its
+        enclosure, bit for bit, because every upward rounding is a
+        negated downward one.  In real mode there is nothing to negate.
+        """
+        params = [iv for iv in (self.c_iv, self.a_iv) if iv is not None]
+        if self.real_mode or any(iv.im.lo != 0.0 or iv.im.hi != 0.0 for iv in params):
+            return ()
+        return tuple(range(1, self.naxes, 2))
 
     @property
     def ncoords(self) -> int:

@@ -35,6 +35,7 @@ from boxchain.render import (
     render_slice,
     unstable_parameterization,
 )
+from support_trees import live_ids
 
 
 def _report(number, name, note=""):
@@ -242,7 +243,7 @@ def test_criterion_6b_scc_oracle():
 
 
 def _all_pairs_edges(tree, model, delta):
-    ids, wlo, whi = widened_images(tree, model, delta)
+    ids, wlo, whi = widened_images(tree, model, delta, np.arange(tree.leaf_count))
     boxes = [tree.leaf_box(int(l)) for l in ids]
     edges = set()
     for k in range(len(ids)):
@@ -345,7 +346,7 @@ def test_criterion_7_images(circle_run, per31_run):
         assert img1.at(row, col) != 255, (row, col)
     # pixel-classification soundness on leaf centers
     palette = component_palette(int(gamma.comp.max()) + 1)
-    for lid in list(tree.live_ids())[::37][:8]:
+    for lid in list(live_ids(tree))[::37][:8]:
         box = tree.leaf_box(lid)
         cx, cy = box.coords[0].re.mid(), box.coords[0].im.mid()
         assert tree.leaves_containing_point((cx, cy)) == [lid]

@@ -15,6 +15,7 @@ from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError, box_pr
 from boxchain.errors import ResourceError
 from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
 from boxchain.boxtree import BoxTree, cell_range, init_root, sink_basin_selector
+from support_trees import has_leaf, leaf_address, live_ids
 
 
 def quad_c0(rp=2.0):
@@ -44,18 +45,18 @@ def test_root_box_henon():
     tree = init_root(m)
     assert tree.leaf_count == 1
     rp = snap_up_dyadic(1.9)
-    (lid,) = tree.live_ids()
+    (lid,) = live_ids(tree)
     box = tree.leaf_box(lid)
     for ax in box.axes():
         assert ax == Interval(-rp, rp)
     assert tree.epsilon() == 2 * rp
-    depth, idx = tree.leaf_address(lid)
+    depth, idx = leaf_address(tree, lid)
     assert depth == 0 and idx == (0, 0, 0, 0)
 
 
 def test_root_box_one_dim():
     tree = init_root(quad_c0())
-    (lid,) = tree.live_ids()
+    (lid,) = live_ids(tree)
     box = tree.leaf_box(lid)
     assert [tuple((a.lo, a.hi)) for a in box.axes()] == [(-2.0, 2.0), (-2.0, 2.0)]
 
@@ -78,17 +79,17 @@ def test_exact_tiling_at_depth():
     rp = tree.r_prime
     cell = tree.cell_size(3)
     # cells tile [-R', R'] exactly per axis
-    seen = sorted(tree.leaf_address(l)[1] for l in tree.live_ids())
+    seen = sorted(leaf_address(tree, l)[1] for l in live_ids(tree))
     assert seen == sorted(itertools.product(range(8), repeat=2))
-    for lid in tree.live_ids():
+    for lid in live_ids(tree):
         box = tree.leaf_box(lid)
         for k, ax in enumerate(box.axes()):
-            i = tree.leaf_address(lid)[1][k]
+            i = leaf_address(tree, lid)[1][k]
             assert ax.lo == -rp + i * cell
             assert ax.hi == -rp + (i + 1) * cell
             assert -rp <= ax.lo < ax.hi <= rp
     # exact reconstruction of the full extent
-    bounds = sorted({tree.leaf_box(l).axes()[0].lo for l in tree.live_ids()})
+    bounds = sorted({tree.leaf_box(l).axes()[0].lo for l in live_ids(tree)})
     assert bounds[0] == -rp and len(bounds) == 8
 
 
@@ -152,7 +153,7 @@ def test_query_all_and_empty():
     tree = init_root(m)
     subdivide_all(tree, 2)
     v0 = m.v0_box()
-    assert tree.query_intersect(v0) == tree.live_ids()
+    assert tree.query_intersect(v0) == live_ids(tree)
     rp = tree.r_prime
     far = Interval(rp + 1.0, rp + 2.0)
     probe = BoxRegion(
@@ -191,7 +192,7 @@ def _check_against_linear_scan(tree, ncoords, probes, seed):
     probes (every fourth), equal a linear scan over the leaves; one bulk
     lookup of all the probes yields each meeting pair exactly once."""
     rng = random.Random(seed)
-    boxes = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
+    boxes = {lid: tree.leaf_box(lid) for lid in live_ids(tree)}
     want_pairs, axes = [], []
     for k in range(probes):
         point = k % 4 == 0
@@ -235,7 +236,7 @@ def test_query_matches_linear_scan_three_depths(make, ncoords, depth, every):
     # live depths, the deepest one sparse in its grid
     tree = init_root(make())
     subdivide_all(tree, depth)
-    old = max(tree.live_ids())
+    old = max(live_ids(tree))
     tree.subdivide(lambda lid: lid % 8 == 0)
     tree.subdivide(lambda lid: lid > old and (lid - old) % every == 1)
     assert len(tree.depth_counts()) == 3
@@ -327,7 +328,7 @@ def test_prune_removes_escaping_leaf_within_four_iterates():
     assert target
     tree.prune_escaping(4)
     for lid in target:
-        assert not tree.has_leaf(lid)
+        assert not has_leaf(tree, lid)
 
 
 def test_prune_henon_keeps_sink_and_saddle():
@@ -347,9 +348,9 @@ def test_prune_soundness_bounded_orbits_never_pruned():
     m = quad_c0()
     tree = init_root(m)
     subdivide_all(tree, 5)
-    before = {lid: tree.leaf_box(lid) for lid in tree.live_ids()}
+    before = {lid: tree.leaf_box(lid) for lid in live_ids(tree)}
     tree.prune_escaping(6)
-    gone = [before[lid] for lid in before if not tree.has_leaf(lid)]
+    gone = [before[lid] for lid in before if not has_leaf(tree, lid)]
     rng = random.Random(55)
     rp = tree.r_prime
     kept_probes = 0
@@ -432,11 +433,11 @@ def test_prune_matches_the_mask_loop_reference(make, depth, max_iter):
     tree.subdivide(lambda lid: lid % 5 == 0)
     assert len(tree.depth_counts()) == 3
     kept, n_blown = reference_prune(tree, max_iter)
-    want = np.array(tree.live_ids())[kept].tolist()
+    want = np.array(live_ids(tree))[kept].tolist()
     assert 0 < len(want) < len(kept)
     assert n_blown > 0  # some rows stop iterating because their enclosure blew up
     assert tree.prune_escaping(max_iter) == int((~kept).sum())
-    assert tree.live_ids() == want
+    assert live_ids(tree) == want
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ def test_selector_marks_sink_leaf_and_not_escaping_leaf():
     assert sink_leaves
     assert any(sel(lid) for lid in sink_leaves)
     # a leaf whose center escapes is never selected: saddle-adjacent corner
-    corner = max(tree.live_ids(), key=lambda l: tree.leaf_box(l).axes()[0].hi)
+    corner = max(live_ids(tree), key=lambda l: tree.leaf_box(l).axes()[0].hi)
     assert not sel(corner)
 
 
@@ -471,7 +472,7 @@ def test_selector_one_dim_superattracting():
     # expanding along its orbit and must not be selected
     outside = [
         lid
-        for lid in tree.live_ids()
+        for lid in live_ids(tree)
         if 1.001
         < abs(
             complex(

@@ -20,6 +20,7 @@ from boxchain.chain_graph import (
     scc_decompose,
     widened_images,
 )
+from support_trees import live_ids
 
 
 def quad_c0(rp=2.0):
@@ -28,6 +29,18 @@ def quad_c0(rp=2.0):
 
 def per31():
     return MapModel("henon_complex", c="-1.17", a="0.3", r_prime=2.01)
+
+
+def altper2():
+    return MapModel("henon_complex", c="-1.1875", a="0.15", r_prime=1.9)
+
+
+def cubicdouble():
+    return MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1)
+
+
+def realhorse():
+    return MapModel("henon_real", c="-3", a="-0.25", r_prime=2.57)
 
 
 def grown_tree(model, depth, prune=6):
@@ -44,14 +57,38 @@ def grown_tree(model, depth, prune=6):
 def mixed_tree(model, depth):
     """grown_tree(model, depth), then a small subset subdivided twice, as
     two sink-basin steps do, each step pruned: three live depths, the
-    deepest one sparse in its grid."""
+    deepest one sparse in its grid.  The subset is chosen by leaf id, so
+    the tree is not closed under conjugation: it takes the full path."""
     tree = grown_tree(model, depth)
-    old = max(tree.live_ids())
+    old = max(live_ids(tree))
     tree.subdivide(lambda lid: lid % 8 == 0)
     tree.prune_escaping(6)
     tree.subdivide(lambda lid: lid > old and lid % 8 == 1)
     tree.prune_escaping(6)
     assert len(tree.depth_counts()) == 3
+    return tree
+
+
+def sink_tree(model, depth, steps=2):
+    """grown_tree(model, depth), then ``steps`` pruned sink-basin
+    subdivisions: mixed depths, closed under conjugation when the map
+    commutes with it (the selector's point orbits are exact mirrors)."""
+    tree = grown_tree(model, depth)
+    for _ in range(steps):
+        tree.subdivide(sink_basin_selector(tree))
+        tree.prune_escaping(6)
+    assert len(tree.depth_counts()) == steps + 1
+    return tree
+
+
+def root_tree(model, depth):
+    return init_root(model)
+
+
+def one_removed(model, depth):
+    """sink_tree(model, depth) without its first leaf, whose mirror stays."""
+    tree = sink_tree(model, depth)
+    tree.remove_leaves(live_ids(tree)[:1])
     return tree
 
 
@@ -84,7 +121,7 @@ def test_fixed_point_leaf_has_self_edge_at_every_depth():
 
 
 def _oracle_edges(tree, model, delta):
-    ids, wlo, whi = widened_images(tree, model, delta)
+    ids, wlo, whi = widened_images(tree, model, delta, np.arange(tree.leaf_count))
     boxes = [tree.leaf_box(int(l)) for l in ids]
     naxes = tree.naxes
     edges = set()
@@ -108,6 +145,12 @@ def _oracle_edges(tree, model, delta):
         pytest.param(per31, 4, grown_tree, id="per31-4"),
         pytest.param(quad_c0, 4, mixed_tree, id="quad_c0-4-three_depths"),
         pytest.param(per31, 3, mixed_tree, id="per31-3-three_depths"),
+        pytest.param(per31, 3, sink_tree, id="per31-3-mirrored"),
+        pytest.param(quad_c0, 4, sink_tree, id="quad_c0-4-mirrored"),
+        pytest.param(cubicdouble, 4, grown_tree, id="cubicdouble-4"),
+        pytest.param(realhorse, 4, grown_tree, id="realhorse-4"),
+        pytest.param(per31, 0, root_tree, id="per31-root"),
+        pytest.param(per31, 3, one_removed, id="per31-3-one_removed"),
     ],
 )
 def test_edges_match_all_pairs_oracle(make, depth, grow):
@@ -125,6 +168,97 @@ def test_edges_match_all_pairs_oracle(make, depth, grow):
     assert g.n_edges == len(want)  # no edge twice
     # edge-soundness spot check: absent pairs are genuinely disjoint
     assert all(pair in got for pair in want)
+
+
+def mirror_rows(tree):
+    """The row of each live leaf's mirror, from its address: cell i goes
+    to 2^d - 1 - i on the conjugation axes."""
+    table = tree.address_table(live_ids(tree))
+    depth = table[:, :1]
+    axes = 1 + np.array(tree.model.conjugation_axes)
+    mirrored = table.copy()
+    mirrored[:, axes] = (1 << depth) - 1 - table[:, axes]
+    row = {tuple(r): k for k, r in enumerate(table.tolist())}
+    return np.array([row[tuple(r)] for r in mirrored.tolist()])
+
+
+def no_conjugation(monkeypatch):
+    """Every map takes the full path from here on."""
+    monkeypatch.setattr(MapModel, "conjugation_axes", property(lambda self: ()))
+
+
+def grow_recording(model, depth, steps):
+    """sink_tree(model, depth, steps), and the keep mask of each prune."""
+    tree = init_root(model)
+    kept = []
+    for step in range(depth + steps):
+        tree.subdivide((lambda lid: True) if step < depth else sink_basin_selector(tree))
+        before = live_ids(tree)
+        tree.prune_escaping(6)
+        kept.append(np.isin(before, live_ids(tree)))
+    return tree, kept
+
+
+@pytest.mark.parametrize(
+    "make,depth,steps",
+    [
+        pytest.param(per31, 3, 2, id="per31"),
+        pytest.param(altper2, 3, 2, id="altper2"),
+        pytest.param(quad_c0, 5, 1, id="circle"),
+    ],
+)
+def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkeypatch):
+    model = make()
+    built = []
+    for full in (False, True):
+        if full:
+            no_conjugation(monkeypatch)
+        tree, kept = grow_recording(model, depth, steps)
+        assert (tree.conjugate_rows()[1] is None) == full
+        built.append((kept, build_edges(tree, model, tree.epsilon_min() / 1000.0)))
+    (kept, half), (kept_full, whole) = built
+    assert len(half.tree.depth_counts()) == steps + 1
+    for a, b in zip(kept, kept_full, strict=True):
+        np.testing.assert_array_equal(a, b)
+    for field in ("vertex_ids", "indptr", "indices"):
+        a, b = getattr(half, field), getattr(whole, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "make,depth",
+    [pytest.param(per31, 3, id="per31"), pytest.param(quad_c0, 4, id="circle")],
+)
+def test_edge_set_is_invariant_under_conjugation(make, depth):
+    model = make()
+    tree = sink_tree(model, depth)
+    mirror = mirror_rows(tree)
+    rows, got = tree.conjugate_rows()
+    np.testing.assert_array_equal(got, mirror)
+    # one leaf of each mirrored pair, none its own mirror
+    assert (mirror != np.arange(len(mirror))).all()
+    assert sorted(np.concatenate([rows, mirror[rows]]).tolist()) == list(range(len(mirror)))
+    g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+    src, dst = g.edge_rows()
+    edges = set(zip(src.tolist(), dst.tolist()))
+    assert {(int(mirror[u]), int(mirror[v])) for u, v in edges} == edges
+
+
+@pytest.mark.parametrize(
+    "make,depth,grow",
+    [
+        pytest.param(cubicdouble, 4, grown_tree, id="complex_parameters"),
+        pytest.param(realhorse, 4, grown_tree, id="real_mode"),
+        pytest.param(per31, 0, root_tree, id="root"),
+        pytest.param(per31, 3, one_removed, id="one_leaf_removed"),
+        pytest.param(per31, 3, mixed_tree, id="mixed_tree"),
+    ],
+)
+def test_full_path_without_mirrored_leaves(make, depth, grow):
+    tree = grow(make(), depth)
+    rows, mirror = tree.conjugate_rows()
+    assert mirror is None
+    np.testing.assert_array_equal(rows, np.arange(tree.leaf_count))
 
 
 def test_edges_rows_sorted_and_unique():
@@ -184,7 +318,7 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
         tree.subdivide(sink_basin_selector(tree))
         tree.prune_escaping(6)
     assert len(tree.depth_counts()) == 3
-    counts = []
+    counts, pairs = [], []
     lookup = BoxTree.lookup
 
     def counting(self, lo, hi, before_chunk=None):
@@ -192,18 +326,32 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
             counts.append(ncand)
             before_chunk(ncand)
 
-        return lookup(self, lo, hi, before_chunk=count)
+        for query, leaf in lookup(self, lo, hi, before_chunk=count):
+            pairs.append(len(query))
+            yield query, leaf
 
     monkeypatch.setattr(BoxTree, "lookup", counting)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    assert sum(counts) <= 3 * g.n_edges, (sum(counts), g.n_edges)
+    # the lookup yields the edges of one leaf of each mirrored pair
+    assert 2 * sum(pairs) == g.n_edges
+    assert sum(counts) <= 3 * sum(pairs), (sum(counts), sum(pairs))
 
 
 def test_memory_budget_bounds_traced_peak():
     """Under a budget, build_edges either returns within it (tracemalloc
     peak) or aborts with MemoryBudgetError."""
     model = per31()
-    tree = mixed_tree(model, 4)
+    check_budget_bounds_traced_peak(model, mixed_tree(model, 4))
+
+
+def test_memory_budget_bounds_traced_peak_of_mirrored_build():
+    model = per31()
+    tree = sink_tree(model, 4)
+    assert tree.conjugate_rows()[1] is not None
+    check_budget_bounds_traced_peak(model, tree)
+
+
+def check_budget_bounds_traced_peak(model, tree):
     delta = tree.epsilon_min() / 1000.0
     outcomes = set()
     for budget_mb in np.geomspace(1.0, 100.0, 25):
@@ -380,11 +528,11 @@ def test_recurrent_model_leaves_tree_unchanged():
     model = quad_c0()
     tree = grown_tree(model, 4)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    before = tree.address_table(tree.live_ids())
+    before = tree.address_table(live_ids(tree))
     gamma = recurrent_model(g, scc_decompose(g))
     assert gamma.n_vertices < tree.leaf_count
-    np.testing.assert_array_equal(tree.address_table(tree.live_ids()), before)
-    np.testing.assert_array_equal(tree.live_ids(), g.vertex_ids)
+    np.testing.assert_array_equal(tree.address_table(live_ids(tree)), before)
+    np.testing.assert_array_equal(live_ids(tree), g.vertex_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from boxchain.maps import (
     sup_bounded,
 )
 from boxchain.pipeline import PRESETS
+from support_trees import live_ids
 
 MAPS = {
     "per31": lambda: MapModel("henon_complex", c="-1.17", a="0.3", r_prime=2.01),
@@ -108,7 +109,7 @@ def test_selector_rows_and_leaves_match_reference(name):
             np.testing.assert_array_equal(z, w[ok])
         if iterates == 12:  # the selector's orbit length
             sel = sink_basin_selector(tree)
-            chosen = [lid for lid in tree.live_ids() if sel(lid)]
+            chosen = [lid for lid in live_ids(tree) if sel(lid)]
             assert chosen == sorted(ids[ok & (lmax < 1.0)].tolist())
     if name in ("per31", "z2", "cubicdouble"):
         assert chosen  # each has a sink, so the comparison is not vacuous

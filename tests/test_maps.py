@@ -453,6 +453,14 @@ def test_model_validation():
         MapModel("nope", c="0")
 
 
+@pytest.mark.parametrize("kind", ["henon_complex", "henon_real"])
+def test_henon_a_whose_modulus_underflows_is_rejected(kind):
+    # |1e-170|^2 encloses as [0, 5e-324]: F^-1 could not divide by it
+    with pytest.raises(UsageError, match="a != 0"):
+        MapModel(kind, c="0", a="1e-170")
+    assert MapModel(kind, c="0", a="1e-150").a_iv.abs_sq().lo > 0.0
+
+
 @pytest.mark.parametrize(
     "model",
     [

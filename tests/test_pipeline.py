@@ -636,6 +636,14 @@ def test_parameter_beyond_the_double_range_is_a_parse_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_tiny_henon_a_is_rejected_before_any_step(capsys):
+    # the first escape pruning would divide by |a|^2 = [0, 5e-324]
+    argv = ["run", "--map", "henon_complex", "--c", "0", "--a", "1e-170", "--schedule", "uniform"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "a != 0" in err
+
+
 @pytest.mark.parametrize("budget", [math.nan, -5.0, 0.0])
 def test_mem_budget_must_be_positive(capsys, budget):
     with pytest.raises(UsageError, match="mem_budget_mb"):

@@ -20,6 +20,7 @@ from boxchain.render import (
     render_slice,
     unstable_parameterization,
 )
+from support_trees import live_ids
 
 
 QUAD_MODEL = Path(__file__).parent / "data" / "quad_uniform3.txt"
@@ -163,7 +164,7 @@ def test_render_empty_model_is_uniform():
     lab = scc_decompose(g)
     gamma = recurrent_model(g, lab)
     # drop everything to fake an empty model
-    gamma.tree.remove_leaves(list(gamma.tree.live_ids()))
+    gamma.tree.remove_leaves(list(live_ids(gamma.tree)))
     empty = type(gamma)(
         tree=gamma.tree,
         vertex_ids=np.empty(0, dtype=np.int64),
