@@ -147,7 +147,7 @@ def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
     if not delta > 0.0:  # also rejects NaN
         raise UsageError(f"delta must be positive, got {delta!r}")
     ids, _, _, lo, hi = tree.live_arrays()
-    ids, lo, hi = ids[rows], lo[rows], hi[rows]
+    ids, lo, hi = ids[rows], lo.take(rows, axis=0), hi.take(rows, axis=0)
     flo, fhi = batch_forward(model, lo, hi)
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):
         raise UsageError("interval image blew up inside V0")
@@ -195,10 +195,11 @@ def build_edges(
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
     chunks = tree.lookup(wlo, whi, before_chunk=lambda ncand: check_budget(total_edges, ncand))
-    for query, dst in chunks:
-        edge = rows[query]
-        del query  # before the mirrored keys are made
+    for edge, dst in chunks:
+        # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
+        # those are all the rows, in order
         if mirror is not None:
+            edge = rows[edge]
             back = mirror[edge]
             back <<= 32
             back |= mirror[dst]
