@@ -141,19 +141,18 @@ def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
     """Bulk widened interval images: bounds of N_delta(F(B)) of the live
     leaves at ``rows``.
 
-    Returns (ids, wlo, whi) of those leaves; the same arrays drive
-    build_edges and the all-pairs test oracle.
+    Returns (wlo, whi), one row per entry of ``rows``; the same arrays
+    drive build_edges and the all-pairs test oracle.
     """
     if not delta > 0.0:  # also rejects NaN
         raise UsageError(f"delta must be positive, got {delta!r}")
-    ids, _, _, lo, hi = tree.live_arrays()
-    ids, lo, hi = ids[rows], lo.take(rows, axis=0), hi.take(rows, axis=0)
-    flo, fhi = batch_forward(model, lo, hi)
+    _, _, _, lo, hi = tree.live_arrays()
+    flo, fhi = batch_forward(model, lo.take(rows, axis=0), hi.take(rows, axis=0))
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):
         raise UsageError("interval image blew up inside V0")
     wlo = _down_arr(flo - delta)
     whi = _up_arr(fhi + delta)
-    return ids, wlo, whi
+    return wlo, whi
 
 
 def build_edges(
@@ -191,7 +190,7 @@ def build_edges(
     check_budget(0, 0)
     # k -> j is an edge iff its mirror is: image and look up one of each pair
     rows, mirror = tree.conjugate_rows()
-    _, wlo, whi = widened_images(tree, model, delta, rows)
+    wlo, whi = widened_images(tree, model, delta, rows)
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
     chunks = tree.lookup(wlo, whi, before_chunk=lambda ncand: check_budget(total_edges, ncand))

@@ -243,7 +243,8 @@ def test_criterion_6b_scc_oracle():
 
 
 def _all_pairs_edges(tree, model, delta):
-    ids, wlo, whi = widened_images(tree, model, delta, np.arange(tree.leaf_count))
+    ids = live_ids(tree)
+    wlo, whi = widened_images(tree, model, delta, np.arange(len(ids)))
     boxes = [tree.leaf_box(int(l)) for l in ids]
     edges = set()
     for k in range(len(ids)):

@@ -121,7 +121,8 @@ def test_fixed_point_leaf_has_self_edge_at_every_depth():
 
 
 def _oracle_edges(tree, model, delta):
-    ids, wlo, whi = widened_images(tree, model, delta, np.arange(tree.leaf_count))
+    ids = live_ids(tree)
+    wlo, whi = widened_images(tree, model, delta, np.arange(len(ids)))
     boxes = [tree.leaf_box(int(l)) for l in ids]
     naxes = tree.naxes
     edges = set()
