@@ -183,11 +183,6 @@ def mirror_rows(tree):
     return np.array([row[tuple(r)] for r in mirrored.tolist()])
 
 
-def no_conjugation(monkeypatch):
-    """Every map takes the full path from here on."""
-    monkeypatch.setattr(MapModel, "conjugation_axes", property(lambda self: ()))
-
-
 def grow_recording(model, depth, steps):
     """sink_tree(model, depth, steps), and the keep mask of each prune."""
     tree = init_root(model)
@@ -212,8 +207,8 @@ def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkey
     model = make()
     built = []
     for full in (False, True):
-        if full:
-            no_conjugation(monkeypatch)
+        if full:  # every map takes the full path from here on
+            monkeypatch.setattr(MapModel, "conjugation_axes", property(lambda self: ()))
         tree, kept = grow_recording(model, depth, steps)
         assert (tree.conjugate_rows()[1] is None) == full
         built.append((kept, build_edges(tree, model, tree.epsilon_min() / 1000.0)))
