@@ -205,7 +205,7 @@ class BoxTree:
                 self._index.append((depth, keys, rows[order], coarse))
         return self._index
 
-    def lookup(self, lo, hi, before_chunk: Callable[[int], None] | None = None):
+    def lookup(self, lo, hi):
         """Yield (query rows, leaf rows) chunk by chunk: every pair of a
         closed query box [lo[q], hi[q]] (arrays n x naxes) and a live leaf
         meeting it, each pair once.
@@ -218,8 +218,7 @@ class BoxTree:
         those cells are looked up among the depth-d leaves.  A depth-d cell
         has one ancestor, so no pair is found twice; at the shallowest
         depth the first stage is the whole lookup.  Both stages expand
-        about _CHUNK_CANDIDATES cells per chunk, and
-        ``before_chunk(candidates)`` runs before each chunk is expanded.
+        about _CHUNK_CANDIDATES cells per chunk.
         """
         index = self._address_index()
         for depth, keys, level_rows, coarse in index:
@@ -229,7 +228,7 @@ class BoxTree:
             rows = np.flatnonzero((i0 <= i1).all(axis=1))
             i0, i1 = i0[rows], i1[rows]
             c0, c1 = i0 >> shift, i1 >> shift
-            stage1 = _expand(_pack(c0, top), c1 - c0 + 1, top, before_chunk)
+            stage1 = _expand(_pack(c0, top), c1 - c0 + 1, top)
             del c0, c1
             for query, key in stage1:
                 pos, found = _find(coarse, key)
@@ -241,7 +240,7 @@ class BoxTree:
                 del pos, found
                 first, sizes = _clip(i0, i1, query, key, top, depth)
                 del key
-                for pair, key in _expand(first, sizes, depth, before_chunk):
+                for pair, key in _expand(first, sizes, depth):
                     pos, found = _find(keys, key)
                     yield rows[query[pair[found]]], level_rows[pos[found]]
 
@@ -331,7 +330,7 @@ class BoxTree:
         for step in directions:
             # the rows still iterated in this direction and their iterates
             rows = todo[~pruned[todo]]
-            cur_lo, cur_hi = lo[rows], hi[rows]
+            cur_lo, cur_hi = lo.take(rows, axis=0), hi.take(rows, axis=0)
             for _ in range(max_iter):
                 if not len(rows):
                     break
@@ -431,13 +430,13 @@ def _clip(i0, i1, query, coarse, top: int, depth: int):
     return first, sizes
 
 
-def _expand(first, sizes, depth: int, before_chunk):
+def _expand(first, sizes, depth: int):
     """Yield (item, key) chunk by chunk: the packed keys of the depth-
     ``depth`` cells first + o, 0 <= o < sizes per axis, of every item
     (``first`` packed keys, ``sizes`` n x naxes), and the item of each.
 
     A chunk holds whole items, about _CHUNK_CANDIDATES cells (at least
-    one item); ``before_chunk(cells)`` runs before it is expanded."""
+    one item)."""
     counts = sizes.prod(axis=1)
     ends = np.cumsum(counts)
     start = 0
@@ -445,8 +444,6 @@ def _expand(first, sizes, depth: int, before_chunk):
         done = int(ends[start] - counts[start])
         stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_CANDIDATES, side="right")))
         total = int(ends[stop - 1]) - done
-        if before_chunk is not None:
-            before_chunk(total)
         yield _cells(first, sizes, start, stop, total, depth)
         start = stop
 

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import MemoryBudgetError
+from .errors import check_memory_budget
 from .ia import UsageError, _down_arr, _up_arr
 from .maps import MapModel, batch_forward, sink_orbits
 from .boxtree import BoxTree
@@ -62,29 +62,6 @@ __all__ = [
     "classify_components",
     "components_at_points",
 ]
-
-# Memory budget of build_edges, in tracemalloc bytes.  A vertex costs
-# its live_arrays rows, address index, interval images and per-depth
-# index ranges, counted per axis.  The rows and mirror rows of
-# ``BoxTree.conjugate_rows`` (at most 16 bytes a vertex) fit in that
-# figure too: with a mirror, only half the vertices are imaged and
-# ranged.  An edge costs its 8-byte key in the parts, the concatenated
-# copy that is sorted in place, and the int32 index.  The lookup
-# expands about boxtree._CHUNK_CANDIDATES cells at a time, in either of
-# its two stages.  A cell of a chunk costs at most 57 bytes: its key
-# and item, search position, gathered key and match flag (33), and the
-# query and leaf rows of a match (24).  Once a chunk is yielded its
-# gathered key is freed, which leaves room for the source row, mirrored
-# key and mirrored leaf row of a match.  A coarse cell that the first
-# stage matches holds its query, first fine key, count, end and sizes,
-# 8 * (4 + naxes) <= 64 bytes with 4 axes, until the fine chunks have
-# expanded it.  A fine chunk's working set is then at most the mean of
-# its own estimate and that of the coarse chunk the cell came from,
-# when a candidate costs twice the larger of the two: 128 bytes.
-# (Measured, a chunk holds 35-42 bytes per cell.)
-_BYTES_PER_VERTEX_AXIS = 160.0
-_BYTES_PER_CANDIDATE = 128.0
-_BYTES_PER_EDGE = 16.0
 
 
 @dataclass
@@ -163,38 +140,24 @@ def build_edges(
 ) -> ChainGraph:
     """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
 
-    Raises MemoryBudgetError before the estimated working set (see the
-    byte constants above) would pass ``mem_budget_mb``.
+    Checks the process's peak RSS against ``mem_budget_mb`` on entry and
+    after each lookup chunk (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
     n = tree.leaf_count
-    naxes = tree.naxes
 
-    def check_budget(edges: int, candidates: int) -> None:
-        if mem_budget_mb is None:
-            return
-        est = (
-            n * naxes * _BYTES_PER_VERTEX_AXIS
-            + edges * _BYTES_PER_EDGE
-            + candidates * _BYTES_PER_CANDIDATE
-        )
-        if est > mem_budget_mb * 1e6:
-            raise MemoryBudgetError(
-                f"edge build exceeded memory budget ({mem_budget_mb:.0f} MB) "
-                f"at {n} vertices, >= {edges} edges",
-                vertices=n,
-                edges=edges,
-            )
+    def check(edges: int) -> None:
+        where = f"in the edge build at {n} vertices, >= {edges} edges"
+        check_memory_budget(mem_budget_mb, where, vertices=n, edges=edges)
 
-    check_budget(0, 0)
+    check(0)
     # k -> j is an edge iff its mirror is: image and look up one of each pair
     rows, mirror = tree.conjugate_rows()
     wlo, whi = widened_images(tree, model, delta, rows)
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
-    chunks = tree.lookup(wlo, whi, before_chunk=lambda ncand: check_budget(total_edges, ncand))
-    for edge, dst in chunks:
+    for edge, dst in tree.lookup(wlo, whi):
         # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
         # those are all the rows, in order
         if mirror is not None:
@@ -208,7 +171,7 @@ def build_edges(
         edge |= dst
         edge_parts.append(edge)
         total_edges += len(edge)
-    check_budget(total_edges, 0)
+        check(total_edges)
     edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
     del edge_parts
     edges.sort()  # by (src, dst)

@@ -5,6 +5,8 @@ layer too); the resource and parse errors below are pipeline-level.
 CLI exit codes: config/usage/domain -> 2, memory budget -> 3, parse -> 4.
 """
 
+import resource
+
 from .ia import DomainError, UsageError
 
 __all__ = [
@@ -21,12 +23,36 @@ class ResourceError(RuntimeError):
 
 
 class MemoryBudgetError(ResourceError):
-    """The edge build ran past the configured memory budget."""
+    """The process's peak RSS passed the memory budget (``check_memory_budget``);
+    ``vertices`` and ``edges`` tell how far an edge build got (0 outside
+    it), and ``run_pipeline`` attaches the partial record as ``.record``."""
 
     def __init__(self, message, vertices=0, edges=0):
         super().__init__(message)
         self.vertices = vertices
         self.edges = edges
+
+
+def peak_rss_mb() -> float:
+    """The process's resident-memory high-water mark since it started
+    (``ru_maxrss``, imports included), in MB of 1024 kB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def check_memory_budget(budget_mb, phase: str, vertices: int = 0, edges: int = 0) -> None:
+    """Raise MemoryBudgetError if the process has peaked above
+    ``budget_mb`` (None: no budget).  The high-water mark holds every
+    transient since the start, so a run that checks after each of its
+    phases and returns has stayed within the budget."""
+    if budget_mb is None:
+        return
+    peak = peak_rss_mb()
+    if peak > budget_mb:
+        raise MemoryBudgetError(
+            f"peak RSS {peak:.0f} MB passed the memory budget ({budget_mb:.0f} MB) {phase}",
+            vertices=vertices,
+            edges=edges,
+        )
 
 
 class ParseError(ValueError):

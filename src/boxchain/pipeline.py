@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 import re
-import resource
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MemoryBudgetError, ParseError
+from .errors import MemoryBudgetError, ParseError, check_memory_budget, peak_rss_mb
 from .ia import UsageError
 from .maps import KINDS, MapModel, sink_orbits
 from .boxtree import BoxTree, init_root, sink_basin_selector
@@ -65,6 +64,9 @@ PRESETS = {
 
 _MODES = ("uniform", "sink_basin")
 _PRUNE_ITERS = 6  # forward and backward escape checks per step of a Henon map
+# each step refines a box at most once, and no box goes past the depth
+# cap 62 // naxes <= 31: a longer schedule could never run to its end
+_MAX_STEPS = 62
 
 
 def preset_params(name: Optional[str], **given) -> dict:
@@ -98,6 +100,8 @@ def parse_schedule(text) -> list[str]:
             raise ParseError(f"bad repeat count in {tok!r}") from None
         if n < 1:
             raise ParseError(f"bad repeat count in {tok!r}")
+        if len(steps) + n > _MAX_STEPS:
+            raise ParseError(f"schedule longer than {_MAX_STEPS} steps at {tok!r}")
         steps.extend([name] * n)
     return steps
 
@@ -186,10 +190,6 @@ class RunRecord:
         return dict(core, steps=[s.core_fields() for s in self.steps])
 
 
-def _rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 @dataclass
 class PipelineResult:
     record: RunRecord
@@ -206,8 +206,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute the configured schedule; returns record + final model.
 
-    Raises MemoryBudgetError (with the partial record attached as
-    ``.record``) if the edge build runs past the budget.
+    Checks the process's peak RSS against ``config.mem_budget_mb`` after
+    each phase and each edge-lookup chunk, and raises MemoryBudgetError
+    (with the partial record attached as ``.record``) once it has passed.
     """
     config.validate()
     model = config.build_model()
@@ -237,80 +238,85 @@ def run_pipeline(
     prev_delta = None
     gamma = None
     classification = None
-    for index, mode in enumerate(config.schedule, start=1):
-        t0 = time.perf_counter()
-        if mode == "sink_basin":
-            selector = sink_basin_selector(tree)
-        else:
-            selector = lambda lid: True
-        tree.subdivide(selector)
-        n_original = tree.leaf_count
-        say(f"step {index} ({mode}): {n_original} boxes after subdivision")
-        n_escaping = 0
-        if prune_iters:
-            n_escaping = tree.prune_escaping(prune_iters)
-            say(f"step {index}: {n_escaping} escaping boxes eliminated")
-        epsilon = tree.epsilon()
-        epsilon_min = tree.epsilon_min()
-        delta = epsilon_min / config.delta_ratio
-        if prev_delta is not None:
-            delta = min(delta, prev_delta / 2.0)
-        prev_delta = delta
-        try:
+    try:
+        for index, mode in enumerate(config.schedule, start=1):
+            t0 = time.perf_counter()
+            if mode == "sink_basin":
+                selector = sink_basin_selector(tree)
+            else:
+                selector = lambda lid: True
+            tree.subdivide(selector)
+            check_memory_budget(config.mem_budget_mb, f"after step {index}'s subdivision")
+            n_original = tree.leaf_count
+            say(f"step {index} ({mode}): {n_original} boxes after subdivision")
+            n_escaping = 0
+            if prune_iters:
+                n_escaping = tree.prune_escaping(prune_iters)
+                check_memory_budget(config.mem_budget_mb, f"after step {index}'s escape pruning")
+                say(f"step {index}: {n_escaping} escaping boxes eliminated")
+            epsilon = tree.epsilon()
+            epsilon_min = tree.epsilon_min()
+            delta = epsilon_min / config.delta_ratio
+            if prev_delta is not None:
+                delta = min(delta, prev_delta / 2.0)
+            prev_delta = delta
             graph = build_edges(tree, model, delta, mem_budget_mb=config.mem_budget_mb)
-        except MemoryBudgetError as exc:
-            record.aborted = str(exc)
-            record.total_wall_s = time.perf_counter() - t_run
-            exc.record = record
-            raise
-        say(f"step {index}: graph with {graph.n_vertices} boxes, {graph.n_edges} edges")
-        labeling = scc_decompose(graph)
-        gamma = recurrent_model(graph, labeling)
-        # the next subdivision step sees the recurrent region only
-        tree.remove_leaves(graph.vertex_ids[labeling.comp < 0])
-        classification = classify_components(gamma, model, orbits)
-        bounds = report_for_map(
-            model,
-            epsilon,
-            epsilon_min=epsilon_min,
-            delta=delta,
-        )
-        step = StepRecord(
-            index=index,
-            mode=mode,
-            boxes_original=n_original,
-            boxes_escaping=n_escaping,
-            upsilon_boxes=graph.n_vertices,
-            upsilon_edges=graph.n_edges,
-            gamma_boxes=gamma.n_vertices,
-            gamma_edges=gamma.n_edges,
-            cross_edges=len(gamma.cross_edges),
-            n_components=classification.n_components,
-            component_sizes=classification.sizes[:8],
-            separating=classification.separating,
-            epsilon=epsilon,
-            epsilon_min=epsilon_min,
-            delta=delta,
-            epsilon_prime=bounds.epsilon_prime,
-            delta_prime=bounds.delta_prime,
-            depths=tuple(tree.live_depths()),
-            wall_s=time.perf_counter() - t0,
-            rss_mb=_rss_mb(),
-        )
-        steps.append(step)
-        say(
-            f"step {index}: gamma {gamma.n_vertices} boxes / {gamma.n_edges} edges, "
-            f"{classification.n_components} components, separating="
-            f"{classification.separating}"
-        )
-        if on_step is not None:
-            on_step(step, tree, gamma, classification)
-    record.separating = steps[-1].separating if steps else False
-    record.sink_rows = classification.sinks if classification else ()
-    record.sink_section = sink_section_for_map(model, m_ratio=config.delta_ratio)
-    record.total_wall_s = time.perf_counter() - t_run
-    if config.model_out:
-        save_model(config.model_out, model, gamma, include_edges=config.save_edges)
+            say(f"step {index}: graph with {graph.n_vertices} boxes, {graph.n_edges} edges")
+            labeling = scc_decompose(graph)
+            gamma = recurrent_model(graph, labeling)
+            # the next subdivision step sees the recurrent region only
+            tree.remove_leaves(graph.vertex_ids[labeling.comp < 0])
+            check_memory_budget(config.mem_budget_mb, f"after step {index}'s restriction")
+            classification = classify_components(gamma, model, orbits)
+            check_memory_budget(config.mem_budget_mb, f"after step {index}'s classification")
+            bounds = report_for_map(
+                model,
+                epsilon,
+                epsilon_min=epsilon_min,
+                delta=delta,
+            )
+            step = StepRecord(
+                index=index,
+                mode=mode,
+                boxes_original=n_original,
+                boxes_escaping=n_escaping,
+                upsilon_boxes=graph.n_vertices,
+                upsilon_edges=graph.n_edges,
+                gamma_boxes=gamma.n_vertices,
+                gamma_edges=gamma.n_edges,
+                cross_edges=len(gamma.cross_edges),
+                n_components=classification.n_components,
+                component_sizes=classification.sizes[:8],
+                separating=classification.separating,
+                epsilon=epsilon,
+                epsilon_min=epsilon_min,
+                delta=delta,
+                epsilon_prime=bounds.epsilon_prime,
+                delta_prime=bounds.delta_prime,
+                depths=tuple(tree.live_depths()),
+                wall_s=time.perf_counter() - t0,
+                rss_mb=peak_rss_mb(),
+            )
+            steps.append(step)
+            say(
+                f"step {index}: gamma {gamma.n_vertices} boxes / {gamma.n_edges} edges, "
+                f"{classification.n_components} components, separating="
+                f"{classification.separating}"
+            )
+            if on_step is not None:
+                on_step(step, tree, gamma, classification)
+        record.separating = steps[-1].separating if steps else False
+        record.sink_rows = classification.sinks if classification else ()
+        record.sink_section = sink_section_for_map(model, m_ratio=config.delta_ratio)
+        record.total_wall_s = time.perf_counter() - t_run
+        if config.model_out:
+            save_model(config.model_out, model, gamma, include_edges=config.save_edges)
+        check_memory_budget(config.mem_budget_mb, "at the end of the run")
+    except MemoryBudgetError as exc:
+        record.aborted = str(exc)
+        record.total_wall_s = time.perf_counter() - t_run
+        exc.record = record
+        raise
     return PipelineResult(record, model, tree, gamma, classification)
 
 

@@ -1,8 +1,11 @@
-"""Shared test helper: build a ChainGraph from plain adjacency lists."""
+"""Shared test helpers: build a ChainGraph from plain adjacency lists,
+and the all-pairs edge oracle."""
 
 import numpy as np
 
-from boxchain.chain_graph import ChainGraph
+from boxchain.chain_graph import ChainGraph, widened_images
+from boxchain.ia import Interval
+from support_trees import live_ids
 
 
 def graph_from_adjacency(adj):
@@ -17,3 +20,18 @@ def graph_from_adjacency(adj):
         epsilon=1.0,
         epsilon_min=1.0,
     )
+
+
+def all_pairs_edges(tree, model, delta):
+    """Every (k, j) of live-leaf rows whose widened image of leaf k meets
+    leaf j, by testing each pair's axes with Interval."""
+    ids = live_ids(tree)
+    wlo, whi = widened_images(tree, model, delta, np.arange(len(ids)))
+    boxes = [tree.leaf_box(int(l)) for l in ids]
+    edges = set()
+    for k in range(len(ids)):
+        w_axes = [Interval(wlo[k, t], whi[k, t]) for t in range(tree.naxes)]
+        for j, bx in enumerate(boxes):
+            if all(not w.is_disjoint(ax) for w, ax in zip(w_axes, bx.axes())):
+                edges.add((k, j))
+    return edges

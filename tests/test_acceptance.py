@@ -26,7 +26,7 @@ from boxchain.ia import Interval
 from boxchain.maps import MapModel
 from boxchain.bounds import delta_prime, epsilon_prime, sink_section_for_map
 from boxchain.boxtree import init_root
-from boxchain.chain_graph import build_edges, scc_decompose, widened_images
+from boxchain.chain_graph import build_edges, scc_decompose
 from boxchain.render import (
     RenderConfig,
     component_palette,
@@ -35,6 +35,7 @@ from boxchain.render import (
     render_slice,
     unstable_parameterization,
 )
+from support_graphs import all_pairs_edges
 from support_trees import live_ids
 
 
@@ -242,19 +243,6 @@ def test_criterion_6b_scc_oracle():
     _report(6, "SCC vs reachability oracle", "200 digraphs <= 60 vertices")
 
 
-def _all_pairs_edges(tree, model, delta):
-    ids = live_ids(tree)
-    wlo, whi = widened_images(tree, model, delta, np.arange(len(ids)))
-    boxes = [tree.leaf_box(int(l)) for l in ids]
-    edges = set()
-    for k in range(len(ids)):
-        w_axes = [Interval(wlo[k, t], whi[k, t]) for t in range(tree.naxes)]
-        for j, bx in enumerate(boxes):
-            if all(not w.is_disjoint(ax) for w, ax in zip(w_axes, bx.axes())):
-                edges.add((k, j))
-    return edges
-
-
 def test_criterion_6c_edge_oracle_two_maps():
     for kind, kwargs in (
         ("quad_poly", dict(c="0", r_prime=2.0)),
@@ -270,7 +258,7 @@ def test_criterion_6c_edge_oracle_two_maps():
         got = {
             (u, int(v)) for u in range(g.n_vertices) for v in g.out_neighbors(u)
         }
-        assert got == _all_pairs_edges(tree, model, delta)
+        assert got == all_pairs_edges(tree, model, delta)
     _report(6, "edge set vs all-pairs oracle", "depth-4 grids, two maps")
 
 

@@ -3,14 +3,14 @@ transitive-closure oracle, recurrent-model extraction, classification."""
 
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from boxchain.ia import Interval, UsageError
+from boxchain.ia import UsageError
 from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
+from boxchain import boxtree
 from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
 from boxchain.chain_graph import (
     ChainGraph,
@@ -18,8 +18,8 @@ from boxchain.chain_graph import (
     classify_components,
     recurrent_model,
     scc_decompose,
-    widened_images,
 )
+from support_graphs import all_pairs_edges
 from support_trees import live_ids
 
 
@@ -120,25 +120,6 @@ def test_fixed_point_leaf_has_self_edge_at_every_depth():
             assert g.has_edge(row, row)
 
 
-def _oracle_edges(tree, model, delta):
-    ids = live_ids(tree)
-    wlo, whi = widened_images(tree, model, delta, np.arange(len(ids)))
-    boxes = [tree.leaf_box(int(l)) for l in ids]
-    naxes = tree.naxes
-    edges = set()
-    for k in range(len(ids)):
-        wbox_axes = [Interval(wlo[k, t], whi[k, t]) for t in range(naxes)]
-        for j, bx in enumerate(boxes):
-            hit = True
-            for t, ax in enumerate(bx.axes()):
-                if wbox_axes[t].is_disjoint(ax):
-                    hit = False
-                    break
-            if hit:
-                edges.add((k, j))
-    return edges
-
-
 @pytest.mark.parametrize(
     "make,depth,grow",
     [
@@ -164,7 +145,7 @@ def test_edges_match_all_pairs_oracle(make, depth, grow):
         for u in range(g.n_vertices)
         for v in g.out_neighbors(u)
     }
-    want = _oracle_edges(tree, model, delta)
+    want = all_pairs_edges(tree, model, delta)
     assert got == want
     assert g.n_edges == len(want)  # no edge twice
     # edge-soundness spot check: absent pairs are genuinely disjoint
@@ -315,53 +296,24 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
         tree.prune_escaping(6)
     assert len(tree.depth_counts()) == 3
     counts, pairs = [], []
-    lookup = BoxTree.lookup
+    cells, lookup = boxtree._cells, BoxTree.lookup
 
-    def counting(self, lo, hi, before_chunk=None):
-        def count(ncand):
-            counts.append(ncand)
-            before_chunk(ncand)
+    def counting_cells(*args):
+        item, key = cells(*args)
+        counts.append(len(key))
+        return item, key
 
-        for query, leaf in lookup(self, lo, hi, before_chunk=count):
+    def counting_lookup(self, lo, hi):
+        for query, leaf in lookup(self, lo, hi):
             pairs.append(len(query))
             yield query, leaf
 
-    monkeypatch.setattr(BoxTree, "lookup", counting)
+    monkeypatch.setattr(boxtree, "_cells", counting_cells)
+    monkeypatch.setattr(BoxTree, "lookup", counting_lookup)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
     # the lookup yields the edges of one leaf of each mirrored pair
     assert 2 * sum(pairs) == g.n_edges
     assert sum(counts) <= 3 * sum(pairs), (sum(counts), sum(pairs))
-
-
-def test_memory_budget_bounds_traced_peak():
-    """Under a budget, build_edges either returns within it (tracemalloc
-    peak) or aborts with MemoryBudgetError."""
-    model = per31()
-    check_budget_bounds_traced_peak(model, mixed_tree(model, 4))
-
-
-def test_memory_budget_bounds_traced_peak_of_mirrored_build():
-    model = per31()
-    tree = sink_tree(model, 4)
-    assert tree.conjugate_rows()[1] is not None
-    check_budget_bounds_traced_peak(model, tree)
-
-
-def check_budget_bounds_traced_peak(model, tree):
-    delta = tree.epsilon_min() / 1000.0
-    outcomes = set()
-    for budget_mb in np.geomspace(1.0, 100.0, 25):
-        tracemalloc.start()
-        try:
-            build_edges(tree, model, delta, mem_budget_mb=budget_mb)
-            peak = tracemalloc.get_traced_memory()[1]
-            assert peak <= budget_mb * 1e6, (budget_mb, peak)
-            outcomes.add("returned")
-        except MemoryBudgetError:
-            outcomes.add("aborted")
-        finally:
-            tracemalloc.stop()
-    assert outcomes == {"returned", "aborted"}
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ def test_parse_schedule_forms():
         parse_schedule("uniform*x")
     with pytest.raises(ParseError):
         parse_schedule("uniform:2")
+    # no box can go deeper than 62 // naxes <= 31 levels
+    assert parse_schedule("uniform*60,sink_basin*2") == ["uniform"] * 60 + ["sink_basin"] * 2
+    with pytest.raises(ParseError, match="longer than 62"):
+        parse_schedule("uniform*60,sink_basin*3")
+    with pytest.raises(ParseError, match="longer than 62"):
+        parse_schedule("uniform*1000000000")  # refused before the list is built
 
 
 def test_config_validation():
@@ -330,6 +336,50 @@ def test_memory_budget_abort_carries_partial_record():
     with pytest.raises(MemoryBudgetError) as ei:
         run_pipeline(cfg)
     assert ei.value.record.aborted is not None
+
+
+# Runs ``boxchain run`` once per budget in argv and prints, per run, the
+# budget, exit code, peak RSS in MB (the child's ru_maxrss from wait4) and
+# stderr.  A child's ru_maxrss also holds the resident size of the process
+# that started it, so the runs are started from this small process, not
+# from the test process.
+_BUDGET_RUNS = """
+import json, os, subprocess, sys
+runs = []
+for budget in sys.argv[1:]:
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxchain.cli", "run", "--preset", "altper2",
+         "--schedule", "uniform*6", "--mem-budget-mb", budget, "--quiet"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    runs.append((float(budget), proc.returncode, usage.ru_maxrss / 1024.0, err))
+print(json.dumps(runs))
+"""
+
+
+def test_memory_budget_bounds_peak_rss_of_the_run():
+    """A run under --mem-budget-mb either exits 0 having peaked within the
+    budget, or aborts with exit code 3 and one ``aborted:`` line."""
+    r = subprocess.run(
+        [sys.executable, "-c", _BUDGET_RUNS, "50", "100", "200", "400"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    outcomes = set()
+    for budget_mb, code, peak_mb, err in json.loads(r.stdout):
+        if code == 0:
+            assert peak_mb <= budget_mb, (budget_mb, peak_mb)
+            outcomes.add("returned")
+        else:
+            assert code == 3, err
+            assert err.startswith("aborted: ") and err.count("\n") == 1, err
+            outcomes.add("aborted")
+    assert outcomes == {"returned", "aborted"}
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +898,9 @@ def test_cli_exit_codes(tmp_path):
         "--schedule", "bogus",
     )
     assert r.returncode == 4
+    # 4: a schedule longer than any run can go
+    r = _cli("run", "--preset", "per31", "--schedule", "uniform*1000000000")
+    assert r.returncode == 4 and "longer than 62" in r.stderr
     # 4: parse error on model load
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense\n")
