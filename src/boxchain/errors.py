@@ -34,8 +34,22 @@ class MemoryBudgetError(ResourceError):
 
 
 def peak_rss_mb() -> float:
-    """The process's resident-memory high-water mark since it started
-    (``ru_maxrss``, imports included), in MB of 1024 kB."""
+    """The process's resident-memory high-water mark since it started,
+    imports included, in MB of 1024 kB.
+
+    On Linux this is ``VmHWM`` from ``/proc/self/status``: the peak of
+    this process's own address space.  ``ru_maxrss`` would also hold the
+    resident size of the process that started it, at the moment it did,
+    since the kernel carries the old address space's peak over ``exec``.
+    Where that file does not exist, ``ru_maxrss`` is the measure.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError, box_predicates
 from boxchain.errors import ResourceError
+from boxchain import boxtree
 from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
 from boxchain.boxtree import BoxTree, cell_range, init_root, sink_basin_selector
+from boxchain.pipeline import preset_params
 from support_trees import has_leaf, leaf_address, live_ids
 
 
@@ -28,6 +30,20 @@ def per31():
 
 def altper2():
     return MapModel("henon_complex", c="-1.1875", a="0.15", r_prime=1.9)
+
+
+def realhorse():
+    return MapModel(**preset_params("realhorse"))
+
+
+def henon_a15():
+    """An area-expanding complex Henon map, |a| = 1.5 > 1."""
+    return MapModel("henon_complex", c="-3", a="1.5")
+
+
+def real_a13():
+    """An area-expanding real Henon map, |a| = 1.3 > 1."""
+    return MapModel("henon_real", c="-4", a="1.3")
 
 
 def subdivide_all(tree, times=1):
@@ -418,25 +434,60 @@ def reference_prune(tree, max_iter):
     return ~pruned, int(blown_rows.sum())
 
 
-@pytest.mark.parametrize(
-    "make,depth,max_iter",
-    [
-        (per31, 2, 6),
-        (lambda: MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1), 3, 8),
-        (lambda: quad_c0(), 4, 30),
-    ],
-)
-def test_prune_matches_the_mask_loop_reference(make, depth, max_iter):
+def three_depth_tree(make, depth):
     tree = init_root(make())
     subdivide_all(tree, depth)
     tree.subdivide(lambda lid: lid % 3 == 0)
     tree.subdivide(lambda lid: lid % 5 == 0)
     assert len(tree.depth_counts()) == 3
+    return tree
+
+
+@pytest.mark.parametrize(
+    "make,depth,max_iter",
+    [
+        (per31, 2, 6),
+        (realhorse, 4, 6),
+        (henon_a15, 2, 6),
+        (real_a13, 4, 6),
+        (lambda: MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1), 3, 8),
+        (lambda: quad_c0(), 4, 30),
+    ],
+)
+def test_prune_matches_the_mask_loop_reference(make, depth, max_iter):
+    tree = three_depth_tree(make, depth)
     kept, n_blown = reference_prune(tree, max_iter)
     want = np.array(live_ids(tree))[kept].tolist()
     assert 0 < len(want) < len(kept)
     assert n_blown > 0  # some rows stop iterating because their enclosure blew up
     assert tree.prune_escaping(max_iter) == int((~kept).sum())
+    assert live_ids(tree) == want
+
+
+@pytest.mark.parametrize(
+    "make,depth,first",
+    [(per31, 2, "backward"), (realhorse, 4, "backward"), (henon_a15, 2, "forward"), (real_a13, 4, "forward")],
+)
+def test_prune_iterates_the_area_expanding_direction_first(monkeypatch, make, depth, first):
+    """|a| < 1: F^-1 expands area and runs first; |a| > 1: F does.  The
+    pruned set is the forward-first reference's either way."""
+    tree = three_depth_tree(make, depth)
+    kept, _ = reference_prune(tree, 6)
+    want = np.array(live_ids(tree))[kept].tolist()
+    calls = []
+
+    def recording(name, step):
+        def wrapped(model, lo, hi):
+            calls.append(name)
+            return step(model, lo, hi)
+
+        return wrapped
+
+    monkeypatch.setattr(boxtree, "batch_forward", recording("forward", boxtree.batch_forward))
+    monkeypatch.setattr(boxtree, "batch_backward", recording("backward", boxtree.batch_backward))
+    tree.prune_escaping(6)
+    assert calls[0] == first
+    assert set(calls) == {"forward", "backward"}
     assert live_ids(tree) == want
 
 

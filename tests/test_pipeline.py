@@ -382,6 +382,28 @@ def test_memory_budget_bounds_peak_rss_of_the_run():
     assert outcomes == {"returned", "aborted"}
 
 
+# Holds about 300 MB of touched memory while it runs one ``boxchain run``
+# under a 200 MB budget, then passes on the run's stderr and exit code.
+_BIG_PARENT_RUN = """
+import subprocess, sys
+held = b"x" * (300 << 20)
+r = subprocess.run(
+    [sys.executable, "-m", "boxchain.cli", "run", "--preset", "altper2",
+     "--schedule", "uniform*4", "--mem-budget-mb", "200", "--quiet"],
+    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+)
+sys.stderr.write(r.stderr)
+sys.exit(r.returncode)
+"""
+
+
+def test_memory_budget_does_not_charge_the_run_for_its_parent():
+    """The run peaks well below 200 MB; the 300 MB its parent holds at
+    ``exec`` is not the run's own peak."""
+    r = subprocess.run([sys.executable, "-c", _BIG_PARENT_RUN], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 # ---------------------------------------------------------------------------
 # model persistence
 # ---------------------------------------------------------------------------
