@@ -317,24 +317,20 @@ class BoxTree:
         are iterated: the iterates of a leaf's mirror are the mirrors of
         its iterates, and every test here is symmetric in each axis.
 
-        A Henon map with |a| < 1 contracts area (det Df = a), so F^-1
-        expands it and a leaf that is not recurrent leaves V0 sooner
-        backward: the backward pass runs first there, forward first
-        otherwise.  The second pass iterates only the rows the first did
-        not prune.  A leaf is pruned iff either direction escapes, and
-        each row's iterates do not depend on the other rows, so the
-        pruned set is the same in either order.
+        The backward pass runs first: every preset's Henon map has
+        |a| < 1 and so contracts area (det Df = a), F^-1 expands it, and a
+        leaf that is not recurrent leaves V0 sooner backward.  The forward
+        pass iterates only the rows the backward pass did not prune.  A
+        leaf is pruned iff either direction escapes, and each row's
+        iterates do not depend on the other rows, so the pruned set is the
+        same in either order.
         """
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
         ids, _, _, lo, hi = self.live_arrays()
         pruned = np.zeros(len(ids), dtype=bool)
         todo, mirror = self.conjugate_rows()
-        directions = [batch_forward]
-        if self.model.is_henon:
-            directions.append(batch_backward)
-            if self.model.a_mod < 1.0:
-                directions.reverse()
+        directions = [batch_backward, batch_forward] if self.model.is_henon else [batch_forward]
         rp = self.r_prime
         bound = _BLOWUP_FACTOR * rp
         for step in directions:

@@ -6,6 +6,7 @@ CLI exit codes: config/usage/domain -> 2, memory budget -> 3, parse -> 4.
 """
 
 import resource
+import sys
 
 from .ia import DomainError, UsageError
 
@@ -41,7 +42,8 @@ def peak_rss_mb() -> float:
     this process's own address space.  ``ru_maxrss`` would also hold the
     resident size of the process that started it, at the moment it did,
     since the kernel carries the old address space's peak over ``exec``.
-    Where that file does not exist, ``ru_maxrss`` is the measure.
+    Where that file does not exist, ``ru_maxrss`` is the measure (in kB,
+    but in bytes on macOS), and the parent's share may be in it.
     """
     try:
         with open("/proc/self/status") as fh:
@@ -50,7 +52,8 @@ def peak_rss_mb() -> float:
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return peak / 1024.0 if sys.platform == "darwin" else peak
 
 
 def check_memory_budget(budget_mb, phase: str, vertices: int = 0, edges: int = 0) -> None:
