@@ -32,6 +32,11 @@ cell i to 2^d - 1 - i on those axes, and the cell ends to their exact
 negatives.  ``conjugate_rows`` pairs each live leaf with its mirror
 through the address index, and escape pruning iterates one leaf of each
 pair and gives the other the same decision.
+
+Escape pruning and the edge build's lookup (``lookup_pieces``) treat
+each row on its own, so they run in pieces of consecutive rows on the
+thread pool of ``pool``; the results are consumed in piece order, and
+no output depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -45,7 +50,10 @@ import numpy as np
 
 from .errors import ResourceError
 from .ia import BoxRegion, Interval, UsageError
-from .maps import MapModel, batch_backward, batch_forward, forward_orbits
+from .maps import MapModel, forward_orbits, on_rows
+# not called here (see prune_escaping), but perfbench's tracer wraps these names
+from .maps import batch_backward, batch_forward  # noqa: F401
+from .pool import in_pieces
 
 __all__ = [
     "BoxTree",
@@ -57,6 +65,8 @@ __all__ = [
 
 _KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
 _CHUNK_CANDIDATES = 500_000  # grid cells expanded per lookup chunk
+_LOOKUP_PIECE = 1 << 13  # query rows per piece of a pooled lookup
+_PRUNE_PIECE = 1 << 15  # rows per piece of escape pruning
 _BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
 _SINK_ITERATES = 12  # orbit length of the sink-basin selector
 
@@ -88,6 +98,7 @@ class BoxTree:
         self._next_id = next_id
         self._bounds = None
         self._index = None
+        self._conjugates = None
 
     def _keep(self, keep: np.ndarray) -> int:
         """Keep the rows where ``keep`` holds; returns how many were dropped."""
@@ -244,6 +255,22 @@ class BoxTree:
                     pos, found = _find(keys, key)
                     yield rows[query[pair[found]]], level_rows[pos[found]]
 
+    def lookup_pieces(self, lo, hi):
+        """Yield the pairs of ``lookup`` piece by piece: for each run of
+        _LOOKUP_PIECE consecutive query rows, in order, the list of the
+        (query rows, leaf rows) chunks ``lookup`` yields for them, query
+        rows numbered over all of ``lo``.  The pieces run on the thread
+        pool (``pool.in_pieces``)."""
+        self._address_index()  # built here: the pieces only read it
+
+        def piece(start, stop):
+            chunks = list(self.lookup(lo[start:stop], hi[start:stop]))
+            for query, _ in chunks:
+                query += start
+            return chunks
+
+        return in_pieces(piece, len(lo), _LOOKUP_PIECE)
+
     def conjugate_rows(self):
         """(rows, mirror): the rows whose results must be computed, and
         the row of every live leaf's mirror under complex conjugation,
@@ -255,8 +282,14 @@ class BoxTree:
         index below 2^(d-1) on the first of the axes: one leaf of each
         mirrored pair, as no leaf below the root is its own mirror.
         Otherwise (no such axes, the root alone, or a mirror that is not
-        a live leaf) every row is computed.
+        a live leaf) every row is computed.  The answer is kept until the
+        next mutation (escape pruning renumbers its own).
         """
+        if self._conjugates is None:
+            self._conjugates = self._find_conjugates()
+        return self._conjugates
+
+    def _find_conjugates(self):
         every = np.arange(len(self._ids)), None
         axes = list(self.model.conjugation_axes)
         if not axes or self._depths.min() == 0:
@@ -323,34 +356,62 @@ class BoxTree:
         pass iterates only the rows the backward pass did not prune.  A
         leaf is pruned iff either direction escapes, and each row's
         iterates do not depend on the other rows, so the pruned set is the
-        same in either order.
+        same in either order, and for any cut of the rows into pieces.
+
+        The rows are iterated in pieces of _PRUNE_PIECE on the thread pool
+        (``pool.in_pieces``); each piece returns its escaped rows.  The
+        pieces apply the map formulas through ``on_rows``, not through
+        ``batch_forward``/``batch_backward``: perfbench's tracer wraps
+        those names with one span stack, which a pool thread must not
+        touch.  The pruned set is closed under conjugation, so the mirror
+        table of the kept rows is the old one renumbered, and
+        ``conjugate_rows`` returns it without a search.
         """
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
-        ids, _, _, lo, hi = self.live_arrays()
-        pruned = np.zeros(len(ids), dtype=bool)
+        model = self.model
+        _, _, _, lo, hi = self.live_arrays()
         todo, mirror = self.conjugate_rows()
-        directions = [batch_backward, batch_forward] if self.model.is_henon else [batch_forward]
+        if model.is_henon:
+            formulas = [model.interval_backward, model.interval_forward]
+        else:
+            formulas = [model.interval_forward]
         rp = self.r_prime
         bound = _BLOWUP_FACTOR * rp
-        for step in directions:
-            # the rows still iterated in this direction and their iterates
-            rows = todo[~pruned[todo]]
-            cur_lo, cur_hi = lo.take(rows, axis=0), hi.take(rows, axis=0)
-            for _ in range(max_iter):
-                if not len(rows):
-                    break
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cur_lo, cur_hi = step(self.model, cur_lo, cur_hi)
-                bad = ~np.isfinite(cur_lo).all(axis=1) | ~np.isfinite(cur_hi).all(axis=1)
-                blown = bad | ((cur_hi - cur_lo).max(axis=1) > bound)
-                escaped = ((cur_lo > rp) | (cur_hi < -rp)).any(axis=1) & ~bad
-                pruned[rows[escaped]] = True
-                go_on = ~(escaped | blown)
-                rows, cur_lo, cur_hi = rows[go_on], cur_lo[go_on], cur_hi[go_on]
-        if mirror is not None:
-            pruned |= pruned[mirror]
-        return self._keep(~pruned)
+
+        def escaped(start, stop):
+            """The rows among todo[start:stop] that escape V0."""
+            rows = todo[start:stop]
+            out = np.zeros(len(rows), dtype=bool)
+            for formula in formulas:
+                # the positions still iterated in this direction and their iterates
+                at = np.flatnonzero(~out)
+                cur_lo, cur_hi = lo.take(rows[at], axis=0), hi.take(rows[at], axis=0)
+                for _ in range(max_iter):
+                    if not len(at):
+                        break
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        cur_lo, cur_hi = on_rows(model, formula, cur_lo, cur_hi)
+                    bad = ~np.isfinite(cur_lo).all(axis=1) | ~np.isfinite(cur_hi).all(axis=1)
+                    blown = bad | ((cur_hi - cur_lo).max(axis=1) > bound)
+                    gone = ((cur_lo > rp) | (cur_hi < -rp)).any(axis=1) & ~bad
+                    out[at[gone]] = True
+                    go_on = ~(gone | blown)
+                    at, cur_lo, cur_hi = at[go_on], cur_lo[go_on], cur_hi[go_on]
+            return rows[out]
+
+        pruned = np.zeros(self.leaf_count, dtype=bool)
+        for rows in in_pieces(escaped, len(todo), _PRUNE_PIECE):
+            pruned[rows] = True
+        if mirror is None:
+            return self._keep(~pruned)
+        pruned |= pruned[mirror]
+        keep = ~pruned
+        new_row = np.cumsum(keep) - 1
+        conjugates = new_row[todo[keep[todo]]], new_row[mirror[keep]]
+        dropped = self._keep(keep)
+        self._conjugates = conjugates
+        return dropped
 
     def remove_leaves(self, ids) -> int:
         """Drop the live leaves among ``ids`` (an array-like of leaf ids)."""

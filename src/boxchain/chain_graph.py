@@ -22,7 +22,10 @@ that grid's leaves, then only the fine cells inside the ancestors
 found, so sparse deep grids cost about as many candidates per edge as
 a single-depth tree.  This is checked against the all-pairs oracle in
 the tests, on single- and three-depth trees.  Classification uses the
-same lookup on the sink orbit points.
+same lookup on the sink orbit points.  The edge build runs the lookup
+in pieces of consecutive images on the thread pool
+(``BoxTree.lookup_pieces``) and sorts the edges at the end, so their
+order does not depend on the pieces.
 
 When the live leaves pair up under complex conjugation σ
 (``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
@@ -96,8 +99,9 @@ class ChainGraph:
         return len(self.indices)
 
     def edge_rows(self):
-        """(src, dst) vertex rows of every edge, in CSR order."""
-        return np.repeat(np.arange(self.n_vertices), np.diff(self.indptr)), self.indices
+        """(src, dst) vertex rows of every edge, in CSR order (int32)."""
+        src = np.arange(self.n_vertices, dtype=np.int32)
+        return np.repeat(src, np.diff(self.indptr)), self.indices
 
     def out_neighbors(self, row: int) -> np.ndarray:
         return self.indices[self.indptr[row] : self.indptr[row + 1]]
@@ -140,8 +144,12 @@ def build_edges(
 ) -> ChainGraph:
     """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
 
-    Checks the process's peak RSS against ``mem_budget_mb`` on entry and
-    after each lookup chunk (``check_memory_budget``).
+    The lookup runs in pieces on the thread pool
+    (``BoxTree.lookup_pieces``); the pieces return their (image, leaf)
+    row pairs, and this thread turns them into edge keys, so every array
+    that outlives a piece is allocated here.  Checks the process's peak
+    RSS against ``mem_budget_mb`` on entry and after each lookup chunk
+    (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
@@ -157,21 +165,22 @@ def build_edges(
     wlo, whi = widened_images(tree, model, delta, rows)
     edge_parts = []  # one int64 per edge: src row << 32 | dst row
     total_edges = 0
-    for edge, dst in tree.lookup(wlo, whi):
-        # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
-        # those are all the rows, in order
-        if mirror is not None:
-            edge = rows[edge]
-            back = mirror[edge]
-            back <<= 32
-            back |= mirror[dst]
-            edge_parts.append(back)
-            total_edges += len(back)
-        edge <<= 32
-        edge |= dst
-        edge_parts.append(edge)
-        total_edges += len(edge)
-        check(total_edges)
+    for chunks in tree.lookup_pieces(wlo, whi):
+        for edge, dst in chunks:
+            # the lookup numbers the imaged rows 0, 1, ...: without a
+            # mirror, those are all the rows, in order
+            if mirror is not None:
+                edge = rows[edge]
+                back = mirror[edge]
+                back <<= 32
+                back |= mirror[dst]
+                edge_parts.append(back)
+                total_edges += len(back)
+            key = edge << 32
+            key |= dst
+            edge_parts.append(key)
+            total_edges += len(key)
+            check(total_edges)
     edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
     del edge_parts
     edges.sort()  # by (src, dst)
@@ -250,25 +259,35 @@ def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
     """
     keep = labeling.comp >= 0
     keep_rows = np.flatnonzero(keep)
-    new_row = np.full(graph.n_vertices, -1, dtype=np.int64)
-    new_row[keep_rows] = np.arange(len(keep_rows))
-    src_all, dst_all = graph.edge_rows()
-    mask = keep[src_all] & keep[dst_all]
-    src = new_row[src_all[mask]]
-    dst = new_row[dst_all[mask]]
-    same = labeling.comp[src_all[mask]] == labeling.comp[dst_all[mask]]
-    cross = np.column_stack([src[~same], dst[~same]])
-    # still sorted by (src, dst): new_row is monotone
+    # per edge, in int32: the components of its ends (-1: unlabeled)
+    comp = labeling.comp.astype(np.int32)
+    out_degree = np.diff(graph.indptr)
+    src_comp = np.repeat(comp, out_degree)
+    dst_comp = comp[graph.indices]
+    cycle = src_comp == dst_comp
+    cycle &= dst_comp >= 0
+    cross = src_comp >= 0
+    cross &= dst_comp >= 0
+    cross ^= cycle  # both ends labeled, in different components
+    del src_comp, dst_comp
+    # the kept vertices' new rows; monotone, so the edges stay sorted by (src, dst)
+    new_row = np.cumsum(keep, dtype=np.int32)
+    new_row -= 1
+    src = np.repeat(new_row, out_degree)
+    dst = new_row[graph.indices]
+    cross_edges = np.empty((np.count_nonzero(cross), 2), dtype=np.int64)
+    cross_edges[:, 0], cross_edges[:, 1] = src[cross], dst[cross]
+    del cross
     return ChainGraph.from_pairs(
-        src[same],
-        dst[same],
+        src[cycle],
+        dst[cycle],
         graph.vertex_ids[keep_rows],
         tree=graph.tree,
         delta=graph.delta,
         epsilon=graph.epsilon,
         epsilon_min=graph.epsilon_min,
         comp=labeling.comp[keep_rows],
-        cross_edges=cross,
+        cross_edges=cross_edges,
     )
 
 

@@ -569,6 +569,49 @@ def _hull4(p1, p2, p3, p4) -> "IntervalArray":
     return IntervalArray(_down_arr(lo), _up_arr(hi))
 
 
+def _product(a: "IntervalArray", b, op) -> "IntervalArray":
+    """a op b, op np.multiply or np.divide (b excludes 0), rounded as
+    ``_hull4`` of the four end products, bit for bit.
+
+    When b is a scalar Interval of one sign with finite ends (the map
+    constants a and |a|^2), x op e is monotone in x for either end e of
+    b, so the lower bound is the smaller product of one end of a with
+    b's two ends, and the upper bound the larger of the other end's:
+    two products and one min or max per bound, in place of the four
+    products and three min and max each of ``_hull4``.  Rounding to
+    nearest is monotone, so the rounded products keep that order.  (A
+    tie of -0 and +0 is no difference: the one-ulp step takes both to
+    the same double.)  Rows with an infinite or NaN end, where a product
+    can be NaN and the hull follows NaN, get ``_hull4`` itself; they are
+    rare.
+    """
+    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+
+    def hull(lo, hi):
+        return _hull4(op(lo, bl), op(lo, bh), op(hi, bl), op(hi, bh))
+
+    if not (
+        isinstance(b, Interval)
+        and (bl >= 0.0 or bh <= 0.0)
+        and math.isfinite(bl)
+        and math.isfinite(bh)
+    ):
+        return hull(al, ah)
+    # increasing in x for b >= 0, decreasing for b < 0
+    x, y = (ah, al) if bl < 0.0 else (al, ah)
+    out = IntervalArray(
+        _down_arr(np.minimum(op(x, bl), op(x, bh))),
+        _up_arr(np.maximum(op(y, bl), op(y, bh))),
+    )
+    odd = ~np.isfinite(al)
+    odd |= ~np.isfinite(ah)
+    if odd.any():
+        rows = np.flatnonzero(odd)
+        ref = hull(al[rows], ah[rows])
+        out.lo[rows], out.hi[rows] = ref.lo, ref.hi
+    return out
+
+
 class IntervalArray:
     """Element-wise intervals [lo, hi] over float64 arrays.
 
@@ -589,8 +632,7 @@ class IntervalArray:
         return IntervalArray(_down_arr(self.lo - other.hi), _up_arr(self.hi - other.lo))
 
     def mul(self, other) -> "IntervalArray":
-        al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
-        return _hull4(al * bl, al * bh, ah * bl, ah * bh)
+        return _product(self, other, np.multiply)
 
     def square(self) -> "IntervalArray":
         lo, hi = self.lo, self.hi
@@ -603,8 +645,7 @@ class IntervalArray:
     def div(self, other) -> "IntervalArray":
         if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):
             raise DomainError("division by an interval containing zero")
-        al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
-        return _hull4(al / bl, al / bh, ah / bl, ah / bh)
+        return _product(self, other, np.divide)
 
     def twice(self) -> "IntervalArray":
         """2 * self; doubling is exact, so there is no rounding step."""

@@ -678,7 +678,10 @@ def sink_orbits(model: MapModel) -> list[SinkOrbit]:
 # ---------------------------------------------------------------------------
 
 
-def _on_rows(model: MapModel, formula, lo, hi):
+def on_rows(model: MapModel, formula, lo, hi):
+    """``formula`` (``model.interval_forward`` or ``interval_backward``)
+    on N boxes at once: ``batch_forward``/``batch_backward`` with the
+    formula passed in."""
     axes = [IntervalArray(lo[:, k], hi[:, k]) for k in range(model.naxes)]
     out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexInterval)))
     return np.column_stack([v.lo for v in out]), np.column_stack([v.hi for v in out])
@@ -691,9 +694,9 @@ def batch_forward(model: MapModel, lo, hi):
     ``MapModel.coords_from_axes``.  Rows that blow up may contain inf or
     NaN and must be masked by the caller.
     """
-    return _on_rows(model, model.interval_forward, lo, hi)
+    return on_rows(model, model.interval_forward, lo, hi)
 
 
 def batch_backward(model: MapModel, lo, hi):
     """One interval preimage step for N boxes (Henon kinds only)."""
-    return _on_rows(model, model.interval_backward, lo, hi)
+    return on_rows(model, model.interval_backward, lo, hi)

@@ -2,7 +2,9 @@
 transitive-closure oracle, recurrent-model extraction, classification."""
 
 import math
+import multiprocessing
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import pytest
 from boxchain.ia import UsageError
 from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
-from boxchain import boxtree
+from boxchain import boxtree, pool
 from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
+from boxchain.pipeline import save_model
 from boxchain.chain_graph import (
     ChainGraph,
     build_edges,
@@ -206,9 +209,14 @@ def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkey
     "make,depth",
     [pytest.param(per31, 3, id="per31"), pytest.param(quad_c0, 4, id="circle")],
 )
-def test_edge_set_is_invariant_under_conjugation(make, depth):
+def test_edge_set_is_invariant_under_conjugation(make, depth, monkeypatch):
     model = make()
     tree = sink_tree(model, depth)
+
+    def no_search(tree):
+        raise AssertionError("the last prune's renumbered mirror table was not kept")
+
+    monkeypatch.setattr(BoxTree, "_find_conjugates", no_search)
     mirror = mirror_rows(tree)
     rows, got = tree.conjugate_rows()
     np.testing.assert_array_equal(got, mirror)
@@ -236,6 +244,85 @@ def test_full_path_without_mirrored_leaves(make, depth, grow):
     rows, mirror = tree.conjugate_rows()
     assert mirror is None
     np.testing.assert_array_equal(rows, np.arange(tree.leaf_count))
+
+
+@pytest.mark.parametrize(
+    "make,depth,grow",
+    [
+        pytest.param(per31, 3, sink_tree, id="per31-mirrored"),
+        pytest.param(altper2, 3, sink_tree, id="altper2-mirrored"),
+        pytest.param(cubicdouble, 4, grown_tree, id="cubicdouble"),
+        pytest.param(realhorse, 4, grown_tree, id="realhorse"),
+        pytest.param(per31, 3, mixed_tree, id="per31-mixed_tree"),
+    ],
+)
+def test_outputs_do_not_depend_on_the_worker_count(make, depth, grow, monkeypatch, tmp_path):
+    """Prune keep masks, CSR arrays and model bytes are the same for 1, 2
+    and 3 workers, with the default pieces and with small ones (so every
+    phase runs many pieces, the last one short)."""
+    model = make()
+    kept = []
+    prune = BoxTree.prune_escaping
+
+    def recording(tree, max_iter):
+        before = live_ids(tree)
+        dropped = prune(tree, max_iter)
+        kept.append(np.isin(before, live_ids(tree)))
+        return dropped
+
+    monkeypatch.setattr(BoxTree, "prune_escaping", recording)
+    default, small = (boxtree._PRUNE_PIECE, boxtree._LOOKUP_PIECE), (37, 53)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # switch threads often
+        for workers, pieces in ((1, default), (1, small), (2, small), (3, small), (3, default)):
+            monkeypatch.setattr(pool, "worker_count", lambda: workers)
+            monkeypatch.setattr(boxtree, "_PRUNE_PIECE", pieces[0])
+            monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", pieces[1])
+            kept.clear()
+            tree = grow(model, depth)
+            graph = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+            gamma = recurrent_model(graph, scc_decompose(graph))
+            path = tmp_path / f"model-{len(runs)}.txt"
+            save_model(str(path), model, gamma, include_edges=True)
+            runs.append((list(kept), graph, path.read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    (kept0, graph0, bytes0), *others = runs
+    assert graph0.n_edges and len(kept0) == depth + (2 if grow is not grown_tree else 0)
+    for kept_n, graph_n, bytes_n in others:
+        assert len(kept_n) == len(kept0)
+        for a, b in zip(kept0, kept_n):
+            np.testing.assert_array_equal(a, b)
+        for field in ("vertex_ids", "indptr", "indices"):
+            a, b = getattr(graph0, field), getattr(graph_n, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert bytes_n == bytes0
+
+
+def test_forked_child_builds_edges_after_the_pool_ran(monkeypatch):
+    """A child made by fork, after the parent's pool ran, gets a pool of
+    its own: its edge build finishes."""
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)
+    monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", 64)
+    model = per31()
+    tree = grown_tree(model, 3)
+    want = build_edges(tree, model, 1e-3).n_edges
+    assert pool._pool is not None
+
+    def child():
+        fresh = pool._pool is None
+        sys.exit(0 if fresh and build_edges(tree, model, 1e-3).n_edges == want else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child's edge build did not finish")
+    assert proc.exitcode == 0
 
 
 def test_edges_rows_sorted_and_unique():
@@ -437,6 +524,34 @@ def test_cross_component_edges_flagged_not_primary():
     assert gamma.n_vertices == 4
     assert gamma.n_edges == 4  # the two cycles only
     assert gamma.cross_edges.shape == (1, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recurrent_model_matches_the_edge_loop_reference(seed):
+    """Cycle and cross edges against a loop over the edges, on random
+    graphs with several components and unlabeled vertices."""
+    rng = random.Random(seed)
+    n = 60
+    near = [range(max(0, u - 4), min(n, u + 5)) for u in range(n)]
+    adj = [sorted(rng.sample(near[u], rng.randint(0, 2))) for u in range(n)]
+    g = graph_from_adjacency(adj)
+    lab = scc_decompose(g)
+    comp = lab.comp.tolist()
+    assert len(lab.sizes) > 1 and -1 in comp
+    new_row = {u: k for k, u in enumerate(u for u in range(n) if comp[u] >= 0)}
+    cycle, cross = [], []
+    for u, outs in enumerate(adj):
+        for v in outs:
+            if comp[u] >= 0 and comp[v] >= 0:
+                (cycle if comp[u] == comp[v] else cross).append((new_row[u], new_row[v]))
+    assert cycle and cross
+    gamma = recurrent_model(g, lab)
+    src, dst = gamma.edge_rows()
+    assert list(zip(src.tolist(), dst.tolist())) == cycle
+    assert gamma.cross_edges.dtype == np.int64
+    assert [tuple(e) for e in gamma.cross_edges.tolist()] == cross
+    assert gamma.comp.tolist() == [c for c in comp if c >= 0]
+    assert gamma.vertex_ids.tolist() == sorted(new_row)
 
 
 def test_recurrent_model_matches_cycle_oracle_on_map_graph():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxchain.ia import _down_arr, _up_arr, ComplexInterval, Interval, IntervalArray
+from boxchain.ia import _down_arr, _hull4, _up_arr, ComplexInterval, Interval, IntervalArray
 from boxchain.maps import MapModel, batch_backward, batch_forward
 
 MAX = sys.float_info.max
@@ -122,6 +122,36 @@ def test_ulp_steps_equal_nextafter_bit_for_bit(values):
             for ours, toward in ((_down_arr, -np.inf), (_up_arr, np.inf)):
                 want = np.nextafter(arr, toward).view(np.int64)
                 assert np.array_equal(ours(arr).view(np.int64), want), arr
+
+
+ENDS = SPECIAL + [-math.inf, math.inf, math.nan, -1.5, 0.3, 3.0, 2.0**-1074 * 3]
+SCALARS = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, 2.0), (-0.0, 3.0), (-3.0, 0.0), (-2.0, -0.0),
+    (5e-324, 5e-324), (1e-300, 0.3), (0.15, 0.15), (-0.25, -0.25), (-MAX, -1.0),
+    (1.0, MAX), (MIN_NORMAL, MAX), (0.0225, 0.0225),
+]
+
+
+@pytest.mark.parametrize(
+    "op,bl,bh",
+    [("mul", bl, bh) for bl, bh in SCALARS]
+    + [("div", bl, bh) for bl, bh in SCALARS if not bl <= 0.0 <= bh],
+)
+def test_scalar_factor_of_one_sign_matches_the_four_products(op, bl, bh):
+    """IntervalArray.mul/div by a scalar Interval of one sign takes the
+    two products of one end of the array per bound; the bounds equal
+    _hull4 of all four, bit for bit, on every row, NaN rows (an infinite
+    end times a zero end) included."""
+    pairs = [(x, y) for x in ENDS for y in ENDS if x <= y or math.isnan(x) or math.isnan(y)]
+    al = np.array([x for x, _ in pairs])
+    ah = np.array([y for _, y in pairs])
+    fn = np.multiply if op == "mul" else np.divide
+    with np.errstate(all="ignore"):
+        got = getattr(IntervalArray(al, ah), op)(Interval(bl, bh))
+        want = _hull4(fn(al, bl), fn(al, bh), fn(ah, bl), fn(ah, bh))
+    assert np.isnan(want.lo).any()  # the NaN rows are covered
+    for ours, ref in ((got.lo, want.lo), (got.hi, want.hi)):
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
 def test_real_mode_array_stores_no_imaginary_part():
