@@ -517,3 +517,11 @@ def test_selector_one_dim_superattracting():
         < 1.1
     ]
     assert outside and not any(sel(lid) for lid in outside)
+
+
+@pytest.mark.parametrize("naxes", [2, 4])
+def test_any_per_row_is_any_over_axis_1(naxes):
+    rng = np.random.default_rng(naxes)
+    mask = rng.random((1000, 2 * naxes)) < 0.2
+    for m in (mask[:, :naxes], mask[:, ::2], mask[:0, :naxes]):  # strided and empty views
+        np.testing.assert_array_equal(boxtree._any_per_row(m), m.any(axis=1))
