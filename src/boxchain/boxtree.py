@@ -30,8 +30,10 @@ When the map commutes with complex conjugation (its
 ``conjugation_axes``), so does the grid: conjugation takes a depth-d
 cell i to 2^d - 1 - i on those axes, and the cell ends to their exact
 negatives.  ``conjugate_rows`` pairs each live leaf with its mirror
-through the address index, and escape pruning iterates one leaf of each
-pair and gives the other the same decision.
+through the address index, once: the table is carried through every
+removal and subdivision that keeps the leaves closed under conjugation.
+Escape pruning iterates one leaf of each pair and gives the other the
+same decision.
 
 Escape pruning and the edge build's lookup (``lookup_pieces``) treat
 each row on its own, so they run in pieces of consecutive rows on the
@@ -92,19 +94,32 @@ class BoxTree:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _set(self, ids, depths, idx, next_id: int) -> None:
-        """Replace the live leaves (ids ascending); drop the derived arrays."""
+    def _set(self, ids, depths, idx, next_id: int, mirror=None) -> None:
+        """Replace the live leaves (ids ascending); drop the derived arrays.
+        ``mirror`` is the new leaves' mirror table, where the caller
+        derived it from the old one (see ``conjugate_rows``)."""
         self._ids, self._depths, self._idx = ids, depths, idx
         self._next_id = next_id
         self._bounds = None
         self._index = None
-        self._conjugates = None
+        self._conjugates = None if mirror is None else (self._first_of_pairs(), mirror)
+
+    def _mirror(self, closed: np.ndarray):
+        """The mirror table, when there is one and the rows where
+        ``closed`` holds are exactly their mirrors' rows; else None."""
+        mirror = None if self._conjugates is None else self._conjugates[1]
+        if mirror is None or not np.array_equal(closed, closed[mirror]):
+            return None
+        return mirror
 
     def _keep(self, keep: np.ndarray) -> int:
         """Keep the rows where ``keep`` holds; returns how many were dropped."""
         dropped = len(keep) - int(np.count_nonzero(keep))
         if dropped:
-            self._set(self._ids[keep], self._depths[keep], self._idx[keep], self._next_id)
+            mirror = self._mirror(keep)
+            if mirror is not None:  # renumbered onto the kept rows
+                mirror = (np.cumsum(keep) - 1)[mirror[keep]]
+            self._set(self._ids[keep], self._depths[keep], self._idx[keep], self._next_id, mirror)
         return dropped
 
     def _row(self, lid: int) -> int:
@@ -184,11 +199,22 @@ class BoxTree:
         children = (2 * self._idx[sel])[:, None, :] + offsets
         created = len(offsets) * nsel
         keep = ~sel
+        mirror = self._mirror(sel)
+        if mirror is not None:
+            # a child's mirror is the child of its parent's mirror with the
+            # offset bits of the conjugation axes flipped
+            flip = sum(1 << (self.naxes - 1 - k) for k in self.model.conjugation_axes)
+            first_child = n - nsel + len(offsets) * (np.cumsum(sel) - 1)
+            mirror = np.concatenate([
+                (np.cumsum(keep) - 1)[mirror[keep]],
+                (first_child[mirror[sel]][:, None] + (np.arange(len(offsets)) ^ flip)).ravel(),
+            ])
         self._set(
             np.concatenate([self._ids[keep], np.arange(self._next_id, self._next_id + created)]),
             np.concatenate([self._depths[keep], np.repeat(self._depths[sel] + 1, len(offsets))]),
             np.concatenate([self._idx[keep], children.reshape(-1, self.naxes)]),
             self._next_id + created,
+            mirror,
         )
         return SubdivisionReport(
             selected=nsel,
@@ -282,12 +308,20 @@ class BoxTree:
         index below 2^(d-1) on the first of the axes: one leaf of each
         mirrored pair, as no leaf below the root is its own mirror.
         Otherwise (no such axes, the root alone, or a mirror that is not
-        a live leaf) every row is computed.  The answer is kept until the
-        next mutation (escape pruning renumbers its own).
+        a live leaf) every row is computed.
+
+        The mirror table is searched for once and then kept: removing
+        leaves (escape pruning, ``remove_leaves``) renumbers it when the
+        leaves removed are closed under conjugation, and ``subdivide``
+        extends it to the children when the leaves subdivided are.
         """
         if self._conjugates is None:
             self._conjugates = self._find_conjugates()
         return self._conjugates
+
+    def _first_of_pairs(self) -> np.ndarray:
+        axis = self.model.conjugation_axes[0]
+        return np.flatnonzero((self._idx[:, axis] >> (self._depths - 1)) == 0)
 
     def _find_conjugates(self):
         every = np.arange(len(self._ids)), None
@@ -302,8 +336,7 @@ class BoxTree:
             if not found.all():
                 return every
             mirror[level_rows] = level_rows[pos]
-        rows = np.flatnonzero((self._idx[:, axes[0]] >> (self._depths - 1)) == 0)
-        return rows, mirror
+        return self._first_of_pairs(), mirror
 
     def meeting(self, lo, hi):
         """(query rows, leaf ids) of all the pairs ``lookup`` yields."""
@@ -363,9 +396,7 @@ class BoxTree:
         pieces apply the map formulas through ``on_rows``, not through
         ``batch_forward``/``batch_backward``: perfbench's tracer wraps
         those names with one span stack, which a pool thread must not
-        touch.  The pruned set is closed under conjugation, so the mirror
-        table of the kept rows is the old one renumbered, and
-        ``conjugate_rows`` returns it without a search.
+        touch.
         """
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
@@ -405,15 +436,9 @@ class BoxTree:
         pruned = np.zeros(self.leaf_count, dtype=bool)
         for rows in in_pieces(escaped, len(todo), _PRUNE_PIECE):
             pruned[rows] = True
-        if mirror is None:
-            return self._keep(~pruned)
-        pruned |= pruned[mirror]
-        keep = ~pruned
-        new_row = np.cumsum(keep) - 1
-        conjugates = new_row[todo[keep[todo]]], new_row[mirror[keep]]
-        dropped = self._keep(keep)
-        self._conjugates = conjugates
-        return dropped
+        if mirror is not None:
+            pruned |= pruned[mirror]
+        return self._keep(~pruned)
 
     def remove_leaves(self, ids) -> int:
         """Drop the live leaves among ``ids`` (an array-like of leaf ids)."""

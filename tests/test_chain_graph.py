@@ -229,6 +229,44 @@ def test_edge_set_is_invariant_under_conjugation(make, depth, monkeypatch):
     assert {(int(mirror[u]), int(mirror[v])) for u, v in edges} == edges
 
 
+@pytest.mark.parametrize("make", [per31, altper2, quad_c0])
+def test_mirror_table_is_carried_through_every_mutation(make, monkeypatch):
+    """After each subdivision, prune and removal of a mirrored run, the
+    mirror table the tree kept equals a fresh search; the search runs
+    only on the first subdivided tree."""
+    model = make()
+    tree = init_root(model)
+    searches = []
+    search = BoxTree._find_conjugates
+
+    def counting(tree):
+        searches.append(tree.leaf_count)
+        return search(tree)
+
+    monkeypatch.setattr(BoxTree, "_find_conjugates", counting)
+
+    def check():
+        rows, mirror = tree.conjugate_rows()
+        fresh_rows, fresh = search(tree)
+        assert mirror is not None
+        np.testing.assert_array_equal(rows, fresh_rows)
+        np.testing.assert_array_equal(mirror, fresh)
+
+    for step in range(5):
+        tree.subdivide((lambda lid: True) if step < 3 else sink_basin_selector(tree))
+        check()
+        tree.prune_escaping(6)
+        check()
+        g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+        tree.remove_leaves(g.vertex_ids[scc_decompose(g).comp < 0])
+        check()
+    assert len(tree.depth_counts()) > 1
+    assert searches == [2 ** model.naxes]
+    # a removal that is not closed under conjugation drops the table
+    tree.remove_leaves(live_ids(tree)[:1])
+    assert tree.conjugate_rows()[1] is None
+
+
 @pytest.mark.parametrize(
     "make,depth,grow",
     [
