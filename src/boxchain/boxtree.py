@@ -105,8 +105,8 @@ class BoxTree:
         self._conjugates = None if mirror is None else (self._first_of_pairs(), mirror)
 
     def _mirror(self, closed: np.ndarray):
-        """The mirror table, when there is one and the rows where
-        ``closed`` holds are exactly their mirrors' rows; else None."""
+        """The mirror table, when there is one and the set of rows where
+        ``closed`` holds is closed under it; else None."""
         mirror = None if self._conjugates is None else self._conjugates[1]
         if mirror is None or not np.array_equal(closed, closed[mirror]):
             return None
@@ -320,6 +320,7 @@ class BoxTree:
         return self._conjugates
 
     def _first_of_pairs(self) -> np.ndarray:
+        """The rows of one leaf of each mirrored pair (see above)."""
         axis = self.model.conjugation_axes[0]
         return np.flatnonzero((self._idx[:, axis] >> (self._depths - 1)) == 0)
 
