@@ -102,7 +102,7 @@ class BoxTree:
         self._next_id = next_id
         self._bounds = None
         self._index = None
-        self._conjugates = None if mirror is None else (self._first_of_pairs(), mirror)
+        self._conjugates = None if mirror is None else _pairs(mirror)
 
     def _mirror(self, closed: np.ndarray):
         """The mirror table, when there is one and the set of rows where
@@ -304,9 +304,9 @@ class BoxTree:
 
         Conjugation negates the map's ``conjugation_axes``; on a depth-d
         grid it takes cell i to 2^d - 1 - i on those axes.  When every
-        live leaf's mirror is a live leaf, the rows are those with an
-        index below 2^(d-1) on the first of the axes: one leaf of each
-        mirrored pair, as no leaf below the root is its own mirror.
+        live leaf's mirror is a live leaf, the rows are those below their
+        mirror's row: one leaf of each mirrored pair, as no leaf below
+        the root is its own mirror.
         Otherwise (no such axes, the root alone, or a mirror that is not
         a live leaf) every row is computed.
 
@@ -318,11 +318,6 @@ class BoxTree:
         if self._conjugates is None:
             self._conjugates = self._find_conjugates()
         return self._conjugates
-
-    def _first_of_pairs(self) -> np.ndarray:
-        """The rows of one leaf of each mirrored pair (see above)."""
-        axis = self.model.conjugation_axes[0]
-        return np.flatnonzero((self._idx[:, axis] >> (self._depths - 1)) == 0)
 
     def _find_conjugates(self):
         every = np.arange(len(self._ids)), None
@@ -337,7 +332,7 @@ class BoxTree:
             if not found.all():
                 return every
             mirror[level_rows] = level_rows[pos]
-        return self._first_of_pairs(), mirror
+        return _pairs(mirror)
 
     def meeting(self, lo, hi):
         """(query rows, leaf ids) of all the pairs ``lookup`` yields."""
@@ -468,7 +463,7 @@ class BoxTree:
                 f"address depth {int(depths[bad[0]])} out of range 0..{tree.max_depth} "
                 f"(packed addresses need naxes*depth <= {_KEY_BITS})"
             )
-        bad = np.flatnonzero(((idx >> depths[:, None]) != 0).any(axis=1))
+        bad = np.flatnonzero(_any_per_row((idx >> depths[:, None]) != 0))
         if len(bad):
             raise UsageError(f"address {describe(bad[0])} outside the grid")
         n = len(table)
@@ -498,8 +493,14 @@ def _pack(idx: np.ndarray, depth: int) -> np.ndarray:
     return key
 
 
+def _pairs(mirror: np.ndarray):
+    """(rows, mirror): the rows below their mirror's row, one of each
+    mirrored pair, and the mirror table."""
+    return np.flatnonzero(np.arange(len(mirror)) < mirror), mirror
+
+
 def _any_per_row(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=1)`` of an n x naxes bool array (naxes 2 or 4).
+    """``mask.any(axis=1)`` of an n x 2 or n x 4 bool array.
     numpy's reduction over so short an axis costs about 25 ns a row, ten
     times this: each row's naxes bytes (0 or 1 each) are read as one
     unsigned integer, which is nonzero iff one of them is."""

@@ -29,25 +29,44 @@ order does not depend on the pieces.
 
 When the live leaves pair up under complex conjugation σ
 (``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
-only one leaf of each pair is imaged and looked up.  The grid is
-σ-symmetric and the interval images commute with σ bit for bit, so
-k -> j is an edge iff σk -> σj is; each edge found is stored with its
-mirror, and one sort orders both halves.
+only one leaf of each pair, the one in the smaller row, is imaged and
+looked up.  The grid is σ-symmetric and the interval images commute
+with σ bit for bit, so k -> j is an edge iff σk -> σj is.  The graph
+stores only the computed rows' out-edges, sorted by (src, dst), with
+the mirror table; it answers for the whole graph Υ through σ
+(``n_edges``, ``has_edge``, ``out_neighbors``, ``edge_rows``).
+
+The strong components of a mirrored graph come from its quotient Q by
+σ.  A vertex of Q is a pair {k, σk}; each stored edge k -> j gives the
+edge [k] -> [j] with a parity bit, set when j is a mirrored row.  A
+vertex lies on a cycle of Υ iff its pair lies on a cycle of Q, and a
+strong component S of Q lifts to one σ-invariant component of 2|S|
+boxes when some closed walk in S has odd parity, else to two mirrored
+components of |S| boxes each (the covering graph of a Z/2 voltage
+graph).  The parity is read off a labelling: a breadth-first search
+from a virtual root joined to each component's smallest pair gives
+every pair the parity of its tree path, and S is odd iff one of its
+edges breaks that labelling.
 
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
 canonicalized to (size desc, min vertex asc) order so labels are
 deterministic; graphs with ~10^6 vertices stay well within memory.
+
+The recurrent model counts its cycle and cross edges when it is made;
+it builds their tables, in (src, dst) order, on the first read of
+``indptr``, ``indices`` or ``cross_edges`` (saving a model with its
+edges, ``inspect``), which most runs never do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import check_memory_budget
 from .ia import UsageError, _down_arr, _up_arr
@@ -67,19 +86,52 @@ __all__ = [
 ]
 
 
+class _EdgeTable:
+    """A ChainGraph field holding one of its edge tables.  A recurrent
+    model from ``recurrent_model`` is made with its tables pending: the
+    first read of any of them builds them all."""
+
+    def __init__(self, required: bool = True):
+        self.required = required
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:  # the dataclass asks for the field's default
+            if self.required:
+                raise AttributeError(self.name)
+            return None
+        pending = graph.pending
+        if pending is not None:
+            graph.indptr, graph.indices, graph.cross_edges = pending.tables()
+            graph.pending = None
+        return graph.__dict__[self.name]
+
+    def __set__(self, graph, value):
+        graph.__dict__[self.name] = value
+
+
 @dataclass
 class ChainGraph:
-    """Directed graph on live leaf boxes (CSR out-adjacency)."""
+    """Directed graph on live leaf boxes (CSR out-adjacency).
+
+    With ``mirror`` (the row of each vertex's mirror under σ), the CSR
+    holds only the out-edges of the rows below their mirror's row; the
+    other rows' edges are their mirrors (see the module docstring)."""
 
     tree: BoxTree
     vertex_ids: np.ndarray  # leaf ids, ascending
-    indptr: np.ndarray
-    indices: np.ndarray  # vertex rows, ascending within each row
+    indptr: np.ndarray = _EdgeTable()
+    indices: np.ndarray = _EdgeTable()  # vertex rows, ascending within each row
     delta: float
     epsilon: float
     epsilon_min: float
     comp: Optional[np.ndarray] = None  # per-vertex component id (recurrent model)
-    cross_edges: Optional[np.ndarray] = None  # flagged non-cycle edges [k, 2]
+    cross_edges: Optional[np.ndarray] = _EdgeTable(required=False)  # flagged non-cycle edges [k, 2]
+    mirror: Optional[np.ndarray] = None
+    # the edge tables of a recurrent model, until they are first read
+    pending: Optional["_PendingEdges"] = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -89,24 +141,42 @@ class ChainGraph:
     def from_pairs(cls, src, dst, vertex_ids, **fields) -> "ChainGraph":
         """Graph on the vertices ``vertex_ids`` with the edges src -> dst
         (vertex rows, sorted by (src, dst)); ``fields`` are the others."""
-        indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=len(vertex_ids)), out=indptr[1:])
-        indices = np.asarray(dst, dtype=np.int32)
+        indptr, indices = _csr(src, dst, len(vertex_ids))
         return cls(vertex_ids=vertex_ids, indptr=indptr, indices=indices, **fields)
 
     @property
     def n_edges(self) -> int:
-        return len(self.indices)
+        if self.pending is not None:
+            return self.pending.n_edges
+        return len(self.indices) * (1 if self.mirror is None else 2)
+
+    @property
+    def n_cross_edges(self) -> int:
+        if self.pending is not None:
+            return self.pending.n_cross
+        return len(self.cross_edges)
+
+    def _mirrored(self, row: int) -> bool:
+        """Whether ``row``'s out-edges are the mirrors of stored ones."""
+        return self.mirror is not None and self.mirror[row] < row
 
     def edge_rows(self):
         """(src, dst) vertex rows of every edge, in CSR order (int32)."""
         src = np.arange(self.n_vertices, dtype=np.int32)
-        return np.repeat(src, np.diff(self.indptr)), self.indices
+        src = np.repeat(src, np.diff(self.indptr))
+        if self.mirror is None:
+            return src, self.indices
+        return _with_mirrors(src, self.indices, self.mirror)
 
     def out_neighbors(self, row: int) -> np.ndarray:
+        if self._mirrored(row):
+            mirrored = self.mirror[self.out_neighbors(self.mirror[row])]
+            return np.sort(mirrored).astype(self.indices.dtype)
         return self.indices[self.indptr[row] : self.indptr[row + 1]]
 
     def has_edge(self, src_row: int, dst_row: int) -> bool:
+        if self._mirrored(src_row):
+            src_row, dst_row = self.mirror[src_row], self.mirror[dst_row]
         nb = self.out_neighbors(src_row)
         k = np.searchsorted(nb, dst_row)
         return k < len(nb) and nb[k] == dst_row
@@ -116,6 +186,30 @@ class ChainGraph:
         if k >= len(self.vertex_ids) or self.vertex_ids[k] != leaf_id:
             raise UsageError(f"leaf {leaf_id} is not a graph vertex")
         return k
+
+
+def _csr(src, dst, n: int):
+    """(indptr, indices) of the edges src -> dst on n vertices, given
+    sorted by (src, dst)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, np.asarray(dst, dtype=np.int32)
+
+
+def _with_mirrors(src, dst, mirror):
+    """(src, dst) of the edges src -> dst and of their mirrors, sorted by
+    (src, dst) (int32)."""
+    k = len(src)
+    key = np.empty(2 * k, dtype=np.int64)
+    key[:k], key[k:] = src, mirror[src]
+    key <<= 32
+    key[:k] |= dst
+    key[k:] |= mirror[dst]
+    key.sort()
+    src = np.empty(2 * k, dtype=np.int32)
+    np.right_shift(key, 32, out=src, casting="unsafe")
+    key &= 0xFFFFFFFF
+    return src, key.astype(np.int32)
 
 
 def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
@@ -147,9 +241,10 @@ def build_edges(
     The lookup runs in pieces on the thread pool
     (``BoxTree.lookup_pieces``); the pieces return their (image, leaf)
     row pairs, and this thread turns them into edge keys, so every array
-    that outlives a piece is allocated here.  Checks the process's peak
-    RSS against ``mem_budget_mb`` on entry and after each lookup chunk
-    (``check_memory_budget``).
+    that outlives a piece is allocated here.  On a mirrored tree the
+    graph stores the edges of one leaf of each pair (see the module
+    docstring).  Checks the process's peak RSS against ``mem_budget_mb``
+    on entry and after each lookup chunk (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
@@ -160,10 +255,11 @@ def build_edges(
         check_memory_budget(mem_budget_mb, where, vertices=n, edges=edges)
 
     check(0)
-    # k -> j is an edge iff its mirror is: image and look up one of each pair
+    # k -> j is an edge iff its mirror is: image and look up one of each
+    # pair, and store only those rows' edges
     rows, mirror = tree.conjugate_rows()
     wlo, whi = widened_images(tree, model, delta, rows)
-    edge_parts = []  # one int64 per edge: src row << 32 | dst row
+    edge_parts = []  # one int64 per stored edge: src row << 32 | dst row
     total_edges = 0
     for chunks in tree.lookup_pieces(wlo, whi):
         for edge, dst in chunks:
@@ -171,15 +267,10 @@ def build_edges(
             # mirror, those are all the rows, in order
             if mirror is not None:
                 edge = rows[edge]
-                back = mirror[edge]
-                back <<= 32
-                back |= mirror[dst]
-                edge_parts.append(back)
-                total_edges += len(back)
             key = edge << 32
             key |= dst
             edge_parts.append(key)
-            total_edges += len(key)
+            total_edges += len(key) * (1 if mirror is None else 2)
             check(total_edges)
     edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
     del edge_parts
@@ -194,6 +285,7 @@ def build_edges(
         delta=float(delta),
         epsilon=tree.epsilon(),
         epsilon_min=tree.epsilon_min(),
+        mirror=mirror,
     )
 
 
@@ -223,31 +315,166 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
     """Label vertices by strongly connected component.
 
     A singleton component counts only with a self-edge; everything else
-    is unlabeled (-1).  Deterministic for a given graph.
+    is unlabeled (-1).  Deterministic for a given graph.  A mirrored
+    graph's components are lifted from those of its quotient by σ.
     """
     n = graph.n_vertices
     if n == 0:
         return SccLabeling(comp=np.empty(0, dtype=np.int64), sizes=())
-    mat = csr_matrix(
-        (np.ones(graph.n_edges, dtype=np.int8), graph.indices, graph.indptr),
-        shape=(n, n),
-    )
+    if graph.mirror is not None:
+        return _canonical(_lifted_components(graph))
+    raw, kept, _ = _strong_components(graph.indptr, graph.indices, n)
+    return _canonical(np.where(kept[raw], raw, -1))
+
+
+def _strong_components(indptr, indices, n: int):
+    """(component per vertex, whether each component lies on a cycle:
+    two vertices or more, or a self-edge, source vertex per edge) of a
+    CSR graph, by scipy."""
+    # int8 weights: scipy converts them to float64 and merges repeated
+    # edges, which the quotient has and the routine does not handle
+    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     _, raw = connected_components(mat, directed=True, connection="strong")
-    counts = np.bincount(raw)
-    # singleton components count only with a self-edge
-    src, dst = graph.edge_rows()
-    kept = counts >= 2
-    kept[raw[src[src == dst]]] = True
-    # canonical order: size descending, then smallest member row
-    _, first_row = np.unique(raw, return_index=True)  # raw labels are 0..k-1
-    kept_ids = np.flatnonzero(kept)
-    kept_sorted = kept_ids[np.lexsort((first_row[kept_ids], -counts[kept_ids]))]
-    lookup = np.full(len(counts), -1, dtype=np.int64)
-    lookup[kept_sorted] = np.arange(len(kept_sorted))
-    return SccLabeling(
-        comp=lookup[raw],
-        sizes=tuple(counts[kept_sorted].tolist()),
-    )
+    del mat
+    kept = np.bincount(raw) >= 2
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    kept[raw[src[src == indices]]] = True
+    return raw, kept, src
+
+
+def _lifted_components(graph: ChainGraph) -> np.ndarray:
+    """Raw component ids per vertex (-1: on no cycle) of a mirrored
+    graph, from the strong components of its quotient by σ and the
+    parity of their closed walks (see the module docstring)."""
+    n, mirror = graph.n_vertices, graph.mirror
+    computed = np.arange(n) < mirror  # the rows whose edges are stored
+    rows = np.flatnonzero(computed)
+    m = len(rows)  # quotient vertex p is the pair {rows[p], mirror[rows[p]]}
+    pair = np.cumsum(computed, dtype=np.int32) - 1
+    pair = pair[np.minimum(np.arange(n), mirror)]
+    # per edge, twice the pair of dst plus the parity: 1 when dst is a
+    # mirrored row
+    dst = (2 * pair + ~computed)[graph.indices]
+    odd = (dst & 1).astype(bool)
+    dst >>= 1
+    # the rows between the computed ones store no edges
+    indptr = np.append(graph.indptr[rows], graph.indptr[-1])
+    raw, kept, src = _strong_components(indptr, dst, m)
+    src_comp = np.repeat(np.where(kept[raw], raw, -1), np.diff(indptr))
+    inner = src_comp == raw[dst]  # the edges within a kept component
+    inner &= src_comp >= 0
+    del src_comp
+    label, odd_comp = _parity_labelling(indptr, src, dst, odd, inner, raw, kept)
+    # lift: an even component's vertex (p, side) lies in its sheet
+    # side ^ label[p]; an odd component is one σ-invariant component
+    comp = raw[pair].astype(np.int64)
+    sheet = ~computed ^ label[pair]
+    sheet[odd_comp[comp]] = False
+    lifted = 2 * comp + sheet
+    lifted[~kept[comp]] = -1
+    return lifted
+
+
+def _parity_labelling(indptr, src, dst, odd, inner, raw, kept):
+    """(label per vertex, odd per component) of the quotient graph with
+    the edges src -> dst (CSR ``indptr``) of parities ``odd``, ``inner``
+    marking those within a kept component; ``raw`` is the component of
+    each vertex.  A vertex's label is the parity of its path on a
+    breadth-first tree of the inner edges from its component's smallest
+    vertex; a component is odd when one of its edges breaks the labels."""
+    m = len(raw)
+    # the tree grows from a virtual root m joined to each start; the
+    # other edges lead to a dead end, m + 1
+    starts = np.unique(raw, return_index=True)[1][kept]
+    tree_dst = np.concatenate([np.where(inner, dst, m + 1), starts.astype(np.int32)])
+    tree_ptr = np.append(indptr, [len(tree_dst), len(tree_dst)])
+    # scipy takes float64 weights as they are, unread, with no copy and no
+    # merging of repeated edges, which a breadth-first search does not mind
+    weights = np.broadcast_to(1.0, len(tree_dst))
+    bfs = csr_matrix((weights, tree_dst, tree_ptr), shape=(m + 2, m + 2))
+    _, up = breadth_first_order(bfs, m, directed=True, return_predecessors=True)
+    del bfs, tree_dst
+    # each tree edge gives its own parity (where two edges join the same
+    # vertices, either will do: with parities that differ, the component
+    # is odd whatever the labels), and pointer doubling sums them up to
+    # the root
+    up = up[: m + 1]
+    label = np.zeros(m + 1, dtype=bool)
+    on_tree = up[dst] == src
+    label[dst[on_tree]] = odd[on_tree]
+    del on_tree
+    up[up < 0] = m  # the root, and the vertices outside every kept component
+    while (up != m).any():
+        label ^= label[up]
+        up = up[up]
+    broken = np.repeat(label[:m], np.diff(indptr))  # label[src]
+    broken ^= odd
+    broken ^= label[dst]
+    broken &= inner
+    odd_comp = np.zeros(len(kept), dtype=bool)
+    odd_comp[raw[src[broken]]] = True
+    return label[:m], odd_comp
+
+
+def _canonical(raw: np.ndarray) -> SccLabeling:
+    """The labeling of the raw component ids per vertex (-1: none), in
+    canonical order: size descending, then smallest member row."""
+    labeled = np.flatnonzero(raw >= 0)
+    ids, first, counts = np.unique(raw[labeled], return_index=True, return_counts=True)
+    order = np.lexsort((first, -counts))
+    lookup = np.full(int(ids[-1]) + 1 if len(ids) else 0, -1, dtype=np.int64)
+    lookup[ids[order]] = np.arange(len(ids))
+    comp = np.full(len(raw), -1, dtype=np.int64)
+    comp[labeled] = lookup[raw[labeled]]
+    return SccLabeling(comp=comp, sizes=tuple(counts[order].tolist()))
+
+
+@dataclass(frozen=True)
+class _PendingEdges:
+    """The cycle and cross edges of the recurrent model of ``graph``
+    with the component ids ``comp``: their counts, and their tables on
+    request."""
+
+    graph: ChainGraph
+    comp: np.ndarray
+    n_edges: int
+    n_cross: int
+
+    def tables(self):
+        """(indptr, indices, cross_edges) of the recurrent model: the
+        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order."""
+        graph, keep = self.graph, self.comp >= 0
+        cycle, cross = _edge_kinds(graph, self.comp)
+        # the kept vertices' new rows; monotone, so the stored edges stay
+        # sorted by (src, dst)
+        new_row = np.cumsum(keep, dtype=np.int32)
+        new_row -= 1
+        src = np.repeat(new_row, np.diff(graph.indptr))
+        dst = new_row[graph.indices]
+        mirror = None if graph.mirror is None else new_row[graph.mirror[keep]]
+
+        def edges(kind):
+            if mirror is None:
+                return src[kind], dst[kind]
+            return _with_mirrors(src[kind], dst[kind], mirror)
+
+        indptr, indices = _csr(*edges(cycle), np.count_nonzero(keep))
+        cross_edges = np.column_stack(edges(cross)).astype(np.int64)
+        return indptr, indices, cross_edges
+
+
+def _edge_kinds(graph: ChainGraph, comp: np.ndarray):
+    """(cycle, cross) masks of the stored edges: both ends in one
+    component, or in two distinct ones (comp -1: unlabeled)."""
+    comp = comp.astype(np.int32)
+    src_comp = np.repeat(comp, np.diff(graph.indptr))
+    dst_comp = comp[graph.indices]
+    cycle = src_comp == dst_comp
+    cycle &= dst_comp >= 0
+    cross = src_comp >= 0
+    cross &= dst_comp >= 0
+    cross ^= cycle  # both ends labeled, in different components
+    return cycle, cross
 
 
 def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
@@ -255,39 +482,28 @@ def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
 
     Primary edges are the cycle edges (within a component); edges
     between distinct labeled components are kept in ``cross_edges``,
-    flagged.  The tree is left as it is.
+    flagged.  Both are counted here and built on first read (see the
+    module docstring).  The tree is left as it is.
     """
-    keep = labeling.comp >= 0
-    keep_rows = np.flatnonzero(keep)
-    # per edge, in int32: the components of its ends (-1: unlabeled)
-    comp = labeling.comp.astype(np.int32)
-    out_degree = np.diff(graph.indptr)
-    src_comp = np.repeat(comp, out_degree)
-    dst_comp = comp[graph.indices]
-    cycle = src_comp == dst_comp
-    cycle &= dst_comp >= 0
-    cross = src_comp >= 0
-    cross &= dst_comp >= 0
-    cross ^= cycle  # both ends labeled, in different components
-    del src_comp, dst_comp
-    # the kept vertices' new rows; monotone, so the edges stay sorted by (src, dst)
-    new_row = np.cumsum(keep, dtype=np.int32)
-    new_row -= 1
-    src = np.repeat(new_row, out_degree)
-    dst = new_row[graph.indices]
-    cross_edges = np.empty((np.count_nonzero(cross), 2), dtype=np.int64)
-    cross_edges[:, 0], cross_edges[:, 1] = src[cross], dst[cross]
-    del cross
-    return ChainGraph.from_pairs(
-        src[cycle],
-        dst[cycle],
-        graph.vertex_ids[keep_rows],
+    keep_rows = np.flatnonzero(labeling.comp >= 0)
+    cycle, cross = _edge_kinds(graph, labeling.comp)
+    per_stored = 1 if graph.mirror is None else 2  # each stored edge and its mirror
+    pending = _PendingEdges(
+        graph,
+        labeling.comp,
+        n_edges=per_stored * int(np.count_nonzero(cycle)),
+        n_cross=per_stored * int(np.count_nonzero(cross)),
+    )
+    return ChainGraph(
         tree=graph.tree,
+        vertex_ids=graph.vertex_ids[keep_rows],
+        indptr=None,
+        indices=None,
         delta=graph.delta,
         epsilon=graph.epsilon,
         epsilon_min=graph.epsilon_min,
         comp=labeling.comp[keep_rows],
-        cross_edges=cross_edges,
+        pending=pending,
     )
 
 

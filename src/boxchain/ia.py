@@ -637,10 +637,10 @@ class IntervalArray:
     def square(self) -> "IntervalArray":
         lo, hi = self.lo, self.hi
         m = np.maximum(-lo, hi)
-        sq_lo = np.where(
-            lo >= 0.0, _down_arr(lo * lo), np.where(hi <= 0.0, _down_arr(hi * hi), 0.0)
-        )
-        return IntervalArray(np.maximum(sq_lo, 0.0), _up_arr(m * m))
+        # the end nearest zero, or zero itself when the interval holds it;
+        # the maximum turns its square's rounded-down zero into +0.0
+        near = np.where(lo >= 0.0, lo, np.where(hi <= 0.0, hi, 0.0))
+        return IntervalArray(np.maximum(_down_arr(near * near), 0.0), _up_arr(m * m))
 
     def div(self, other) -> "IntervalArray":
         if np.any((other.lo <= 0.0) & (0.0 <= other.hi)):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import MemoryBudgetError, ParseError, check_memory_budget, peak_rss_mb
 from .ia import UsageError
 from .maps import KINDS, MapModel, sink_orbits
-from .boxtree import BoxTree, init_root, sink_basin_selector
+from .boxtree import BoxTree, _any_per_row, init_root, sink_basin_selector
 from .bounds import report_for_map, sink_section_for_map
 from .chain_graph import (
     ChainGraph,
@@ -284,7 +284,7 @@ def run_pipeline(
                 upsilon_edges=graph.n_edges,
                 gamma_boxes=gamma.n_vertices,
                 gamma_edges=gamma.n_edges,
-                cross_edges=len(gamma.cross_edges),
+                cross_edges=gamma.n_cross_edges,
                 n_components=classification.n_components,
                 component_sizes=classification.sizes[:8],
                 separating=classification.separating,
@@ -522,7 +522,7 @@ def _rebuild(model: MapModel, scales, boxes, edges, cross):
     radix = max(n, 1)
     keys = {}
     for tag, table, within in (("E", edges, True), ("X", cross, False)):
-        outside = ((table < 0) | (table >= n)).any(axis=1)
+        outside = _any_per_row((table < 0) | (table >= n))
         if outside.any():
             raise ParseError(f"{tag} edge {table[outside][0].tolist()} outside [0, {n})")
         wrong = (comp[table[:, 0]] == comp[table[:, 1]]) != within

@@ -12,7 +12,7 @@ import pytest
 from boxchain.ia import UsageError
 from boxchain.errors import MemoryBudgetError
 from boxchain.maps import MapModel, fixed_points
-from boxchain import boxtree, pool
+from boxchain import boxtree, chain_graph, pool
 from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
 from boxchain.pipeline import save_model
 from boxchain.chain_graph import (
@@ -200,8 +200,10 @@ def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkey
     assert len(half.tree.depth_counts()) == steps + 1
     for a, b in zip(kept, kept_full, strict=True):
         np.testing.assert_array_equal(a, b)
-    for field in ("vertex_ids", "indptr", "indices"):
-        a, b = getattr(half, field), getattr(whole, field)
+    # the mirrored graph stores half of the edges and answers for all
+    assert half.mirror is not None and whole.mirror is None
+    assert 2 * len(half.indices) == half.n_edges == whole.n_edges
+    for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -388,8 +390,9 @@ def test_edge_rows_and_from_pairs_invert_each_other():
         epsilon=built.epsilon,
         epsilon_min=built.epsilon_min,
     )
-    for field in ("indptr", "indices", "vertex_ids"):
-        a, b = getattr(built, field), getattr(again, field)
+    # built stores the edges of one leaf of each mirrored pair, again all
+    assert built.mirror is not None and again.n_edges == built.n_edges
+    for a, b in zip((built.vertex_ids, *built.edge_rows()), (again.vertex_ids, *again.edge_rows())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -534,6 +537,133 @@ def test_scc_sizes_canonical_order():
     g = graph_from_adjacency([[1], [0], [3], [4], [2], [5]])
     lab = scc_decompose(g)
     assert lab.sizes == (3, 2, 1)
+
+
+def random_mirrored_adjacency(rng, half):
+    """A random digraph on 2 * half vertices and a random pairing σ of
+    them (``mirror``), closed under σ: each edge's mirror is an edge.
+    Besides random edges it has self-loops k -> k, odd 2-cycles
+    k -> σk -> k, and cycles C whose mirror σC is another cycle."""
+    n = 2 * half
+    perm = rng.permutation(n)
+    mirror = np.empty(n, dtype=np.int64)
+    mirror[perm[:half]], mirror[perm[half:]] = perm[half:], perm[:half]
+    edges = set()
+
+    def add(u, v):
+        edges.update({(int(u), int(v)), (int(mirror[u]), int(mirror[v]))})
+
+    for _ in range(int(rng.integers(0, 2 * n))):
+        add(*rng.integers(n, size=2))
+    for k in rng.integers(n, size=int(rng.integers(0, 3))):
+        add(k, k)
+    for k in rng.integers(n, size=int(rng.integers(0, 3))):
+        add(k, mirror[k])
+    for _ in range(int(rng.integers(0, 3))):
+        cycle = rng.choice(n, size=min(n, int(rng.integers(2, 5))), replace=False)
+        for u, v in zip(cycle, np.roll(cycle, -1)):
+            add(u, v)
+    adj = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        adj[u].append(v)
+    return adj, mirror
+
+
+def mirrored_twin(full, mirror):
+    """``full`` stored as a mirrored graph: the out-edges of the rows
+    below their mirror's row, and the mirror table."""
+    src, dst = full.edge_rows()
+    stored = src < mirror[src]
+    return ChainGraph.from_pairs(
+        src[stored],
+        dst[stored],
+        full.vertex_ids,
+        tree=full.tree,
+        delta=full.delta,
+        epsilon=full.epsilon,
+        epsilon_min=full.epsilon_min,
+        mirror=mirror,
+    )
+
+
+def assert_same_labeling(got, want):
+    assert got.comp.dtype == want.comp.dtype and np.array_equal(got.comp, want.comp)
+    assert got.sizes == want.sizes
+
+
+def invariant_components(labeling, mirror) -> np.ndarray:
+    """Whether σ maps each component onto itself."""
+    comp = labeling.comp
+    return np.array([(comp[mirror[comp == c]] == c).all() for c in range(labeling.n_components)], dtype=bool)
+
+
+def test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs():
+    """The components lifted from the quotient by σ equal the strong
+    components of the whole graph, labels and sizes; the mirrored graph
+    answers every edge query as the whole graph does."""
+    rng = np.random.default_rng(21)
+    seen = {"odd": 0, "mirrored cycle": 0, "loop": 0, "odd 2-cycle": 0}
+    for _ in range(300):
+        adj, mirror = random_mirrored_adjacency(rng, int(rng.integers(1, 25)))
+        full = graph_from_adjacency(adj)
+        half = mirrored_twin(full, mirror)
+        want = scc_decompose(full)
+        assert_same_labeling(scc_decompose(half), want)
+        assert half.n_edges == full.n_edges == 2 * len(half.indices)
+        for a, b in zip(half.edge_rows(), full.edge_rows()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        n = full.n_vertices
+        for u in range(n):
+            assert np.array_equal(half.out_neighbors(u), full.out_neighbors(u))
+        for u, v in rng.integers(n, size=(20, 2)):
+            assert half.has_edge(u, v) == full.has_edge(u, v)
+        invariant = invariant_components(want, mirror)
+        seen["odd"] += np.count_nonzero(invariant)
+        seen["mirrored cycle"] += np.count_nonzero(~invariant & (np.array(want.sizes) >= 2))
+        seen["loop"] += sum(u in outs for u, outs in enumerate(adj))
+        seen["odd 2-cycle"] += sum(int(mirror[u]) in outs for u, outs in enumerate(adj))
+    assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize(
+    "make,depth,steps",
+    [
+        pytest.param(altper2, 3, 2, id="altper2"),
+        pytest.param(per31, 3, 2, id="per31"),
+        pytest.param(per31, 4, 1, id="per31-4"),
+        pytest.param(quad_c0, 5, 1, id="circle"),
+    ],
+)
+def test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(make, depth, steps):
+    model = make()
+    tree = sink_tree(model, depth, steps)
+    half = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+    assert half.mirror is not None
+    full = ChainGraph.from_pairs(
+        *half.edge_rows(),
+        half.vertex_ids,
+        tree=tree,
+        delta=half.delta,
+        epsilon=half.epsilon,
+        epsilon_min=half.epsilon_min,
+    )
+    assert_same_labeling(scc_decompose(half), scc_decompose(full))
+
+
+def test_lift_that_ignores_parity_is_caught(monkeypatch):
+    """Mutant: every component of the quotient lifted as two mirrored
+    components, odd closed walks or not.  Both lift tests must fail."""
+    labelling = chain_graph._parity_labelling
+
+    def ignoring_parity(*args):
+        label, odd = labelling(*args)
+        return label, np.zeros_like(odd)
+
+    monkeypatch.setattr(chain_graph, "_parity_labelling", ignoring_parity)
+    with pytest.raises(AssertionError):
+        test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs()
+    with pytest.raises(AssertionError):
+        test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(altper2, 3, 2)
 
 
 # ---------------------------------------------------------------------------

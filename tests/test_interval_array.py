@@ -154,6 +154,37 @@ def test_scalar_factor_of_one_sign_matches_the_four_products(op, bl, bh):
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
+def _square_rounding_both_ends(lo, hi):
+    """IntervalArray.square's lower bound as first written: both
+    candidate ends rounded over the whole array, then one picked."""
+    sq_lo = np.where(
+        lo >= 0.0, _down_arr(lo * lo), np.where(hi <= 0.0, _down_arr(hi * hi), 0.0)
+    )
+    return np.maximum(sq_lo, 0.0)
+
+
+def test_square_rounds_one_end_like_the_two_end_formula():
+    """Picking the end before squaring and rounding it gives the bits of
+    rounding both ends and picking after: on every pair of special ends
+    (signed zeros, subnormals, +/-inf, NaN, near sqrt(MAX)) and on
+    random rows."""
+    root = math.sqrt(MAX)
+    ends = ENDS + [root, -root, math.nextafter(root, math.inf), -math.nextafter(root, math.inf)]
+    pairs = [(x, y) for x in ends for y in ends]
+    rng = np.random.default_rng(21)
+    scale = 10.0 ** rng.integers(-320, 300, size=(100_000, 2))
+    lo, hi = np.sort(rng.standard_normal((100_000, 2)) * scale, axis=1).T
+    lo = np.concatenate([[x for x, _ in pairs], lo])
+    hi = np.concatenate([[y for _, y in pairs], hi])
+    with np.errstate(all="ignore"):
+        got = IntervalArray(lo, hi).square()
+        want_lo = _square_rounding_both_ends(lo, hi)
+        m = np.maximum(-lo, hi)
+        want_hi = _up_arr(m * m)
+    for ours, ref in ((got.lo, want_lo), (got.hi, want_hi)):
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
 def test_real_mode_array_stores_no_imaginary_part():
     x = ComplexInterval(IntervalArray(np.array([1.0]), np.array([2.0])), None)
     a = ComplexInterval(Interval(-0.25, -0.25), Interval(0.0, 0.0))

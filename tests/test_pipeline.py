@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import boxchain
-from boxchain import cli, pipeline
+from boxchain import chain_graph, cli, pipeline
 from boxchain.errors import MemoryBudgetError, ParseError
 from boxchain.ia import UsageError
 from boxchain.maps import MapModel
@@ -598,6 +598,39 @@ def _graph_tables(tree, gamma):
 def _assert_same_graph(a, b):
     for x, y in zip(_graph_tables(*a), _graph_tables(*b)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_gamma_edges_are_built_only_when_read(monkeypatch, tmp_path):
+    """A mirrored run stores half of each graph's edges.  Gamma's edge
+    tables are built by save_model with edges, once, and by nothing
+    else in the run, not even a model saved without edges; the record's
+    counts are the built tables' lengths."""
+    built, graphs = [], []
+    tables, build = chain_graph._PendingEdges.tables, pipeline.build_edges
+
+    def counting(pending):
+        built.append(pending.n_edges)
+        return tables(pending)
+
+    def keeping(*args, **kw):
+        graphs.append(build(*args, **kw))
+        return graphs[-1]
+
+    monkeypatch.setattr(chain_graph._PendingEdges, "tables", counting)
+    monkeypatch.setattr(pipeline, "build_edges", keeping)
+    path = str(tmp_path / "model.txt")
+    config = RunConfig.from_preset("per31", schedule=parse_schedule("uniform*4"), model_out=path)
+    result = run_pipeline(config)
+    assert built == [] and len(graphs) == 4
+    for graph in graphs:
+        assert graph.mirror is not None and 2 * len(graph.indices) == graph.n_edges
+    gamma, step = result.gamma, result.record.steps[-1]
+    save_model(path, result.model, gamma, include_edges=True)
+    assert built == [step.gamma_edges]
+    save_model(path, result.model, gamma, include_edges=True)
+    assert len(built) == 1
+    assert step.gamma_edges == len(gamma.indices) == gamma.n_edges
+    assert step.cross_edges == len(gamma.cross_edges) == gamma.n_cross_edges > 0
 
 
 def test_record_order_and_layout_do_not_matter(tmp_path):
