@@ -502,8 +502,8 @@ def _pairs(mirror: np.ndarray):
 def _any_per_row(mask: np.ndarray) -> np.ndarray:
     """``mask.any(axis=1)`` of an n x 2 or n x 4 bool array.
     numpy's reduction over so short an axis costs about 25 ns a row, ten
-    times this: each row's naxes bytes (0 or 1 each) are read as one
-    unsigned integer, which is nonzero iff one of them is."""
+    times this: each row's bytes (0 or 1 each) are read as one unsigned
+    integer, which is nonzero iff one of them is."""
     return np.ascontiguousarray(mask).view(f"u{mask.shape[1]}")[:, 0] != 0
 
 
