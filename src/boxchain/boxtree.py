@@ -66,8 +66,8 @@ __all__ = [
 ]
 
 _KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
-_CHUNK_CANDIDATES = 500_000  # grid cells expanded per lookup chunk
-_LOOKUP_PIECE = 1 << 13  # query rows per piece of a pooled lookup
+_CHUNK_CANDIDATES = 1 << 17  # grid cells expanded per lookup chunk
+_LOOKUP_PIECE = 1 << 12  # query rows per piece of a pooled lookup
 _PRUNE_PIECE = 1 << 15  # rows per piece of escape pruning
 _BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
 _SINK_ITERATES = 12  # orbit length of the sink-basin selector
@@ -129,6 +129,11 @@ class BoxTree:
         return row
 
     @property
+    def leaf_ids(self) -> np.ndarray:
+        """The live leaf ids, ascending: the tree's array, read it only."""
+        return self._ids
+
+    @property
     def leaf_count(self) -> int:
         return len(self._ids)
 
@@ -174,11 +179,19 @@ class BoxTree:
         """(ids, depths, indices, lo, hi) of the live leaves, id-sorted.
         Views of the tree's arrays: read them, do not write them."""
         if self._bounds is None:
-            cells = np.ldexp(self.r_prime, 1 - self._depths)[:, None]
-            lo = -self.r_prime + self._idx * cells
-            hi = -self.r_prime + (self._idx + 1) * cells
-            self._bounds = (lo, hi)
+            self._bounds = self._box_bounds(self._depths, self._idx)
         return (self._ids, self._depths, self._idx) + self._bounds
+
+    def leaf_bounds(self, rows):
+        """(lo, hi) of the live leaves at ``rows``: those rows of
+        ``live_arrays``' bounds, computed for them alone."""
+        return self._box_bounds(self._depths[rows], self._idx[rows])
+
+    def _box_bounds(self, depths, idx):
+        cells = np.ldexp(self.r_prime, 1 - depths)[:, None]
+        lo = -self.r_prime + idx * cells
+        hi = -self.r_prime + (idx + 1) * cells
+        return lo, hi
 
     # -- subdivision -------------------------------------------------------------
 
@@ -282,20 +295,34 @@ class BoxTree:
                     yield rows[query[pair[found]]], level_rows[pos[found]]
 
     def lookup_pieces(self, lo, hi):
-        """Yield the pairs of ``lookup`` piece by piece: for each run of
-        _LOOKUP_PIECE consecutive query rows, in order, the list of the
-        (query rows, leaf rows) chunks ``lookup`` yields for them, query
-        rows numbered over all of ``lo``.  The pieces run on the thread
-        pool (``pool.in_pieces``)."""
+        """Yield the pairs of ``lookup`` piece by piece, as rows of a CSR
+        table: for each run of _LOOKUP_PIECE consecutive query rows, in
+        order, the number of leaves each query meets and those leaves'
+        rows (int32), sorted by (query, leaf row).  The pieces look up
+        and sort on the thread pool (``pool.in_pieces``).
+
+        An address index built for the pieces is dropped after the last
+        one: the edge build, the one caller, is followed by a restriction
+        that changes the leaves, and the index is as large as the tree."""
+        kept = self._index is not None
         self._address_index()  # built here: the pieces only read it
 
         def piece(start, stop):
-            chunks = list(self.lookup(lo[start:stop], hi[start:stop]))
-            for query, _ in chunks:
-                query += start
-            return chunks
+            keys = []  # query << 32 | leaf row
+            for query, leaf in self.lookup(lo[start:stop], hi[start:stop]):
+                query <<= 32
+                query |= leaf
+                keys.append(query)
+            key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+            del keys
+            key.sort()
+            ends = np.searchsorted(key, np.arange(1, stop - start + 1, dtype=np.int64) << 32)
+            key &= 0xFFFFFFFF
+            return np.diff(ends, prepend=0), key.astype(np.int32)
 
-        return in_pieces(piece, len(lo), _LOOKUP_PIECE)
+        yield from in_pieces(piece, len(lo), _LOOKUP_PIECE)
+        if not kept:
+            self._index = None
 
     def conjugate_rows(self):
         """(rows, mirror): the rows whose results must be computed, and

@@ -24,8 +24,10 @@ a single-depth tree.  This is checked against the all-pairs oracle in
 the tests, on single- and three-depth trees.  Classification uses the
 same lookup on the sink orbit points.  The edge build runs the lookup
 in pieces of consecutive images on the thread pool
-(``BoxTree.lookup_pieces``) and sorts the edges at the end, so their
-order does not depend on the pieces.
+(``BoxTree.lookup_pieces``).  Each piece sorts its own edges and returns
+a count per image and the dst rows (int32); the pieces come back in
+order, so the graph is their concatenation, with no key array and no
+sort of the whole graph, and its order does not depend on the pieces.
 
 When the live leaves pair up under complex conjugation σ
 (``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
@@ -46,7 +48,17 @@ components of |S| boxes each (the covering graph of a Z/2 voltage
 graph).  The parity is read off a labelling: a breadth-first search
 from a virtual root joined to each component's smallest pair gives
 every pair the parity of its tree path, and S is odd iff one of its
-edges breaks that labelling.
+edges breaks that labelling.  A row with edges to both j and σj gives
+[j] twice, once of each parity: the two are merged in place (scipy's
+``sum_duplicates`` on int8 codes, 1 even, 2 odd, 3 both), since scipy's
+strong components must not get a repeated edge, and an edge of code 3
+within a component closes an odd walk.
+
+Beyond the stored graph, the edge build holds about one int32 per
+stored edge (the pieces' edges until they are joined) and the strong
+components five bytes (the quotient's dst pairs and codes); every other
+pass over the edges (self-edges, the parity labelling, the restriction's
+counts and tables) holds the temporaries of a block of rows.
 
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
@@ -71,7 +83,11 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .errors import check_memory_budget
 from .ia import UsageError, _down_arr, _up_arr
 from .maps import MapModel, batch_forward, sink_orbits
+from .pool import give_back
 from .boxtree import BoxTree
+
+_BLOCK_EDGES = 1 << 16  # edges per block of rows in the passes over every edge
+_IMAGE_ROWS = 1 << 14  # rows imaged at a time by the edge build
 
 __all__ = [
     "ChainGraph",
@@ -162,11 +178,38 @@ class ChainGraph:
 
     def edge_rows(self):
         """(src, dst) vertex rows of every edge, in CSR order (int32)."""
-        src = np.arange(self.n_vertices, dtype=np.int32)
-        src = np.repeat(src, np.diff(self.indptr))
-        if self.mirror is None:
-            return src, self.indices
-        return _with_mirrors(src, self.indices, self.mirror)
+        blocks = list(self.edge_blocks(np.arange(self.n_vertices)))
+        if not blocks:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        return tuple(np.concatenate(part) for part in zip(*blocks))
+
+    def edge_blocks(self, rows):
+        """Yield (src, dst) vertex rows (int32) of the edges out of
+        ``rows`` (ascending), in (src, dst) order, a block of rows at a
+        time; a mirrored row's edges are the mirrors of stored ones."""
+        indptr, indices, mirror = self.indptr, self.indices, self.mirror
+        stored = rows if mirror is None else np.minimum(rows, mirror[rows])
+        counts = indptr[stored + 1] - indptr[stored]
+        for start, stop in _blocks(np.cumsum(counts)):
+            lens = counts[start:stop]
+            total = int(lens.sum())
+            # the positions of the stored edges, row after row
+            at = np.repeat(indptr[stored[start:stop]] - (np.cumsum(lens) - lens), lens)
+            at += np.arange(total)
+            dst = indices[at]
+            del at
+            src = np.repeat(rows[start:stop].astype(np.int32), lens)
+            if mirror is not None:
+                flip = mirror[src] < src
+                dst[flip] = mirror[dst[flip]]
+                # σ does not keep the order of a row: sort those rows again
+                key = src.astype(np.int64) << 32
+                key |= dst
+                key.sort()
+                np.right_shift(key, 32, out=src, casting="unsafe")
+                key &= 0xFFFFFFFF
+                dst = key.astype(np.int32)
+            yield src, dst
 
     def out_neighbors(self, row: int) -> np.ndarray:
         if self._mirrored(row):
@@ -196,22 +239,6 @@ def _csr(src, dst, n: int):
     return indptr, np.asarray(dst, dtype=np.int32)
 
 
-def _with_mirrors(src, dst, mirror):
-    """(src, dst) of the edges src -> dst and of their mirrors, sorted by
-    (src, dst) (int32)."""
-    k = len(src)
-    key = np.empty(2 * k, dtype=np.int64)
-    key[:k], key[k:] = src, mirror[src]
-    key <<= 32
-    key[:k] |= dst
-    key[k:] |= mirror[dst]
-    key.sort()
-    src = np.empty(2 * k, dtype=np.int32)
-    np.right_shift(key, 32, out=src, casting="unsafe")
-    key &= 0xFFFFFFFF
-    return src, key.astype(np.int32)
-
-
 def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
     """Bulk widened interval images: bounds of N_delta(F(B)) of the live
     leaves at ``rows``.
@@ -221,8 +248,7 @@ def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):
     """
     if not delta > 0.0:  # also rejects NaN
         raise UsageError(f"delta must be positive, got {delta!r}")
-    _, _, _, lo, hi = tree.live_arrays()
-    flo, fhi = batch_forward(model, lo.take(rows, axis=0), hi.take(rows, axis=0))
+    flo, fhi = batch_forward(model, *tree.leaf_bounds(rows))
     if not (np.isfinite(flo).all() and np.isfinite(fhi).all()):
         raise UsageError("interval image blew up inside V0")
     wlo = _down_arr(flo - delta)
@@ -238,13 +264,14 @@ def build_edges(
 ) -> ChainGraph:
     """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
 
-    The lookup runs in pieces on the thread pool
-    (``BoxTree.lookup_pieces``); the pieces return their (image, leaf)
-    row pairs, and this thread turns them into edge keys, so every array
-    that outlives a piece is allocated here.  On a mirrored tree the
-    graph stores the edges of one leaf of each pair (see the module
-    docstring).  Checks the process's peak RSS against ``mem_budget_mb``
-    on entry and after each lookup chunk (``check_memory_budget``).
+    The lookup runs in pieces of consecutive images on the thread pool
+    (``BoxTree.lookup_pieces``); each piece returns its edges sorted, as
+    a count per image and the dst rows (int32), so this thread only
+    joins them: no key array and no sort of the whole graph.  On a
+    mirrored tree the graph stores the edges of one leaf of each pair
+    (see the module docstring).  Checks the process's peak RSS against
+    ``mem_budget_mb`` on entry and after each lookup piece it consumes
+    (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
@@ -258,30 +285,34 @@ def build_edges(
     # k -> j is an edge iff its mirror is: image and look up one of each
     # pair, and store only those rows' edges
     rows, mirror = tree.conjugate_rows()
-    wlo, whi = widened_images(tree, model, delta, rows)
-    edge_parts = []  # one int64 per stored edge: src row << 32 | dst row
-    total_edges = 0
-    for chunks in tree.lookup_pieces(wlo, whi):
-        for edge, dst in chunks:
-            # the lookup numbers the imaged rows 0, 1, ...: without a
-            # mirror, those are all the rows, in order
-            if mirror is not None:
-                edge = rows[edge]
-            key = edge << 32
-            key |= dst
-            edge_parts.append(key)
-            total_edges += len(key) * (1 if mirror is None else 2)
-            check(total_edges)
-    edges = np.concatenate(edge_parts) if edge_parts else np.empty(0, dtype=np.int64)
-    del edge_parts
-    edges.sort()  # by (src, dst)
-    indptr = np.searchsorted(edges, np.arange(n + 1, dtype=np.int64) << 32)
-    edges &= 0xFFFFFFFF  # keep dst
+    # imaged a block of rows at a time, so that the formula's temporaries
+    # stay the size of a block
+    wlo = np.empty((len(rows), tree.naxes))
+    whi = np.empty_like(wlo)
+    for start in range(0, len(rows), _IMAGE_ROWS):
+        block = slice(start, start + _IMAGE_ROWS)
+        wlo[block], whi[block] = widened_images(tree, model, delta, rows[block])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    parts = []  # each piece's dst rows, in (src, dst) order
+    done = stored = 0
+    for counts, dst in tree.lookup_pieces(wlo, whi):
+        # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
+        # those are all the rows, in order
+        indptr[1 + rows[done : done + len(counts)]] = counts
+        done += len(counts)
+        parts.append(dst)
+        stored += len(dst)
+        check(stored * (1 if mirror is None else 2))
+    del wlo, whi
+    indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+    del parts
+    give_back()  # the pieces' arrays were freed in the workers' arenas
+    np.cumsum(indptr, out=indptr)
     return ChainGraph(
         tree=tree,
-        vertex_ids=tree.live_arrays()[0].copy(),
+        vertex_ids=tree.leaf_ids.copy(),
         indptr=indptr,
-        indices=edges.astype(np.int32),
+        indices=indices,
         delta=float(delta),
         epsilon=tree.epsilon(),
         epsilon_min=tree.epsilon_min(),
@@ -323,23 +354,51 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
         return SccLabeling(comp=np.empty(0, dtype=np.int64), sizes=())
     if graph.mirror is not None:
         return _canonical(_lifted_components(graph))
-    raw, kept, _ = _strong_components(graph.indptr, graph.indices, n)
+    raw, kept = _strong_components(graph.indptr, graph.indices, n)
     return _canonical(np.where(kept[raw], raw, -1))
 
 
 def _strong_components(indptr, indices, n: int):
     """(component per vertex, whether each component lies on a cycle:
-    two vertices or more, or a self-edge, source vertex per edge) of a
-    CSR graph, by scipy."""
-    # int8 weights: scipy converts them to float64 and merges repeated
-    # edges, which the quotient has and the routine does not handle
-    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    two vertices or more, or a self-edge) of a CSR graph, by scipy.
+
+    The graph must not repeat an edge.  scipy's strong components take
+    float64 weights as they are, unread, with no copy of the graph, but
+    then do not merge repeated edges, and on small random digraphs with
+    one repeated edge they did not finish within a minute (scipy
+    1.17.1); rows with unsorted columns and no repeats gave the right
+    components.  Other weight types cost a float64 copy of the graph
+    and a sort of every row."""
+    weights = np.broadcast_to(1.0, len(indices))
+    mat = csr_matrix((weights, indices, indptr), shape=(n, n))
     _, raw = connected_components(mat, directed=True, connection="strong")
     del mat
     kept = np.bincount(raw) >= 2
-    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    kept[raw[src[src == indices]]] = True
-    return raw, kept, src
+    for edges, src in _row_blocks(indptr):
+        dst = indices[edges]
+        kept[raw[src[src == dst]]] = True
+    return raw, kept
+
+
+def _blocks(ends):
+    """Yield (start, stop): runs of consecutive items with about
+    _BLOCK_EDGES edges in all (at least one item), ``ends`` the running
+    total of the items' edge counts."""
+    total = int(ends[-1]) if len(ends) else 0
+    marks = np.arange(_BLOCK_EDGES, total, _BLOCK_EDGES, dtype=np.int64)
+    cuts = np.searchsorted(ends, marks, side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(ends)]])).tolist()
+    yield from zip(bounds[:-1], bounds[1:])
+
+
+def _row_blocks(indptr):
+    """Yield (edge slice, source row of each of its edges (int32)) for
+    blocks of consecutive rows of a CSR table: the passes over every
+    edge hold a block's temporaries, not the whole graph's."""
+    for start, stop in _blocks(indptr[1:]):
+        counts = np.diff(indptr[start : stop + 1])
+        src = np.repeat(np.arange(start, stop, dtype=np.int32), counts)
+        yield slice(int(indptr[start]), int(indptr[stop])), src
 
 
 def _lifted_components(graph: ChainGraph) -> np.ndarray:
@@ -352,19 +411,28 @@ def _lifted_components(graph: ChainGraph) -> np.ndarray:
     m = len(rows)  # quotient vertex p is the pair {rows[p], mirror[rows[p]]}
     pair = np.cumsum(computed, dtype=np.int32) - 1
     pair = pair[np.minimum(np.arange(n), mirror)]
-    # per edge, twice the pair of dst plus the parity: 1 when dst is a
-    # mirrored row
-    dst = (2 * pair + ~computed)[graph.indices]
-    odd = (dst & 1).astype(bool)
-    dst >>= 1
+    # per stored edge k -> j, the quotient edge [k] -> [j] with its code:
+    # 1 when j is a computed row (even), 2 when it is mirrored (odd);
+    # dst keeps room for the edges the parity search adds
+    # (indexing, not np.take, which copies int32 indices to int64)
+    nnz = len(graph.indices)
+    dst = np.empty(nnz + m, dtype=np.int32)
+    for start in range(0, nnz, _BLOCK_EDGES):
+        part = graph.indices[start : start + _BLOCK_EDGES]
+        dst[start : start + len(part)] = pair[part]
+    code = np.where(computed, 1, 2).astype(np.int8)[graph.indices]
     # the rows between the computed ones store no edges
     indptr = np.append(graph.indptr[rows], graph.indptr[-1])
-    raw, kept, src = _strong_components(indptr, dst, m)
-    src_comp = np.repeat(np.where(kept[raw], raw, -1), np.diff(indptr))
-    inner = src_comp == raw[dst]  # the edges within a kept component
-    inner &= src_comp >= 0
-    del src_comp
-    label, odd_comp = _parity_labelling(indptr, src, dst, odd, inner, raw, kept)
+    # a row with edges to both j and σj repeats [j]: scipy sorts the rows
+    # and adds the codes in place, so that edge gets code 3
+    quotient = csr_matrix((code, dst[:nnz], indptr), shape=(m, m))
+    quotient.sum_duplicates()
+    indptr, code = quotient.indptr, quotient.data
+    if not np.shares_memory(quotient.indices, dst):  # scipy copied a short array
+        dst[: quotient.nnz] = quotient.indices
+    del quotient
+    raw, kept = _strong_components(indptr, dst[: len(code)], m)
+    label, odd_comp = _parity_labelling(indptr, dst, code, raw, kept)
     # lift: an even component's vertex (p, side) lies in its sheet
     # side ^ label[p]; an odd component is one σ-invariant component
     comp = raw[pair].astype(np.int64)
@@ -375,44 +443,57 @@ def _lifted_components(graph: ChainGraph) -> np.ndarray:
     return lifted
 
 
-def _parity_labelling(indptr, src, dst, odd, inner, raw, kept):
+def _parity_labelling(indptr, dst, code, raw, kept):
     """(label per vertex, odd per component) of the quotient graph with
-    the edges src -> dst (CSR ``indptr``) of parities ``odd``, ``inner``
-    marking those within a kept component; ``raw`` is the component of
-    each vertex.  A vertex's label is the parity of its path on a
-    breadth-first tree of the inner edges from its component's smallest
-    vertex; a component is odd when one of its edges breaks the labels."""
-    m = len(raw)
-    # the tree grows from a virtual root m joined to each start; the
-    # other edges lead to a dead end, m + 1
+    the CSR table (``indptr``, ``dst``) and edge codes ``code`` (1 even,
+    2 odd, 3 both); ``raw`` is the component of each vertex and ``kept``
+    whether a component lies on a cycle.  A vertex's label is the
+    parity of its path on a breadth-first tree of the edges within its
+    component from the component's smallest vertex; a component is odd
+    when one of its edges breaks the labels or has code 3.
+
+    ``dst`` is overwritten: its edges that leave their component lead
+    to a dead end, and the edges of a virtual root follow the others
+    (it holds at least ``len(raw)`` entries beyond the edges)."""
+    m, nnz = len(raw), len(code)
+    dead_end = m + 1
+    odd_comp = np.zeros(len(kept), dtype=bool)
+    for edges, src in _row_blocks(indptr):
+        to = dst[edges]
+        comp = raw[src]
+        inner = comp == raw[to]  # both ends in one component, a kept one
+        # an edge to both j and σj within a component closes an odd walk
+        odd_comp[comp[inner & (code[edges] == 3)]] = True
+        to[~inner] = dead_end
+    # the tree grows from a virtual root m joined to each component's
+    # smallest vertex
     starts = np.unique(raw, return_index=True)[1][kept]
-    tree_dst = np.concatenate([np.where(inner, dst, m + 1), starts.astype(np.int32)])
-    tree_ptr = np.append(indptr, [len(tree_dst), len(tree_dst)])
-    # scipy takes float64 weights as they are, unread, with no copy and no
-    # merging of repeated edges, which a breadth-first search does not mind
-    weights = np.broadcast_to(1.0, len(tree_dst))
-    bfs = csr_matrix((weights, tree_dst, tree_ptr), shape=(m + 2, m + 2))
+    end = nnz + len(starts)
+    dst[nnz:end] = starts
+    tree_ptr = np.append(indptr, [end, end])
+    # scipy takes float64 weights as they are, unread, with no copy
+    weights = np.broadcast_to(1.0, end)
+    bfs = csr_matrix((weights, dst[:end], tree_ptr), shape=(m + 2, m + 2))
     _, up = breadth_first_order(bfs, m, directed=True, return_predecessors=True)
-    del bfs, tree_dst
-    # each tree edge gives its own parity (where two edges join the same
-    # vertices, either will do: with parities that differ, the component
-    # is odd whatever the labels), and pointer doubling sums them up to
-    # the root
-    up = up[: m + 1]
-    label = np.zeros(m + 1, dtype=bool)
-    on_tree = up[dst] == src
-    label[dst[on_tree]] = odd[on_tree]
-    del on_tree
-    up[up < 0] = m  # the root, and the vertices outside every kept component
+    del bfs
+    # each tree edge gives its own parity (a code-3 edge either: its
+    # component is odd whatever the labels), and pointer doubling sums
+    # them up to the root
+    label = np.zeros(m + 2, dtype=bool)
+    for edges, src in _row_blocks(indptr):
+        to = dst[edges]
+        on_tree = up[to] == src
+        label[to[on_tree]] = code[edges][on_tree] == 2
+    up[up < 0] = m  # the root, the dead end and the vertices outside every kept component
     while (up != m).any():
         label ^= label[up]
         up = up[up]
-    broken = np.repeat(label[:m], np.diff(indptr))  # label[src]
-    broken ^= odd
-    broken ^= label[dst]
-    broken &= inner
-    odd_comp = np.zeros(len(kept), dtype=bool)
-    odd_comp[raw[src[broken]]] = True
+    for edges, src in _row_blocks(indptr):
+        to = dst[edges]
+        broken = label[src] ^ label[to]
+        broken ^= code[edges] == 2
+        broken &= to != dead_end
+        odd_comp[raw[src[broken]]] = True
     return label[:m], odd_comp
 
 
@@ -442,39 +523,34 @@ class _PendingEdges:
 
     def tables(self):
         """(indptr, indices, cross_edges) of the recurrent model: the
-        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order."""
-        graph, keep = self.graph, self.comp >= 0
-        cycle, cross = _edge_kinds(graph, self.comp)
-        # the kept vertices' new rows; monotone, so the stored edges stay
-        # sorted by (src, dst)
+        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order,
+        built a block of rows at a time."""
+        comp = self.comp
+        keep = comp >= 0
+        # the kept vertices' new rows; monotone, so (src, dst) order stays
         new_row = np.cumsum(keep, dtype=np.int32)
         new_row -= 1
-        src = np.repeat(new_row, np.diff(graph.indptr))
-        dst = new_row[graph.indices]
-        mirror = None if graph.mirror is None else new_row[graph.mirror[keep]]
-
-        def edges(kind):
-            if mirror is None:
-                return src[kind], dst[kind]
-            return _with_mirrors(src[kind], dst[kind], mirror)
-
-        indptr, indices = _csr(*edges(cycle), np.count_nonzero(keep))
-        cross_edges = np.column_stack(edges(cross)).astype(np.int64)
+        indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+        indices = np.empty(self.n_edges, dtype=np.int32)
+        cross_edges = np.empty((self.n_cross, 2), dtype=np.int64)
+        n_cycle = n_cross = 0
+        for src, dst in self.graph.edge_blocks(np.flatnonzero(keep)):
+            dst_comp = comp[dst]
+            cycle = comp[src] == dst_comp
+            cross = dst_comp >= 0
+            cross ^= cycle  # the sources are kept: dst kept, in another component
+            src, dst = new_row[src], new_row[dst]
+            rows = src[cycle]  # ascending
+            if len(rows):
+                indptr[1 + rows[0] : 2 + rows[-1]] += np.bincount(rows - rows[0])
+            indices[n_cycle : n_cycle + len(rows)] = dst[cycle]
+            n_cycle += len(rows)
+            k = np.count_nonzero(cross)
+            cross_edges[n_cross : n_cross + k, 0] = src[cross]
+            cross_edges[n_cross : n_cross + k, 1] = dst[cross]
+            n_cross += k
+        np.cumsum(indptr, out=indptr)
         return indptr, indices, cross_edges
-
-
-def _edge_kinds(graph: ChainGraph, comp: np.ndarray):
-    """(cycle, cross) masks of the stored edges: both ends in one
-    component, or in two distinct ones (comp -1: unlabeled)."""
-    comp = comp.astype(np.int32)
-    src_comp = np.repeat(comp, np.diff(graph.indptr))
-    dst_comp = comp[graph.indices]
-    cycle = src_comp == dst_comp
-    cycle &= dst_comp >= 0
-    cross = src_comp >= 0
-    cross &= dst_comp >= 0
-    cross ^= cycle  # both ends labeled, in different components
-    return cycle, cross
 
 
 def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
@@ -486,13 +562,21 @@ def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
     module docstring).  The tree is left as it is.
     """
     keep_rows = np.flatnonzero(labeling.comp >= 0)
-    cycle, cross = _edge_kinds(graph, labeling.comp)
+    comp = labeling.comp.astype(np.int32)
+    n_cycle = n_both = 0  # stored edges within a component; between kept vertices
+    for edges, src in _row_blocks(graph.indptr):
+        src_comp, dst_comp = comp[src], comp[graph.indices[edges]]
+        both = src_comp >= 0
+        both &= dst_comp >= 0
+        n_both += int(np.count_nonzero(both))
+        both &= src_comp == dst_comp
+        n_cycle += int(np.count_nonzero(both))
     per_stored = 1 if graph.mirror is None else 2  # each stored edge and its mirror
     pending = _PendingEdges(
         graph,
-        labeling.comp,
-        n_edges=per_stored * int(np.count_nonzero(cycle)),
-        n_cross=per_stored * int(np.count_nonzero(cross)),
+        comp,
+        n_edges=per_stored * n_cycle,
+        n_cross=per_stored * (n_both - n_cycle),
     )
     return ChainGraph(
         tree=graph.tree,

@@ -21,6 +21,7 @@ Serialization is canonical, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import time
@@ -240,6 +241,7 @@ def run_pipeline(
     classification = None
     try:
         for index, mode in enumerate(config.schedule, start=1):
+            graph = labeling = gamma = None  # the last step's graphs are not read again
             t0 = time.perf_counter()
             if mode == "sink_basin":
                 selector = sink_basin_selector(tree)
@@ -341,9 +343,11 @@ def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = F
     if gamma is None or gamma.comp is None:
         raise UsageError("save_model needs a completed recurrent model")
     boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
-    edges = cross = np.empty((0, 2), dtype=np.int64)
+    n_edges, cross = 0, np.empty((0, 2), dtype=np.int64)
+    edges = ()  # the cycle edges, a block of rows at a time
     if include_edges:
-        edges, cross = np.column_stack(gamma.edge_rows()), gamma.cross_edges
+        n_edges, cross = gamma.n_edges, gamma.cross_edges
+        edges = (np.column_stack(block) for block in gamma.edge_blocks(np.arange(gamma.n_vertices)))
     header = {
         "kind": model.kind,
         "a": None if model.a_str is None else ",".join(model.a_str),
@@ -355,13 +359,14 @@ def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = F
         "epsilon_min": repr(gamma.epsilon_min),
         "boxes": len(boxes),
         "comps": int(boxes[:, -1].max()) + 1 if len(boxes) else 0,
-        "edges": len(edges),
+        "edges": n_edges,
         "cross": len(cross),
     }
     items = [f"{key}={val}" for key, val in header.items() if val is not None]
     with open(path, "w") as fh:
         fh.write(" ".join([_FORMAT, str(_VERSION)] + items) + "\n")
-        for tag, table in (("B", boxes), ("E", edges), ("X", cross)):
+        tables = itertools.chain([("B", boxes)], (("E", block) for block in edges), [("X", cross)])
+        for tag, table in tables:
             line = tag + " %d" * table.shape[1] + "\n"
             for first in range(0, len(table), _ROWS_PER_WRITE):
                 part = table[first : first + _ROWS_PER_WRITE]

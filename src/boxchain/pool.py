@@ -10,12 +10,14 @@ one worker runs them inline, one after another, so no output depends on
 how many CPUs there are.
 
 At most workers + 1 pieces are in flight, which bounds the memory held
-by results not yet consumed.  A piece should return only arrays of its
-own and leave every array that outlives it to the calling thread: glibc
-gives each thread its own malloc arena, and memory freed in a worker's
-arena tends to stay resident.  For the same reason the free memory of
-every arena is handed back (glibc's ``malloc_trim``) after each pooled
-phase.
+by results not yet consumed.  A piece returns arrays of its own, and
+they are allocated in its worker's malloc arena (glibc gives each thread
+one).  Memory freed there tends to stay resident, and only that worker
+reuses it, so the free memory of every arena is handed back (glibc's
+``malloc_trim``, ``give_back``) after each pooled phase.  A consumer
+that keeps the pieces' arrays past the phase calls ``give_back`` again
+once it has dropped them: the edge build joins its pieces' edges after
+the last piece, and frees them then.
 
 The pool is made on first use and forgotten in a child made by ``fork``,
 which inherits none of its threads.
@@ -30,7 +32,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterator
 
-__all__ = ["in_pieces", "worker_count"]
+__all__ = ["give_back", "in_pieces", "worker_count"]
 
 _pool = None  # (workers, ThreadPoolExecutor), made on first use
 
@@ -83,9 +85,15 @@ def in_pieces(fn: Callable, n: int, size: int) -> Iterator:
         for future in pending:
             future.cancel()
         wait(pending)
-        trim = _malloc_trim()
-        if trim is not None:
-            trim(0)
+        give_back()
+
+
+def give_back() -> None:
+    """Hand the free memory of every malloc arena back to the system
+    (glibc's ``malloc_trim``; nothing without glibc)."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 @functools.cache

@@ -5,9 +5,11 @@ import math
 import multiprocessing
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from boxchain.ia import UsageError
 from boxchain.errors import MemoryBudgetError
@@ -664,6 +666,102 @@ def test_lift_that_ignores_parity_is_caught(monkeypatch):
         test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs()
     with pytest.raises(AssertionError):
         test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(altper2, 3, 2)
+
+
+def repeated_columns(mat) -> int:
+    """How many entries of a CSR matrix repeat a column of their row."""
+    src = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    return len(src) - len(np.unique(src * mat.shape[1] + mat.indices))
+
+
+@pytest.mark.parametrize(
+    "make,depth,steps",
+    [
+        pytest.param(altper2, 3, 2, id="altper2"),
+        pytest.param(per31, 3, 2, id="per31"),
+        pytest.param(quad_c0, 5, 1, id="circle"),
+    ],
+)
+def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeypatch):
+    """scipy's strong components may not finish on a graph that repeats
+    an edge (see ``_strong_components``).  The quotient of a mirrored
+    graph repeats [j] in every row with edges to both j and σj; no
+    matrix that reaches scipy repeats a column within a row."""
+    seen = []
+
+    def checking(mat, *args, **kw):
+        seen.append(repeated_columns(mat))
+        return connected_components(mat, *args, **kw)
+
+    monkeypatch.setattr(chain_graph, "connected_components", checking)
+    model = make()
+    tree = sink_tree(model, depth, steps)
+    half = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+    src, dst = half.edge_rows()
+    stored = src < half.mirror[src]
+    edges = set(zip(src[stored].tolist(), dst[stored].tolist()))
+    assert sum((u, int(half.mirror[v])) in edges for u, v in edges) > 0  # j and σj
+    full = ChainGraph.from_pairs(
+        src,
+        dst,
+        half.vertex_ids,
+        tree=tree,
+        delta=half.delta,
+        epsilon=half.epsilon,
+        epsilon_min=half.epsilon_min,
+    )
+    assert_same_labeling(scc_decompose(half), scc_decompose(full))
+    assert seen == [0, 0]
+
+
+# The traced bytes each phase may allocate per stored edge, above its
+# inputs (the tables: above the tables they return).  With the lookup's
+# chunks and pieces and the row blocks made small, what is left grows
+# with the edges: the graph itself (4 B per stored edge) and the pieces'
+# edges joined into it (4 B) in the build, the quotient's dst rows and
+# codes (5 B) in the strong components.  The per-image and per-vertex
+# arrays add about 3 B on the cubic tree, with 10 edges per vertex.
+_TRACED_BYTES_PER_EDGE = {"build": 14, "scc": 9, "restrict": 2, "tables": 3}
+
+
+def traced_peak(fn, *args) -> tuple:
+    """(fn(*args), the peak of the memory tracemalloc traced meanwhile)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "grow,mirrored",
+    [
+        pytest.param(lambda: sink_tree(per31(), 4), True, id="per31-mirrored"),
+        pytest.param(lambda: grown_tree(cubicdouble(), 8, prune=0), False, id="cubicdouble"),
+    ],
+)
+def test_graph_phases_allocate_a_few_bytes_per_stored_edge(grow, mirrored, monkeypatch):
+    monkeypatch.setattr(pool, "worker_count", lambda: 2)  # pieces in flight
+    monkeypatch.setattr(boxtree, "_CHUNK_CANDIDATES", 1 << 12)
+    monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", 1 << 8)
+    monkeypatch.setattr(chain_graph, "_BLOCK_EDGES", 1 << 10, raising=False)
+    monkeypatch.setattr(chain_graph, "_IMAGE_ROWS", 1 << 10, raising=False)
+    tree = grow()
+    graph, build = traced_peak(build_edges, tree, tree.model, tree.epsilon_min() / 1000.0)
+    stored = len(graph.indices)
+    assert stored > 500_000 and (graph.mirror is not None) == mirrored
+    labeling, scc = traced_peak(scc_decompose, graph)
+    gamma, restrict = traced_peak(recurrent_model, graph, labeling)
+    tables, built = traced_peak(lambda: (gamma.indptr, gamma.indices, gamma.cross_edges))
+    peaks = {
+        "build": build,
+        "scc": scc,
+        "restrict": restrict,
+        "tables": built - sum(t.nbytes for t in tables),
+    }
+    per_edge = {phase: peak / stored for phase, peak in peaks.items()}
+    assert all(per_edge[p] <= bound for p, bound in _TRACED_BYTES_PER_EDGE.items()), per_edge
 
 
 # ---------------------------------------------------------------------------
