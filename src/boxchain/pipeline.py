@@ -241,7 +241,7 @@ def run_pipeline(
     classification = None
     try:
         for index, mode in enumerate(config.schedule, start=1):
-            graph = labeling = gamma = None  # the last step's graphs are not read again
+            graph = labeling = gamma = None  # the previous step's graphs are not read again
             t0 = time.perf_counter()
             if mode == "sink_basin":
                 selector = sink_basin_selector(tree)
