@@ -424,7 +424,6 @@ class BoxTree:
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
         model = self.model
-        _, _, _, lo, hi = self.live_arrays()
         todo, mirror = self.conjugate_rows()
         if model.is_henon:
             formulas = [model.interval_backward, model.interval_forward]
@@ -440,7 +439,7 @@ class BoxTree:
             for formula in formulas:
                 # the positions still iterated in this direction and their iterates
                 at = np.flatnonzero(~out)
-                cur_lo, cur_hi = lo.take(rows[at], axis=0), hi.take(rows[at], axis=0)
+                cur_lo, cur_hi = self.leaf_bounds(rows[at])
                 for _ in range(max_iter):
                     if not len(at):
                         break

@@ -67,8 +67,11 @@ deterministic; graphs with ~10^6 vertices stay well within memory.
 
 The recurrent model counts its cycle and cross edges when it is made;
 it builds their tables, in (src, dst) order, on the first read of
-``indptr``, ``indices`` or ``cross_edges`` (saving a model with its
-edges, ``inspect``), which most runs never do.
+``indptr``, ``indices`` or ``cross_edges``, which most runs never do.
+Saving a model with its edges does not build them: it writes the edges
+a block of rows at a time as the restriction finds them
+(``ChainGraph.cycle_edge_blocks``), the blocks the tables are filled
+from.
 """
 
 from __future__ import annotations
@@ -210,6 +213,20 @@ class ChainGraph:
                 key &= 0xFFFFFFFF
                 dst = key.astype(np.int32)
             yield src, dst
+
+    def cycle_edge_blocks(self):
+        """Yield (src, dst, cross) of a recurrent model a block of rows at
+        a time: the cycle edges' rows (int32, in (src, dst) order) and the
+        cross edges [k, 2] that follow them in (src, dst) order.  Pending
+        tables are not built: their blocks come from the graph they
+        restrict."""
+        if self.pending is not None:
+            yield from self.pending.blocks()
+            return
+        none = np.empty(0, dtype=np.int32)
+        for src, dst in self.edge_blocks(np.arange(self.n_vertices)):
+            yield src, dst, none.reshape(0, 2)
+        yield none, none, self.cross_edges
 
     def out_neighbors(self, row: int) -> np.ndarray:
         if self._mirrored(row):
@@ -521,34 +538,39 @@ class _PendingEdges:
     n_edges: int
     n_cross: int
 
-    def tables(self):
-        """(indptr, indices, cross_edges) of the recurrent model: the
-        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order,
-        built a block of rows at a time."""
+    def blocks(self):
+        """Yield (src, dst, cross) per block of the graph's edges out of
+        the kept vertices: the recurrent model's rows of the cycle edges
+        (int32, in (src, dst) order) and its cross edges [k, 2] among
+        them."""
         comp = self.comp
         keep = comp >= 0
         # the kept vertices' new rows; monotone, so (src, dst) order stays
         new_row = np.cumsum(keep, dtype=np.int32)
         new_row -= 1
-        indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
-        indices = np.empty(self.n_edges, dtype=np.int32)
-        cross_edges = np.empty((self.n_cross, 2), dtype=np.int64)
-        n_cycle = n_cross = 0
         for src, dst in self.graph.edge_blocks(np.flatnonzero(keep)):
             dst_comp = comp[dst]
             cycle = comp[src] == dst_comp
             cross = dst_comp >= 0
             cross ^= cycle  # the sources are kept: dst kept, in another component
             src, dst = new_row[src], new_row[dst]
-            rows = src[cycle]  # ascending
+            yield src[cycle], dst[cycle], np.column_stack([src[cross], dst[cross]])
+
+    def tables(self):
+        """(indptr, indices, cross_edges) of the recurrent model: the
+        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order,
+        filled a block at a time."""
+        indptr = np.zeros(np.count_nonzero(self.comp >= 0) + 1, dtype=np.int64)
+        indices = np.empty(self.n_edges, dtype=np.int32)
+        cross_edges = np.empty((self.n_cross, 2), dtype=np.int64)
+        n_cycle = n_cross = 0
+        for rows, dst, cross in self.blocks():  # rows ascending
             if len(rows):
                 indptr[1 + rows[0] : 2 + rows[-1]] += np.bincount(rows - rows[0])
-            indices[n_cycle : n_cycle + len(rows)] = dst[cycle]
+            indices[n_cycle : n_cycle + len(rows)] = dst
             n_cycle += len(rows)
-            k = np.count_nonzero(cross)
-            cross_edges[n_cross : n_cross + k, 0] = src[cross]
-            cross_edges[n_cross : n_cross + k, 1] = dst[cross]
-            n_cross += k
+            cross_edges[n_cross : n_cross + len(cross)] = cross
+            n_cross += len(cross)
         np.cumsum(indptr, out=indptr)
         return indptr, indices, cross_edges
 

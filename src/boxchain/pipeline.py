@@ -21,7 +21,6 @@ Serialization is canonical, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import time
@@ -329,8 +328,6 @@ def run_pipeline(
 _FORMAT = "boxchain-model"
 _VERSION = 1
 _REQUIRED = ("kind", "c", "rprime", "delta", "epsilon", "epsilon_min", "boxes")
-_SPACE = np.zeros(256, dtype=bool)  # field separators of the text format
-_SPACE[list(b" \t\n\r\v\f")] = True
 _ROWS_PER_WRITE = 1 << 16  # text records formatted per write
 _PIECE_BYTES = 1 << 20  # text body bytes parsed at a time (whole lines)
 
@@ -339,15 +336,14 @@ def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = F
     """Persist the recurrent model; canonical, lossless, diffable.  The
     header line is followed by the boxes (depth, grid indices, component
     id) and, with ``include_edges``, the cycle and cross edges (pairs of
-    box rows)."""
+    box rows).  Every field is a non-negative integer, written in decimal
+    as ``%d`` writes it, ``_ROWS_PER_WRITE`` lines at a time
+    (``_record_lines``).  The edges are written a block of rows at a
+    time (``ChainGraph.cycle_edge_blocks``), so a model whose edge tables
+    are pending is saved without building them."""
     if gamma is None or gamma.comp is None:
         raise UsageError("save_model needs a completed recurrent model")
     boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
-    n_edges, cross = 0, np.empty((0, 2), dtype=np.int64)
-    edges = ()  # the cycle edges, a block of rows at a time
-    if include_edges:
-        n_edges, cross = gamma.n_edges, gamma.cross_edges
-        edges = (np.column_stack(block) for block in gamma.edge_blocks(np.arange(gamma.n_vertices)))
     header = {
         "kind": model.kind,
         "a": None if model.a_str is None else ",".join(model.a_str),
@@ -359,18 +355,56 @@ def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = F
         "epsilon_min": repr(gamma.epsilon_min),
         "boxes": len(boxes),
         "comps": int(boxes[:, -1].max()) + 1 if len(boxes) else 0,
-        "edges": n_edges,
-        "cross": len(cross),
+        "edges": gamma.n_edges if include_edges else 0,
+        "cross": gamma.n_cross_edges if include_edges else 0,
     }
     items = [f"{key}={val}" for key, val in header.items() if val is not None]
-    with open(path, "w") as fh:
-        fh.write(" ".join([_FORMAT, str(_VERSION)] + items) + "\n")
-        tables = itertools.chain([("B", boxes)], (("E", block) for block in edges), [("X", cross)])
-        for tag, table in tables:
-            line = tag + " %d" * table.shape[1] + "\n"
-            for first in range(0, len(table), _ROWS_PER_WRITE):
-                part = table[first : first + _ROWS_PER_WRITE]
-                fh.write(line * len(part) % tuple(part.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((" ".join([_FORMAT, str(_VERSION)] + items) + "\n").encode())
+        _write_records(fh, "B", boxes)
+        cross = [np.empty((0, 2), dtype=np.int64)]
+        if include_edges:
+            for src, dst, block_cross in gamma.cycle_edge_blocks():
+                _write_records(fh, "E", np.column_stack([src, dst]))
+                cross.append(block_cross)
+        _write_records(fh, "X", np.concatenate(cross))
+
+
+def _write_records(fh, tag: str, table) -> None:
+    for first in range(0, len(table), _ROWS_PER_WRITE):
+        fh.write(_record_lines(tag, table[first : first + _ROWS_PER_WRITE]))
+
+
+def _record_lines(tag: str, table) -> bytes:
+    """The lines ``tag n_1 ... n_w`` of the rows of ``table``, a table
+    of non-negative integers, byte for byte as
+    ``(tag + " %d" * w + "\\n") * len(table) % tuple(table.ravel())``
+    writes them.  Each line is laid out as a row of one byte matrix: the
+    tag, then per field a space and W digits right-aligned (W those of
+    the largest field), then a newline; a leading zero is a 0 byte, and
+    dropping every 0 byte leaves the text."""
+    n, w = table.shape
+    if not n:
+        return b""
+    top = int(table.max())
+    if int(table.min()) < 0:
+        raise UsageError(f"{tag} records need non-negative fields, got {int(table.min())}")
+    width = len(str(top))
+    lines = np.empty((n, 2 + w * (1 + width)), dtype=np.uint8)
+    lines[:, 0] = ord(tag)
+    lines[:, -1] = ord("\n")
+    fields = lines[:, 1:-1].reshape(n, w, 1 + width)  # a view
+    fields[:, :, 0] = ord(" ")
+    value = table.astype(np.min_scalar_type(top))  # unsigned: fast division
+    for k in range(width):  # the digit of 10**k, where it is not a leading zero
+        quotient = value // 10
+        digit = value - quotient * 10
+        digit += ord("0")
+        if k:
+            digit *= value != 0
+        fields[:, :, width - k] = digit
+        value = quotient
+    return lines[lines != 0].tobytes()
 
 
 def load_model(path):
@@ -432,9 +466,13 @@ def _decode_text(data: bytes):
 def _read_records(data: bytes, offset: int, widths: dict) -> dict:
     """One int64 table per tag of the record lines ``TAG n_1 ... n_w``
     in ``data[offset:]``, rows in file order; ``widths`` maps each tag to
-    its w.  Fields are separated by whitespace; blank lines are skipped.
-    The body is parsed in pieces of whole lines, which bounds the
-    per-token arrays."""
+    its w.  Fields are separated by whitespace (space, tab, CR, LF, VT,
+    FF); blank lines are skipped.  A line's first field, its tag, is one
+    byte, one of ``widths``' keys; every other field is an optional sign
+    (``+`` or ``-``) then 1 to 18 decimal digits, so within int64.  The
+    body is parsed in pieces of whole lines, which bounds the per-token
+    arrays: each piece is checked in whole-array passes, and only then
+    are its numbers converted, in one call (``_read_piece``)."""
     pieces = []
     while offset < len(data):
         stop = data.find(b"\n", offset + _PIECE_BYTES) + 1 or len(data)  # past a newline
@@ -448,13 +486,21 @@ def _read_records(data: bytes, offset: int, widths: dict) -> dict:
 
 def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
     buf = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
-    edge = np.flatnonzero(np.diff(_SPACE[buf], prepend=True, append=True))
+    space = buf - 9 < 5  # tab, LF, VT, FF, CR (uint8 wraps below 9)
+    space |= buf == ord(" ")
+    edge = np.flatnonzero(np.diff(space, prepend=True, append=True))
     start, end = edge[0::2], edge[1::2]  # token k is buf[start[k]:end[k]]
-    # a line's first token, its tag, is the first token after a line break
-    # or after the piece's start, which starts a line
-    breaks = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
-    head = np.searchsorted(start, np.r_[0, breaks])
-    head = head[(np.diff(head, prepend=-1) > 0) & (head < len(start))]
+    # a line's first token, its tag, is the piece's first token (a piece
+    # starts a line) or one with a line break among the separators before it
+    gap = end[:-1]  # the separators before token k + 1 start at gap[k]
+    after = buf[gap]
+    ishead = np.ones(len(start), dtype=bool)
+    ishead[1:] = (after == ord("\n")) | (after == ord("\r"))
+    wide = np.flatnonzero(start[1:] - gap > 1)  # gaps of several separators
+    if len(wide):
+        breaks = np.r_[np.flatnonzero((buf == ord("\n")) | (buf == ord("\r"))), len(buf)]
+        ishead[wide + 1] = breaks[np.searchsorted(breaks, gap[wide])] < start[wide + 1]
+    head = np.flatnonzero(ishead)
     nfields = np.diff(head, append=len(start)) - 1
 
     def fail(token, message):
@@ -464,41 +510,54 @@ def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
         text = data[at : offset + end[token]].decode("utf-8", "replace")
         raise ParseError(f"line {line}: " + message.format(text))
 
-    value, bad = _integers(buf, start, end)
+    # every other token is a field: an optional sign, then 1 to 18 digits.
+    # A field longer than 18 bytes must be a sign and 18 digits, and a
+    # byte that is neither a separator nor a digit (in a file this program
+    # wrote, none but the tags) must be a sign that starts a field of 2
+    # bytes or more
+    bad = np.zeros(len(start), dtype=bool)
+    long = np.flatnonzero(end - start > 18)
+    lead = buf[start[long]]
+    bad[long] = (end[long] - start[long] > 19) | ((lead != ord("+")) & (lead != ord("-")))
+    odd = buf - ord("0") < 10
+    odd |= space
+    np.logical_not(odd, out=odd)
+    odd[start[head]] = False  # the tags
+    odd = np.flatnonzero(odd)
+    token = np.searchsorted(start, odd, side="right") - 1
+    sign = (buf[odd] == ord("+")) | (buf[odd] == ord("-"))
+    sign &= (odd == start[token]) & (end[token] - odd > 1)
+    bad[token[~sign]] = True
     bad[head] = False
     if bad.any():
         fail(np.argmax(bad), "bad integer {!r}")
-    tag = np.where(end[head] - start[head] == 1, buf[start[head]], 0)
+    tag = buf[start[head]]
+    tag[end[head] - start[head] != 1] = 0
     known = np.zeros(len(head), dtype=bool)
-    tables = {}
+    lines = {}
     for name, width in widths.items():
         rows = np.flatnonzero(tag == ord(name))
         known[rows] = True
         wrong = rows[nfields[rows] != width]
         if len(wrong):
             fail(head[wrong[0]], f"{{}} record with {nfields[wrong[0]]} integers, not {width}")
-        tables[name] = value[head[rows, None] + np.arange(1, width + 1)]
+        lines[name] = rows
     if not known.all():
         fail(head[np.argmin(known)], "unknown record tag {!r}")
+    # all checked: blank the tags and read every field in one call; the
+    # fields of line r (of head[r]) are values[head[r] - r:][:width]
+    text = buf.copy()
+    text[start[head]] = ord(" ")
+    # as bytes, which end in a NUL: fromstring reads a number past the end
+    # of an array's buffer
+    values = np.fromstring(text.tobytes(), dtype=np.int64, count=len(start) - len(head), sep=" ")
+    tables = {}
+    for name, rows in lines.items():
+        if len(rows) == len(head):  # every line has this tag
+            tables[name] = values.reshape(len(rows), widths[name])
+        else:
+            tables[name] = values[(head[rows] - rows)[:, None] + np.arange(widths[name])]
     return tables
-
-
-def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """The tokens buf[start:end] read as decimal integers (optional sign,
-    at most 18 digits, so within int64), and a mask of the tokens that
-    are not such integers."""
-    sign = buf[start]
-    first = start + ((sign == ord("-")) | (sign == ord("+")))
-    ndigits = end - first
-    bad = (ndigits < 1) | (ndigits > 18)
-    value = np.zeros(len(start), dtype=np.int64)
-    for k in range(int(ndigits.max(initial=0, where=~bad))):
-        live = np.flatnonzero(~bad & (ndigits > k))
-        digit = buf[first[live] + k] - ord("0")  # wraps past 9 for a non-digit
-        bad[live] |= digit > 9
-        value[live] = value[live] * 10 + digit
-    value[sign == ord("-")] *= -1
-    return value, bad
 
 
 def _rebuild(model: MapModel, scales, boxes, edges, cross):

@@ -7,6 +7,7 @@ import math
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -425,6 +426,47 @@ def test_model_roundtrip_byte_identical(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "preset,schedule", [("per31", "uniform*5,sink_basin"), ("cubicdouble", "uniform*8")]
+)
+def test_pending_model_saves_the_bytes_of_its_tables(tmp_path, preset, schedule):
+    """A model fresh from the run is saved with edges from the graph it
+    restricts, without building its tables; the file equals the one
+    saved from the built tables and the one saved after a reload."""
+    result = run_pipeline(RunConfig.from_preset(preset, schedule=parse_schedule(schedule)))
+    gamma = result.gamma
+    pending, loaded, built = (tmp_path / f"{name}.txt" for name in ("pending", "loaded", "built"))
+    save_model(str(pending), result.model, gamma, include_edges=True)
+    assert gamma.pending is not None
+    save_model(str(loaded), result.model, load_model(str(pending))[2], include_edges=True)
+    assert len(gamma.indices) == gamma.n_edges > 0  # builds the tables
+    save_model(str(built), result.model, gamma, include_edges=True)
+    assert pending.read_bytes() == loaded.read_bytes() == built.read_bytes()
+
+
+def _printf_lines(tag, table):
+    return ((tag + " %d" * table.shape[1] + "\n") * len(table) % tuple(table.ravel().tolist())).encode()
+
+
+@pytest.mark.parametrize("width", [2, 6])
+def test_record_lines_match_printf(width):
+    # fields at the digit-count boundaries, in random rows
+    rng = np.random.default_rng(width)
+    edges = [0, 9, 10, 99, 100, 2**31 - 1, 2**32, 2**63 - 1]
+    edges += [10**k + d for k in range(3, 19) for d in (-1, 0)]
+    for top in edges:
+        values = np.array([v for v in edges if v <= top], dtype=np.int64)
+        table = rng.choice(values, size=(300, width))
+        assert pipeline._record_lines("E", table) == _printf_lines("E", table)
+        small = rng.integers(0, top, size=(50, width), endpoint=True, dtype=np.int64)
+        assert pipeline._record_lines("B", small) == _printf_lines("B", small)
+    for dtype in (np.int32, np.int64):
+        empty = np.empty((0, width), dtype=dtype)
+        assert pipeline._record_lines("X", empty) == _printf_lines("X", empty) == b""
+    with pytest.raises(UsageError, match="non-negative"):
+        pipeline._record_lines("E", np.array([[0, -1]]))
+
+
 def test_model_roundtrip_preserves_everything(tmp_path):
     path, result = _run_small_model(tmp_path)
     gamma0 = result.gamma
@@ -472,7 +514,7 @@ def _hand_model(tmp_path, lines):
         f" edges={count['E']} cross={count['X']}"
     )
     path = tmp_path / "hand.txt"
-    path.write_text("\n".join([header] + lines) + "\n")
+    path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -552,6 +594,23 @@ def test_component_id_outside_box_range_rejected(tmp_path, comp):
         (_ONE_COMP + ["E 0 1", "E 0 1"], "given twice"),
         (_TWO_COMPS + ["X 0 1", "X 0 1"], "given twice"),
         (_ONE_COMP + ["E 0 1.5"], "bad integer"),
+    ]
+    + [
+        (_ONE_COMP + [record], re.escape(f"line 4: {message}"))
+        for record, message in [
+            ("E 0 1-2", "bad integer '1-2'"),
+            ("E 0 --1", "bad integer '--1'"),
+            ("E 0 +", "bad integer '+'"),
+            ("E 0 +-1", "bad integer '+-1'"),
+            ("E 0 1e3", "bad integer '1e3'"),
+            ("E 0 0x1", "bad integer '0x1'"),
+            ("E 0 1234567890123456789", "bad integer '1234567890123456789'"),
+            ("E 0 \x001", "bad integer '\\x001'"),  # the repr of a NUL
+            ("E 0 1\u00e9", "bad integer '1\u00e9'"),
+            ("E0 1", "unknown record tag 'E0'"),
+            ("EE 0 1", "unknown record tag 'EE'"),
+            ("- 0 1", "unknown record tag '-'"),
+        ]
     ],
 )
 def test_malformed_or_inconsistent_records_rejected(tmp_path, capsys, records, message):
@@ -602,9 +661,9 @@ def _assert_same_graph(a, b):
 
 def test_gamma_edges_are_built_only_when_read(monkeypatch, tmp_path):
     """A mirrored run stores half of each graph's edges.  Gamma's edge
-    tables are built by save_model with edges, once, and by nothing
-    else in the run, not even a model saved without edges; the record's
-    counts are the built tables' lengths."""
+    tables are built on their first read, once, and by nothing in the
+    run, nor by save_model, with edges or without; the record's counts
+    are the built tables' lengths."""
     built, graphs = [], []
     tables, build = chain_graph._PendingEdges.tables, pipeline.build_edges
 
@@ -626,10 +685,11 @@ def test_gamma_edges_are_built_only_when_read(monkeypatch, tmp_path):
         assert graph.mirror is not None and 2 * len(graph.indices) == graph.n_edges
     gamma, step = result.gamma, result.record.steps[-1]
     save_model(path, result.model, gamma, include_edges=True)
+    assert built == []
+    assert step.gamma_edges == len(gamma.indices) == gamma.n_edges
     assert built == [step.gamma_edges]
     save_model(path, result.model, gamma, include_edges=True)
     assert len(built) == 1
-    assert step.gamma_edges == len(gamma.indices) == gamma.n_edges
     assert step.cross_edges == len(gamma.cross_edges) == gamma.n_cross_edges > 0
 
 
