@@ -100,7 +100,6 @@ class BoxTree:
         derived it from the old one (see ``conjugate_rows``)."""
         self._ids, self._depths, self._idx = ids, depths, idx
         self._next_id = next_id
-        self._bounds = None
         self._index = None
         self._conjugates = None if mirror is None else _pairs(mirror)
 
@@ -169,18 +168,16 @@ class BoxTree:
         return self.cell_size(int(self._depths.max()))
 
     def leaf_box(self, lid: int) -> BoxRegion:
-        row = self._row(lid)
-        _, _, _, lo, hi = self.live_arrays()
+        lo, hi = self.leaf_bounds([self._row(lid)])
         return self.model.box_from_axes(
-            [Interval(a, b) for a, b in zip(lo[row].tolist(), hi[row].tolist())]
+            [Interval(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist())]
         )
 
     def live_arrays(self):
         """(ids, depths, indices, lo, hi) of the live leaves, id-sorted.
-        Views of the tree's arrays: read them, do not write them."""
-        if self._bounds is None:
-            self._bounds = self._box_bounds(self._depths, self._idx)
-        return (self._ids, self._depths, self._idx) + self._bounds
+        The first three are views of the tree's arrays: read them, do
+        not write them."""
+        return (self._ids, self._depths, self._idx) + self._box_bounds(self._depths, self._idx)
 
     def leaf_bounds(self, rows):
         """(lo, hi) of the live leaves at ``rows``: those rows of
@@ -392,6 +389,7 @@ class BoxTree:
         return np.sort(self.meeting(pt, pt)[1]).tolist()
 
     def point_axis_values(self, point: Iterable[complex]) -> tuple:
+        """``MapModel.point_axes``: kept for perfbench's coverage check."""
         return self.model.point_axes(point)
 
     # -- escape pruning ----------------------------------------------------------

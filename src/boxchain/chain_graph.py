@@ -65,18 +65,17 @@ SCC labeling is delegated to scipy's compiled strong-components routine
 canonicalized to (size desc, min vertex asc) order so labels are
 deterministic; graphs with ~10^6 vertices stay well within memory.
 
-The recurrent model counts its cycle and cross edges when it is made;
-it builds their tables, in (src, dst) order, on the first read of
-``indptr``, ``indices`` or ``cross_edges``, which most runs never do.
-Saving a model with its edges does not build them: it writes the edges
-a block of rows at a time as the restriction finds them
-(``ChainGraph.cycle_edge_blocks``), the blocks the tables are filled
-from.
+The recurrent model Γ (``RecurrentModel``) is the graph it restricts
+with the component of each of its rows: it counts its cycle and cross
+edges when it is made and has no edge tables of its own.  Its edges are
+read a block of rows at a time, filtered from the graph's
+(``RecurrentModel.edge_blocks``); a loaded model is the same, on the
+graph of its own edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -94,6 +93,7 @@ _IMAGE_ROWS = 1 << 14  # rows imaged at a time by the edge build
 
 __all__ = [
     "ChainGraph",
+    "RecurrentModel",
     "SccLabeling",
     "ComponentReport",
     "build_edges",
@@ -103,32 +103,6 @@ __all__ = [
     "classify_components",
     "components_at_points",
 ]
-
-
-class _EdgeTable:
-    """A ChainGraph field holding one of its edge tables.  A recurrent
-    model from ``recurrent_model`` is made with its tables pending: the
-    first read of any of them builds them all."""
-
-    def __init__(self, required: bool = True):
-        self.required = required
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, graph, owner=None):
-        if graph is None:  # the dataclass asks for the field's default
-            if self.required:
-                raise AttributeError(self.name)
-            return None
-        pending = graph.pending
-        if pending is not None:
-            graph.indptr, graph.indices, graph.cross_edges = pending.tables()
-            graph.pending = None
-        return graph.__dict__[self.name]
-
-    def __set__(self, graph, value):
-        graph.__dict__[self.name] = value
 
 
 @dataclass
@@ -141,16 +115,12 @@ class ChainGraph:
 
     tree: BoxTree
     vertex_ids: np.ndarray  # leaf ids, ascending
-    indptr: np.ndarray = _EdgeTable()
-    indices: np.ndarray = _EdgeTable()  # vertex rows, ascending within each row
+    indptr: np.ndarray
+    indices: np.ndarray  # vertex rows, ascending within each row
     delta: float
     epsilon: float
     epsilon_min: float
-    comp: Optional[np.ndarray] = None  # per-vertex component id (recurrent model)
-    cross_edges: Optional[np.ndarray] = _EdgeTable(required=False)  # flagged non-cycle edges [k, 2]
     mirror: Optional[np.ndarray] = None
-    # the edge tables of a recurrent model, until they are first read
-    pending: Optional["_PendingEdges"] = field(default=None, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -165,15 +135,7 @@ class ChainGraph:
 
     @property
     def n_edges(self) -> int:
-        if self.pending is not None:
-            return self.pending.n_edges
         return len(self.indices) * (1 if self.mirror is None else 2)
-
-    @property
-    def n_cross_edges(self) -> int:
-        if self.pending is not None:
-            return self.pending.n_cross
-        return len(self.cross_edges)
 
     def _mirrored(self, row: int) -> bool:
         """Whether ``row``'s out-edges are the mirrors of stored ones."""
@@ -213,20 +175,6 @@ class ChainGraph:
                 key &= 0xFFFFFFFF
                 dst = key.astype(np.int32)
             yield src, dst
-
-    def cycle_edge_blocks(self):
-        """Yield (src, dst, cross) of a recurrent model a block of rows at
-        a time: the cycle edges' rows (int32, in (src, dst) order) and the
-        cross edges [k, 2] that follow them in (src, dst) order.  Pending
-        tables are not built: their blocks come from the graph they
-        restrict."""
-        if self.pending is not None:
-            yield from self.pending.blocks()
-            return
-        none = np.empty(0, dtype=np.int32)
-        for src, dst in self.edge_blocks(np.arange(self.n_vertices)):
-            yield src, dst, none.reshape(0, 2)
-        yield none, none, self.cross_edges
 
     def out_neighbors(self, row: int) -> np.ndarray:
         if self._mirrored(row):
@@ -528,88 +476,74 @@ def _canonical(raw: np.ndarray) -> SccLabeling:
 
 
 @dataclass(frozen=True)
-class _PendingEdges:
-    """The cycle and cross edges of the recurrent model of ``graph``
-    with the component ids ``comp``: their counts, and their tables on
-    request."""
+class RecurrentModel:
+    """The recurrent model Γ: the vertices of ``graph`` that ``labels``
+    puts in a component, with the cycle edges (within a component) and
+    the flagged cross edges (between two) among them.  Its rows are the
+    labelled rows of ``graph``, in order; ``n_edges`` and
+    ``n_cross_edges`` count its edges."""
 
     graph: ChainGraph
-    comp: np.ndarray
+    labels: np.ndarray  # component of each graph row, -1 off Γ
+    vertex_ids: np.ndarray  # leaf ids, ascending
+    comp: np.ndarray  # component of each row
     n_edges: int
-    n_cross: int
+    n_cross_edges: int
 
-    def blocks(self):
+    tree = property(lambda self: self.graph.tree)
+    delta = property(lambda self: self.graph.delta)
+    epsilon = property(lambda self: self.graph.epsilon)
+    epsilon_min = property(lambda self: self.graph.epsilon_min)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertex_ids)
+
+    def edge_blocks(self):
         """Yield (src, dst, cross) per block of the graph's edges out of
-        the kept vertices: the recurrent model's rows of the cycle edges
-        (int32, in (src, dst) order) and its cross edges [k, 2] among
-        them."""
-        comp = self.comp
-        keep = comp >= 0
-        # the kept vertices' new rows; monotone, so (src, dst) order stays
+        Γ's vertices: the rows of the cycle edges (int32, in (src, dst)
+        order) and the cross edges [k, 2] among them, in (src, dst)
+        order."""
+        labels = self.labels
+        keep = labels >= 0
+        # Γ's rows of the kept vertices; monotone, so (src, dst) order stays
         new_row = np.cumsum(keep, dtype=np.int32)
         new_row -= 1
         for src, dst in self.graph.edge_blocks(np.flatnonzero(keep)):
-            dst_comp = comp[dst]
-            cycle = comp[src] == dst_comp
+            dst_comp = labels[dst]
+            cycle = labels[src] == dst_comp
             cross = dst_comp >= 0
             cross ^= cycle  # the sources are kept: dst kept, in another component
             src, dst = new_row[src], new_row[dst]
             yield src[cycle], dst[cycle], np.column_stack([src[cross], dst[cross]])
 
-    def tables(self):
-        """(indptr, indices, cross_edges) of the recurrent model: the
-        cycle edges' CSR and the cross edges [k, 2], in (src, dst) order,
-        filled a block at a time."""
-        indptr = np.zeros(np.count_nonzero(self.comp >= 0) + 1, dtype=np.int64)
-        indices = np.empty(self.n_edges, dtype=np.int32)
-        cross_edges = np.empty((self.n_cross, 2), dtype=np.int64)
-        n_cycle = n_cross = 0
-        for rows, dst, cross in self.blocks():  # rows ascending
-            if len(rows):
-                indptr[1 + rows[0] : 2 + rows[-1]] += np.bincount(rows - rows[0])
-            indices[n_cycle : n_cycle + len(rows)] = dst
-            n_cycle += len(rows)
-            cross_edges[n_cross : n_cross + len(cross)] = cross
-            n_cross += len(cross)
-        np.cumsum(indptr, out=indptr)
-        return indptr, indices, cross_edges
 
-
-def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> ChainGraph:
+def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> RecurrentModel:
     """Restrict to the labeled vertices: the union of the SCCs.
 
     Primary edges are the cycle edges (within a component); edges
-    between distinct labeled components are kept in ``cross_edges``,
-    flagged.  Both are counted here and built on first read (see the
-    module docstring).  The tree is left as it is.
+    between distinct labeled components are cross edges, flagged.  Both
+    are counted here and read from ``graph`` (``RecurrentModel.edge_blocks``).
+    The tree is left as it is.
     """
-    keep_rows = np.flatnonzero(labeling.comp >= 0)
-    comp = labeling.comp.astype(np.int32)
+    labels = labeling.comp
     n_cycle = n_both = 0  # stored edges within a component; between kept vertices
     for edges, src in _row_blocks(graph.indptr):
-        src_comp, dst_comp = comp[src], comp[graph.indices[edges]]
+        src_comp, dst_comp = labels[src], labels[graph.indices[edges]]
         both = src_comp >= 0
         both &= dst_comp >= 0
         n_both += int(np.count_nonzero(both))
         both &= src_comp == dst_comp
         n_cycle += int(np.count_nonzero(both))
     per_stored = 1 if graph.mirror is None else 2  # each stored edge and its mirror
-    pending = _PendingEdges(
-        graph,
-        comp,
-        n_edges=per_stored * n_cycle,
-        n_cross=per_stored * (n_both - n_cycle),
-    )
-    return ChainGraph(
-        tree=graph.tree,
+    keep_rows = np.flatnonzero(labels >= 0)
+    return RecurrentModel(
+        graph=graph,
+        labels=labels,
         vertex_ids=graph.vertex_ids[keep_rows],
-        indptr=None,
-        indices=None,
-        delta=graph.delta,
-        epsilon=graph.epsilon,
-        epsilon_min=graph.epsilon_min,
-        comp=labeling.comp[keep_rows],
-        pending=pending,
+        comp=labels[keep_rows],
+        n_edges=per_stored * n_cycle,
+        n_cross_edges=per_stored * (n_both - n_cycle),
     )
 
 
@@ -637,20 +571,18 @@ class ComponentReport:
 
 
 def classify_components(
-    gamma: ChainGraph,
+    gamma: RecurrentModel,
     model: MapModel,
     orbits=None,
 ) -> ComponentReport:
     """Mark the largest component as the J candidate, locate sink orbits,
     and report whether the model separates a sink from it."""
-    if gamma.comp is None:
-        raise UsageError("classify_components needs a recurrent model")
     sizes = labeling_sizes(gamma)
     j_id = 0 if len(sizes) else -1
     if orbits is None:
         orbits = sink_orbits(model)
     points = [pt for orb in orbits for pt in orb.points]
-    axes = np.array([gamma.tree.point_axis_values(pt) for pt in points], dtype=float)
+    axes = np.array([model.point_axes(pt) for pt in points], dtype=float)
     point, comp = components_at_points(gamma, axes.reshape(len(points), gamma.tree.naxes))
     entries = []
     separating = False
@@ -680,7 +612,7 @@ def classify_components(
     )
 
 
-def components_at_points(gamma: ChainGraph, axes: np.ndarray):
+def components_at_points(gamma: RecurrentModel, axes: np.ndarray):
     """Distinct (point row, component id) pairs, sorted: each component
     of the recurrent model with a box containing the point.  ``axes``
     holds one row of real axis values per point."""
@@ -693,5 +625,5 @@ def components_at_points(gamma: ChainGraph, axes: np.ndarray):
     return pairs // radix, pairs % radix
 
 
-def labeling_sizes(gamma: ChainGraph) -> tuple:
-    return () if gamma.comp is None else tuple(np.bincount(gamma.comp).tolist())
+def labeling_sizes(gamma: RecurrentModel) -> tuple:
+    return tuple(np.bincount(gamma.comp).tolist())

@@ -256,7 +256,7 @@ def _cmd_inspect(args) -> int:
     print(f"R' = {model.r_prime!r}  delta0' = {model.delta0_prime!r}")
     print(
         f"boxes: {gamma.n_vertices}  edges: {gamma.n_edges}"
-        f"  cross edges: {len(gamma.cross_edges)}"
+        f"  cross edges: {gamma.n_cross_edges}"
     )
     print(f"delta = {gamma.delta!r}  epsilon = {gamma.epsilon!r}  epsilon_min = {gamma.epsilon_min!r}")
     counts = tree.depth_counts()

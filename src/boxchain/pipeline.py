@@ -36,6 +36,7 @@ from .boxtree import BoxTree, _any_per_row, init_root, sink_basin_selector
 from .bounds import report_for_map, sink_section_for_map
 from .chain_graph import (
     ChainGraph,
+    RecurrentModel,
     build_edges,
     classify_components,
     recurrent_model,
@@ -195,7 +196,7 @@ class PipelineResult:
     record: RunRecord
     model: MapModel
     tree: BoxTree
-    gamma: Optional[ChainGraph]
+    gamma: Optional[RecurrentModel]
     classification: Optional[object]
 
 
@@ -332,16 +333,16 @@ _ROWS_PER_WRITE = 1 << 16  # text records formatted per write
 _PIECE_BYTES = 1 << 20  # text body bytes parsed at a time (whole lines)
 
 
-def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = False) -> None:
+def save_model(path, model: MapModel, gamma: RecurrentModel, include_edges: bool = False) -> None:
     """Persist the recurrent model; canonical, lossless, diffable.  The
     header line is followed by the boxes (depth, grid indices, component
     id) and, with ``include_edges``, the cycle and cross edges (pairs of
     box rows).  Every field is a non-negative integer, written in decimal
     as ``%d`` writes it, ``_ROWS_PER_WRITE`` lines at a time
     (``_record_lines``).  The edges are written a block of rows at a
-    time (``ChainGraph.cycle_edge_blocks``), so a model whose edge tables
-    are pending is saved without building them."""
-    if gamma is None or gamma.comp is None:
+    time (``RecurrentModel.edge_blocks``), the cross edges after the
+    cycle edges, each in (src, dst) order."""
+    if gamma is None:
         raise UsageError("save_model needs a completed recurrent model")
     boxes = np.column_stack([gamma.tree.address_table(gamma.vertex_ids), gamma.comp])
     header = {
@@ -364,7 +365,7 @@ def save_model(path, model: MapModel, gamma: ChainGraph, include_edges: bool = F
         _write_records(fh, "B", boxes)
         cross = [np.empty((0, 2), dtype=np.int64)]
         if include_edges:
-            for src, dst, block_cross in gamma.cycle_edge_blocks():
+            for src, dst, block_cross in gamma.edge_blocks():
                 _write_records(fh, "E", np.column_stack([src, dst]))
                 cross.append(block_cross)
         _write_records(fh, "X", np.concatenate(cross))
@@ -584,7 +585,7 @@ def _rebuild(model: MapModel, scales, boxes, edges, cross):
     if ((comp < 0) | (comp >= n)).any():
         raise ParseError(f"component id {int(comp[(comp < 0) | (comp >= n)][0])} outside [0, {n})")
     radix = max(n, 1)
-    keys = {}
+    keys = []
     for tag, table, within in (("E", edges, True), ("X", cross, False)):
         outside = _any_per_row((table < 0) | (table >= n))
         if outside.any():
@@ -593,20 +594,30 @@ def _rebuild(model: MapModel, scales, boxes, edges, cross):
         if wrong.any():
             where = "between two components" if within else "within one component"
             raise ParseError(f"{tag} edge {table[wrong][0].tolist()} lies {where}")
-        keys[tag] = np.sort(table[:, 0] * radix + table[:, 1])
-        repeated = np.flatnonzero(keys[tag][1:] == keys[tag][:-1])
-        if len(repeated):
-            key = int(keys[tag][repeated[0]])
-            raise ParseError(f"{tag} edge {[key // radix, key % radix]} given twice")
-    gamma = ChainGraph.from_pairs(
-        keys["E"] // radix,
-        keys["E"] % radix,
+        keys.append(table[:, 0] * radix + table[:, 1])
+    keys = np.sort(np.concatenate(keys))
+    src, dst = keys // radix, keys % radix
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        # E and X edges are told apart by their ends' components
+        k = repeated[0]
+        tag = "E" if comp[src[k]] == comp[dst[k]] else "X"
+        raise ParseError(f"{tag} edge {[int(src[k]), int(dst[k])]} given twice")
+    graph = ChainGraph.from_pairs(
+        src,
+        dst,
         np.arange(n, dtype=np.int64),
         tree=tree,
         delta=delta,
         epsilon=epsilon,
         epsilon_min=epsilon_min,
+    )
+    gamma = RecurrentModel(
+        graph=graph,
+        labels=comp,
+        vertex_ids=graph.vertex_ids,
         comp=comp,
-        cross_edges=cross,
+        n_edges=len(edges),
+        n_cross_edges=len(cross),
     )
     return model, tree, gamma

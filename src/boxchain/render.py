@@ -39,7 +39,7 @@ import numpy as np
 
 from .ia import UsageError
 from .maps import FixedPointInfo, MapModel, fixed_points, forward_orbits
-from .chain_graph import ChainGraph, components_at_points
+from .chain_graph import RecurrentModel, components_at_points
 
 __all__ = [
     "RenderConfig",
@@ -217,7 +217,7 @@ def _pixel_grid(config: RenderConfig):
     return xs, ys  # ys walks top row -> bottom row
 
 
-def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
+def _paint(gamma: RecurrentModel, model: MapModel, config: RenderConfig, pt):
     """Pixels for the points ``pt``: one complex array per coordinate,
     row-major over the pixel grid."""
     n_comp = int(gamma.comp.max()) + 1 if gamma.n_vertices else 0
@@ -236,7 +236,7 @@ def _paint(gamma: ChainGraph, model: MapModel, config: RenderConfig, pt):
 
 
 def render_slice(
-    gamma: ChainGraph,
+    gamma: RecurrentModel,
     model: MapModel,
     saddle: FixedPointInfo,
     config: RenderConfig,
@@ -250,7 +250,7 @@ def render_slice(
     return _paint(gamma, model, config, evaluate(zz))
 
 
-def render_plane(gamma: ChainGraph, model: MapModel, config: RenderConfig) -> Image:
+def render_plane(gamma: RecurrentModel, model: MapModel, config: RenderConfig) -> Image:
     """Direct phase-plane render: C for the 1-D kinds, R^2 (x, y) for
     the real Henon map."""
     if model.kind == "henon_complex":

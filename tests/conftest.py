@@ -37,7 +37,7 @@ class InstrumentedRun:
 
             def covered(points):
                 for pt in points:
-                    vals = tree.point_axis_values(pt)
+                    vals = tree.model.point_axes(pt)
                     leaves = tree.leaves_containing_point(vals)
                     if not any(l in gamma_ids for l in leaves):
                         return False

@@ -1,5 +1,5 @@
 """Shared test helpers: build a ChainGraph from plain adjacency lists,
-and the all-pairs edge oracle."""
+read a recurrent model's edges, and the all-pairs edge oracle."""
 
 import numpy as np
 
@@ -20,6 +20,14 @@ def graph_from_adjacency(adj):
         epsilon=1.0,
         epsilon_min=1.0,
     )
+
+
+def gamma_edges(gamma):
+    """(cycle src, cycle dst, cross edges [k, 2]) of a recurrent model:
+    its ``edge_blocks()`` joined, each in (src, dst) order."""
+    none = np.empty(0, dtype=np.int32)
+    blocks = [(none, none, none.reshape(0, 2))] + list(gamma.edge_blocks())
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def all_pairs_edges(tree, model, delta):

@@ -321,7 +321,7 @@ def test_criterion_7_images(circle_run, per31_run):
     for k in range(360):
         th = 2 * math.pi * k / 360
         pt = (complex(math.cos(th), math.sin(th)),)
-        leaves = tree.leaves_containing_point(tree.point_axis_values(pt))
+        leaves = tree.leaves_containing_point(tree.model.point_axes(pt))
         assert any(l in gamma_ids for l in leaves), th
     # pixel grid chosen so four centers land exactly on the circle
     cfg = RenderConfig(
@@ -349,7 +349,7 @@ def test_criterion_7_images(circle_run, per31_run):
                 kplus_lighten=False,
             ),
         )
-        assert one.at(0, 0) == palette[int(gamma.comp[gamma.row_of_leaf(lid)])]
+        assert one.at(0, 0) == palette[int(gamma.labels[gamma.graph.row_of_leaf(lid)])]
     # slice rendering also deterministic on the Henon fixture
     hmodel = per31_run.result.model
     hgamma = per31_run.result.gamma

@@ -354,7 +354,7 @@ def test_prune_henon_keeps_sink_and_saddle():
     pruned = tree.prune_escaping(6)
     assert pruned > 0
     for fp in fixed_points(m):
-        vals = tree.point_axis_values(fp.location)
+        vals = tree.model.point_axes(fp.location)
         assert tree.leaves_containing_point(vals)
 
 
@@ -401,7 +401,7 @@ def test_prune_henon_backward_pass_removes_forward_basin():
     tree.prune_escaping(6)
     cyc = period2_sink_cycle(m)
     for point in cyc.points:
-        vals = tree.point_axis_values(point)
+        vals = tree.model.point_axes(point)
         assert tree.leaves_containing_point(vals)
 
 
@@ -486,7 +486,7 @@ def test_selector_marks_sink_leaf_and_not_escaping_leaf():
     tree.prune_escaping(6)
     sel = sink_basin_selector(tree)
     sink = [f for f in fixed_points(m) if f.classification == "sink"][0]
-    sink_leaves = tree.leaves_containing_point(tree.point_axis_values(sink.location))
+    sink_leaves = tree.leaves_containing_point(tree.model.point_axes(sink.location))
     assert sink_leaves
     assert any(sel(lid) for lid in sink_leaves)
     # a leaf whose center escapes is never selected: saddle-adjacent corner

@@ -24,7 +24,7 @@ from boxchain.chain_graph import (
     recurrent_model,
     scc_decompose,
 )
-from support_graphs import all_pairs_edges
+from support_graphs import all_pairs_edges, gamma_edges
 from support_trees import live_ids
 
 
@@ -715,13 +715,14 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
 
 
 # The traced bytes each phase may allocate per stored edge, above its
-# inputs (the tables: above the tables they return).  With the lookup's
+# inputs; "save" reads Γ's edge blocks and keeps none, as save_model
+# does.  With the lookup's
 # chunks and pieces and the row blocks made small, what is left grows
 # with the edges: the graph itself (4 B per stored edge) and the pieces'
 # edges joined into it (4 B) in the build, the quotient's dst rows and
 # codes (5 B) in the strong components.  The per-image and per-vertex
 # arrays add about 3 B on the cubic tree, with 10 edges per vertex.
-_TRACED_BYTES_PER_EDGE = {"build": 14, "scc": 9, "restrict": 2, "tables": 3}
+_TRACED_BYTES_PER_EDGE = {"build": 14, "scc": 9, "restrict": 2, "save": 3}
 
 
 def traced_peak(fn, *args) -> tuple:
@@ -753,13 +754,13 @@ def test_graph_phases_allocate_a_few_bytes_per_stored_edge(grow, mirrored, monke
     assert stored > 500_000 and (graph.mirror is not None) == mirrored
     labeling, scc = traced_peak(scc_decompose, graph)
     gamma, restrict = traced_peak(recurrent_model, graph, labeling)
-    tables, built = traced_peak(lambda: (gamma.indptr, gamma.indices, gamma.cross_edges))
-    peaks = {
-        "build": build,
-        "scc": scc,
-        "restrict": restrict,
-        "tables": built - sum(t.nbytes for t in tables),
-    }
+
+    def save():
+        for _ in gamma.edge_blocks():
+            pass
+
+    _, saved = traced_peak(save)
+    peaks = {"build": build, "scc": scc, "restrict": restrict, "save": saved}
     per_edge = {phase: peak / stored for phase, peak in peaks.items()}
     assert all(per_edge[p] <= bound for p, bound in _TRACED_BYTES_PER_EDGE.items()), per_edge
 
@@ -780,7 +781,7 @@ def test_cycle_with_pendant():
     gamma = recurrent_model(g, scc_decompose(g))
     assert sorted(gamma.vertex_ids.tolist()) == [0, 1]
     assert gamma.n_edges == 2
-    assert len(gamma.cross_edges) == 0
+    assert gamma.n_cross_edges == len(gamma_edges(gamma)[2]) == 0
 
 
 def test_cross_component_edges_flagged_not_primary():
@@ -789,7 +790,7 @@ def test_cross_component_edges_flagged_not_primary():
     gamma = recurrent_model(g, scc_decompose(g))
     assert gamma.n_vertices == 4
     assert gamma.n_edges == 4  # the two cycles only
-    assert gamma.cross_edges.shape == (1, 2)
+    assert gamma.n_cross_edges == 1 and gamma_edges(gamma)[2].shape == (1, 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -812,10 +813,10 @@ def test_recurrent_model_matches_the_edge_loop_reference(seed):
                 (cycle if comp[u] == comp[v] else cross).append((new_row[u], new_row[v]))
     assert cycle and cross
     gamma = recurrent_model(g, lab)
-    src, dst = gamma.edge_rows()
+    src, dst, got_cross = gamma_edges(gamma)
     assert list(zip(src.tolist(), dst.tolist())) == cycle
-    assert gamma.cross_edges.dtype == np.int64
-    assert [tuple(e) for e in gamma.cross_edges.tolist()] == cross
+    assert [tuple(e) for e in got_cross.tolist()] == cross
+    assert (gamma.n_edges, gamma.n_cross_edges) == (len(cycle), len(cross))
     assert gamma.comp.tolist() == [c for c in comp if c >= 0]
     assert gamma.vertex_ids.tolist() == sorted(new_row)
 
@@ -901,6 +902,6 @@ def test_fixed_point_coverage_in_recurrent_model():
     gamma = recurrent_model(g, scc_decompose(g))
     id_set = set(int(v) for v in gamma.vertex_ids)
     for fp in fixed_points(model):
-        vals = tree.point_axis_values(fp.location)
+        vals = tree.model.point_axes(fp.location)
         leaves = tree.leaves_containing_point(vals)
         assert any(l in id_set for l in leaves), fp

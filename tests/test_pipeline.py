@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import boxchain
-from boxchain import chain_graph, cli, pipeline
+from boxchain import cli, pipeline
 from boxchain.errors import MemoryBudgetError, ParseError
 from boxchain.ia import UsageError
 from boxchain.maps import MapModel
@@ -29,6 +29,7 @@ from boxchain.pipeline import (
     save_model,
 )
 from boxchain.render import RenderConfig, render_plane
+from support_graphs import gamma_edges
 
 DATA = Path(__file__).parent / "data"
 
@@ -429,19 +430,17 @@ def test_model_roundtrip_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "preset,schedule", [("per31", "uniform*5,sink_basin"), ("cubicdouble", "uniform*8")]
 )
-def test_pending_model_saves_the_bytes_of_its_tables(tmp_path, preset, schedule):
-    """A model fresh from the run is saved with edges from the graph it
-    restricts, without building its tables; the file equals the one
-    saved from the built tables and the one saved after a reload."""
+def test_run_model_saves_the_bytes_of_its_reload(tmp_path, preset, schedule):
+    """A model fresh from the run reads its edges from the graph it
+    restricts, a loaded one from the graph of its file's edges: both
+    save the same bytes, with edges and without."""
     result = run_pipeline(RunConfig.from_preset(preset, schedule=parse_schedule(schedule)))
-    gamma = result.gamma
-    pending, loaded, built = (tmp_path / f"{name}.txt" for name in ("pending", "loaded", "built"))
-    save_model(str(pending), result.model, gamma, include_edges=True)
-    assert gamma.pending is not None
-    save_model(str(loaded), result.model, load_model(str(pending))[2], include_edges=True)
-    assert len(gamma.indices) == gamma.n_edges > 0  # builds the tables
-    save_model(str(built), result.model, gamma, include_edges=True)
-    assert pending.read_bytes() == loaded.read_bytes() == built.read_bytes()
+    assert result.gamma.n_edges > 0
+    run, loaded = tmp_path / "run.txt", tmp_path / "loaded.txt"
+    for include_edges in (True, False):
+        save_model(str(run), result.model, result.gamma, include_edges=include_edges)
+        save_model(str(loaded), result.model, load_model(str(run))[2], include_edges=include_edges)
+        assert run.read_bytes() == loaded.read_bytes()
 
 
 def _printf_lines(tag, table):
@@ -479,9 +478,9 @@ def test_model_roundtrip_preserves_everything(tmp_path):
     assert gamma.epsilon_min == gamma0.epsilon_min
     assert np.array_equal(gamma.comp, gamma0.comp)
     assert tree.addresses() == tree0.addresses()
-    # adjacency identical under the address correspondence
-    for u in range(gamma.n_vertices):
-        assert np.array_equal(gamma.out_neighbors(u), gamma0.out_neighbors(u))
+    # edges identical under the address correspondence
+    for got, want in zip(gamma_edges(gamma), gamma_edges(gamma0)):
+        assert np.array_equal(got, want)
 
 
 def test_loaded_model_renders_identically(tmp_path):
@@ -645,13 +644,7 @@ def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
 
 
 def _graph_tables(tree, gamma):
-    return (
-        gamma.indptr,
-        gamma.indices,
-        gamma.comp,
-        gamma.cross_edges,
-        tree.address_table(gamma.vertex_ids),
-    )
+    return gamma_edges(gamma) + (gamma.comp, tree.address_table(gamma.vertex_ids))
 
 
 def _assert_same_graph(a, b):
@@ -659,56 +652,50 @@ def _assert_same_graph(a, b):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-def test_gamma_edges_are_built_only_when_read(monkeypatch, tmp_path):
-    """A mirrored run stores half of each graph's edges.  Gamma's edge
-    tables are built on their first read, once, and by nothing in the
-    run, nor by save_model, with edges or without; the record's counts
-    are the built tables' lengths."""
-    built, graphs = [], []
-    tables, build = chain_graph._PendingEdges.tables, pipeline.build_edges
-
-    def counting(pending):
-        built.append(pending.n_edges)
-        return tables(pending)
+def test_gamma_edge_counts_match_its_edge_blocks(monkeypatch):
+    """A mirrored run stores half of each graph's edges.  The record's
+    counts of Gamma's cycle and cross edges are the lengths of its edge
+    blocks, which read the mirrored graph."""
+    graphs = []
+    build = pipeline.build_edges
 
     def keeping(*args, **kw):
         graphs.append(build(*args, **kw))
         return graphs[-1]
 
-    monkeypatch.setattr(chain_graph._PendingEdges, "tables", counting)
     monkeypatch.setattr(pipeline, "build_edges", keeping)
-    path = str(tmp_path / "model.txt")
-    config = RunConfig.from_preset("per31", schedule=parse_schedule("uniform*4"), model_out=path)
+    config = RunConfig.from_preset("per31", schedule=parse_schedule("uniform*4"))
     result = run_pipeline(config)
-    assert built == [] and len(graphs) == 4
+    assert len(graphs) == 4
     for graph in graphs:
         assert graph.mirror is not None and 2 * len(graph.indices) == graph.n_edges
     gamma, step = result.gamma, result.record.steps[-1]
-    save_model(path, result.model, gamma, include_edges=True)
-    assert built == []
-    assert step.gamma_edges == len(gamma.indices) == gamma.n_edges
-    assert built == [step.gamma_edges]
-    save_model(path, result.model, gamma, include_edges=True)
-    assert len(built) == 1
-    assert step.cross_edges == len(gamma.cross_edges) == gamma.n_cross_edges > 0
+    src, _, cross = gamma_edges(gamma)
+    assert step.gamma_edges == len(src) == gamma.n_edges
+    assert step.cross_edges == len(cross) == gamma.n_cross_edges > 0
 
 
 def test_record_order_and_layout_do_not_matter(tmp_path):
     path, _ = _run_small_model(tmp_path)
     _, *saved = load_model(path)
     header, *records = open(path).read().splitlines()
-    # interleave the record kinds and shuffle the E lines; B lines number
-    # the boxes and X lines list the cross edges, so those keep their order
-    in_order = {tag: iter([r for r in records if r[0] == tag]) for tag in "BX"}
+    assert sum(r[0] == "X" for r in records) > 1
+    # interleave the record kinds and shuffle the E and X lines; B lines
+    # number the boxes, so those keep their order
+    boxes = iter([r for r in records if r[0] == "B"])
     random.Random(5).shuffle(records)
-    records = [next(in_order[r[0]]) if r[0] in in_order else r for r in records]
+    records = [next(boxes) if r[0] == "B" else r for r in records]
     # tab and space padding, a blank line, CRLF line ends
     lines = [header] + [f"  {r.replace(' ', chr(9) + ' ')} " for r in records[:40]]
     lines += [""] + records[40:]
     shuffled = tmp_path / "shuffled.txt"
     shuffled.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    _, *loaded = load_model(str(shuffled))
+    model, *loaded = load_model(str(shuffled))
     _assert_same_graph(saved, loaded)
+    # the re-save is the canonical file, whatever the order read
+    resaved = tmp_path / "resaved.txt"
+    save_model(str(resaved), model, loaded[1], include_edges=True)
+    assert resaved.read_bytes() == Path(path).read_bytes()
 
 
 def test_golden_model_files(tmp_path):
@@ -721,7 +708,7 @@ def test_golden_model_files(tmp_path):
     out = tmp_path / "quad_uniform3.txt"
     save_model(str(out), result.model, result.gamma, include_edges=True)
     assert out.read_bytes() == golden.read_bytes()
-    assert len(result.gamma.cross_edges) > 0 and len(set(result.gamma.comp.tolist())) == 2
+    assert result.gamma.n_cross_edges > 0 and len(set(result.gamma.comp.tolist())) == 2
     _assert_same_graph(load_model(str(golden))[1:], (result.tree, result.gamma))
 
 

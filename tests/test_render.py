@@ -1,6 +1,7 @@
 """Render tests: parameterization functional equation, determinism,
 pixel-classification soundness, escape heuristic, image formats."""
 
+import dataclasses
 import zlib
 from pathlib import Path
 
@@ -165,17 +166,8 @@ def test_render_empty_model_is_uniform():
     gamma = recurrent_model(g, lab)
     # drop everything to fake an empty model
     gamma.tree.remove_leaves(list(live_ids(gamma.tree)))
-    empty = type(gamma)(
-        tree=gamma.tree,
-        vertex_ids=np.empty(0, dtype=np.int64),
-        indptr=np.zeros(1, dtype=np.int64),
-        indices=np.empty(0, dtype=np.int32),
-        delta=1e-3,
-        epsilon=1.0,
-        epsilon_min=1.0,
-        comp=np.empty(0, dtype=np.int64),
-        cross_edges=np.empty((0, 2), dtype=np.int64),
-    )
+    none = np.empty(0, dtype=np.int64)
+    empty = dataclasses.replace(gamma, vertex_ids=none, comp=none, n_edges=0, n_cross_edges=0)
     cfg = RenderConfig(resolution=8, half_width=1.0, kplus_lighten=False)
     img = render_plane(empty, m, cfg)
     assert set(img.pixels) == {255}
@@ -201,8 +193,7 @@ def test_pixel_classification_soundness_single_box():
             kplus_lighten=False,
         )
         img = render_plane(gamma, m, cfg)
-        row = gamma.row_of_leaf(lid)
-        comp = int(gamma.comp[row])
+        comp = int(gamma.labels[gamma.graph.row_of_leaf(lid)])
         assert img.at(1, 1) == palette[comp]
 
 
@@ -226,9 +217,9 @@ def test_saddle_pixel_gets_j_candidate_shade(altper2_run):
     tree = gamma.tree
     # the saddle sits on the Im = 0 grid boundary, so several closed
     # boxes contain it; all of them must carry the J-candidate label
-    leaves = tree.leaves_containing_point(tree.point_axis_values(sad.location))
+    leaves = tree.leaves_containing_point(tree.model.point_axes(sad.location))
     assert leaves
-    comps = {int(gamma.comp[gamma.row_of_leaf(l)]) for l in leaves}
+    comps = {int(gamma.labels[gamma.graph.row_of_leaf(l)]) for l in leaves}
     assert comps == {0}
     cfg = RenderConfig(
         center=0j, half_width=1e-9, resolution=1, kplus_lighten=False
