@@ -716,12 +716,12 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
 
 # The traced bytes each phase may allocate per stored edge, above its
 # inputs; "save" reads Γ's edge blocks and keeps none, as save_model
-# does.  With the lookup's
-# chunks and pieces and the row blocks made small, what is left grows
-# with the edges: the graph itself (4 B per stored edge) and the pieces'
-# edges joined into it (4 B) in the build, the quotient's dst rows and
-# codes (5 B) in the strong components.  The per-image and per-vertex
-# arrays add about 3 B on the cubic tree, with 10 edges per vertex.
+# does.  With the lookup's chunks and pieces and the row blocks made
+# small, what is left grows with the edges: the graph itself (4 B per
+# stored edge) and the pieces' edges joined into it (4 B) in the build,
+# the quotient's dst rows and codes (5 B) in the strong components.
+# The per-image and per-vertex arrays add about 3 B on the cubic tree,
+# with 10 edges per vertex.
 _TRACED_BYTES_PER_EDGE = {"build": 14, "scc": 9, "restrict": 2, "save": 3}
 
 
