@@ -36,9 +36,9 @@ Escape pruning iterates one leaf of each pair and gives the other the
 same decision.
 
 Escape pruning and the edge build's lookup (``lookup_pieces``) treat
-each row on its own, so they run in pieces of consecutive rows on the
-thread pool of ``pool``; the results are consumed in piece order, and
-no output depends on the number of workers.
+each row on its own, so they run in pieces of consecutive rows, one
+after another: a piece bounds the temporaries, and a lookup piece sorts
+its own edges.  No output depends on the size of the pieces.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, give_back
 from .ia import BoxRegion, Interval, UsageError
-from .maps import MapModel, forward_orbits, on_rows
-# not called here (see prune_escaping), but perfbench's tracer wraps these names
-from .maps import batch_backward, batch_forward  # noqa: F401
-from .pool import in_pieces
+from .maps import MapModel, batch_backward, batch_forward, forward_orbits
 
 __all__ = [
     "BoxTree",
@@ -67,7 +64,7 @@ __all__ = [
 
 _KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
 _CHUNK_CANDIDATES = 1 << 17  # grid cells expanded per lookup chunk
-_LOOKUP_PIECE = 1 << 12  # query rows per piece of a pooled lookup
+_LOOKUP_PIECE = 1 << 12  # query rows per piece of ``lookup_pieces``
 _PRUNE_PIECE = 1 << 15  # rows per piece of escape pruning
 _BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
 _SINK_ITERATES = 12  # orbit length of the sink-basin selector
@@ -295,8 +292,7 @@ class BoxTree:
         """Yield the pairs of ``lookup`` piece by piece, as rows of a CSR
         table: for each run of _LOOKUP_PIECE consecutive query rows, in
         order, the number of leaves each query meets and those leaves'
-        rows (int32), sorted by (query, leaf row).  The pieces look up
-        and sort on the thread pool (``pool.in_pieces``).
+        rows (int32), sorted by (query, leaf row).
 
         An address index built for the pieces is dropped after the last
         one: the edge build, the one caller, is followed by a restriction
@@ -304,7 +300,8 @@ class BoxTree:
         kept = self._index is not None
         self._address_index()  # built here: the pieces only read it
 
-        def piece(start, stop):
+        for start in range(0, len(lo), _LOOKUP_PIECE):
+            stop = min(start + _LOOKUP_PIECE, len(lo))
             keys = []  # query << 32 | leaf row
             for query, leaf in self.lookup(lo[start:stop], hi[start:stop]):
                 query <<= 32
@@ -315,9 +312,8 @@ class BoxTree:
             key.sort()
             ends = np.searchsorted(key, np.arange(1, stop - start + 1, dtype=np.int64) << 32)
             key &= 0xFFFFFFFF
-            return np.diff(ends, prepend=0), key.astype(np.int32)
-
-        yield from in_pieces(piece, len(lo), _LOOKUP_PIECE)
+            yield np.diff(ends, prepend=0), key.astype(np.int32)
+            del key
         if not kept:
             self._index = None
 
@@ -412,29 +408,22 @@ class BoxTree:
         iterates do not depend on the other rows, so the pruned set is the
         same in either order, and for any cut of the rows into pieces.
 
-        The rows are iterated in pieces of _PRUNE_PIECE on the thread pool
-        (``pool.in_pieces``); each piece returns its escaped rows.  The
-        pieces apply the map formulas through ``on_rows``, not through
-        ``batch_forward``/``batch_backward``: perfbench's tracer wraps
-        those names with one span stack, which a pool thread must not
-        touch.
+        The rows are iterated in pieces of _PRUNE_PIECE, which bound the
+        iterates held at a time; the free memory is handed back to the
+        system at the end (``give_back``).
         """
         if max_iter < 1:
             raise UsageError("max_iter must be at least 1")
         model = self.model
         todo, mirror = self.conjugate_rows()
-        if model.is_henon:
-            formulas = [model.interval_backward, model.interval_forward]
-        else:
-            formulas = [model.interval_forward]
+        steps = [batch_backward, batch_forward] if model.is_henon else [batch_forward]
         rp = self.r_prime
         bound = _BLOWUP_FACTOR * rp
-
-        def escaped(start, stop):
-            """The rows among todo[start:stop] that escape V0."""
-            rows = todo[start:stop]
-            out = np.zeros(len(rows), dtype=bool)
-            for formula in formulas:
+        pruned = np.zeros(self.leaf_count, dtype=bool)
+        for start in range(0, len(todo), _PRUNE_PIECE):
+            rows = todo[start : start + _PRUNE_PIECE]
+            out = np.zeros(len(rows), dtype=bool)  # the rows that escape V0
+            for step in steps:
                 # the positions still iterated in this direction and their iterates
                 at = np.flatnonzero(~out)
                 cur_lo, cur_hi = self.leaf_bounds(rows[at])
@@ -442,7 +431,7 @@ class BoxTree:
                     if not len(at):
                         break
                     with np.errstate(over="ignore", invalid="ignore"):
-                        cur_lo, cur_hi = on_rows(model, formula, cur_lo, cur_hi)
+                        cur_lo, cur_hi = step(model, cur_lo, cur_hi)
                     bad = _any_per_row(~(np.isfinite(cur_lo) & np.isfinite(cur_hi)))
                     # a NaN width is on a bad row: there "some width > bound"
                     # and "the largest width > bound" differ, elsewhere not
@@ -451,11 +440,8 @@ class BoxTree:
                     out[at[gone]] = True
                     go_on = ~(gone | blown)
                     at, cur_lo, cur_hi = at[go_on], cur_lo[go_on], cur_hi[go_on]
-            return rows[out]
-
-        pruned = np.zeros(self.leaf_count, dtype=bool)
-        for rows in in_pieces(escaped, len(todo), _PRUNE_PIECE):
-            pruned[rows] = True
+            pruned[rows[out]] = True
+        give_back()
         if mirror is not None:
             pruned |= pruned[mirror]
         return self._keep(~pruned)

@@ -23,11 +23,11 @@ found, so sparse deep grids cost about as many candidates per edge as
 a single-depth tree.  This is checked against the all-pairs oracle in
 the tests, on single- and three-depth trees.  Classification uses the
 same lookup on the sink orbit points.  The edge build runs the lookup
-in pieces of consecutive images on the thread pool
-(``BoxTree.lookup_pieces``).  Each piece sorts its own edges and returns
-a count per image and the dst rows (int32); the pieces come back in
-order, so the graph is their concatenation, with no key array and no
-sort of the whole graph, and its order does not depend on the pieces.
+in pieces of consecutive images (``BoxTree.lookup_pieces``), one after
+another.  Each piece sorts its own edges and returns a count per image
+and the dst rows (int32); the pieces come in order, so the graph is
+their concatenation, with no key array and no sort of the whole graph,
+and its order does not depend on the pieces.
 
 When the live leaves pair up under complex conjugation σ
 (``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
@@ -82,10 +82,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import check_memory_budget
+from .errors import check_memory_budget, give_back
 from .ia import UsageError, _down_arr, _up_arr
 from .maps import MapModel, batch_forward, sink_orbits
-from .pool import give_back
 from .boxtree import BoxTree
 
 _BLOCK_EDGES = 1 << 16  # edges per block of rows in the passes over every edge
@@ -229,11 +228,11 @@ def build_edges(
 ) -> ChainGraph:
     """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
 
-    The lookup runs in pieces of consecutive images on the thread pool
+    The lookup runs in pieces of consecutive images
     (``BoxTree.lookup_pieces``); each piece returns its edges sorted, as
-    a count per image and the dst rows (int32), so this thread only
-    joins them: no key array and no sort of the whole graph.  On a
-    mirrored tree the graph stores the edges of one leaf of each pair
+    a count per image and the dst rows (int32), so the build only joins
+    them: no key array and no sort of the whole graph.  On a mirrored
+    tree the graph stores the edges of one leaf of each pair
     (see the module docstring).  Checks the process's peak RSS against
     ``mem_budget_mb`` on entry and after each lookup piece it consumes
     (``check_memory_budget``).
@@ -243,8 +242,7 @@ def build_edges(
     n = tree.leaf_count
 
     def check(edges: int) -> None:
-        where = f"in the edge build at {n} vertices, >= {edges} edges"
-        check_memory_budget(mem_budget_mb, where, vertices=n, edges=edges)
+        check_memory_budget(mem_budget_mb, f"in the edge build at {n} vertices, >= {edges} edges")
 
     check(0)
     # k -> j is an edge iff its mirror is: image and look up one of each
@@ -271,7 +269,7 @@ def build_edges(
     del wlo, whi
     indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     del parts
-    give_back()  # the pieces' arrays were freed in the workers' arenas
+    give_back()  # the pieces' arrays, freed by the join
     np.cumsum(indptr, out=indptr)
     return ChainGraph(
         tree=tree,

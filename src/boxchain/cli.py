@@ -32,6 +32,7 @@ from .chain_graph import labeling_sizes
 from .pipeline import (
     PRESETS,
     RunConfig,
+    check_out_path,
     load_model,
     parse_schedule,
     preset_params,
@@ -219,6 +220,7 @@ def _parse_window(text):
 
 
 def _cmd_render(args) -> int:
+    check_out_path(args.image_out)
     model, tree, gamma = load_model(args.model_in)
     window = _parse_window(args.window)
     if window is None:
@@ -337,10 +339,10 @@ def main(argv=None) -> int:
     try:
         with contextlib.redirect_stdout(out):
             code = args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UsageError, DomainError, ResourceError) as exc:
+    except (UsageError, DomainError, ResourceError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -5,6 +5,8 @@ layer too); the resource and parse errors below are pipeline-level.
 CLI exit codes: config/usage/domain -> 2, memory budget -> 3, parse -> 4.
 """
 
+import ctypes
+import functools
 import resource
 import sys
 
@@ -25,13 +27,7 @@ class ResourceError(RuntimeError):
 
 class MemoryBudgetError(ResourceError):
     """The process's peak RSS passed the memory budget (``check_memory_budget``);
-    ``vertices`` and ``edges`` tell how far an edge build got (0 outside
-    it), and ``run_pipeline`` attaches the partial record as ``.record``."""
-
-    def __init__(self, message, vertices=0, edges=0):
-        super().__init__(message)
-        self.vertices = vertices
-        self.edges = edges
+    ``run_pipeline`` attaches the partial record as ``.record``."""
 
 
 def peak_rss_mb() -> float:
@@ -56,7 +52,29 @@ def peak_rss_mb() -> float:
     return peak / 1024.0 if sys.platform == "darwin" else peak
 
 
-def check_memory_budget(budget_mb, phase: str, vertices: int = 0, edges: int = 0) -> None:
+def give_back() -> None:
+    """Hand the free memory of every malloc arena back to the system
+    (glibc's ``malloc_trim``; nothing without glibc).  A phase that frees
+    many large temporaries calls it at its end, so that what malloc keeps
+    of them does not add to the peak of the next phase."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None without glibc."""
+    try:
+        fn = ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_size_t]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def check_memory_budget(budget_mb, phase: str) -> None:
     """Raise MemoryBudgetError if the process has peaked above
     ``budget_mb`` (None: no budget).  The high-water mark holds every
     transient since the start, so a run that checks after each of its
@@ -66,9 +84,7 @@ def check_memory_budget(budget_mb, phase: str, vertices: int = 0, edges: int = 0
     peak = peak_rss_mb()
     if peak > budget_mb:
         raise MemoryBudgetError(
-            f"peak RSS {peak:.0f} MB passed the memory budget ({budget_mb:.0f} MB) {phase}",
-            vertices=vertices,
-            edges=edges,
+            f"peak RSS {peak:.0f} MB passed the memory budget ({budget_mb:.0f} MB) {phase}"
         )
 
 

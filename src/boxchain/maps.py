@@ -37,7 +37,8 @@ API of ``ia``.  Two arithmetics run it:
 * ``batch_forward``/``batch_backward`` pass ComplexIntervals of
   IntervalArrays built from [N, naxes] endpoint arrays (imaginary part
   None in real mode): blind one-ulp outward rounding, used by every
-  bulk pipeline phase.  Both enclose the exact image, and on every row
+  bulk pipeline phase (escape pruning calls both, the edge build the
+  first) on pieces of rows, one after another.  Both enclose the exact image, and on every row
   whose result is finite the array enclosure contains the scalar one
   (tests/test_interval_array.py checks this on adversarial endpoints),
   so an edge or escape decision made from it is as sound.
@@ -678,25 +679,20 @@ def sink_orbits(model: MapModel) -> list[SinkOrbit]:
 # ---------------------------------------------------------------------------
 
 
-def on_rows(model: MapModel, formula, lo, hi):
-    """``formula`` (``model.interval_forward`` or ``interval_backward``)
-    on N boxes at once: ``batch_forward``/``batch_backward`` with the
-    formula passed in."""
-    axes = [IntervalArray(lo[:, k], hi[:, k]) for k in range(model.naxes)]
-    out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexInterval)))
-    return np.column_stack([v.lo for v in out]), np.column_stack([v.hi for v in out])
-
-
-def batch_forward(model: MapModel, lo, hi):
-    """One interval image step for N boxes at once.
+def batch_forward(model: MapModel, lo, hi, backward: bool = False):
+    """One interval image step for N boxes at once (with ``backward``,
+    one preimage step: Henon kinds only).
 
     lo/hi are float64 arrays of shape [N, naxes] in the axis order of
     ``MapModel.coords_from_axes``.  Rows that blow up may contain inf or
     NaN and must be masked by the caller.
     """
-    return on_rows(model, model.interval_forward, lo, hi)
+    formula = model.interval_backward if backward else model.interval_forward
+    axes = [IntervalArray(lo[:, k], hi[:, k]) for k in range(model.naxes)]
+    out = model.axes_from_coords(formula(model.coords_from_axes(axes, ComplexInterval)))
+    return np.column_stack([v.lo for v in out]), np.column_stack([v.hi for v in out])
 
 
 def batch_backward(model: MapModel, lo, hi):
     """One interval preimage step for N boxes (Henon kinds only)."""
-    return on_rows(model, model.interval_backward, lo, hi)
+    return batch_forward(model, lo, hi, backward=True)

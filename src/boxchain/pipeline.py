@@ -22,6 +22,7 @@ Serialization is canonical, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from dataclasses import dataclass, field, fields
@@ -51,6 +52,7 @@ __all__ = [
     "RunRecord",
     "run_pipeline",
     "parse_schedule",
+    "check_out_path",
     "save_model",
     "load_model",
 ]
@@ -135,9 +137,21 @@ class RunConfig:
             raise UsageError("delta_ratio must be finite and exceed 1 (delta << epsilon)")
         if self.mem_budget_mb is not None and not self.mem_budget_mb > 0.0:
             raise UsageError("mem_budget_mb must be positive, or None for no budget")
+        if self.model_out is not None:
+            check_out_path(self.model_out)
 
     def build_model(self) -> MapModel:
         return MapModel(self.kind, c=self.c, a=self.a, r_prime=self.r_prime)
+
+
+def check_out_path(path) -> None:
+    """Raise UsageError unless ``path`` can name a file to write: it is
+    no directory, and the directory it is in exists."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {path}: no directory {folder}")
 
 
 def _fields_except(record, skip) -> dict:
@@ -409,9 +423,13 @@ def _record_lines(tag: str, table) -> bytes:
 
 
 def load_model(path):
-    """Load a persisted model: returns (model, tree, gamma)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Load a persisted model: returns (model, tree, gamma).  A file
+    that cannot be read is a ParseError, as a malformed one is."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
     try:
         return _rebuild(*_decode_text(data))
     except ParseError as exc:

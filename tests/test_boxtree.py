@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError, box_predicates
 from boxchain.errors import ResourceError
 from boxchain import boxtree
-from boxchain.maps import MapModel, fixed_points, on_rows, snap_up_dyadic
+from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
 from boxchain.boxtree import BoxTree, cell_range, init_root, sink_basin_selector
 from boxchain.pipeline import preset_params
 from support_trees import has_leaf, leaf_address, live_ids
@@ -464,14 +464,18 @@ def test_prune_matches_the_mask_loop_reference(monkeypatch, make, depth, max_ite
     assert n_blown > 0  # some rows stop iterating because their enclosure blew up
     calls = []
 
-    def recording(model, formula, lo, hi):
-        calls.append(formula.__name__)
-        return on_rows(model, formula, lo, hi)
+    def recording(step):
+        def call(model, lo, hi):
+            calls.append(step.__name__)
+            return step(model, lo, hi)
 
-    monkeypatch.setattr(boxtree, "on_rows", recording)
+        return call
+
+    for name in ("batch_backward", "batch_forward"):
+        monkeypatch.setattr(boxtree, name, recording(getattr(boxtree, name)))
     assert tree.prune_escaping(max_iter) == int((~kept).sum())
     assert live_ids(tree) == want
-    assert calls[0] == ("interval_backward" if tree.model.is_henon else "interval_forward")
+    assert calls[0] == ("batch_backward" if tree.model.is_henon else "batch_forward")
 
 
 # ---------------------------------------------------------------------------

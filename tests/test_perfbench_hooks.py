@@ -21,17 +21,16 @@ def test_tracer_hooks_and_selftest(monkeypatch):
 
 
 def test_traced_run_keeps_its_spans_nested(monkeypatch):
-    """The pooled phases call no wrapped name from a pool thread: in a
-    traced altper2 run every span opens on the calling thread, the span
-    stack ends empty, every span lies inside its parent's interval, and
-    the layer self times add up to the run."""
+    """In a traced altper2 run every span opens on the calling thread,
+    the span stack ends empty, every span lies inside its parent's
+    interval, and the layer self times add up to the run.  Escape
+    pruning's interval steps show as spans of their own."""
     monkeypatch.syspath_prepend(PERFBENCH)
-    from boxchain import boxtree, pool
+    from boxchain import boxtree
     from boxchain.pipeline import RunConfig, parse_schedule, run_pipeline
     from run import layer_sum_fails
     from tracer import Tracer
 
-    monkeypatch.setattr(pool, "worker_count", lambda: 2)
     monkeypatch.setattr(boxtree, "_PRUNE_PIECE", 1024)
     monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", 1024)
     config = RunConfig.from_preset("altper2", schedule=parse_schedule("uniform*5,sink_basin"))
@@ -50,10 +49,17 @@ def test_traced_run_keeps_its_spans_nested(monkeypatch):
         op_s = time.perf_counter() - t0
     finally:
         tracer.uninstall()
-    assert threads == {threading.get_ident()}  # no span opened on a pool thread
+    assert threads == {threading.get_ident()}
     assert tracer._stack == []
     names = {name for name, *_ in tracer.spans}
-    assert {"boxtree.prune_escaping", "chain_graph.build_edges", "maps.batch_forward"} <= names
+    assert {
+        "boxtree.prune_escaping",
+        "chain_graph.build_edges",
+        "maps.batch_forward",
+        "maps.batch_backward",
+    } <= names
+    backward = [parent for name, _, _, parent in tracer.spans if name == "maps.batch_backward"]
+    assert {tracer.spans[parent][0] for parent in backward} == {"boxtree.prune_escaping"}
     for name, start, end, parent in tracer.spans:
         assert start <= end, name
         if parent >= 0:

@@ -1017,6 +1017,33 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_cli_unreadable_model_is_a_parse_error(kind, tmp_path):
+    path = tmp_path if kind == "directory" else tmp_path / "none.txt"
+    r = _cli("inspect", "--model-in", str(path))
+    assert r.returncode == 4
+    assert r.stderr.startswith(f"parse error: {path}: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("option", ["--model-out", "--image-out"])
+def test_cli_output_in_a_missing_directory_is_refused_first(option, tmp_path):
+    """An output path in a missing directory is a configuration error,
+    found before the run's first step or the model's load."""
+    out = str(tmp_path / "missing" / "x.txt")
+    if option == "--model-out":
+        r = _cli("run", "--preset", "altper2", "--schedule", "uniform*2", "--model-out", out)
+    else:
+        r = _cli("render", "--model-in", str(tmp_path / "none.txt"), "--image-out", out)
+    assert r.returncode == 2
+    assert r.stderr == f"configuration error: cannot write {out}: no directory {tmp_path / 'missing'}\n"
+
+
+def test_model_out_that_is_a_directory_is_refused(tmp_path):
+    config = RunConfig.from_preset("per31", schedule=["uniform"], model_out=str(tmp_path))
+    with pytest.raises(UsageError, match="it is a directory"):
+        run_pipeline(config)
+
+
 def test_cli_bounds_table_output():
     r = _cli("bounds", "--preset", "per31", "--delta-ratio", "1000")
     assert r.returncode == 0
