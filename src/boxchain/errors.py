@@ -3,6 +3,8 @@
 DomainError / UsageError live in ia (they are raised by the interval
 layer too); the resource and parse errors below are pipeline-level.
 CLI exit codes: config/usage/domain -> 2, memory budget -> 3, parse -> 4.
+Memory: the peak RSS the budget reads (``peak_rss_mb``), and the
+arena trim after the phases that free large temporaries (``give_back``).
 """
 
 import ctypes
