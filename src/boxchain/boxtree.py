@@ -23,8 +23,10 @@ it expands a query's range at the shallowest depth, keeps the cells
 that hold deeper leaves, and expands only the fine cells inside those.
 A leaf's indices are packed into one int64 key, axis 0 in the high
 bits, so every address needs naxes * depth <= 62 bits; the tree
-enforces that as its depth cap.  The index and the bounds are rebuilt
-lazily after each mutation.
+enforces that as its depth cap.  The last axis sits in the low bits, so
+a range's cells along it are one interval of keys: each stage expands
+a range into such runs and makes one binary search per run.  The index
+and the bounds are rebuilt lazily after each mutation.
 
 When the map commutes with complex conjugation (its
 ``conjugation_axes``), so does the grid: conjugation takes a depth-d
@@ -63,7 +65,10 @@ __all__ = [
 ]
 
 _KEY_BITS = 62  # packed address bits: naxes * depth <= _KEY_BITS
-_CHUNK_CANDIDATES = 1 << 17  # grid cells expanded per lookup chunk
+_KEY_END = np.iinfo(np.int64).max  # ends the address index's key arrays
+# grid cells covered by the runs of one lookup chunk: a chunk's arrays
+# are a few int64s per run and per match, and a run matches at most its cells
+_CHUNK_CANDIDATES = 1 << 17
 _LOOKUP_PIECE = 1 << 12  # query rows per piece of ``lookup_pieces``
 _PRUNE_PIECE = 1 << 15  # rows per piece of escape pruning
 _BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
@@ -235,7 +240,8 @@ class BoxTree:
     def _address_index(self) -> list:
         """Per live depth: (depth, sorted packed keys, their rows, the
         sorted distinct keys of the leaves' ancestors at the shallowest
-        live depth; at that depth, the keys themselves)."""
+        live depth; at that depth, the keys themselves).  Both key
+        arrays end with _KEY_END, above every packed key."""
         if self._index is None:
             self._index = []
             depths = self.live_depths()
@@ -243,9 +249,12 @@ class BoxTree:
                 rows = np.flatnonzero(self._depths == depth)
                 keys = _pack(self._idx[rows], depth)
                 order = np.argsort(keys)
-                keys = keys[order]
+                keys = np.append(keys[order], _KEY_END)
                 top = depths[0]
-                coarse = keys if depth == top else np.unique(_pack(self._idx[rows] >> (depth - top), top))
+                if depth == top:
+                    coarse = keys
+                else:
+                    coarse = np.append(np.unique(_pack(self._idx[rows] >> (depth - top), top)), _KEY_END)
                 self._index.append((depth, keys, rows[order], coarse))
         return self._index
 
@@ -261,8 +270,13 @@ class BoxTree:
         is then expanded into the part of the depth-d range inside it, and
         those cells are looked up among the depth-d leaves.  A depth-d cell
         has one ancestor, so no pair is found twice; at the shallowest
-        depth the first stage is the whole lookup.  Both stages expand
-        about _CHUNK_CANDIDATES cells per chunk.
+        depth the first stage is the whole lookup.
+
+        Both stages expand a range into runs, not cells: the last axis
+        sits in the low bits of the packed key, so a range's cells along
+        it form one interval of keys, and one binary search per run
+        finds the live keys inside it (``_matches``).  Each stage's chunks
+        hold runs that cover about _CHUNK_CANDIDATES cells.
         """
         index = self._address_index()
         for depth, keys, level_rows, coarse in index:
@@ -274,19 +288,18 @@ class BoxTree:
             c0, c1 = i0 >> shift, i1 >> shift
             stage1 = _expand(_pack(c0, top), c1 - c0 + 1, top)
             del c0, c1
-            for query, key in stage1:
-                pos, found = _find(coarse, key)
+            for runs in stage1:
+                query, pos = _matches(coarse, runs)
+                del runs
                 if not shift:
-                    yield rows[query[found]], level_rows[pos[found]]
+                    yield rows[query], level_rows[pos]
                     continue
-                # keep only the matched coarse cells while the fine chunks run
-                query, key = query[found], key[found]
-                del pos, found
-                first, sizes = _clip(i0, i1, query, key, top, depth)
-                del key
-                for pair, key in _expand(first, sizes, depth):
-                    pos, found = _find(keys, key)
-                    yield rows[query[pair[found]]], level_rows[pos[found]]
+                # the depth-d range inside each matched coarse cell
+                first, sizes = _clip(i0, i1, query, coarse[pos], top, depth)
+                del pos
+                for runs in _expand(first, sizes, depth):
+                    pair, pos = _matches(keys, runs)
+                    yield rows[query[pair]], level_rows[pos]
 
     def lookup_pieces(self, lo, hi):
         """Yield the pairs of ``lookup`` piece by piece, as rows of a CSR
@@ -348,8 +361,9 @@ class BoxTree:
         for depth, keys, level_rows, _ in self._address_index():
             idx = self._idx[level_rows]
             idx[:, axes] ^= (1 << depth) - 1  # i -> 2^d - 1 - i
-            pos, found = _find(keys, _pack(idx, depth))
-            if not found.all():
+            key = _pack(idx, depth)
+            pos = np.searchsorted(keys, key)
+            if not np.array_equal(keys[pos], key):
                 return every
             mirror[level_rows] = level_rows[pos]
         return _pairs(mirror)
@@ -517,13 +531,6 @@ def _any_per_row(mask: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mask).view(f"u{mask.shape[1]}")[:, 0] != 0
 
 
-def _find(keys: np.ndarray, key: np.ndarray):
-    """(position, found) of each ``key`` in the sorted ``keys``."""
-    pos = np.searchsorted(keys, key)
-    np.minimum(pos, len(keys) - 1, out=pos)
-    return pos, keys[pos] == key
-
-
 def _clip(i0, i1, query, coarse, top: int, depth: int):
     """(first key, sizes) of the depth-``depth`` index ranges of
     ``query`` (rows of [i0, i1]), each clipped to the descendants of its
@@ -545,46 +552,88 @@ def _clip(i0, i1, query, coarse, top: int, depth: int):
 
 
 def _expand(first, sizes, depth: int):
-    """Yield (item, key) chunk by chunk: the packed keys of the depth-
-    ``depth`` cells first + o, 0 <= o < sizes per axis, of every item
-    (``first`` packed keys, ``sizes`` n x naxes), and the item of each.
+    """Yield the runs of cells of the ranges of every item chunk by
+    chunk, as ``_cells`` returns them: the depth-``depth`` cells
+    first + o, 0 <= o < sizes per axis (``first`` packed keys, ``sizes``
+    n x naxes), one run along the last axis per cell of the others.
 
-    A chunk holds whole items, about _CHUNK_CANDIDATES cells (at least
-    one item)."""
-    counts = sizes[:, 0].copy()
-    for k in range(1, sizes.shape[1]):
-        counts *= sizes[:, k]
-    ends = np.cumsum(counts)
+    A chunk holds whole items whose runs cover about _CHUNK_CANDIDATES
+    cells (at least one item)."""
+    runs = np.ones(len(sizes), dtype=np.int64)
+    for k in range(sizes.shape[1] - 1):
+        runs *= sizes[:, k]
+    ends = np.cumsum(runs * sizes[:, -1])
+    np.cumsum(runs, out=runs)
     start = 0
     while start < len(ends):
-        done = int(ends[start] - counts[start])
+        done = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_CANDIDATES, side="right")))
-        total = int(ends[stop - 1]) - done
+        total = int(runs[stop - 1] - (runs[start - 1] if start else 0))
         yield _cells(first, sizes, start, stop, total, depth)
         start = stop
 
 
 def _cells(first, sizes, start: int, stop: int, total: int, depth: int):
-    """(item, key) of the ``total`` cells of the ranges of items
-    start..stop-1: the items are grouped by their sizes, and each group's
-    first keys get one broadcast table of key offsets."""
-    code = _pack(sizes[start:stop] - 1, depth)  # sizes - 1 < 2^depth: one code per shape
+    """(item, key, lengths): the ``total`` runs of cells of the ranges of
+    items start..stop-1.  The run [key, key + n) of packed keys is n
+    cells along the last axis, and ``item`` names its item; ``lengths``
+    lists (end, n) pairs, in order: the runs before ``end`` and after
+    the previous pair's have length n.  The items are grouped by their
+    sizes, the last axis first, and each group's first keys get one
+    broadcast table of run starts."""
+    code = _pack(sizes[start:stop, ::-1] - 1, depth)  # sizes - 1 < 2^depth: one code per shape
     order = np.argsort(code, kind="stable")
     code = code[order]
     bounds = np.flatnonzero(code[1:] != code[:-1]) + 1
     order += start
     item = np.empty(total, dtype=np.int64)
     key = np.empty(total, dtype=np.int64)
+    lengths = []
     at = 0
     for members in np.split(order, bounds):
+        *lead, n = sizes[members[0]].tolist()
         table = np.zeros(1, dtype=np.int64)
-        for size in sizes[members[0]].tolist():
+        for size in lead:
             table = ((table << depth)[:, None] + np.arange(size)).ravel()
+        table <<= depth  # the last axis: one run start per cell of the others
         span = len(members) * len(table)
         np.add(first[members][:, None], table, out=key[at : at + span].reshape(len(members), -1))
         item[at : at + span].reshape(len(members), -1)[:] = members[:, None]
         at += span
-    return item, key
+        if lengths and lengths[-1][1] == n:
+            lengths[-1] = (at, n)
+        else:
+            lengths.append((at, n))
+    return item, key, lengths
+
+
+def _matches(keys, runs):
+    """(item, position) of every key of ``keys`` inside one of the
+    ``runs`` (as ``_cells`` returns them), and the item of its run.
+
+    ``keys`` are sorted and distinct and end with _KEY_END.  One binary
+    search per run [k, k + n) finds p, the position of the first key
+    >= k.  The keys being distinct integers, keys[p + i] >= k + i, so the
+    run's matches are the slice keys[p : p + c] of the keys below k + n,
+    and c <= n: c counts the keys below k + n among the n from p on,
+    one pass per i over the runs of length n (the positions clamped to
+    the sentinel, which is never below)."""
+    item, key, lengths = runs
+    pos = np.searchsorted(keys, key)
+    count = np.zeros(len(key), dtype=np.int64)
+    start = 0
+    for stop, n in lengths:
+        p, end, c = pos[start:stop], key[start:stop] + n, count[start:stop]
+        for i in range(n):
+            c += keys.take(p + i, mode="clip") < end
+        start = stop
+    # the pairs: each run's item c times, and the ragged ranges p .. p + c - 1
+    ends = np.cumsum(count)
+    pos -= ends
+    pos += count
+    at = np.repeat(pos, count)
+    at += np.arange(len(at))
+    return np.repeat(item, count), at
 
 
 def cell_range(lo, hi, r_prime: float, depth: int):

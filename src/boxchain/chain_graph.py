@@ -20,11 +20,12 @@ further check.  A deeper grid is matched in two stages, first the
 range's cells at the shallowest live depth against the ancestors of
 that grid's leaves, then only the fine cells inside the ancestors
 found, so sparse deep grids cost about as many candidates per edge as
-a single-depth tree.  This is checked against the all-pairs oracle in
-the tests, on single- and three-depth trees.  Classification uses the
-same lookup on the sink orbit points.  The edge build runs the lookup
-in pieces of consecutive images (``BoxTree.lookup_pieces``), one after
-another.  Each piece sorts its own edges and returns a count per image
+a single-depth tree.  Each stage searches the cells in runs along the
+last axis, one binary search per run.  This is checked against the
+all-pairs oracle in the tests, on single- and three-depth trees.
+Classification uses the same lookup on the sink orbit points.  The
+edge build runs the lookup in pieces of consecutive images
+(``BoxTree.lookup_pieces``), one after another.  Each piece sorts its own edges and returns a count per image
 and the dst rows (int32); the pieces come in order, so the graph is
 their concatenation, with no key array and no sort of the whole graph,
 and its order does not depend on the pieces.
@@ -151,6 +152,13 @@ class ChainGraph:
         """Yield (src, dst) vertex rows (int32) of the edges out of
         ``rows`` (ascending), in (src, dst) order, a block of rows at a
         time; a mirrored row's edges are the mirrors of stored ones."""
+        for src, lens, dst in self.row_edge_blocks(rows):
+            yield np.repeat(src.astype(np.int32), lens), dst
+
+    def row_edge_blocks(self, rows):
+        """``edge_blocks`` with the sources once per row: yield (src, lens,
+        dst) per block, the block's rows, how many edges leave each, and
+        the dst rows (int32) of those edges in (src, dst) order."""
         indptr, indices, mirror = self.indptr, self.indices, self.mirror
         stored = rows if mirror is None else np.minimum(rows, mirror[rows])
         counts = indptr[stored + 1] - indptr[stored]
@@ -162,18 +170,17 @@ class ChainGraph:
             at += np.arange(total)
             dst = indices[at]
             del at
-            src = np.repeat(rows[start:stop].astype(np.int32), lens)
+            src = rows[start:stop]
             if mirror is not None:
-                flip = mirror[src] < src
+                flip = np.repeat(stored[start:stop] < src, lens)
                 dst[flip] = mirror[dst[flip]]
                 # σ does not keep the order of a row: sort those rows again
-                key = src.astype(np.int64) << 32
+                key = np.repeat(src.astype(np.int64) << 32, lens)
                 key |= dst
                 key.sort()
-                np.right_shift(key, 32, out=src, casting="unsafe")
                 key &= 0xFFFFFFFF
                 dst = key.astype(np.int32)
-            yield src, dst
+            yield src, lens, dst
 
     def out_neighbors(self, row: int) -> np.ndarray:
         if self._mirrored(row):
@@ -507,12 +514,12 @@ class RecurrentModel:
         # Γ's rows of the kept vertices; monotone, so (src, dst) order stays
         new_row = np.cumsum(keep, dtype=np.int32)
         new_row -= 1
-        for src, dst in self.graph.edge_blocks(np.flatnonzero(keep)):
-            dst_comp = labels[dst]
-            cycle = labels[src] == dst_comp
+        for src, lens, dst in self.graph.row_edge_blocks(np.flatnonzero(keep)):
+            dst_comp = labels.take(dst)
+            cycle = np.repeat(labels.take(src), lens) == dst_comp
             cross = dst_comp >= 0
             cross ^= cycle  # the sources are kept: dst kept, in another component
-            src, dst = new_row[src], new_row[dst]
+            src, dst = np.repeat(new_row.take(src), lens), new_row.take(dst)
             yield src[cycle], dst[cycle], np.column_stack([src[cross], dst[cross]])
 
 

@@ -259,6 +259,111 @@ def test_query_matches_linear_scan_three_depths(make, ncoords, depth, every):
     _check_against_linear_scan(tree, ncoords, 150, seed=14)
 
 
+def _pairs_reference(tree, lo, hi) -> set:
+    """Every (query, leaf row) pair whose closed boxes meet, by comparing
+    each query with every leaf's exact bounds, axis by axis: a NaN end
+    meets nothing, and an inverted range meets the cells both ends reach."""
+    _, _, _, leaf_lo, leaf_hi = tree.live_arrays()
+    meets = np.ones((len(lo), tree.leaf_count), dtype=bool)
+    for k in range(tree.naxes):
+        meets &= leaf_lo[None, :, k] <= hi[:, None, k]
+        meets &= leaf_hi[None, :, k] >= lo[:, None, k]
+    return set(zip(*(a.tolist() for a in np.nonzero(meets))))
+
+
+def _run_edge_queries(tree, rng, count):
+    """(lo, hi) of ``count`` random queries plus the edge cases of a lookup
+    in runs along the last axis: ranges in cells at every depth from the
+    root to one below the deepest, their ends on grid lines or one ulp
+    off them, last-axis ranges clipped at both grid ends, single points
+    on grid corners, empty, inverted and NaN ranges."""
+    rp, naxes = tree.r_prime, tree.naxes
+    deepest = max(tree.live_depths())
+    rows_lo, rows_hi = [], []
+    for q in range(count):
+        depth = int(rng.integers(0, deepest + 2))
+        cell = tree.cell_size(depth)
+        i0 = rng.integers(-2, (1 << depth) + 2, naxes)
+        i1 = i0 + rng.integers(0, 4, naxes)
+        lo, hi = -rp + i0 * cell, -rp + (i1 + 1) * cell
+        for end, way in ((lo, -math.inf), (hi, math.inf)):
+            for k in np.flatnonzero(rng.random(naxes) < 0.3):
+                end[k] = math.nextafter(end[k], way if rng.random() < 0.5 else -way)
+        kind = q % 8
+        if kind == 1:  # the whole last axis, and past it
+            lo[-1], hi[-1] = (-rp, rp) if rng.random() < 0.5 else (-2 * rp, math.inf)
+        elif kind == 2:  # a point on a corner of the deepest grid
+            lo = hi = -rp + rng.integers(0, (1 << deepest) + 1, naxes) * tree.cell_size(deepest)
+        elif kind == 3:  # empty: outside V0, or inverted across a grid line
+            k = rng.integers(naxes)
+            if rng.random() < 0.5:
+                lo[k] = hi[k] = rp * 1.5
+            else:
+                lo[k], hi[k] = hi[k], lo[k]
+        elif kind == 4:
+            (lo if rng.random() < 0.5 else hi)[rng.integers(naxes)] = math.nan
+        rows_lo.append(lo)
+        rows_hi.append(hi)
+    return np.array(rows_lo), np.array(rows_hi)
+
+
+def _run_tree(make, depth, steps, mirrored, seed):
+    """A tree uniform to ``depth``, then ``steps`` subdivisions of a
+    random third of the leaves (closed under conjugation if
+    ``mirrored``), and the leaves in the top eighth of axis 0 dropped, so
+    some runs start past the last key of their depth."""
+    rng = np.random.default_rng(seed)
+    tree = init_root(make())
+    subdivide_all(tree, depth)
+    for _ in range(steps):
+        chosen = rng.random(tree.leaf_count) < 0.3
+        if mirrored:
+            chosen |= chosen[tree.conjugate_rows()[1]]
+        picked = set(tree.leaf_ids[chosen].tolist())
+        tree.subdivide(lambda lid: lid in picked)
+    ids, depths, idx, _, _ = tree.live_arrays()
+    tree.remove_leaves(ids[(idx[:, 0] >> (depths - 3)) == 7])
+    assert (tree.conjugate_rows()[1] is not None) == mirrored
+    assert len(tree.depth_counts()) == 1 + steps
+    return tree
+
+
+@pytest.mark.parametrize(
+    "make,depth,steps,mirrored",
+    [
+        pytest.param(quad_c0, 6, 0, True, id="2-axes"),
+        pytest.param(quad_c0, 4, 2, False, id="2-axes-mixed"),
+        pytest.param(per31, 3, 0, True, id="4-axes"),
+        pytest.param(per31, 2, 2, True, id="4-axes-mixed-mirrored"),
+    ],
+)
+def test_lookup_in_runs_matches_brute_force(make, depth, steps, mirrored, monkeypatch):
+    """The lookup searches runs of cells along the last axis: each run's
+    matches are a slice of the sorted keys that starts at one binary
+    search.  Every pair a brute-force comparison with every leaf finds
+    comes out once, and no other; the queries reach runs that start past
+    the last key and runs longer than 3 cells."""
+    tree = _run_tree(make, depth, steps, mirrored, seed=depth + steps)
+    seen = {"past the last key": False, "longer than 3": False}
+    matches = boxtree._matches
+
+    def recording(keys, runs):
+        _, key, lengths = runs
+        if len(key):
+            seen["past the last key"] |= bool((np.searchsorted(keys, key) == len(keys) - 1).any())
+            seen["longer than 3"] |= max(n for _, n in lengths) > 3
+        return matches(keys, runs)
+
+    monkeypatch.setattr(boxtree, "_matches", recording)
+    lo, hi = _run_edge_queries(tree, np.random.default_rng(depth), 600)
+    got = [list(zip(q.tolist(), r.tolist())) for q, r in tree.lookup(lo, hi)]
+    got = [pair for part in got for pair in part]
+    assert len(got) == len(set(got)), "a pair was yielded twice"
+    want = _pairs_reference(tree, lo, hi)
+    assert set(got) == want, (len(want - set(got)), len(set(got) - want))
+    assert all(seen.values()), seen
+
+
 @st.composite
 def _grid_case(draw):
     """(R', depth, [(lo, hi), ...]) with endpoints on grid lines, one ulp

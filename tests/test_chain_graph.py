@@ -383,20 +383,27 @@ def test_memory_budget_abort():
 def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
     """The lookup reaches the deeper leaves through the occupied cells of
     the shallowest depth: at most 3 candidate cells per edge on a
-    three-depth tree (a scan of the deeper grids needs about 14)."""
+    three-depth tree (a scan of the deeper grids needs about 14).  The
+    candidates are searched in runs along the last axis: fewer searches
+    than cells."""
     model = per31()
     tree = grown_tree(model, 4)
     for _ in range(2):
         tree.subdivide(sink_basin_selector(tree))
         tree.prune_escaping(6)
     assert len(tree.depth_counts()) == 3
-    counts, pairs = [], []
+    counts, searches, pairs = [], [], []
     cells, lookup = boxtree._cells, BoxTree.lookup
 
     def counting_cells(*args):
-        item, key = cells(*args)
-        counts.append(len(key))
-        return item, key
+        item, key, lengths = runs = cells(*args)
+        start = 0
+        for stop, n in lengths:  # the cells the runs cover
+            counts.append((stop - start) * n)
+            start = stop
+        assert start == len(key)
+        searches.append(len(key))
+        return runs
 
     def counting_lookup(self, lo, hi):
         for query, leaf in lookup(self, lo, hi):
@@ -409,6 +416,7 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
     # the lookup yields the edges of one leaf of each mirrored pair
     assert 2 * sum(pairs) == g.n_edges
     assert sum(counts) <= 3 * sum(pairs), (sum(counts), sum(pairs))
+    assert sum(searches) < sum(counts), (sum(searches), sum(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,76 @@ def test_separating_flag_monotone(
             seen_true = seen_true or snap.separating
 
 
+def _parents(depths, idx, before_depths, before_idx):
+    """Row of the step-before leaf that holds each leaf (depths, idx), or
+    -1: the leaf itself or its ancestor, matched by grid address."""
+    naxes = idx.shape[1]
+    parent = np.full(len(depths), -1, dtype=np.int64)
+    for depth in np.unique(before_depths).tolist():
+        shape = (1 << depth,) * naxes
+        rows = np.flatnonzero(before_depths == depth)
+        keys = np.ravel_multi_index(tuple(before_idx[rows].T), shape)
+        order = np.argsort(keys)
+        below = np.flatnonzero(depths >= depth)
+        ancestor = idx[below] >> (depths[below] - depth)[:, None]
+        want = np.ravel_multi_index(tuple(ancestor.T), shape)
+        at = np.minimum(np.searchsorted(keys, want, sorter=order), len(rows) - 1)
+        hit = keys[order[at]] == want
+        parent[below[hit]] = rows[order[at[hit]]]
+    return parent
+
+
+@pytest.mark.parametrize(
+    "preset,schedule",
+    [
+        pytest.param("altper2", "uniform*5,sink_basin*2", id="altper2-mixed-mirrored"),
+        pytest.param("per31", "uniform*6", id="per31"),
+        pytest.param("cubicdouble", "uniform*8", id="cubicdouble"),
+    ],
+)
+def test_refined_edges_lie_over_edges_of_the_step_before(monkeypatch, preset, schedule):
+    """Every edge k -> j of a step's graph lies over the edge P(k) -> P(j)
+    of the step before, P(k) being the earlier leaf that holds B_k.
+
+    B_k lies in B_P(k); each array operation of the interval image rounds
+    to nearest and then one ulp outward, which is monotone in its
+    arguments, so the image is inclusion isotone (Moore); and delta does
+    not grow from one step to the next.  So the widened image of B_P(k)
+    holds that of B_k, and meets B_P(j) wherever the latter meets B_j.
+    This is the refinement step of GAIO (Dellnitz-Froyland-Junge) read as
+    an invariant of the edge build; it needs no oracle, and it catches an
+    edge that one step lost where the next finds one below it."""
+    build = pipeline.build_edges
+    before = {}
+    checked = []
+
+    def checking(tree, model, delta, **kw):
+        graph = build(tree, model, delta, **kw)
+        _, depths, idx, _, _ = tree.live_arrays()
+        blocks = list(graph.edge_blocks(np.arange(graph.n_vertices)))
+        src, dst = (np.concatenate(part).astype(np.int64) for part in zip(*blocks))
+        assert len(src) == graph.n_edges
+        if before:
+            assert delta <= before["delta"]
+            parent = _parents(depths, idx, before["depths"], before["idx"])
+            assert (parent >= 0).all(), "a leaf lies in no leaf of the step before"
+            lifted = parent[src] * before["n"] + parent[dst]
+            known = before["edges"]
+            at = np.minimum(np.searchsorted(known, lifted), len(known) - 1)
+            missing = np.count_nonzero(known[at] != lifted)
+            assert not missing, f"{missing} of {len(src)} edges lie over no edge of the step before"
+            checked.append(len(src))
+        edges = src * graph.n_vertices + dst
+        edges.sort()
+        before.update(depths=depths.copy(), idx=idx.copy(), n=graph.n_vertices, edges=edges, delta=delta)
+        return graph
+
+    monkeypatch.setattr(pipeline, "build_edges", checking)
+    config = RunConfig.from_preset(preset, schedule=parse_schedule(schedule))
+    run_pipeline(config)
+    assert len(checked) == len(config.schedule) - 1 and min(checked) > 0
+
+
 def test_realhorse_bounds_match_reference_row(realhorse_run):
     last = realhorse_run.snapshots[-1].record
     assert abs(last.epsilon_prime - 0.26) / 0.26 < 0.03
