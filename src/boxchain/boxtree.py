@@ -39,8 +39,9 @@ same decision.
 
 Escape pruning and the edge build's lookup (``lookup_pieces``) treat
 each row on its own, so they run in pieces of consecutive rows, one
-after another: a piece bounds the temporaries, and a lookup piece sorts
-its own edges.  No output depends on the size of the pieces.
+after another: a piece bounds the temporaries.  A lookup piece gets its
+query boxes (the images of its rows) just before it is looked up, and
+sorts its own edges.  No output depends on the size of the pieces.
 """
 
 from __future__ import annotations
@@ -272,11 +273,12 @@ class BoxTree:
         has one ancestor, so no pair is found twice; at the shallowest
         depth the first stage is the whole lookup.
 
-        Both stages expand a range into runs, not cells: the last axis
-        sits in the low bits of the packed key, so a range's cells along
-        it form one interval of keys, and one binary search per run
-        finds the live keys inside it (``_matches``).  Each stage's chunks
-        hold runs that cover about _CHUNK_CANDIDATES cells.
+        Both stages expand a range into runs, not cells (``_expand``):
+        the last axis sits in the low bits of the packed key, so a range's
+        cells along it form one interval of keys, a run, and one binary
+        search per run finds the live keys inside it (``_matches``).  Each
+        stage's chunks hold whole items whose runs cover about
+        _CHUNK_CANDIDATES cells.
         """
         index = self._address_index()
         for depth, keys, level_rows, coarse in index:
@@ -301,11 +303,14 @@ class BoxTree:
                     pair, pos = _matches(keys, runs)
                     yield rows[query[pair]], level_rows[pos]
 
-    def lookup_pieces(self, lo, hi):
+    def lookup_pieces(self, rows, image):
         """Yield the pairs of ``lookup`` piece by piece, as rows of a CSR
-        table: for each run of _LOOKUP_PIECE consecutive query rows, in
-        order, the number of leaves each query meets and those leaves'
-        rows (int32), sorted by (query, leaf row).
+        table: for each piece of _LOOKUP_PIECE consecutive entries of
+        ``rows``, in order, ``image(piece)`` gives the query boxes
+        (lo, hi), one per entry, and the piece yields the number of
+        leaves each box meets and those leaves' rows (int32), sorted by
+        (entry, leaf row).  The boxes are made just before their piece
+        is looked up, so only one piece's boxes are held at a time.
 
         An address index built for the pieces is dropped after the last
         one: the edge build, the one caller, is followed by a restriction
@@ -313,17 +318,17 @@ class BoxTree:
         kept = self._index is not None
         self._address_index()  # built here: the pieces only read it
 
-        for start in range(0, len(lo), _LOOKUP_PIECE):
-            stop = min(start + _LOOKUP_PIECE, len(lo))
+        for start in range(0, len(rows), _LOOKUP_PIECE):
+            piece = rows[start : start + _LOOKUP_PIECE]
             keys = []  # query << 32 | leaf row
-            for query, leaf in self.lookup(lo[start:stop], hi[start:stop]):
+            for query, leaf in self.lookup(*image(piece)):
                 query <<= 32
                 query |= leaf
                 keys.append(query)
             key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
             del keys
             key.sort()
-            ends = np.searchsorted(key, np.arange(1, stop - start + 1, dtype=np.int64) << 32)
+            ends = np.searchsorted(key, np.arange(1, len(piece) + 1, dtype=np.int64) << 32)
             key &= 0xFFFFFFFF
             yield np.diff(ends, prepend=0), key.astype(np.int32)
             del key
@@ -552,81 +557,55 @@ def _clip(i0, i1, query, coarse, top: int, depth: int):
 
 
 def _expand(first, sizes, depth: int):
-    """Yield the runs of cells of the ranges of every item chunk by
-    chunk, as ``_cells`` returns them: the depth-``depth`` cells
-    first + o, 0 <= o < sizes per axis (``first`` packed keys, ``sizes``
-    n x naxes), one run along the last axis per cell of the others.
+    """Yield (item, key, n) chunk by chunk: the runs of cells of the
+    ranges of the items, the depth-``depth`` cells first + o,
+    0 <= o < sizes per axis (``first`` packed keys, ``sizes`` n x naxes).
+    A run is n cells along the last axis, the keys [key, key + n), one
+    per cell of the other axes, and ``item`` names its item.  The runs
+    are built one leading axis at a time: each run so far is repeated
+    once per cell of the axis, with a ragged arange of those cells.
 
     A chunk holds whole items whose runs cover about _CHUNK_CANDIDATES
     cells (at least one item)."""
-    runs = np.ones(len(sizes), dtype=np.int64)
-    for k in range(sizes.shape[1] - 1):
-        runs *= sizes[:, k]
-    ends = np.cumsum(runs * sizes[:, -1])
-    np.cumsum(runs, out=runs)
+    naxes = sizes.shape[1]
+    cells = sizes[:, -1].copy()
+    for k in range(naxes - 1):
+        cells *= sizes[:, k]
+    ends = np.cumsum(cells)
     start = 0
     while start < len(ends):
         done = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, done + _CHUNK_CANDIDATES, side="right")))
-        total = int(runs[stop - 1] - (runs[start - 1] if start else 0))
-        yield _cells(first, sizes, start, stop, total, depth)
+        item, key = np.arange(start, stop), first[start:stop]
+        for k in range(naxes - 1):
+            size = sizes[item, k]
+            ends_k = np.cumsum(size)
+            offset = np.arange(ends_k[-1]) - np.repeat(ends_k - size, size)
+            offset <<= depth * (naxes - 1 - k)
+            offset += np.repeat(key, size)
+            item, key = np.repeat(item, size), offset
+        yield item, key, sizes[item, -1]
         start = stop
-
-
-def _cells(first, sizes, start: int, stop: int, total: int, depth: int):
-    """(item, key, lengths): the ``total`` runs of cells of the ranges of
-    items start..stop-1.  The run [key, key + n) of packed keys is n
-    cells along the last axis, and ``item`` names its item; ``lengths``
-    lists (end, n) pairs, in order: the runs before ``end`` and after
-    the previous pair's have length n.  The items are grouped by their
-    sizes, the last axis first, and each group's first keys get one
-    broadcast table of run starts."""
-    code = _pack(sizes[start:stop, ::-1] - 1, depth)  # sizes - 1 < 2^depth: one code per shape
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    bounds = np.flatnonzero(code[1:] != code[:-1]) + 1
-    order += start
-    item = np.empty(total, dtype=np.int64)
-    key = np.empty(total, dtype=np.int64)
-    lengths = []
-    at = 0
-    for members in np.split(order, bounds):
-        *lead, n = sizes[members[0]].tolist()
-        table = np.zeros(1, dtype=np.int64)
-        for size in lead:
-            table = ((table << depth)[:, None] + np.arange(size)).ravel()
-        table <<= depth  # the last axis: one run start per cell of the others
-        span = len(members) * len(table)
-        np.add(first[members][:, None], table, out=key[at : at + span].reshape(len(members), -1))
-        item[at : at + span].reshape(len(members), -1)[:] = members[:, None]
-        at += span
-        if lengths and lengths[-1][1] == n:
-            lengths[-1] = (at, n)
-        else:
-            lengths.append((at, n))
-    return item, key, lengths
 
 
 def _matches(keys, runs):
     """(item, position) of every key of ``keys`` inside one of the
-    ``runs`` (as ``_cells`` returns them), and the item of its run.
+    ``runs`` (as ``_expand`` yields them), and the item of its run.
 
     ``keys`` are sorted and distinct and end with _KEY_END.  One binary
     search per run [k, k + n) finds p, the position of the first key
     >= k.  The keys being distinct integers, keys[p + i] >= k + i, so the
     run's matches are the slice keys[p : p + c] of the keys below k + n,
-    and c <= n: c counts the keys below k + n among the n from p on,
-    one pass per i over the runs of length n (the positions clamped to
-    the sentinel, which is never below)."""
-    item, key, lengths = runs
+    and c <= n: c counts the keys below k + n among the n from p on, one
+    pass per i below the longest run (the positions clamped to the
+    sentinel, which is never below).  A pass adds nothing to a run of
+    length n <= i."""
+    item, key, n = runs
     pos = np.searchsorted(keys, key)
     count = np.zeros(len(key), dtype=np.int64)
-    start = 0
-    for stop, n in lengths:
-        p, end, c = pos[start:stop], key[start:stop] + n, count[start:stop]
-        for i in range(n):
-            c += keys.take(p + i, mode="clip") < end
-        start = stop
+    end = key + n
+    for i in range(int(n.max())):
+        count += keys.take(pos + i, mode="clip") < end
     # the pairs: each run's item c times, and the ragged ranges p .. p + c - 1
     ends = np.cumsum(count)
     pos -= ends

@@ -24,11 +24,13 @@ a single-depth tree.  Each stage searches the cells in runs along the
 last axis, one binary search per run.  This is checked against the
 all-pairs oracle in the tests, on single- and three-depth trees.
 Classification uses the same lookup on the sink orbit points.  The
-edge build runs the lookup in pieces of consecutive images
-(``BoxTree.lookup_pieces``), one after another.  Each piece sorts its own edges and returns a count per image
-and the dst rows (int32); the pieces come in order, so the graph is
-their concatenation, with no key array and no sort of the whole graph,
-and its order does not depend on the pieces.
+edge build images the leaves and looks them up in pieces of consecutive
+rows (``BoxTree.lookup_pieces``), one after another: a piece is imaged
+just before its lookup, so only one piece's images are held at a time.
+Each piece sorts its own edges and returns a count per image and the
+dst rows (int32); the pieces come in order, so the graph is their
+concatenation, with no key array and no sort of the whole graph, and
+its order does not depend on the pieces.
 
 When the live leaves pair up under complex conjugation σ
 (``BoxTree.conjugate_rows``: a map with real coefficients on C or C^2),
@@ -89,7 +91,6 @@ from .maps import MapModel, batch_forward, sink_orbits
 from .boxtree import BoxTree
 
 _BLOCK_EDGES = 1 << 16  # edges per block of rows in the passes over every edge
-_IMAGE_ROWS = 1 << 14  # rows imaged at a time by the edge build
 
 __all__ = [
     "ChainGraph",
@@ -235,14 +236,14 @@ def build_edges(
 ) -> ChainGraph:
     """Box chain model: edge k -> j iff widen(F(B_k), delta) meets B_j.
 
-    The lookup runs in pieces of consecutive images
-    (``BoxTree.lookup_pieces``); each piece returns its edges sorted, as
-    a count per image and the dst rows (int32), so the build only joins
-    them: no key array and no sort of the whole graph.  On a mirrored
-    tree the graph stores the edges of one leaf of each pair
-    (see the module docstring).  Checks the process's peak RSS against
-    ``mem_budget_mb`` on entry and after each lookup piece it consumes
-    (``check_memory_budget``).
+    The leaves are imaged and looked up in pieces of consecutive rows
+    (``BoxTree.lookup_pieces``), each piece imaged just before its
+    lookup; each piece returns its edges sorted, as a count per image
+    and the dst rows (int32), so the build only joins them: no key array
+    and no sort of the whole graph.  On a mirrored tree the graph stores
+    the edges of one leaf of each pair (see the module docstring).
+    Checks the process's peak RSS against ``mem_budget_mb`` on entry and
+    after each lookup piece it consumes (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
@@ -255,17 +256,11 @@ def build_edges(
     # k -> j is an edge iff its mirror is: image and look up one of each
     # pair, and store only those rows' edges
     rows, mirror = tree.conjugate_rows()
-    # imaged a block of rows at a time, so that the formula's temporaries
-    # stay the size of a block
-    wlo = np.empty((len(rows), tree.naxes))
-    whi = np.empty_like(wlo)
-    for start in range(0, len(rows), _IMAGE_ROWS):
-        block = slice(start, start + _IMAGE_ROWS)
-        wlo[block], whi[block] = widened_images(tree, model, delta, rows[block])
     indptr = np.zeros(n + 1, dtype=np.int64)
     parts = []  # each piece's dst rows, in (src, dst) order
     done = stored = 0
-    for counts, dst in tree.lookup_pieces(wlo, whi):
+    pieces = tree.lookup_pieces(rows, lambda piece: widened_images(tree, model, delta, piece))
+    for counts, dst in pieces:
         # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
         # those are all the rows, in order
         indptr[1 + rows[done : done + len(counts)]] = counts
@@ -273,7 +268,6 @@ def build_edges(
         parts.append(dst)
         stored += len(dst)
         check(stored * (1 if mirror is None else 2))
-    del wlo, whi
     indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     del parts
     give_back()  # the pieces' arrays, freed by the join

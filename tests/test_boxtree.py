@@ -329,29 +329,32 @@ def _run_tree(make, depth, steps, mirrored, seed):
 
 
 @pytest.mark.parametrize(
-    "make,depth,steps,mirrored",
+    "make,depth,steps,mirrored,chunk",
     [
-        pytest.param(quad_c0, 6, 0, True, id="2-axes"),
-        pytest.param(quad_c0, 4, 2, False, id="2-axes-mixed"),
-        pytest.param(per31, 3, 0, True, id="4-axes"),
-        pytest.param(per31, 2, 2, True, id="4-axes-mixed-mirrored"),
+        pytest.param(quad_c0, 6, 0, True, boxtree._CHUNK_CANDIDATES, id="2-axes"),
+        pytest.param(quad_c0, 4, 2, False, boxtree._CHUNK_CANDIDATES, id="2-axes-mixed"),
+        pytest.param(per31, 3, 0, True, boxtree._CHUNK_CANDIDATES, id="4-axes"),
+        pytest.param(per31, 2, 2, True, boxtree._CHUNK_CANDIDATES, id="4-axes-mixed-mirrored"),
+        pytest.param(per31, 2, 2, True, 1, id="4-axes-mixed-mirrored-one-item-chunks"),
     ],
 )
-def test_lookup_in_runs_matches_brute_force(make, depth, steps, mirrored, monkeypatch):
+def test_lookup_in_runs_matches_brute_force(make, depth, steps, mirrored, chunk, monkeypatch):
     """The lookup searches runs of cells along the last axis: each run's
     matches are a slice of the sorted keys that starts at one binary
     search.  Every pair a brute-force comparison with every leaf finds
     comes out once, and no other; the queries reach runs that start past
-    the last key and runs longer than 3 cells."""
+    the last key and runs longer than 3 cells.  With ``chunk`` 1, each
+    chunk of runs holds one item."""
+    monkeypatch.setattr(boxtree, "_CHUNK_CANDIDATES", chunk)
     tree = _run_tree(make, depth, steps, mirrored, seed=depth + steps)
     seen = {"past the last key": False, "longer than 3": False}
     matches = boxtree._matches
 
     def recording(keys, runs):
-        _, key, lengths = runs
+        _, key, n = runs
         if len(key):
             seen["past the last key"] |= bool((np.searchsorted(keys, key) == len(keys) - 1).any())
-            seen["longer than 3"] |= max(n for _, n in lengths) > 3
+            seen["longer than 3"] |= int(n.max()) > 3
         return matches(keys, runs)
 
     monkeypatch.setattr(boxtree, "_matches", recording)

@@ -393,24 +393,22 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
         tree.prune_escaping(6)
     assert len(tree.depth_counts()) == 3
     counts, searches, pairs = [], [], []
-    cells, lookup = boxtree._cells, BoxTree.lookup
+    expand, lookup = boxtree._expand, BoxTree.lookup
 
-    def counting_cells(*args):
-        item, key, lengths = runs = cells(*args)
-        start = 0
-        for stop, n in lengths:  # the cells the runs cover
-            counts.append((stop - start) * n)
-            start = stop
-        assert start == len(key)
-        searches.append(len(key))
-        return runs
+    def counting_expand(*args):
+        for runs in expand(*args):
+            item, key, n = runs
+            assert len(item) == len(key) == len(n)
+            counts.append(int(n.sum()))  # the cells the runs cover
+            searches.append(len(key))
+            yield runs
 
     def counting_lookup(self, lo, hi):
         for query, leaf in lookup(self, lo, hi):
             pairs.append(len(query))
             yield query, leaf
 
-    monkeypatch.setattr(boxtree, "_cells", counting_cells)
+    monkeypatch.setattr(boxtree, "_expand", counting_expand)
     monkeypatch.setattr(BoxTree, "lookup", counting_lookup)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
     # the lookup yields the edges of one leaf of each mirrored pair
@@ -693,9 +691,9 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
 # small, what is left grows with the edges: the graph itself (4 B per
 # stored edge) and the pieces' edges joined into it (4 B) in the build,
 # the quotient's dst rows and codes (5 B) in the strong components.
-# The per-image and per-vertex arrays add about 3 B on the cubic tree,
-# with 10 edges per vertex.
-_TRACED_BYTES_PER_EDGE = {"build": 14, "scc": 9, "restrict": 2, "save": 3}
+# The per-vertex arrays add about 2 B on the cubic tree, with 10 edges
+# per vertex; the images are made one lookup piece at a time.
+_TRACED_BYTES_PER_EDGE = {"build": 12, "scc": 9, "restrict": 2, "save": 3}
 
 
 def traced_peak(fn, *args) -> tuple:
@@ -719,11 +717,20 @@ def test_graph_phases_allocate_a_few_bytes_per_stored_edge(grow, mirrored, monke
     monkeypatch.setattr(boxtree, "_CHUNK_CANDIDATES", 1 << 12)
     monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", 1 << 8)
     monkeypatch.setattr(chain_graph, "_BLOCK_EDGES", 1 << 10, raising=False)
-    monkeypatch.setattr(chain_graph, "_IMAGE_ROWS", 1 << 10, raising=False)
+    imaged = []  # rows per widened_images call
+    images = chain_graph.widened_images
+
+    def recording(tree, model, delta, rows):
+        imaged.append(len(rows))
+        return images(tree, model, delta, rows)
+
+    monkeypatch.setattr(chain_graph, "widened_images", recording)
     tree = grow()
     graph, build = traced_peak(build_edges, tree, tree.model, tree.epsilon_min() / 1000.0)
     stored = len(graph.indices)
     assert stored > 500_000 and (graph.mirror is not None) == mirrored
+    assert sum(imaged) == len(tree.conjugate_rows()[0]), "every computed row is imaged once"
+    assert max(imaged) <= boxtree._LOOKUP_PIECE, max(imaged)
     labeling, scc = traced_peak(scc_decompose, graph)
     gamma, restrict = traced_peak(recurrent_model, graph, labeling)
 
