@@ -127,13 +127,6 @@ class ChainGraph:
     def n_vertices(self) -> int:
         return len(self.vertex_ids)
 
-    @classmethod
-    def from_pairs(cls, src, dst, vertex_ids, **fields) -> "ChainGraph":
-        """Graph on the vertices ``vertex_ids`` with the edges src -> dst
-        (vertex rows, sorted by (src, dst)); ``fields`` are the others."""
-        indptr, indices = _csr(src, dst, len(vertex_ids))
-        return cls(vertex_ids=vertex_ids, indptr=indptr, indices=indices, **fields)
-
     @property
     def n_edges(self) -> int:
         return len(self.indices) * (1 if self.mirror is None else 2)
@@ -203,12 +196,13 @@ class ChainGraph:
         return k
 
 
-def _csr(src, dst, n: int):
+def _csr(keys, n: int):
     """(indptr, indices) of the edges src -> dst on n vertices, given
-    sorted by (src, dst)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, np.asarray(dst, dtype=np.int32)
+    as their int64 keys src * n + dst, sorted.  The keys are reduced to
+    dst in place, so the CSR costs one int32 per edge beyond them."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, max(n, 1), out=keys)
+    return indptr, keys.astype(np.int32)
 
 
 def widened_images(tree: BoxTree, model: MapModel, delta: float, rows):

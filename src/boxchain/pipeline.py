@@ -38,6 +38,7 @@ from .bounds import report_for_map, sink_section_for_map
 from .chain_graph import (
     ChainGraph,
     RecurrentModel,
+    _csr,
     build_edges,
     classify_components,
     recurrent_model,
@@ -424,14 +425,18 @@ def _record_lines(tag: str, table) -> bytes:
 
 def load_model(path):
     """Load a persisted model: returns (model, tree, gamma).  A file
-    that cannot be read is a ParseError, as a malformed one is."""
+    that cannot be read is a ParseError, as a malformed one is.  The
+    file's text is dropped once its tables are decoded, before they are
+    checked and rebuilt (``_rebuild``)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return _rebuild(*_decode_text(data))
+        model, scales, tables = _decode_text(data)
+        del data  # the tables hold copies of the numbers
+        return _rebuild(model, scales, tables)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -476,31 +481,31 @@ def _decode_text(data: bytes):
         announced = [int(header.get(key, "0")) for key in ("boxes", "edges", "cross")]
     except ValueError as exc:
         raise ParseError(f"bad header count: {exc}") from None
-    found = [len(tables[tag]) for tag in "BEX"]
+    found = [sum(map(len, tables[tag])) for tag in "BEX"]
     if found != announced:
         raise ParseError(f"truncated model: header announces {announced} B/E/X lines, has {found}")
-    return model, scales, tables["B"], tables["E"], tables["X"]
+    return model, scales, tables
 
 
 def _read_records(data: bytes, offset: int, widths: dict) -> dict:
-    """One int64 table per tag of the record lines ``TAG n_1 ... n_w``
-    in ``data[offset:]``, rows in file order; ``widths`` maps each tag to
-    its w.  Fields are separated by whitespace (space, tab, CR, LF, VT,
-    FF); blank lines are skipped.  A line's first field, its tag, is one
-    byte, one of ``widths``' keys; every other field is an optional sign
-    (``+`` or ``-``) then 1 to 18 decimal digits, so within int64.  The
-    body is parsed in pieces of whole lines, which bounds the per-token
-    arrays: each piece is checked in whole-array passes, and only then
-    are its numbers converted, in one call (``_read_piece``)."""
-    pieces = []
+    """The record lines ``TAG n_1 ... n_w`` in ``data[offset:]`` as one
+    list of int64 tables per tag, whose rows joined are the tag's lines
+    in file order; ``widths`` maps each tag to its w.  Fields are
+    separated by whitespace (space, tab, CR, LF, VT, FF); blank lines
+    are skipped.  A line's first field, its tag, is one byte, one of
+    ``widths``' keys; every other field is an optional sign (``+`` or
+    ``-``) then 1 to 18 decimal digits, so within int64.  The body is
+    parsed in pieces of whole lines, which bounds the per-token arrays:
+    each piece is checked in whole-array passes, and only then are its
+    numbers converted, in one call (``_read_piece``).  The pieces'
+    tables are not joined, so the numbers are held once."""
+    tables = {tag: [np.empty((0, width), dtype=np.int64)] for tag, width in widths.items()}
     while offset < len(data):
         stop = data.find(b"\n", offset + _PIECE_BYTES) + 1 or len(data)  # past a newline
-        pieces.append(_read_piece(data, offset, stop, widths))
+        for tag, table in _read_piece(data, offset, stop, widths).items():
+            tables[tag].append(table)
         offset = stop
-    return {
-        tag: np.concatenate([p[tag] for p in pieces] + [np.empty((0, width), dtype=np.int64)])
-        for tag, width in widths.items()
-    }
+    return tables
 
 
 def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
@@ -579,16 +584,23 @@ def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
     return tables
 
 
-def _rebuild(model: MapModel, scales, boxes, edges, cross):
-    """Tree and recurrent model of the decoded tables, checked for
-    consistency: delta, epsilon and epsilon_min are finite and positive,
-    the boxes tile, the header's box sides bound them,
-    component ids lie in [0, boxes), and the edges join distinct boxes
-    once each, E edges within one component, X edges between two."""
+def _rebuild(model: MapModel, scales, tables: dict):
+    """Tree and recurrent model of the decoded tables (``B``, ``E`` and
+    ``X``, each a list of pieces), checked for consistency: delta,
+    epsilon and epsilon_min are finite and positive, the boxes tile, the
+    header's box sides bound them, component ids lie in [0, boxes), and
+    the edges join distinct boxes once each, E edges within one
+    component, X edges between two.
+
+    Each table is taken out of ``tables`` and dropped once read.  The
+    edges of both tables become one array of int64 keys src * n + dst,
+    which is sorted in place and turned into the graph's CSR (``_csr``),
+    so beyond the edge tables the edges cost about one key each."""
     for key, value in zip(("delta", "epsilon", "epsilon_min"), scales):
         if not 0.0 < value < math.inf:
             raise ParseError(f"header {key} {value!r} is not a finite positive number")
     delta, epsilon, epsilon_min = scales
+    boxes = np.concatenate(tables.pop("B"))
     try:
         tree = BoxTree.restore(model, boxes[:, :-1])
     except UsageError as exc:
@@ -600,32 +612,42 @@ def _rebuild(model: MapModel, scales, boxes, edges, cross):
     if n and epsilon_min > tree.epsilon_min():
         raise ParseError(f"header epsilon_min {epsilon_min!r} > smallest box side {tree.epsilon_min()!r}")
     comp = np.ascontiguousarray(boxes[:, -1])
+    del boxes
     if ((comp < 0) | (comp >= n)).any():
         raise ParseError(f"component id {int(comp[(comp < 0) | (comp >= n)][0])} outside [0, {n})")
     radix = max(n, 1)
-    keys = []
-    for tag, table, within in (("E", edges, True), ("X", cross, False)):
-        outside = _any_per_row((table < 0) | (table >= n))
-        if outside.any():
-            raise ParseError(f"{tag} edge {table[outside][0].tolist()} outside [0, {n})")
-        wrong = (comp[table[:, 0]] == comp[table[:, 1]]) != within
-        if wrong.any():
-            where = "between two components" if within else "within one component"
-            raise ParseError(f"{tag} edge {table[wrong][0].tolist()} lies {where}")
-        keys.append(table[:, 0] * radix + table[:, 1])
-    keys = np.sort(np.concatenate(keys))
-    src, dst = keys // radix, keys % radix
+    n_edges, n_cross = (sum(map(len, tables[tag])) for tag in "EX")
+    keys = np.empty(n_edges + n_cross, dtype=np.int64)
+    at = 0
+    for tag, within in (("E", True), ("X", False)):
+        pieces = tables.pop(tag)
+        for table in pieces:  # every edge is inside before any is looked up
+            outside = _any_per_row((table < 0) | (table >= n))
+            if outside.any():
+                raise ParseError(f"{tag} edge {table[outside][0].tolist()} outside [0, {n})")
+        for table in pieces:
+            wrong = (comp[table[:, 0]] == comp[table[:, 1]]) != within
+            if wrong.any():
+                where = "between two components" if within else "within one component"
+                raise ParseError(f"{tag} edge {table[wrong][0].tolist()} lies {where}")
+            key = keys[at : at + len(table)]
+            np.multiply(table[:, 0], radix, out=key)
+            key += table[:, 1]
+            at += len(table)
+        del pieces, table
+    keys.sort()
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if len(repeated):
         # E and X edges are told apart by their ends' components
-        k = repeated[0]
-        tag = "E" if comp[src[k]] == comp[dst[k]] else "X"
-        raise ParseError(f"{tag} edge {[int(src[k]), int(dst[k])]} given twice")
-    graph = ChainGraph.from_pairs(
-        src,
-        dst,
-        np.arange(n, dtype=np.int64),
+        src, dst = divmod(int(keys[repeated[0]]), radix)
+        tag = "E" if comp[src] == comp[dst] else "X"
+        raise ParseError(f"{tag} edge {[src, dst]} given twice")
+    indptr, indices = _csr(keys, n)
+    graph = ChainGraph(
         tree=tree,
+        vertex_ids=np.arange(n, dtype=np.int64),
+        indptr=indptr,
+        indices=indices,
         delta=delta,
         epsilon=epsilon,
         epsilon_min=epsilon_min,
@@ -635,7 +657,7 @@ def _rebuild(model: MapModel, scales, boxes, edges, cross):
         labels=comp,
         vertex_ids=graph.vertex_ids,
         comp=comp,
-        n_edges=len(edges),
-        n_cross_edges=len(cross),
+        n_edges=n_edges,
+        n_cross_edges=n_cross,
     )
     return model, tree, gamma

@@ -19,7 +19,11 @@ are mapped through a palette (one gray per component, sized-ordered,
 evenly spaced in [40, 200]; black when several components hit; white
 when none), then pixels that look like members of the forward-bounded
 set (orbit stays within the escape radius for kplus_iters steps) are
-lightened by +40, clamped at 255.
+lightened by +40, clamped at 255.  A pixel's colour depends on its own
+point only, so the pixels are coloured in blocks of consecutive pixels
+(``_RENDER_BLOCK``), each block's points made, looked up and iterated on
+their own: a render holds the image and one block's temporaries, at any
+resolution, and its bytes do not depend on the block size.
 
 Images are 8-bit and written as binary PPM (P6) always, or PNG via a
 built-in encoder over the same pixel buffer; repeated renders of the
@@ -210,29 +214,35 @@ def component_palette(n_components: int) -> list[int]:
     return [40 + round(160 * k / (n_components - 1)) for k in range(n_components)]
 
 
-def _pixel_grid(config: RenderConfig):
-    res = config.resolution
-    xs = config.center.real + (2.0 * np.arange(res) + 1.0 - res) / res * config.half_width
-    ys = config.center.imag + (res - 2.0 * np.arange(res) - 1.0) / res * config.half_height
-    return xs, ys  # ys walks top row -> bottom row
+_RENDER_BLOCK = 1 << 14  # consecutive pixels coloured at a time
 
 
-def _paint(gamma: RecurrentModel, model: MapModel, config: RenderConfig, pt):
-    """Pixels for the points ``pt``: one complex array per coordinate,
-    row-major over the pixel grid."""
+def _paint(gamma: RecurrentModel, model: MapModel, config: RenderConfig, point) -> Image:
+    """The image of the window: pixels row-major, top row first, each
+    coloured by its point ``point(x, y)``, one complex array per
+    coordinate from the window values x and y of a block of pixels.  The
+    pixels are coloured ``_RENDER_BLOCK`` at a time, so the temporaries
+    are those of one block whatever the resolution."""
     n_comp = int(gamma.comp.max()) + 1 if gamma.n_vertices else 0
     palette = np.array(component_palette(n_comp), dtype=np.uint8)
     res = config.resolution
-    axes = np.column_stack(model.point_axes(pt))
-    point, comp = components_at_points(gamma, axes)
-    hits = np.bincount(point, minlength=res * res)
-    pix = np.where(hits == 0, 255, 0).astype(np.uint8)  # no component: white, several: black
-    one = hits[point] == 1
-    pix[point[one]] = palette[comp[one]]
-    if config.kplus_lighten:
-        bounded, _, _ = forward_orbits(model, pt, config.kplus_iters, config.escape_radius)
-        pix[bounded] = np.minimum(pix[bounded], 215) + 40
-    return Image(res, res, bytearray(pix.tobytes()))
+    xs = config.center.real + (2.0 * np.arange(res) + 1.0 - res) / res * config.half_width
+    ys = config.center.imag + (res - 2.0 * np.arange(res) - 1.0) / res * config.half_height
+    pixels = bytearray(res * res)
+    for first in range(0, len(pixels), _RENDER_BLOCK):
+        stop = min(first + _RENDER_BLOCK, len(pixels))
+        row, col = np.divmod(np.arange(first, stop), res)
+        pt = point(xs[col], ys[row])
+        hit, comp = components_at_points(gamma, np.column_stack(model.point_axes(pt)))
+        hits = np.bincount(hit, minlength=len(row))
+        pix = np.where(hits == 0, 255, 0).astype(np.uint8)  # no component: white, several: black
+        one = hits[hit] == 1
+        pix[hit[one]] = palette[comp[one]]
+        if config.kplus_lighten:
+            bounded, _, _ = forward_orbits(model, pt, config.kplus_iters, config.escape_radius)
+            pix[bounded] = np.minimum(pix[bounded], 215) + 40
+        pixels[first:stop] = pix.tobytes()
+    return Image(res, res, pixels)
 
 
 def render_slice(
@@ -245,9 +255,7 @@ def render_slice(
     saddle fixed point (Henon kinds)."""
     config = config.validate(model)
     evaluate = unstable_parameterization(model, saddle)
-    xs, ys = _pixel_grid(config)
-    zz = (xs[None, :] + 1j * ys[:, None]).ravel()
-    return _paint(gamma, model, config, evaluate(zz))
+    return _paint(gamma, model, config, lambda x, y: evaluate(x + 1j * y))
 
 
 def render_plane(gamma: RecurrentModel, model: MapModel, config: RenderConfig) -> Image:
@@ -256,6 +264,4 @@ def render_plane(gamma: RecurrentModel, model: MapModel, config: RenderConfig) -
     if model.kind == "henon_complex":
         raise UsageError("render_plane needs a 1-D map or the real Henon map")
     config = config.validate(model)
-    xs, ys = _pixel_grid(config)
-    pt = model.point_from_axes((np.tile(xs, len(ys)), np.repeat(ys, len(xs))))
-    return _paint(gamma, model, config, pt)
+    return _paint(gamma, model, config, lambda x, y: model.point_from_axes((x, y)))

@@ -1,17 +1,29 @@
-"""Shared test helpers: build a ChainGraph from plain adjacency lists,
-read a recurrent model's edges, and the all-pairs edge oracle."""
+"""Shared test helpers: build a ChainGraph from edge pairs or plain
+adjacency lists, read a recurrent model's edges, the all-pairs edge
+oracle, and the traced memory peak of a call."""
+
+import tracemalloc
 
 import numpy as np
 
-from boxchain.chain_graph import ChainGraph, widened_images
+from boxchain.chain_graph import ChainGraph, _csr, widened_images
 from boxchain.ia import Interval
 from support_trees import live_ids
+
+
+def graph_from_pairs(src, dst, vertex_ids, **fields):
+    """Graph on the vertices ``vertex_ids`` with the edges src -> dst
+    (vertex rows, sorted by (src, dst)); ``fields`` are the others."""
+    n = len(vertex_ids)
+    keys = np.asarray(src, dtype=np.int64) * n + np.asarray(dst, dtype=np.int64)
+    indptr, indices = _csr(keys, n)
+    return ChainGraph(vertex_ids=vertex_ids, indptr=indptr, indices=indices, **fields)
 
 
 def graph_from_adjacency(adj):
     pairs = [(u, v) for u, outs in enumerate(adj) for v in sorted(set(outs))]
     src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return ChainGraph.from_pairs(
+    return graph_from_pairs(
         src,
         dst,
         np.arange(len(adj), dtype=np.int64),
@@ -43,3 +55,13 @@ def all_pairs_edges(tree, model, delta):
             if all(not w.is_disjoint(ax) for w, ax in zip(w_axes, bx.axes())):
                 edges.add((k, j))
     return edges
+
+
+def traced_peak(fn, *args) -> tuple:
+    """(fn(*args), the peak of the memory tracemalloc traced meanwhile)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

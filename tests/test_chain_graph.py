@@ -3,7 +3,6 @@ transitive-closure oracle, recurrent-model extraction, classification."""
 
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +15,12 @@ from boxchain import boxtree, chain_graph
 from boxchain.boxtree import BoxTree, init_root, sink_basin_selector
 from boxchain.pipeline import save_model
 from boxchain.chain_graph import (
-    ChainGraph,
     build_edges,
     classify_components,
     recurrent_model,
     scc_decompose,
 )
-from support_graphs import all_pairs_edges, gamma_edges
+from support_graphs import all_pairs_edges, gamma_edges, graph_from_pairs, traced_peak
 from support_trees import live_ids
 
 
@@ -350,7 +348,7 @@ def test_edge_rows_and_from_pairs_invert_each_other():
         ]
     model = quad_c0()
     built = build_edges(grown_tree(model, 4), model, 1e-4)
-    again = ChainGraph.from_pairs(
+    again = graph_from_pairs(
         *built.edge_rows(),
         built.vertex_ids,
         tree=built.tree,
@@ -547,7 +545,7 @@ def mirrored_twin(full, mirror):
     below their mirror's row, and the mirror table."""
     src, dst = full.edge_rows()
     stored = src < mirror[src]
-    return ChainGraph.from_pairs(
+    return graph_from_pairs(
         src[stored],
         dst[stored],
         full.vertex_ids,
@@ -612,7 +610,7 @@ def test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(make, depth, st
     tree = sink_tree(model, depth, steps)
     half = build_edges(tree, model, tree.epsilon_min() / 1000.0)
     assert half.mirror is not None
-    full = ChainGraph.from_pairs(
+    full = graph_from_pairs(
         *half.edge_rows(),
         half.vertex_ids,
         tree=tree,
@@ -672,7 +670,7 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
     stored = src < half.mirror[src]
     edges = set(zip(src[stored].tolist(), dst[stored].tolist()))
     assert sum((u, int(half.mirror[v])) in edges for u, v in edges) > 0  # j and σj
-    full = ChainGraph.from_pairs(
+    full = graph_from_pairs(
         src,
         dst,
         half.vertex_ids,
@@ -694,16 +692,6 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
 # The per-vertex arrays add about 2 B on the cubic tree, with 10 edges
 # per vertex; the images are made one lookup piece at a time.
 _TRACED_BYTES_PER_EDGE = {"build": 12, "scc": 9, "restrict": 2, "save": 3}
-
-
-def traced_peak(fn, *args) -> tuple:
-    """(fn(*args), the peak of the memory tracemalloc traced meanwhile)."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(

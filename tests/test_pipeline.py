@@ -29,7 +29,7 @@ from boxchain.pipeline import (
     save_model,
 )
 from boxchain.render import RenderConfig, render_plane
-from support_graphs import gamma_edges
+from support_graphs import gamma_edges, traced_peak
 
 DATA = Path(__file__).parent / "data"
 
@@ -573,6 +573,36 @@ def test_truncated_model_rejected(tmp_path):
     garbled.write_text("not a model\n")
     with pytest.raises(ParseError):
         load_model(str(garbled))
+    # a header count that is huge, negative or short of the body's lines
+    # is refused once the body is read, with no allocation sized by it
+    edges = int(re.search(r" edges=(\d+) ", text[0]).group(1))
+    assert edges > 0
+    for count in (10**15, -1, edges - 1):
+        bad = tmp_path / f"count{count}.txt"
+        header = text[0].replace(f" edges={edges} ", f" edges={count} ")
+        bad.write_text("\n".join([header] + text[1:]) + "\n")
+
+        def refused():
+            with pytest.raises(ParseError, match="truncated model"):
+                load_model(str(bad))
+
+        _, peak = traced_peak(refused)
+        assert peak < 20 * os.path.getsize(bad) + (1 << 20), (count, peak)
+        assert _cli("inspect", "--model-in", str(bad)).returncode == 4
+
+
+def test_load_allocates_a_few_bytes_per_edge(tmp_path, altper2_run):
+    # the text, the tables of its pieces and one key per edge (60 bytes
+    # per edge when the tables were joined and the text kept to the end)
+    path = str(tmp_path / "altper2.txt")
+    save_model(path, altper2_run.result.model, altper2_run.result.gamma, include_edges=True)
+    (_, _, gamma), peak = traced_peak(load_model, path)
+    edges = gamma.n_edges + gamma.n_cross_edges
+    assert edges > 1_000_000
+    assert peak / edges < _LOAD_BYTES_PER_EDGE, peak / edges
+
+
+_LOAD_BYTES_PER_EDGE = 45  # traced by load_model, file text included
 
 
 def _hand_model(tmp_path, lines):
@@ -690,6 +720,20 @@ def test_malformed_or_inconsistent_records_rejected(tmp_path, capsys, records, m
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("piece_bytes", [1, 1 << 20])
+def test_edge_checks_keep_their_order_across_pieces(tmp_path, monkeypatch, piece_bytes):
+    # an edge outside the boxes is reported before one between the wrong
+    # components, and that before a repeated edge, wherever the lines are
+    monkeypatch.setattr(pipeline, "_PIECE_BYTES", piece_bytes)
+    for records, message in [
+        (_TWO_COMPS + ["E 0 0", "E 0 0", "X 0 2"], "X edge [0, 2] outside [0, 2)"),
+        (_TWO_COMPS + ["E 0 1", "E 0 2"], "E edge [0, 2] outside [0, 2)"),
+        (_TWO_COMPS + ["E 1 1", "E 1 1", "E 0 1"], "E edge [0, 1] lies between two components"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_model(_hand_model(tmp_path, records))
+
+
 @pytest.mark.parametrize("piece_bytes", [1, 37, 1 << 20])
 def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
     # the vectorized reader against int() per field, with the body cut
@@ -710,7 +754,8 @@ def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
     tables = pipeline._read_records(text.encode(), 0, widths)
     for tag, width in widths.items():
         expected = np.array(want[tag], dtype=np.int64).reshape(-1, width)
-        assert tables[tag].dtype == np.int64 and np.array_equal(tables[tag], expected)
+        table = np.concatenate(tables[tag])
+        assert table.dtype == np.int64 and np.array_equal(table, expected)
 
 
 def _graph_tables(tree, gamma):

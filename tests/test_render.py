@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxchain import cli
+from boxchain import cli, render
 from boxchain.ia import UsageError
 from boxchain.maps import MapModel, fixed_points, forward_orbits
 from boxchain.boxtree import init_root
@@ -21,6 +21,7 @@ from boxchain.render import (
     render_slice,
     unstable_parameterization,
 )
+from support_graphs import traced_peak
 from support_trees import live_ids
 
 
@@ -206,6 +207,42 @@ def test_render_slice_runs_and_is_deterministic():
     img2 = render_slice(gamma, m, sad, cfg)
     assert img1.ppm_bytes() == img2.ppm_bytes()
     assert len(img1.pixels) == 24 * 24
+
+
+@pytest.mark.parametrize("block,resolution", [(1, 13), (7, 29), (None, 200)], ids=["1", "7", "default"])
+def test_images_do_not_depend_on_the_block_size(monkeypatch, block, resolution):
+    # each block size against one block for the whole image, at a
+    # resolution of several blocks whose last block is partial
+    block = block or render._RENDER_BLOCK
+    assert resolution**2 > 2 * block and (block == 1 or resolution**2 % block)
+    henon, quad = per31(), quad_c0()
+    slice_gamma, plane_gamma = small_gamma(henon, 3), small_gamma(quad, 4)
+    cfg = RenderConfig(resolution=resolution, half_width=1.0, kplus_iters=30)
+
+    def images():
+        return (
+            render_slice(slice_gamma, henon, pick_saddle(henon), cfg).ppm_bytes(),
+            render_plane(plane_gamma, quad, dataclasses.replace(cfg, half_width=1.2)).ppm_bytes(),
+        )
+
+    monkeypatch.setattr(render, "_RENDER_BLOCK", resolution**2)
+    whole = images()
+    assert all(len(set(ppm[-3 * resolution**2 :])) > 2 for ppm in whole)  # not blank
+    monkeypatch.setattr(render, "_RENDER_BLOCK", block)
+    assert images() == whole
+
+
+def test_render_memory_does_not_grow_with_the_resolution(altper2_run):
+    # the temporaries are one block's: beyond them, a larger image costs
+    # its own buffer (at the whole-image render, 71 MB at 512^2 and 18 MB
+    # at 256^2)
+    model, gamma = altper2_run.result.model, altper2_run.result.gamma
+    saddle = pick_saddle(model)
+    peaks = {}
+    for res in (256, 512):
+        _, peaks[res] = traced_peak(render_slice, gamma, model, saddle, RenderConfig(resolution=res))
+    assert peaks[512] < 8 << 20, peaks
+    assert peaks[512] - peaks[256] < 512 * 512 + (256 << 10), peaks
 
 
 def test_saddle_pixel_gets_j_candidate_shade(altper2_run):
