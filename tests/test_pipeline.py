@@ -591,18 +591,18 @@ def test_truncated_model_rejected(tmp_path):
         assert _cli("inspect", "--model-in", str(bad)).returncode == 4
 
 
+_LOAD_BYTES_PER_EDGE = 45  # traced by load_model, file text included
+
+
 def test_load_allocates_a_few_bytes_per_edge(tmp_path, altper2_run):
-    # the text, the tables of its pieces and one key per edge (60 bytes
-    # per edge when the tables were joined and the text kept to the end)
+    # the text, the tables of its pieces and one key per edge; joining
+    # the pieces' tables, or keeping the text to the end, costs more
     path = str(tmp_path / "altper2.txt")
     save_model(path, altper2_run.result.model, altper2_run.result.gamma, include_edges=True)
     (_, _, gamma), peak = traced_peak(load_model, path)
     edges = gamma.n_edges + gamma.n_cross_edges
     assert edges > 1_000_000
     assert peak / edges < _LOAD_BYTES_PER_EDGE, peak / edges
-
-
-_LOAD_BYTES_PER_EDGE = 45  # traced by load_model, file text included
 
 
 def _hand_model(tmp_path, lines):

@@ -234,8 +234,8 @@ def test_images_do_not_depend_on_the_block_size(monkeypatch, block, resolution):
 
 def test_render_memory_does_not_grow_with_the_resolution(altper2_run):
     # the temporaries are one block's: beyond them, a larger image costs
-    # its own buffer (at the whole-image render, 71 MB at 512^2 and 18 MB
-    # at 256^2)
+    # its own buffer (colouring the whole image at once traces 71 MB at
+    # 512^2 and 18 MB at 256^2)
     model, gamma = altper2_run.result.model, altper2_run.result.gamma
     saddle = pick_saddle(model)
     peaks = {}
