@@ -8,10 +8,15 @@ endpoint is an exact double and the tiling/nesting invariants hold in
 exact arithmetic.  Subdivision halves every axis (2^4 children per box
 in C^2, 2^2 in C or R^2); ids are never reused.
 
-The live leaves are three parallel numpy arrays: ids, depths and grid
-indices (n x naxes), kept in ascending id order, so a leaf's row is its
-rank among the live ids.  Subdivision appends the children, pruning
-keeps a mask; the box bounds are derived from the arrays on demand.
+The live leaves are three parallel numpy arrays, each at its natural
+width: ids (int64), depths (int8) and grid indices (int32, n x naxes),
+kept in ascending id order, so a leaf's row is its rank among the live
+ids.  An index is below 2^31, as the depth cap below is 62 // naxes <=
+31; each step that shifts, packs or adds indices widens them first.
+Subdivision appends the children, pruning and ``remove_leaves`` keep a
+mask; each replaces the arrays and none writes them in place, so a
+graph shares the id array of the tree it was built on.  The box bounds
+are derived from the arrays on demand.
 
 One address index answers every "which leaves meet this closed box"
 question (the edge build, box and point queries, classification,
@@ -85,22 +90,32 @@ class SubdivisionReport:
 
 
 class BoxTree:
-    """Live leaves over dyadic grids, one per depth, with one address index."""
+    """Live leaves over dyadic grids, one per depth, with one address index.
+
+    Every change of the leaves replaces their arrays and never writes
+    them in place: a graph built on the tree keeps its ``leaf_ids``
+    array as its vertex ids, and it stays as it was."""
 
     def __init__(self, model: MapModel):
         self.model = model
         self.r_prime = model.r_prime
         self.naxes = model.naxes
         self.max_depth = _KEY_BITS // self.naxes
-        one = np.zeros(1, dtype=np.int64)
-        self._set(one, one.copy(), np.zeros((1, self.naxes), dtype=np.int64), 1)
+        self._set(
+            np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int8),
+            np.zeros((1, self.naxes), dtype=np.int32),
+            1,
+        )
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _set(self, ids, depths, idx, next_id: int, mirror=None) -> None:
         """Replace the live leaves (ids ascending); drop the derived arrays.
         ``mirror`` is the new leaves' mirror table, where the caller
-        derived it from the old one (see ``conjugate_rows``)."""
+        derived it from the old one (see ``conjugate_rows``).  The arrays
+        are replaced, never written in place: a graph keeps the ids of
+        the tree it was built on (``leaf_ids``)."""
         self._ids, self._depths, self._idx = ids, depths, idx
         self._next_id = next_id
         self._index = None
@@ -132,7 +147,8 @@ class BoxTree:
 
     @property
     def leaf_ids(self) -> np.ndarray:
-        """The live leaf ids, ascending: the tree's array, read it only."""
+        """The live leaf ids, ascending: the tree's array, read it only.
+        A later change of the leaves replaces it and leaves it as it is."""
         return self._ids
 
     @property
@@ -152,7 +168,10 @@ class BoxTree:
         rows = np.searchsorted(self._ids, lids)
         if not np.array_equal(self._ids[np.minimum(rows, len(self._ids) - 1)], lids):
             raise UsageError("not every id is a live leaf")
-        return np.column_stack([self._depths[rows], self._idx[rows]])
+        table = np.empty((len(rows), 1 + self.naxes), dtype=np.int64)
+        table[:, 0] = self._depths[rows]
+        table[:, 1:] = self._idx[rows]
+        return table
 
     def addresses(self) -> set:
         return set(zip(self._depths.tolist(), map(tuple, self._idx.tolist())))
@@ -190,7 +209,7 @@ class BoxTree:
     def _box_bounds(self, depths, idx):
         cells = np.ldexp(self.r_prime, 1 - depths)[:, None]
         lo = -self.r_prime + idx * cells
-        hi = -self.r_prime + (idx + 1) * cells
+        hi = -self.r_prime + (idx + 1.0) * cells  # idx + 1 overflows int32 at the cap
         return lo, hi
 
     # -- subdivision -------------------------------------------------------------
@@ -208,7 +227,7 @@ class BoxTree:
                 f"subdivision would exceed max depth {self.max_depth} "
                 f"(packed addresses need naxes*depth <= {_KEY_BITS})"
             )
-        offsets = np.array(list(itertools.product((0, 1), repeat=self.naxes)), dtype=np.int64)
+        offsets = np.array(list(itertools.product((0, 1), repeat=self.naxes)), dtype=np.int32)
         children = (2 * self._idx[sel])[:, None, :] + offsets
         created = len(offsets) * nsel
         keep = ~sel
@@ -364,7 +383,7 @@ class BoxTree:
             return every
         mirror = np.empty(len(self._ids), dtype=np.int64)
         for depth, keys, level_rows, _ in self._address_index():
-            idx = self._idx[level_rows]
+            idx = self._idx[level_rows].astype(np.int64)
             idx[:, axes] ^= (1 << depth) - 1  # i -> 2^d - 1 - i
             key = _pack(idx, depth)
             pos = np.searchsorted(keys, key)
@@ -466,8 +485,15 @@ class BoxTree:
         return self._keep(~pruned)
 
     def remove_leaves(self, ids) -> int:
-        """Drop the live leaves among ``ids`` (an array-like of leaf ids)."""
-        return self._keep(~np.isin(self._ids, np.asarray(ids, dtype=np.int64)))
+        """Drop the live leaves among ``ids`` (an array-like of leaf ids,
+        in any order, live or not): their rows are found by one binary
+        search each in the ascending live ids."""
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        keep = np.ones(len(self._ids), dtype=bool)
+        if len(ids) and len(keep):
+            rows = np.searchsorted(self._ids, ids)
+            keep[rows[self._ids.take(rows, mode="clip") == ids]] = False
+        return self._keep(keep)
 
     @classmethod
     def restore(cls, model: MapModel, addresses) -> "BoxTree":
@@ -496,7 +522,9 @@ class BoxTree:
         if len(bad):
             raise UsageError(f"address {describe(bad[0])} outside the grid")
         n = len(table)
-        tree._set(np.arange(n, dtype=np.int64), depths, idx, n)
+        tree._set(np.arange(n, dtype=np.int64), depths.astype(np.int8), idx.astype(np.int32), n)
+        del table
+        depths, idx = tree._depths, tree._idx  # checked above: they fit
         # leaves tile: a leaf's centre lies inside no other leaf
         _, _, _, lo, hi = tree.live_arrays()
         centre = 0.5 * (lo + hi)
@@ -515,7 +543,7 @@ class BoxTree:
 
 def _pack(idx: np.ndarray, depth: int) -> np.ndarray:
     """One int64 key per row of grid indices, axis 0 in the high bits."""
-    key = idx[:, 0].copy()
+    key = idx[:, 0].astype(np.int64)
     for k in range(1, idx.shape[1]):
         key <<= depth
         key |= idx[:, k]
@@ -596,16 +624,29 @@ def _matches(keys, runs):
     search per run [k, k + n) finds p, the position of the first key
     >= k.  The keys being distinct integers, keys[p + i] >= k + i, so the
     run's matches are the slice keys[p : p + c] of the keys below k + n,
-    and c <= n: c counts the keys below k + n among the n from p on, one
-    pass per i below the longest run (the positions clamped to the
-    sentinel, which is never below).  A pass adds nothing to a run of
-    length n <= i."""
+    and c <= n: pass i tests keys[p + i] < k + n, which holds exactly
+    for i < c.  So the passes stop at the first one that matches no run
+    (the sentinel, never below, ends each run at the latest), and once
+    fewer than half the runs still count, the later passes test only
+    those."""
     item, key, n = runs
     pos = np.searchsorted(keys, key)
     count = np.zeros(len(key), dtype=np.int64)
-    end = key + n
-    for i in range(int(n.max())):
-        count += keys.take(pos + i, mode="clip") < end
+    live, at, end = None, pos.copy(), key + n  # live: the runs still counting, once picked
+    while True:
+        hit = keys.take(at, mode="clip") < end
+        hits = int(np.count_nonzero(hit))
+        if not hits:
+            break
+        if live is not None:
+            live, at, end = live[hit], at[hit], end[hit]
+            count[live] += 1
+        else:
+            count += hit
+            if 2 * hits < len(hit):
+                live = np.flatnonzero(hit)
+                at, end = at[live], end[live]
+        at += 1
     # the pairs: each run's item c times, and the ragged ranges p .. p + c - 1
     ends = np.cumsum(count)
     pos -= ends

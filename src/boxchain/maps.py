@@ -516,7 +516,7 @@ def sup_bounded(pt, radius: float):
     return np.isfinite(sup) & (sup <= radius)
 
 
-def forward_orbits(model: MapModel, pt, steps: int, radius: float):
+def forward_orbits(model: MapModel, pt, steps: int, radius: float, multiplier: bool = True):
     """Iterate points in point arithmetic while they stay in a ball.
 
     ``pt`` holds one complex array (or one complex) per coordinate.
@@ -525,8 +525,9 @@ def forward_orbits(model: MapModel, pt, steps: int, radius: float):
     ``radius`` (``sup_bounded``), their f^steps points, and the spectral
     radius of D(f^steps) at those rows, the product of
     ``point_derivative`` along the orbit (2x2 for Henon kinds, scalar
-    for 1-D).  A row is dropped at its first iterate outside the ball
-    and never iterated again.  Non-rigorous.
+    for 1-D); None with ``multiplier=False``, which skips the products.
+    A row is dropped at its first iterate outside the ball and never
+    iterated again.  Non-rigorous.
     """
     pt = tuple(np.atleast_1d(np.asarray(z, dtype=complex)) for z in pt)
     rows = np.arange(len(pt[0]))
@@ -540,9 +541,13 @@ def forward_orbits(model: MapModel, pt, steps: int, radius: float):
                 break
             prev, pt = pt, model.point_forward(pt)
             inside = sup_bounded(pt, radius)
-            if not inside.all():
-                rows, jac = rows[inside], jac[..., inside]
-                prev, pt = (tuple(z[inside] for z in v) for v in (prev, pt))
+            whole = inside.all()
+            if not whole:
+                rows, pt = rows[inside], tuple(z[inside] for z in pt)
+            if not multiplier:
+                continue
+            if not whole:
+                jac, prev = jac[..., inside], tuple(z[inside] for z in prev)
             d = model.point_derivative(prev)
             if model.is_henon:  # D(f) . jac
                 jac = np.array(
@@ -550,7 +555,9 @@ def forward_orbits(model: MapModel, pt, steps: int, radius: float):
                 )
             else:
                 jac = jac * d
-        if model.is_henon:
+        if not multiplier:
+            mult = None
+        elif model.is_henon:
             tr = jac[0][0] + jac[1][1]
             det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
             disc = np.sqrt(tr * tr - 4.0 * det)

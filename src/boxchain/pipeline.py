@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MemoryBudgetError, ParseError, check_memory_budget, peak_rss_mb
+from .errors import MemoryBudgetError, ParseError, check_memory_budget, give_back, peak_rss_mb
 from .ia import UsageError
 from .maps import KINDS, MapModel, sink_orbits
 from .boxtree import BoxTree, _any_per_row, init_root, sink_basin_selector
@@ -281,8 +281,10 @@ def run_pipeline(
             say(f"step {index}: graph with {graph.n_vertices} boxes, {graph.n_edges} edges")
             labeling = scc_decompose(graph)
             gamma = recurrent_model(graph, labeling)
+            give_back()  # the strong components' temporaries
             # the next subdivision step sees the recurrent region only
             tree.remove_leaves(graph.vertex_ids[labeling.comp < 0])
+            give_back()  # the leaves' old arrays
             check_memory_budget(config.mem_budget_mb, f"after step {index}'s restriction")
             classification = classify_components(gamma, model, orbits)
             check_memory_budget(config.mem_budget_mb, f"after step {index}'s classification")
@@ -427,7 +429,8 @@ def load_model(path):
     """Load a persisted model: returns (model, tree, gamma).  A file
     that cannot be read is a ParseError, as a malformed one is.  The
     file's text is dropped once its tables are decoded, before they are
-    checked and rebuilt (``_rebuild``)."""
+    checked and rebuilt (``_rebuild``); the memory they held is handed
+    back to the system once the graph is built (``give_back``)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -436,9 +439,11 @@ def load_model(path):
     try:
         model, scales, tables = _decode_text(data)
         del data  # the tables hold copies of the numbers
-        return _rebuild(model, scales, tables)
+        loaded = _rebuild(model, scales, tables)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    give_back()  # the text and the tables, freed: a save or render follows
+    return loaded
 
 
 def _parse_header(header: dict):

@@ -239,7 +239,9 @@ def _paint(gamma: RecurrentModel, model: MapModel, config: RenderConfig, point) 
         one = hits[hit] == 1
         pix[hit[one]] = palette[comp[one]]
         if config.kplus_lighten:
-            bounded, _, _ = forward_orbits(model, pt, config.kplus_iters, config.escape_radius)
+            bounded, _, _ = forward_orbits(
+                model, pt, config.kplus_iters, config.escape_radius, multiplier=False
+            )
             pix[bounded] = np.minimum(pix[bounded], 215) + 40
         pixels[first:stop] = pix.tobytes()
     return Image(res, res, pixels)

@@ -1,6 +1,7 @@
 """Box tree tests: exact tiling, subdivision, linear-scan query oracle,
 escape pruning, and the sink-basin selector."""
 
+import functools
 import itertools
 import math
 import random
@@ -150,6 +151,92 @@ def test_depth_limit():
         assert tree.max_depth == cap
         with pytest.raises(ResourceError, match="62"):
             tree.subdivide(lambda lid: True)
+
+
+def _cells_at_the_cap(model, cap):
+    """Distinct, non-nested cells (depth, indices) closed under the map's
+    conjugation, with the extreme indices 0 and 2^cap - 1 at the cap and
+    cells at three shallower depths; each candidate is kept with its
+    mirror when neither nests a cell kept before it."""
+    naxes, axes = model.naxes, model.conjugation_axes
+    top = (1 << cap) - 1
+    half = (1 << (cap - 1)) - 1
+
+    def mirror(depth, idx):
+        return depth, tuple((1 << depth) - 1 - i if k in axes else i for k, i in enumerate(idx))
+
+    def nests(a, b):
+        (da, ia), (db, ib) = sorted((a, b))
+        return all(j >> (db - da) == i for i, j in zip(ia, ib))
+
+    candidates = [
+        (cap, (0,) * naxes),
+        (cap, (top,) * naxes),
+        (cap, tuple(top * (k % 2) for k in range(naxes))),
+        (cap - 1, (half - 1,) * naxes),
+        (2, (1,) * naxes),
+        (1, (0,) * naxes),
+        (1, (1,) * naxes),
+    ]
+    kept = []
+    for cell in candidates:
+        pair = {cell, mirror(*cell)}
+        if not any(nests(a, b) for a in pair for b in kept):
+            kept.extend(sorted(pair))
+    return kept
+
+
+@pytest.mark.parametrize("make,cap", [(quad_c0, 31), (per31, 15)], ids=["2-axes", "4-axes"])
+def test_narrow_arrays_at_the_depth_cap(make, cap):
+    """Depths are int8 and grid indices int32 (an index is below 2^31
+    as the cap is 62 // naxes <= 31); each step that shifts, packs or
+    adds widens first.  At the cap, the bounds, the packed keys, the
+    mirror table and a subdivision below the cap equal an int64
+    reference, and the dtypes survive subdivision, escape pruning,
+    ``remove_leaves`` and ``restore``."""
+    model = make()
+    cells = _cells_at_the_cap(model, cap)
+    table = np.array([[d, *i] for d, i in cells], dtype=np.int64)
+    assert len({d for d, _ in cells}) >= 3 and table[:, 1:].max() == (1 << cap) - 1
+    tree = BoxTree.restore(model, table)
+
+    def check_dtypes():
+        _, depths, idx, _, _ = tree.live_arrays()
+        assert (depths.dtype, idx.dtype) == (np.int8, np.int32)
+        assert tree.address_table(tree.leaf_ids).dtype == np.int64
+
+    check_dtypes()
+    np.testing.assert_array_equal(tree.address_table(tree.leaf_ids), table)
+    depths, idx = table[:, 0], table[:, 1:]
+    cells_size = np.ldexp(model.r_prime, 1 - depths)[:, None]
+    lo, hi = tree.leaf_bounds(np.arange(len(table)))
+    np.testing.assert_array_equal(lo, -model.r_prime + idx * cells_size)
+    np.testing.assert_array_equal(hi, -model.r_prime + (idx + 1) * cells_size)
+    # packed keys: axis 0 in the high bits, depth bits per axis
+    for depth in np.unique(depths).tolist():
+        rows = np.flatnonzero(depths == depth)
+        want = [functools.reduce(lambda key, i: key << depth | i, row, 0) for row in idx[rows].tolist()]
+        assert boxtree._pack(tree.live_arrays()[2][rows], depth).tolist() == want
+    # the mirror of each leaf, found through the address index
+    _, mirror = tree.conjugate_rows()
+    flipped = [(d, tuple((1 << d) - 1 - i if k in model.conjugation_axes else i for k, i in enumerate(row)))
+               for d, row in zip(depths.tolist(), idx.tolist())]
+    assert [cells[r] for r in mirror.tolist()] == flipped
+
+    tree.subdivide(lambda lid: leaf_address(tree, lid)[0] < cap)
+    check_dtypes()
+    offsets = list(itertools.product((0, 1), repeat=model.naxes))
+    want = {(d, i) for d, i in cells if d == cap}
+    want |= {(d + 1, tuple(2 * a + b for a, b in zip(i, o))) for d, i in cells if d < cap for o in offsets}
+    assert {leaf_address(tree, lid) for lid in live_ids(tree)} == want
+    tree.prune_escaping(2)
+    check_dtypes()
+    assert 0 < tree.leaf_count < len(want)
+    tree.remove_leaves(tree.leaf_ids[::3])
+    check_dtypes()
+    again = BoxTree.restore(model, tree.address_table(tree.leaf_ids))
+    for a, b in zip(again.live_arrays()[1:], tree.live_arrays()[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_restore_names_the_smallest_clashing_pair():

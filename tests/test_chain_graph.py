@@ -3,6 +3,7 @@ transitive-closure oracle, recurrent-model extraction, classification."""
 
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -329,6 +330,42 @@ def test_outputs_do_not_depend_on_the_piece_size(make, depth, grow, monkeypatch,
         a, b = getattr(graph0, field), getattr(graph1, field)
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert bytes1 == bytes0
+
+
+def test_edge_build_drops_each_piece_as_it_joins(monkeypatch):
+    """The edge build copies each lookup piece into the graph's table and
+    drops it, handing the memory back, before it copies the next: at each
+    hand-back the pieces joined so far are gone and the others are held,
+    so the pieces and the table are never both resident in full.  The
+    graph shares the tree's id array, which a restriction replaces and
+    leaves as it is."""
+    model = quad_c0()
+    tree = grown_tree(model, 5)
+    monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", 7)
+    pieces = []
+    lookup = BoxTree.lookup_pieces
+
+    def recording(self, rows, image):
+        for counts, dst in lookup(self, rows, image):
+            pieces.append(weakref.ref(dst))
+            yield counts, dst
+
+    monkeypatch.setattr(BoxTree, "lookup_pieces", recording)
+    gone = []
+    monkeypatch.setattr(chain_graph, "give_back", lambda: gone.append([p() is None for p in pieces]))
+    graph = build_edges(tree, model, tree.epsilon_min() / 1000.0)
+    assert len(pieces) > 10 and gone
+    for joined in gone:
+        assert joined == sorted(joined, reverse=True), "a piece was dropped before an earlier one"
+    counts = [sum(joined) for joined in gone]
+    assert counts[-1] == len(pieces)
+    assert all(0 <= b - a <= 1 for a, b in zip([0] + counts, counts)), counts
+
+    ids = graph.vertex_ids
+    assert ids is tree.leaf_ids
+    before = ids.copy()
+    tree.remove_leaves(ids[::2])
+    assert tree.leaf_ids is not ids and np.array_equal(ids, before)
 
 
 def test_edges_rows_sorted_and_unique():
