@@ -113,9 +113,7 @@ class BoxTree:
     def _set(self, ids, depths, idx, next_id: int, mirror=None) -> None:
         """Replace the live leaves (ids ascending); drop the derived arrays.
         ``mirror`` is the new leaves' mirror table, where the caller
-        derived it from the old one (see ``conjugate_rows``).  The arrays
-        are replaced, never written in place: a graph keeps the ids of
-        the tree it was built on (``leaf_ids``)."""
+        derived it from the old one (see ``conjugate_rows``)."""
         self._ids, self._depths, self._idx = ids, depths, idx
         self._next_id = next_id
         self._index = None
@@ -168,10 +166,7 @@ class BoxTree:
         rows = np.searchsorted(self._ids, lids)
         if not np.array_equal(self._ids[np.minimum(rows, len(self._ids) - 1)], lids):
             raise UsageError("not every id is a live leaf")
-        table = np.empty((len(rows), 1 + self.naxes), dtype=np.int64)
-        table[:, 0] = self._depths[rows]
-        table[:, 1:] = self._idx[rows]
-        return table
+        return np.column_stack([self._depths[rows].astype(np.int64), self._idx[rows]])
 
     def addresses(self) -> set:
         return set(zip(self._depths.tolist(), map(tuple, self._idx.tolist())))
@@ -490,7 +485,7 @@ class BoxTree:
         search each in the ascending live ids."""
         ids = np.asarray(ids, dtype=np.int64).ravel()
         keep = np.ones(len(self._ids), dtype=bool)
-        if len(ids) and len(keep):
+        if len(keep):
             rows = np.searchsorted(self._ids, ids)
             keep[rows[self._ids.take(rows, mode="clip") == ids]] = False
         return self._keep(keep)
