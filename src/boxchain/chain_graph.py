@@ -39,35 +39,37 @@ only one leaf of each pair, the one in the smaller row, is imaged and
 looked up.  The grid is σ-symmetric and the interval images commute
 with σ bit for bit, so k -> j is an edge iff σk -> σj is.  The graph
 stores only the computed rows' out-edges, sorted by (src, dst), with
-the mirror table; it answers for the whole graph Υ through σ
-(``n_edges``, ``has_edge``, ``out_neighbors``, ``edge_rows``).
+the mirror table, and each mirrored row's table entry is its mirror
+(see below); it answers for the whole graph Υ through σ (``n_edges``,
+``has_edge``, ``out_neighbors``, ``edge_rows``).
 
-The strong components of a mirrored graph come from its quotient Q by
-σ.  A vertex of Q is a pair {k, σk}; each stored edge k -> j gives the
-edge [k] -> [j] with a parity bit, set when j is a mirrored row.  A
-vertex lies on a cycle of Υ iff its pair lies on a cycle of Q, and a
-strong component S of Q lifts to one σ-invariant component of 2|S|
-boxes when some closed walk in S has odd parity, else to two mirrored
-components of |S| boxes each (the covering graph of a Z/2 voltage
-graph).  The parity is read off a labelling: a breadth-first search
-from a virtual root joined to each component's smallest pair gives
-every pair the parity of its tree path, and S is odd iff one of its
-edges breaks that labelling.  A row with edges to both j and σj gives
-[j] twice, once of each parity: the two are merged in place (scipy's
-``sum_duplicates`` on int8 codes, 1 even, 2 odd, 3 both), since scipy's
-strong components must not get a repeated edge, and an edge of code 3
-within a component closes an odd walk.
+The strong components of a mirrored graph come from the graph H that
+its own table holds: the stored edges on all n rows, and one edge
+σk -> k out of each mirrored row σk, the row's single table entry.  H
+repeats no edge, and a stored row's strong component in H is its
+pair's component in the quotient Q by σ: a path k -> σj -> j of H is
+Q's edge [k] -> [j] of parity 1, an edge k -> j with j stored the edge
+of parity 0.  A vertex lies on a cycle of Υ iff its pair lies on a
+cycle of Q, and a strong component S of Q lifts to one σ-invariant
+component of 2|S| boxes when some closed walk in S has odd parity,
+else to two mirrored components of |S| boxes each (the covering graph
+of a Z/2 voltage graph).  The parity is read off a labelling: a
+breadth-first search of H from each kept component's smallest row,
+along the edges within a component, gives every row the parity of the
+σ entries on its tree path, and S is odd iff one of its edges breaks
+that labelling.
 
 Beyond the stored graph, the edge build holds the pieces' edges, one
 int32 per stored edge, until the last piece is in.  The join then
-copies each piece into the graph's table and drops it, handing its
-memory back (``give_back``), so the pieces left and the part of the
+writes each piece into the span of its rows and drops it, handing
+its memory back (``give_back``), so the pieces left and the part of the
 table written so far are resident, not both in full: about one int32
 per stored edge in all.  (tracemalloc counts the table in full when it
-is allocated and traces two.)  The strong components hold five bytes
-per stored edge (the quotient's dst pairs and codes); every other pass
-over the edges (self-edges, the parity labelling, the restriction's
-counts and tables) holds the temporaries of a block of rows.
+is allocated and traces two.)  The strong components hold per-vertex
+arrays and the edges out of one block of a search level, which the
+search also tests against the labels; every other pass over the edges
+(self-edges, the restriction's counts and tables) holds the
+temporaries of a block of rows.
 
 SCC labeling is delegated to scipy's compiled strong-components routine
 (a standard algorithm, not part of this package's contribution) and is
@@ -89,7 +91,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .errors import check_memory_budget, give_back
 from .ia import UsageError, _down_arr, _up_arr
@@ -117,8 +119,9 @@ class ChainGraph:
     """Directed graph on live leaf boxes (CSR out-adjacency).
 
     With ``mirror`` (the row of each vertex's mirror under σ), the CSR
-    holds only the out-edges of the rows below their mirror's row; the
-    other rows' edges are their mirrors (see the module docstring)."""
+    holds the out-edges of the rows below their mirror's row, and each
+    other row holds one entry, its mirror: the edges of those rows are
+    the mirrors of stored ones (see the module docstring)."""
 
     tree: BoxTree
     vertex_ids: np.ndarray  # leaf ids, ascending
@@ -135,7 +138,10 @@ class ChainGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.indices) * (1 if self.mirror is None else 2)
+        if self.mirror is None:
+            return len(self.indices)
+        # each stored edge and its mirror; each mirrored row's one entry is not an edge
+        return 2 * len(self.indices) - self.n_vertices
 
     def _mirrored(self, row: int) -> bool:
         """Whether ``row``'s out-edges are the mirrors of stored ones."""
@@ -164,10 +170,7 @@ class ChainGraph:
         counts = indptr[stored + 1] - indptr[stored]
         for start, stop in _blocks(np.cumsum(counts)):
             lens = counts[start:stop]
-            total = int(lens.sum())
-            # the positions of the stored edges, row after row
-            at = np.repeat(indptr[stored[start:stop]] - (np.cumsum(lens) - lens), lens)
-            at += np.arange(total)
+            at = _positions(indptr, stored[start:stop], lens)
             dst = indices[at]
             del at
             src = rows[start:stop]
@@ -200,6 +203,14 @@ class ChainGraph:
         if k >= len(self.vertex_ids) or self.vertex_ids[k] != leaf_id:
             raise UsageError(f"leaf {leaf_id} is not a graph vertex")
         return k
+
+
+def _positions(indptr, rows, lens):
+    """Table positions of the first ``lens`` entries of each of ``rows``,
+    row after row (int64)."""
+    at = np.repeat(indptr[rows] - (np.cumsum(lens) - lens), lens)
+    at += np.arange(len(at))
+    return at
 
 
 def _csr(keys, n: int):
@@ -241,15 +252,16 @@ def build_edges(
     lookup; each piece returns its edges sorted, as a count per image
     and the dst rows (int32), so the build only joins them: no key array
     and no sort of the whole graph.  Once the last piece is in, the
-    int32 table of all the edges is allocated, and each piece is copied
-    into it, dropped and handed back (``give_back``) before the next, so
-    the pieces and the table are never both resident in full.  The
-    graph's vertex ids are ``tree.leaf_ids`` itself, which the tree
-    replaces, never writes, when its leaves change.  On a mirrored tree
-    the graph stores the edges of one leaf of each pair (see the module
-    docstring).  Checks the process's peak RSS against
-    ``mem_budget_mb`` on entry and after each lookup piece it consumes
-    (``check_memory_budget``).
+    int32 table of all the edges is allocated, and each piece is written
+    into the span of its rows, around the mirrored rows' entries,
+    dropped and handed back (``give_back``) before the next, so the
+    pieces and the table are never both resident in full.  The graph's vertex ids are
+    ``tree.leaf_ids`` itself, which the tree replaces, never writes,
+    when its leaves change.  On a mirrored tree the graph stores the
+    edges of one leaf of each pair, and the other leaf's one entry is
+    its mirror (see the module docstring).  Checks the process's peak
+    RSS against ``mem_budget_mb`` on entry and after each lookup piece
+    it consumes (``check_memory_budget``).
     """
     if tree.leaf_count < 1:
         raise UsageError("tree has no live leaves")
@@ -262,30 +274,43 @@ def build_edges(
     # k -> j is an edge iff its mirror is: image and look up one of each
     # pair, and store only those rows' edges
     rows, mirror = tree.conjugate_rows()
+    # each mirrored row σk holds one entry, its mirror: H's edge σk -> k
+    sigma = np.empty(0, dtype=np.int64) if mirror is None else np.flatnonzero(mirror < np.arange(n))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    parts = []  # each piece's dst rows, in (src, dst) order
+    parts = []  # each piece's rows and their dst rows, in (src, dst) order
     done = stored = 0
     pieces = tree.lookup_pieces(rows, lambda piece: widened_images(tree, model, delta, piece))
     for counts, dst in pieces:
         # the lookup numbers the imaged rows 0, 1, ...: without a mirror,
         # those are all the rows, in order
-        indptr[1 + rows[done : done + len(counts)]] = counts
+        piece = rows[done : done + len(counts)]
+        indptr[1 + piece] = counts
         done += len(counts)
         stored += len(dst)
-        parts.append(dst)
+        parts.append((piece, dst))
         del dst  # the join drops each piece: hold it nowhere else
         check(stored * (1 if mirror is None else 2))
+    indptr[1 + sigma] = 1
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
     # handing back after every piece, not every second one, kept
     # cubic11's peak 0.5-2.5 MB lower, for about 0.1 ms a call
-    indices = np.empty(stored, dtype=np.int32)
-    at = 0
     for k in range(len(parts)):
-        part, parts[k] = parts[k], None
-        indices[at : at + len(part)] = part
-        at += len(part)
+        (piece, part), parts[k] = parts[k], None
+        # between the piece's first and last rows lie only its own rows
+        # and mirrored ones: it fills that span of the table but for the
+        # mirrored rows' entries
+        lo, hi = indptr[piece[0]], indptr[piece[-1] + 1]
+        between = sigma[np.searchsorted(sigma, piece[0]) : np.searchsorted(sigma, piece[-1])]
+        mine = np.ones(hi - lo, dtype=bool)
+        mine[indptr[between] - lo] = False
+        indices[lo:hi][mine] = part
         del part
         give_back()
-    np.cumsum(indptr, out=indptr)
+    if mirror is not None:
+        # written before the pieces, these entries would page the whole
+        # table in while every piece is still held
+        indices[indptr[sigma]] = mirror[sigma]
     return ChainGraph(
         tree=tree,
         vertex_ids=tree.leaf_ids,
@@ -325,14 +350,15 @@ def scc_decompose(graph: ChainGraph) -> SccLabeling:
 
     A singleton component counts only with a self-edge; everything else
     is unlabeled (-1).  Deterministic for a given graph.  A mirrored
-    graph's components are lifted from those of its quotient by σ.
+    graph's table is the graph H of the module docstring: its components
+    are lifted from H's, with the parity of their closed walks.
     """
     n = graph.n_vertices
     if n == 0:
         return SccLabeling(comp=np.empty(0, dtype=np.int64), sizes=())
-    if graph.mirror is not None:
-        return _canonical(_lifted_components(graph))
     raw, kept = _strong_components(graph.indptr, graph.indices, n)
+    if graph.mirror is not None:
+        return _canonical(_lifted_components(graph, raw, kept))
     return _canonical(np.where(kept[raw], raw, -1))
 
 
@@ -340,13 +366,14 @@ def _strong_components(indptr, indices, n: int):
     """(component per vertex, whether each component lies on a cycle:
     two vertices or more, or a self-edge) of a CSR graph, by scipy.
 
-    The graph must not repeat an edge.  scipy's strong components take
-    float64 weights as they are, unread, with no copy of the graph, but
-    then do not merge repeated edges, and on small random digraphs with
-    one repeated edge they did not finish within a minute (scipy
-    1.17.1); rows with unsorted columns and no repeats gave the right
-    components.  Other weight types cost a float64 copy of the graph
-    and a sort of every row."""
+    The graph must not repeat an edge; a mirrored graph's table, with
+    its one σ entry per mirrored row, repeats none.  scipy's strong
+    components take float64 weights as they are, unread, with no copy
+    of the graph, but then do not merge repeated edges, and on small
+    random digraphs with one repeated edge they did not finish within a
+    minute (scipy 1.17.1); rows with unsorted columns and no repeats
+    gave the right components.  Other weight types cost a float64 copy
+    of the graph and a sort of every row."""
     weights = np.broadcast_to(1.0, len(indices))
     mat = csr_matrix((weights, indices, indptr), shape=(n, n))
     _, raw = connected_components(mat, directed=True, connection="strong")
@@ -379,100 +406,63 @@ def _row_blocks(indptr):
         yield slice(int(indptr[start]), int(indptr[stop])), src
 
 
-def _lifted_components(graph: ChainGraph) -> np.ndarray:
+def _lifted_components(graph: ChainGraph, raw, kept) -> np.ndarray:
     """Raw component ids per vertex (-1: on no cycle) of a mirrored
-    graph, from the strong components of its quotient by σ and the
-    parity of their closed walks (see the module docstring)."""
+    graph, from the strong components ``raw`` of its table H, ``kept``
+    those on a cycle, and the parity of their closed walks (see the
+    module docstring)."""
     n, mirror = graph.n_vertices, graph.mirror
-    computed = np.arange(n) < mirror  # the rows whose edges are stored
-    rows = np.flatnonzero(computed)
-    m = len(rows)  # quotient vertex p is the pair {rows[p], mirror[rows[p]]}
-    pair = np.cumsum(computed, dtype=np.int32) - 1
-    pair = pair[np.minimum(np.arange(n), mirror)]
-    # per stored edge k -> j, the quotient edge [k] -> [j] with its code:
-    # 1 when j is a computed row (even), 2 when it is mirrored (odd);
-    # dst keeps room for the edges the parity search adds
-    # (indexing, not np.take, which copies int32 indices to int64)
-    nnz = len(graph.indices)
-    dst = np.empty(nnz + m, dtype=np.int32)
-    for start in range(0, nnz, _BLOCK_EDGES):
-        part = graph.indices[start : start + _BLOCK_EDGES]
-        dst[start : start + len(part)] = pair[part]
-    code = np.where(computed, 1, 2).astype(np.int8)[graph.indices]
-    # the rows between the computed ones store no edges
-    indptr = np.append(graph.indptr[rows], graph.indptr[-1])
-    # a row with edges to both j and σj repeats [j]: scipy sorts the rows
-    # and adds the codes in place, so that edge gets code 3
-    quotient = csr_matrix((code, dst[:nnz], indptr), shape=(m, m))
-    quotient.sum_duplicates()
-    indptr, code = quotient.indptr, quotient.data
-    if not np.shares_memory(quotient.indices, dst):  # scipy copied a short array
-        dst[: quotient.nnz] = quotient.indices
-    del quotient
-    raw, kept = _strong_components(indptr, dst[: len(code)], m)
-    label, odd_comp = _parity_labelling(indptr, dst, code, raw, kept)
+    stored = np.minimum(np.arange(n), mirror)  # the stored row of each row's pair
+    label, odd_comp = _parity_labelling(graph.indptr, graph.indices, mirror, raw, kept)
     # lift: an even component's vertex (p, side) lies in its sheet
     # side ^ label[p]; an odd component is one σ-invariant component
-    comp = raw[pair].astype(np.int64)
-    sheet = ~computed ^ label[pair]
+    comp = raw[stored].astype(np.int64)
+    sheet = stored != np.arange(n)
+    sheet ^= label[stored]
     sheet[odd_comp[comp]] = False
     lifted = 2 * comp + sheet
     lifted[~kept[comp]] = -1
     return lifted
 
 
-def _parity_labelling(indptr, dst, code, raw, kept):
-    """(label per vertex, odd per component) of the quotient graph with
-    the CSR table (``indptr``, ``dst``) and edge codes ``code`` (1 even,
-    2 odd, 3 both); ``raw`` is the component of each vertex and ``kept``
-    whether a component lies on a cycle.  A vertex's label is the
-    parity of its path on a breadth-first tree of the edges within its
-    component from the component's smallest vertex; a component is odd
-    when one of its edges breaks the labels or has code 3.
-
-    ``dst`` is overwritten: its edges that leave their component lead
-    to a dead end, and the edges of a virtual root follow the others
-    (it holds at least ``len(raw)`` entries beyond the edges)."""
-    m, nnz = len(raw), len(code)
-    dead_end = m + 1
+def _parity_labelling(indptr, indices, mirror, raw, kept):
+    """(label per vertex, odd per component) of a mirrored graph's table
+    H (``indptr``, ``indices``), whose σ entries, the one entry of each
+    row above its ``mirror``, have parity 1 and every other edge parity
+    0; ``raw`` is the component of each vertex and ``kept`` whether a
+    component lies on a cycle.  A vertex's label is the parity of its
+    path on a breadth-first tree of the edges within its component from
+    the component's smallest vertex; a component is odd when one of its
+    edges breaks the labels.  The search runs one level at a time and
+    reads each level's edges a block at a time from the table, which it
+    does not write.  Each vertex of a kept component is expanded once,
+    so each edge within a component is tested once, in the block that
+    reads it, where both its ends have their labels."""
+    n = len(raw)
+    sigma = mirror < np.arange(n)  # the rows whose one entry has parity 1
+    label = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     odd_comp = np.zeros(len(kept), dtype=bool)
-    for edges, src in _row_blocks(indptr):
-        to = dst[edges]
-        comp = raw[src]
-        inner = comp == raw[to]  # both ends in one component, a kept one
-        # an edge to both j and σj within a component closes an odd walk
-        odd_comp[comp[inner & (code[edges] == 3)]] = True
-        to[~inner] = dead_end
-    # the tree grows from a virtual root m joined to each component's
-    # smallest vertex
-    starts = np.unique(raw, return_index=True)[1][kept]
-    end = nnz + len(starts)
-    dst[nnz:end] = starts
-    tree_ptr = np.append(indptr, [end, end])
-    # scipy takes float64 weights as they are, unread, with no copy
-    weights = np.broadcast_to(1.0, end)
-    bfs = csr_matrix((weights, dst[:end], tree_ptr), shape=(m + 2, m + 2))
-    _, up = breadth_first_order(bfs, m, directed=True, return_predecessors=True)
-    del bfs
-    # each tree edge gives its own parity (a code-3 edge either: its
-    # component is odd whatever the labels), and pointer doubling sums
-    # them up to the root
-    label = np.zeros(m + 2, dtype=bool)
-    for edges, src in _row_blocks(indptr):
-        to = dst[edges]
-        on_tree = up[to] == src
-        label[to[on_tree]] = code[edges][on_tree] == 2
-    up[up < 0] = m  # the root, the dead end and the vertices outside every kept component
-    while (up != m).any():
-        label ^= label[up]
-        up = up[up]
-    for edges, src in _row_blocks(indptr):
-        to = dst[edges]
-        broken = label[src] ^ label[to]
-        broken ^= code[edges] == 2
-        broken &= to != dead_end
-        odd_comp[raw[src[broken]]] = True
-    return label[:m], odd_comp
+    level = np.unique(raw, return_index=True)[1][kept]
+    seen[level] = True
+    following = np.zeros(n, dtype=bool)  # the next level
+    while len(level):
+        lens = indptr[level + 1] - indptr[level]
+        for start, stop in _blocks(np.cumsum(lens)):
+            src = np.repeat(level[start:stop], lens[start:stop])
+            dst = indices[_positions(indptr, level[start:stop], lens[start:stop])]
+            inner = raw[dst] == raw[src]  # only the edges within a component
+            src, dst = src[inner], dst[inner]
+            new = ~seen[dst]
+            seen[dst] = True
+            following[dst[new]] = True
+            label[dst[new]] = label[src[new]] ^ sigma[src[new]]
+            broken = label[src] ^ label[dst]
+            broken ^= sigma[src]
+            odd_comp[raw[src[broken]]] = True
+        level = np.flatnonzero(following)
+        following[level] = False
+    return label, odd_comp
 
 
 def _canonical(raw: np.ndarray) -> SccLabeling:
@@ -539,8 +529,8 @@ def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> RecurrentModel:
     are counted here and read from ``graph`` (``RecurrentModel.edge_blocks``).
     The tree is left as it is.
     """
-    labels = labeling.comp
-    n_cycle = n_both = 0  # stored edges within a component; between kept vertices
+    labels, mirror = labeling.comp, graph.mirror
+    n_cycle = n_both = 0  # table entries within a component; between kept vertices
     for edges, src in _row_blocks(graph.indptr):
         src_comp, dst_comp = labels[src], labels[graph.indices[edges]]
         both = src_comp >= 0
@@ -548,7 +538,13 @@ def recurrent_model(graph: ChainGraph, labeling: SccLabeling) -> RecurrentModel:
         n_both += int(np.count_nonzero(both))
         both &= src_comp == dst_comp
         n_cycle += int(np.count_nonzero(both))
-    per_stored = 1 if graph.mirror is None else 2  # each stored edge and its mirror
+    if mirror is not None:  # a mirrored row's one entry, its mirror, is not an edge
+        sigma = np.flatnonzero(mirror < np.arange(len(mirror)))
+        src_comp, dst_comp = labels[sigma], labels[mirror[sigma]]
+        both = (src_comp >= 0) & (dst_comp >= 0)
+        n_both -= int(np.count_nonzero(both))
+        n_cycle -= int(np.count_nonzero(both & (src_comp == dst_comp)))
+    per_stored = 1 if mirror is None else 2  # each stored edge and its mirror
     keep_rows = np.flatnonzero(labels >= 0)
     return RecurrentModel(
         graph=graph,

@@ -199,11 +199,40 @@ def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkey
     assert len(half.tree.depth_counts()) == steps + 1
     for a, b in zip(kept, kept_full, strict=True):
         np.testing.assert_array_equal(a, b)
-    # the mirrored graph stores half of the edges and answers for all
+    # the mirrored graph stores half of the edges, one entry per mirrored
+    # row, and answers for all
     assert half.mirror is not None and whole.mirror is None
-    assert 2 * len(half.indices) == half.n_edges == whole.n_edges
+    assert 2 * len(half.indices) - half.n_vertices == half.n_edges == whole.n_edges
     for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "make,depth,steps",
+    [
+        pytest.param(altper2, 3, 2, id="altper2"),
+        pytest.param(per31, 3, 2, id="per31"),
+        pytest.param(quad_c0, 5, 1, id="circle"),
+    ],
+)
+def test_mirrored_rows_hold_their_mirror_alone(make, depth, steps, monkeypatch):
+    """Each mirrored row's span of the table is [mirror[row]]; the
+    edges and counts read from the table, Γ's included, are the full
+    graph's."""
+    model = make()
+    half = build_edges(sink_tree(model, depth, steps), model, 1e-3)
+    monkeypatch.setattr(MapModel, "conjugation_axes", property(lambda self: ()))
+    whole = build_edges(sink_tree(model, depth, steps), model, 1e-3)
+    mirror = half.mirror
+    assert mirror is not None and whole.mirror is None
+    for row in np.flatnonzero(mirror < np.arange(half.n_vertices)):
+        assert half.indices[half.indptr[row] : half.indptr[row + 1]].tolist() == [mirror[row]]
+    assert half.n_edges == whole.n_edges
+    for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    (got, want) = (recurrent_model(g, scc_decompose(g)) for g in (half, whole))
+    assert (got.n_edges, got.n_cross_edges) == (want.n_edges, want.n_cross_edges)
+    assert want.n_edges > 0
 
 
 @pytest.mark.parametrize(
@@ -579,12 +608,17 @@ def random_mirrored_adjacency(rng, half):
 
 def mirrored_twin(full, mirror):
     """``full`` stored as a mirrored graph: the out-edges of the rows
-    below their mirror's row, and the mirror table."""
+    below their mirror's row, one entry σk -> k out of each other row
+    σk, and the mirror table."""
     src, dst = full.edge_rows()
     stored = src < mirror[src]
+    sigma = np.flatnonzero(mirror < np.arange(len(mirror)))
+    src = np.concatenate([src[stored], sigma])
+    dst = np.concatenate([dst[stored], mirror[sigma]])
+    order = np.lexsort((dst, src))
     return graph_from_pairs(
-        src[stored],
-        dst[stored],
+        src[order],
+        dst[order],
         full.vertex_ids,
         tree=full.tree,
         delta=full.delta,
@@ -605,32 +639,55 @@ def invariant_components(labeling, mirror) -> np.ndarray:
     return np.array([(comp[mirror[comp == c]] == c).all() for c in range(labeling.n_components)], dtype=bool)
 
 
+def assert_lift_equals_scc(adj, mirror, rng):
+    """The components lifted from the mirrored twin of the graph ``adj``
+    equal the whole graph's strong components, labels and sizes; the
+    twin answers every edge query as the whole graph does.  Returns the
+    whole graph's labeling."""
+    full = graph_from_adjacency(adj)
+    half = mirrored_twin(full, mirror)
+    n = full.n_vertices
+    want = scc_decompose(full)
+    assert_same_labeling(scc_decompose(half), want)
+    assert half.n_edges == full.n_edges == 2 * len(half.indices) - n
+    for a, b in zip(half.edge_rows(), full.edge_rows()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for u in range(n):
+        assert np.array_equal(half.out_neighbors(u), full.out_neighbors(u))
+    for u, v in rng.integers(n, size=(20, 2)):
+        assert half.has_edge(u, v) == full.has_edge(u, v)
+    return want
+
+
 def test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs():
     """The components lifted from the quotient by σ equal the strong
-    components of the whole graph, labels and sizes; the mirrored graph
-    answers every edge query as the whole graph does."""
+    components of the whole graph on random σ-symmetric digraphs."""
     rng = np.random.default_rng(21)
     seen = {"odd": 0, "mirrored cycle": 0, "loop": 0, "odd 2-cycle": 0}
     for _ in range(300):
         adj, mirror = random_mirrored_adjacency(rng, int(rng.integers(1, 25)))
-        full = graph_from_adjacency(adj)
-        half = mirrored_twin(full, mirror)
-        want = scc_decompose(full)
-        assert_same_labeling(scc_decompose(half), want)
-        assert half.n_edges == full.n_edges == 2 * len(half.indices)
-        for a, b in zip(half.edge_rows(), full.edge_rows()):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        n = full.n_vertices
-        for u in range(n):
-            assert np.array_equal(half.out_neighbors(u), full.out_neighbors(u))
-        for u, v in rng.integers(n, size=(20, 2)):
-            assert half.has_edge(u, v) == full.has_edge(u, v)
+        want = assert_lift_equals_scc(adj, mirror, rng)
         invariant = invariant_components(want, mirror)
         seen["odd"] += np.count_nonzero(invariant)
         seen["mirrored cycle"] += np.count_nonzero(~invariant & (np.array(want.sizes) >= 2))
         seen["loop"] += sum(u in outs for u, outs in enumerate(adj))
         seen["odd 2-cycle"] += sum(int(mirror[u]) in outs for u, outs in enumerate(adj))
     assert min(seen.values()) > 50, seen
+
+
+def test_lift_of_an_even_cycle_reached_first_from_outside():
+    """Rows k and k + 5 are mirrors.  The self-looped row 0 reaches the
+    even 4-cycle 1 -> 2 -> 3 -> 4 -> 1 through σ4 = 9, so a search that
+    left row 0's component would label row 4 two levels before the
+    cycle's own search from row 1 does, across one σ entry, and find
+    the cycle odd."""
+    mirror = (np.arange(10) + 5) % 10
+    adj = [[] for _ in range(10)]
+    for u, v in [(0, 0), (0, 9), (1, 2), (2, 3), (3, 4), (4, 1)]:
+        adj[u].append(v)
+        adj[mirror[u]].append(int(mirror[v]))
+    want = assert_lift_equals_scc(adj, mirror, np.random.default_rng(0))
+    assert want.sizes == (4, 4, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -690,9 +747,10 @@ def repeated_columns(mat) -> int:
 )
 def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeypatch):
     """scipy's strong components may not finish on a graph that repeats
-    an edge (see ``_strong_components``).  The quotient of a mirrored
-    graph repeats [j] in every row with edges to both j and σj; no
-    matrix that reaches scipy repeats a column within a row."""
+    an edge (see ``_strong_components``).  A mirrored graph has rows
+    with edges to both j and σj, which repeat [j] in its quotient by σ;
+    no matrix that reaches scipy, the mirrored graph's own table among
+    them, repeats a column within a row."""
     seen = []
 
     def checking(mat, *args, **kw):
@@ -720,15 +778,16 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
     assert seen == [0, 0]
 
 
-# The traced bytes each phase may allocate per stored edge, above its
-# inputs; "save" reads Γ's edge blocks and keeps none, as save_model
-# does.  With the lookup's chunks and pieces and the row blocks made
-# small, what is left grows with the edges: the graph itself (4 B per
-# stored edge) and the pieces' edges joined into it (4 B) in the build,
-# the quotient's dst rows and codes (5 B) in the strong components.
-# The per-vertex arrays add about 2 B on the cubic tree, with 10 edges
-# per vertex; the images are made one lookup piece at a time.
-_TRACED_BYTES_PER_EDGE = {"build": 12, "scc": 9, "restrict": 2, "save": 3}
+# The traced bytes each phase may allocate per stored edge (table
+# entry), above its inputs; "save" reads Γ's edge blocks and keeps
+# none, as save_model does.  With the lookup's chunks and pieces and the
+# row blocks made small, what is left grows with the edges: the graph
+# itself (4 B per stored edge) and the pieces' edges joined into it
+# (4 B) in the build.  The strong components read the graph's own table
+# and hold per-vertex arrays: about 1.5 B per table entry on the
+# mirrored per31 tree and 2.8 B on the cubic tree, with 10 edges per
+# vertex; the images are made one lookup piece at a time.
+_TRACED_BYTES_PER_EDGE = {"build": 12, "scc": 3, "restrict": 2, "save": 3}
 
 
 @pytest.mark.parametrize(

@@ -783,7 +783,7 @@ def test_gamma_edge_counts_match_its_edge_blocks(monkeypatch):
     result = run_pipeline(config)
     assert len(graphs) == 4
     for graph in graphs:
-        assert graph.mirror is not None and 2 * len(graph.indices) == graph.n_edges
+        assert graph.mirror is not None and graph.n_edges == len(graph.edge_rows()[0])
     gamma, step = result.gamma, result.record.steps[-1]
     src, _, cross = gamma_edges(gamma)
     assert step.gamma_edges == len(src) == gamma.n_edges
