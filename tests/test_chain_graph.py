@@ -230,7 +230,7 @@ def test_mirrored_rows_hold_their_mirror_alone(make, depth, steps, monkeypatch):
     assert half.n_edges == whole.n_edges
     for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    (got, want) = (recurrent_model(g, scc_decompose(g)) for g in (half, whole))
+    got, want = (recurrent_model(g, scc_decompose(g)) for g in (half, whole))
     assert (got.n_edges, got.n_cross_edges) == (want.n_edges, want.n_cross_edges)
     assert want.n_edges > 0
 
@@ -660,8 +660,8 @@ def assert_lift_equals_scc(adj, mirror, rng):
 
 
 def test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs():
-    """The components lifted from the quotient by σ equal the strong
-    components of the whole graph on random σ-symmetric digraphs."""
+    """The lifted components equal the strong components of the whole
+    graph on random σ-symmetric digraphs."""
     rng = np.random.default_rng(21)
     seen = {"odd": 0, "mirrored cycle": 0, "loop": 0, "odd 2-cycle": 0}
     for _ in range(300):
