@@ -75,7 +75,7 @@ _KEY_END = np.iinfo(np.int64).max  # ends the address index's key arrays
 # grid cells covered by the runs of one lookup chunk: a chunk's arrays
 # are a few int64s per run and per match, and a run matches at most its cells
 _CHUNK_CANDIDATES = 1 << 17
-_LOOKUP_PIECE = 1 << 12  # query rows per piece of ``lookup_pieces``
+_LOOKUP_PIECE = 1 << 12  # query rows per piece of ``lookup_pieces`` and of the tiling check
 _PRUNE_PIECE = 1 << 15  # rows per piece of escape pruning
 _BLOWUP_FACTOR = 8.0  # escape pruning keeps a leaf whose iterate is wider than this * R'
 _SINK_ITERATES = 12  # orbit length of the sink-basin selector
@@ -495,7 +495,9 @@ class BoxTree:
         """Rebuild a tree from persisted leaf addresses, integer rows
         (depth, i_0, ..., i_{k-1}); leaf ids are 0..n-1 in row order.
         Addresses must be distinct, non-nested grid cells inside V0, no
-        deeper than the tree's depth cap."""
+        deeper than the tree's depth cap.  The tiling is checked a piece
+        of rows at a time (``_smallest_clash``), and a clash names the
+        smallest pair of rows."""
         tree = cls(model)
         naxes = tree.naxes
         try:
@@ -520,20 +522,30 @@ class BoxTree:
         tree._set(np.arange(n, dtype=np.int64), depths.astype(np.int8), idx.astype(np.int32), n)
         del table
         depths, idx = tree._depths, tree._idx  # checked above: they fit
-        # leaves tile: a leaf's centre lies inside no other leaf
-        _, _, _, lo, hi = tree.live_arrays()
-        centre = 0.5 * (lo + hi)
-        query, leaf = tree.meeting(centre, centre)
-        clash = query != leaf
-        if clash.any():
-            # name the smallest clashing (row, row) pair, whatever the lookup's order
-            first = np.minimum(query, leaf)[clash]
-            second = np.maximum(query, leaf)[clash]
-            k = np.lexsort((second, first))[0]
-            a, b = int(first[k]), int(second[k])
+        clash = _smallest_clash(tree)
+        if clash is not None:
+            a, b = clash
             what = "duplicate" if depths[a] == depths[b] else "nested"
             raise UsageError(f"{what} addresses {describe(a)} and {describe(b)}")
         return tree
+
+
+def _smallest_clash(tree: BoxTree):
+    """The smallest (row, row) pair of distinct live leaves one of which
+    holds the other's centre, or None: the leaves tile when none does.
+    Rows must be ids.  The centres are looked up _LOOKUP_PIECE rows at
+    a time, and a pair may be found from either of its rows' pieces."""
+    n = tree.leaf_count
+    smallest = n * n  # above the key a * n + b of every pair (a, b)
+    for start in range(0, n, _LOOKUP_PIECE):
+        lo, hi = tree.leaf_bounds(slice(start, start + _LOOKUP_PIECE))
+        centre = 0.5 * (lo + hi)
+        query, leaf = tree.meeting(centre, centre)
+        query += start
+        clash = query != leaf
+        key = np.minimum(query, leaf)[clash] * n + np.maximum(query, leaf)[clash]
+        smallest = min(smallest, int(key.min(initial=smallest)))
+    return divmod(smallest, n) if smallest < n * n else None
 
 
 def _pack(idx: np.ndarray, depth: int) -> np.ndarray:

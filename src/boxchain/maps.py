@@ -276,7 +276,9 @@ class MapModel:
 
     # -- interval extension F (one formula, scalar or array coordinates) -----
 
+    @functools.cached_property
     def _three_a_sq(self) -> ComplexInterval:
+        """3a^2 of the cubic, evaluated once per model."""
         asq = self.a_iv.square()
         three = Interval(3.0, 3.0)
         return ComplexInterval(asq.re.mul(three), asq.im.mul(three))
@@ -292,7 +294,7 @@ class MapModel:
         if self.kind == "quad_poly":
             return (z.square().add(self.c_iv),)
         # cubic, Horner form (z^2 - 3a^2) z + c
-        return (z.square().sub(self._three_a_sq()).mul(z).add(self.c_iv),)
+        return (z.square().sub(self._three_a_sq).mul(z).add(self.c_iv),)
 
     def interval_backward(self, coords) -> tuple:
         if not self.is_henon:

@@ -14,13 +14,14 @@ parameters as decimal strings, the grid/accuracy constants), the boxes
 as int64 rows (depth, grid indices, component id), and optionally the
 cycle edges and the flagged cross-component edges as k x 2 tables of
 box rows.  The file is line-oriented text: a one-line header, then
-``B ...``, ``E u v`` and ``X u v`` records.  The reader decodes the
-tables, and one rebuild checks them and constructs the tree and graph.
+``B ...``, ``E u v`` and ``X u v`` records.  The loader reads them a
+piece of lines at a time, and one rebuild checks and builds the model.
 Serialization is canonical, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -258,11 +259,8 @@ def run_pipeline(
         for index, mode in enumerate(config.schedule, start=1):
             graph = labeling = gamma = None  # the previous step's graphs are not read again
             t0 = time.perf_counter()
-            if mode == "sink_basin":
-                selector = sink_basin_selector(tree)
-            else:
-                selector = lambda lid: True
-            tree.subdivide(selector)
+            # the selector and its sink-basin set live only through the subdivision
+            tree.subdivide(sink_basin_selector(tree) if mode == "sink_basin" else lambda lid: True)
             check_memory_budget(config.mem_budget_mb, f"after step {index}'s subdivision")
             n_original = tree.leaf_count
             say(f"step {index} ({mode}): {n_original} boxes after subdivision")
@@ -347,7 +345,8 @@ _FORMAT = "boxchain-model"
 _VERSION = 1
 _REQUIRED = ("kind", "c", "rprime", "delta", "epsilon", "epsilon_min", "boxes")
 _ROWS_PER_WRITE = 1 << 16  # text records formatted per write
-_PIECE_BYTES = 1 << 20  # text body bytes parsed at a time (whole lines)
+_PIECE_BYTES = 1 << 20  # text bytes read and parsed at a time (whole lines)
+_KEYS_PER_CHECK = 1 << 17  # edge keys whose components are checked at a time
 
 
 def save_model(path, model: MapModel, gamma: RecurrentModel, include_edges: bool = False) -> None:
@@ -386,6 +385,7 @@ def save_model(path, model: MapModel, gamma: RecurrentModel, include_edges: bool
                 _write_records(fh, "E", np.column_stack([src, dst]))
                 cross.append(block_cross)
         _write_records(fh, "X", np.concatenate(cross))
+    give_back()  # the blocks' text and tables, freed: a render may follow
 
 
 def _write_records(fh, tag: str, table) -> None:
@@ -428,27 +428,35 @@ def _record_lines(tag: str, table) -> bytes:
 def load_model(path):
     """Load a persisted model: returns (model, tree, gamma).  A file
     that cannot be read is a ParseError, as a malformed one is.  The
-    file's text is dropped once its tables are decoded, before they are
-    checked and rebuilt (``_rebuild``); the memory they held is handed
-    back to the system once the graph is built (``give_back``)."""
+    file is read a piece of whole lines at a time (``_load``), and the
+    memory freed is handed back to the system once the graph is built
+    (``give_back``)."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # a pipe's size is known only once it is read
+            loaded = _load(fh if fh.seekable() else io.BytesIO(fh.read()))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        model, scales, tables = _decode_text(data)
-        del data  # the tables hold copies of the numbers
-        loaded = _rebuild(model, scales, tables)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    give_back()  # the text and the tables, freed: a save or render follows
+    give_back()  # the pieces' text and temporaries, freed: a save or render follows
     return loaded
 
 
-def _parse_header(header: dict):
-    """The map and (delta, epsilon, epsilon_min) of the header fields;
-    ``a`` and ``c`` are "re,im" decimal strings."""
+def _parse_header(line: bytes):
+    """The map, (delta, epsilon, epsilon_min) and B/E/X line counts of
+    the header line; ``a`` and ``c`` are "re,im" decimal strings."""
+    parts = line.decode("utf-8", "replace").split()
+    if len(parts) < 2 or parts[0] != _FORMAT:
+        raise ParseError("not a model file (bad magic)")
+    if parts[1] != str(_VERSION):
+        raise ParseError(f"unsupported model format version {parts[1]!r}")
+    header = {}
+    for tok in parts[2:]:
+        key, _, val = tok.partition("=")
+        if not val:
+            raise ParseError(f"malformed header field {tok!r}")
+        header[key] = val
     missing = [key for key in _REQUIRED if key not in header]
     if missing:
         raise ParseError(f"header missing field {missing[0]!r}")
@@ -462,59 +470,87 @@ def _parse_header(header: dict):
             a=header.get("a"),
             r_prime=float(header["rprime"]),
         )
-        return model, tuple(float(header[key]) for key in ("delta", "epsilon", "epsilon_min"))
+        scales = tuple(float(header[key]) for key in ("delta", "epsilon", "epsilon_min"))
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}") from None
-
-
-def _decode_text(data: bytes):
-    cut = re.search(rb"[\r\n]|\Z", data).start()
-    parts = data[:cut].decode("utf-8", "replace").split()
-    if len(parts) < 2 or parts[0] != _FORMAT:
-        raise ParseError("not a model file (bad magic)")
-    if parts[1] != str(_VERSION):
-        raise ParseError(f"unsupported model format version {parts[1]!r}")
-    header = {}
-    for tok in parts[2:]:
-        key, _, val = tok.partition("=")
-        if not val:
-            raise ParseError(f"malformed header field {tok!r}")
-        header[key] = val
-    model, scales = _parse_header(header)
-    tables = _read_records(data, cut, {"B": model.naxes + 2, "E": 2, "X": 2})
     try:
         announced = [int(header.get(key, "0")) for key in ("boxes", "edges", "cross")]
     except ValueError as exc:
         raise ParseError(f"bad header count: {exc}") from None
-    found = [sum(map(len, tables[tag])) for tag in "BEX"]
+    return model, scales, announced
+
+
+def _load(fh):
+    """(model, tree, gamma) of the open model file ``fh``.  Each piece's
+    E and X records are checked against the header's box count and
+    written as keys src * n + dst into one int64 array, the E keys
+    first, then the X keys, each in file order.  A record line takes 6
+    bytes or more, its line break included, so the array is sized by the
+    header's counts but never beyond what the file's body can hold; the
+    lines beyond a tag's share are counted, not stored, and refused with
+    the counts.  The components are checked once every box is read."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    first = fh.read(_PIECE_BYTES) + fh.readline()  # whole lines, as every piece
+    cut = re.search(rb"[\r\n]|\Z", first).start()
+    model, scales, announced = _parse_header(first[:cut])
+    n_edges, n_cross = (max(count, 0) for count in announced[1:])
+    keys = np.empty(min(n_edges + n_cross, (size - cut + 1) // 6), dtype=np.int64)
+    split = min(n_edges, len(keys))
+    share = {"E": (0, split), "X": (split, len(keys))}
+    n = min(max(announced[0], 0), size)  # a false count is refused below, whatever it is
+    found = dict.fromkeys("BEX", 0)
+    widths = {"B": model.naxes + 2, "E": 2, "X": 2}
+    boxes, outside = [np.empty((0, widths["B"]), dtype=np.int64)], {}
+    records = _read_records(fh, widths, first[cut:])
+    del first
+    for tables in records:
+        boxes.append(tables["B"])
+        found["B"] += len(tables["B"])
+        for tag in "EX":
+            table = tables[tag]
+            bad = _any_per_row((table < 0) | (table >= n))
+            if bad.any():
+                outside.setdefault(tag, table[bad][0].tolist())
+            start, stop = share[tag]
+            at = start + found[tag]
+            found[tag] += len(table)
+            table = table[: max(stop - at, 0)]  # lines beyond the share: counted, not stored
+            key = keys[at : at + len(table)]
+            np.multiply(table[:, 0], max(n, 1), out=key)
+            key += table[:, 1]
+    found = [found[tag] for tag in "BEX"]
     if found != announced:
         raise ParseError(f"truncated model: header announces {announced} B/E/X lines, has {found}")
-    return model, scales, tables
+    if len(keys) < n_edges + n_cross:
+        raise ParseError(f"file of {size} bytes changed while read")
+    return _rebuild(model, scales, np.concatenate(boxes), keys, n_edges, outside)
 
 
-def _read_records(data: bytes, offset: int, widths: dict) -> dict:
-    """The record lines ``TAG n_1 ... n_w`` in ``data[offset:]`` as one
-    list of int64 tables per tag, whose rows joined are the tag's lines
+def _read_records(fh, widths: dict, data: bytes = b""):
+    """Yield the record lines ``TAG n_1 ... n_w`` of ``data``, then of
+    the rest of the open file ``fh``, a piece of whole lines at a time:
+    per piece, one int64 table per tag, whose rows are the tag's lines
     in file order; ``widths`` maps each tag to its w.  Fields are
     separated by whitespace (space, tab, CR, LF, VT, FF); blank lines
     are skipped.  A line's first field, its tag, is one byte, one of
     ``widths``' keys; every other field is an optional sign (``+`` or
-    ``-``) then 1 to 18 decimal digits, so within int64.  The body is
-    parsed in pieces of whole lines, which bounds the per-token arrays:
-    each piece is checked in whole-array passes, and only then are its
-    numbers converted, in one call (``_read_piece``).  The pieces'
-    tables are not joined, so the numbers are held once."""
-    tables = {tag: [np.empty((0, width), dtype=np.int64)] for tag, width in widths.items()}
-    while offset < len(data):
-        stop = data.find(b"\n", offset + _PIECE_BYTES) + 1 or len(data)  # past a newline
-        for tag, table in _read_piece(data, offset, stop, widths).items():
-            tables[tag].append(table)
-        offset = stop
-    return tables
+    ``-``) then 1 to 18 decimal digits, so within int64.  A piece ends
+    past the first LF at least ``_PIECE_BYTES`` into it, or at the end
+    of the file, never between CR and LF; the line breaks (LF, CRLF or
+    CR) before it number the lines in its errors.  Each piece is checked
+    in whole-array passes before its numbers are read (``_read_piece``)."""
+    line = 0
+    while data or (data := fh.read(_PIECE_BYTES) + fh.readline()):
+        yield _read_piece(data, widths, line)
+        line += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        if b"\r" in data:
+            line += data.count(b"\r") - data.count(b"\r\n")
+        data = b""
 
 
-def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
-    buf = np.frombuffer(data, dtype=np.uint8, count=stop - offset, offset=offset)
+def _read_piece(data: bytes, widths: dict, line: int) -> dict:
+    buf = np.frombuffer(data, dtype=np.uint8)
     space = buf - 9 < 5  # tab, LF, VT, FF, CR (uint8 wraps below 9)
     space |= buf == ord(" ")
     edge = np.flatnonzero(np.diff(space, prepend=True, append=True))
@@ -534,10 +570,10 @@ def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
 
     def fail(token, message):
         """Raise ``message``, formatted with the token's text."""
-        at = offset + start[token]
-        line = len(re.findall(rb"\r\n?|\n", data[:at])) + 1
-        text = data[at : offset + end[token]].decode("utf-8", "replace")
-        raise ParseError(f"line {line}: " + message.format(text))
+        at = start[token]
+        number = line + len(re.findall(rb"\r\n?|\n", data[:at])) + 1
+        text = data[at : end[token]].decode("utf-8", "replace")
+        raise ParseError(f"line {number}: " + message.format(text))
 
     # every other token is a field: an optional sign, then 1 to 18 digits.
     # A field longer than 18 bytes must be a sign and 18 digits, and a
@@ -589,23 +625,21 @@ def _read_piece(data: bytes, offset: int, stop: int, widths: dict) -> dict:
     return tables
 
 
-def _rebuild(model: MapModel, scales, tables: dict):
-    """Tree and recurrent model of the decoded tables (``B``, ``E`` and
-    ``X``, each a list of pieces), checked for consistency: delta,
-    epsilon and epsilon_min are finite and positive, the boxes tile, the
-    header's box sides bound them, component ids lie in [0, boxes), and
-    the edges join distinct boxes once each, E edges within one
-    component, X edges between two.
-
-    Each table is taken out of ``tables`` and dropped once read.  The
-    edges of both tables become one array of int64 keys src * n + dst,
-    which is sorted in place and turned into the graph's CSR (``_csr``),
-    so beyond the edge tables the edges cost about one key each."""
+def _rebuild(model: MapModel, scales, boxes, keys, n_edges: int, outside: dict):
+    """Tree and recurrent model of the read tables, checked for
+    consistency: delta, epsilon and epsilon_min are finite and positive,
+    the ``boxes`` tile, the header's box sides bound them, component ids
+    lie in [0, boxes), and the edges join distinct boxes once each, E
+    edges within one component, X edges between two.  The edges are
+    ``keys`` src * n + dst, the first ``n_edges`` of them E edges, and
+    ``outside`` holds the first edge of each tag with an end outside
+    the boxes.  The components are checked ``_KEYS_PER_CHECK`` keys at
+    a time; then the keys are sorted in place and turned into the
+    graph's CSR (``_csr``), so the edges cost about one key each."""
     for key, value in zip(("delta", "epsilon", "epsilon_min"), scales):
         if not 0.0 < value < math.inf:
             raise ParseError(f"header {key} {value!r} is not a finite positive number")
     delta, epsilon, epsilon_min = scales
-    boxes = np.concatenate(tables.pop("B"))
     try:
         tree = BoxTree.restore(model, boxes[:, :-1])
     except UsageError as exc:
@@ -621,25 +655,15 @@ def _rebuild(model: MapModel, scales, tables: dict):
     if ((comp < 0) | (comp >= n)).any():
         raise ParseError(f"component id {int(comp[(comp < 0) | (comp >= n)][0])} outside [0, {n})")
     radix = max(n, 1)
-    n_edges, n_cross = (sum(map(len, tables[tag])) for tag in "EX")
-    keys = np.empty(n_edges + n_cross, dtype=np.int64)
-    at = 0
-    for tag, within in (("E", True), ("X", False)):
-        pieces = tables.pop(tag)
-        for table in pieces:  # every edge is inside before any is looked up
-            outside = _any_per_row((table < 0) | (table >= n))
-            if outside.any():
-                raise ParseError(f"{tag} edge {table[outside][0].tolist()} outside [0, {n})")
-        for table in pieces:
-            wrong = (comp[table[:, 0]] == comp[table[:, 1]]) != within
-            if wrong.any():
+    for tag, within, part in (("E", True, keys[:n_edges]), ("X", False, keys[n_edges:])):
+        if tag in outside:
+            raise ParseError(f"{tag} edge {outside[tag]} outside [0, {n})")
+        for first in range(0, len(part), _KEYS_PER_CHECK):
+            src, dst = np.divmod(part[first : first + _KEYS_PER_CHECK], radix)
+            wrong = np.flatnonzero((comp[src] == comp[dst]) != within)
+            if len(wrong):
                 where = "between two components" if within else "within one component"
-                raise ParseError(f"{tag} edge {table[wrong][0].tolist()} lies {where}")
-            key = keys[at : at + len(table)]
-            np.multiply(table[:, 0], radix, out=key)
-            key += table[:, 1]
-            at += len(table)
-        del pieces, table
+                raise ParseError(f"{tag} edge {[int(src[wrong[0]]), int(dst[wrong[0]])]} lies {where}")
     keys.sort()
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if len(repeated):
@@ -663,6 +687,6 @@ def _rebuild(model: MapModel, scales, tables: dict):
         vertex_ids=graph.vertex_ids,
         comp=comp,
         n_edges=n_edges,
-        n_cross_edges=n_cross,
+        n_cross_edges=len(keys) - n_edges,
     )
     return model, tree, gamma

@@ -41,6 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import give_back
 from .ia import UsageError
 from .maps import FixedPointInfo, MapModel, fixed_points, forward_orbits
 from .chain_graph import RecurrentModel, components_at_points
@@ -244,6 +245,7 @@ def _paint(gamma: RecurrentModel, model: MapModel, config: RenderConfig, point) 
             )
             pix[bounded] = np.minimum(pix[bounded], 215) + 40
         pixels[first:stop] = pix.tobytes()
+    give_back()  # the blocks' temporaries, freed: the image's encoding follows
     return Image(res, res, pixels)
 
 

@@ -246,6 +246,14 @@ def test_restore_names_the_smallest_clashing_pair():
         BoxTree.restore(quad_c0(), [[1, 0, 0], [3, 7, 7], [1, 1, 1], [3, 0, 0]])
 
 
+@pytest.mark.parametrize("piece_rows", [1, 2, 3])
+def test_restore_in_pieces_names_the_smallest_clashing_pair(monkeypatch, piece_rows):
+    # the tiling check looks the centres up piece_rows rows at a time: each
+    # pair is found only from its deeper row's piece, (0, 3) from the last
+    monkeypatch.setattr(boxtree, "_LOOKUP_PIECE", piece_rows)
+    test_restore_names_the_smallest_clashing_pair()
+
+
 # ---------------------------------------------------------------------------
 # query_intersect
 # ---------------------------------------------------------------------------

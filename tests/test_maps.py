@@ -2,6 +2,7 @@
 fixed points, sink orbits, escape certificate, and soundness sweeps."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxchain.ia import BoxRegion, ComplexInterval, Interval, UsageError
+from boxchain.ia import BoxRegion, ComplexInterval, Interval, IntervalArray, UsageError
 from boxchain.maps import (
     MapModel,
     batch_backward,
@@ -489,3 +490,31 @@ def test_point_from_axes_is_exactly_complex_of_the_parts(model):
         got = model.point_from_axes(vals)
         assert all(type(z) is complex for z in got)
         assert [parts(z) for z in got] == [parts(z[i]) for z in pts] == [parts(w) for w in want]
+
+
+def test_cubic_three_a_squared_is_evaluated_once_per_model(monkeypatch):
+    calls = []
+    evaluate = MapModel._three_a_sq.func
+
+    def counted(model):
+        calls.append(model)
+        return evaluate(model)
+
+    once = functools.cached_property(counted)
+    once.__set_name__(MapModel, "_three_a_sq")
+    monkeypatch.setattr(MapModel, "_three_a_sq", once)
+    model = MapModel("cubic_poly", c="-0.19,1.1", a="0,0.1", r_prime=2.1)
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-2.0, 2.0, size=(200, 2))
+    hi = lo + rng.uniform(0.0, 0.1, size=lo.shape)
+    images = [batch_forward(model, lo, hi) for _ in range(3)]
+    box = model.box_from_axes([Interval(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist())])
+    model.image(box)
+    assert calls == [model]
+    # the images are bit for bit those of 3a^2 evaluated afresh
+    z = ComplexInterval(IntervalArray(lo[:, 0], hi[:, 0]), IntervalArray(lo[:, 1], hi[:, 1]))
+    asq, three = model.a_iv.square(), Interval(3.0, 3.0)
+    want = z.square().sub(ComplexInterval(asq.re.mul(three), asq.im.mul(three))).mul(z).add(model.c_iv)
+    for flo, fhi in images:
+        assert flo.tobytes() == np.column_stack([want.re.lo, want.im.lo]).tobytes()
+        assert fhi.tobytes() == np.column_stack([want.re.hi, want.im.hi]).tobytes()

@@ -1,49 +1,96 @@
 """Mutants of the rigor guards: each case applies one named mutant of a
-guarded function in-process and runs the guard's check, which must fail.
+guarded function in-process and runs the guard's check, which must fail
+with the exception the case names.
 
 A mutant replaces one snippet of the function's source, compiled in the
 function's own module scope; the modules that bound the function by
 name (its own and the guard's) get the mutant in its place.  A case
 fails when the snippet is gone, so a rewrite of a guarded function must
-bring its mutant along."""
+bring its mutant along.  A guard takes the case's monkeypatch and
+tmp_path fixtures."""
 
 import inspect
 import sys
+import types
 
 import pytest
 
-from boxchain import chain_graph
+from boxchain import boxtree, chain_graph, pipeline
 
+import test_boxtree
 import test_chain_graph as guards
+import test_pipeline
 
 
-def lift_on_tree():
+def lift_on_tree(monkeypatch, tmp_path):
     guards.test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(guards.altper2, 3, 2)
 
 
-def lift_on_random_digraphs():
+def lift_on_random_digraphs(monkeypatch, tmp_path):
     guards.test_lift_equals_scc_of_the_explicit_graph_on_random_mirrored_digraphs()
 
 
-# name: (function, snippet, its replacement, the guard that must fail)
+def lift_on_even_cycle(monkeypatch, tmp_path):
+    guards.test_lift_of_an_even_cycle_reached_first_from_outside()
+
+
+def records_in_37_byte_pieces(monkeypatch, tmp_path):
+    test_pipeline.test_text_records_match_line_by_line_parse(monkeypatch, 37)
+
+
+def truncated_models(monkeypatch, tmp_path):
+    test_pipeline.test_truncated_model_rejected(tmp_path)
+
+
+def tiling_in_1_row_pieces(monkeypatch, tmp_path):
+    test_boxtree.test_restore_in_pieces_names_the_smallest_clashing_pair(monkeypatch, 1)
+
+
+# name: (function, snippet, its replacement, the guard that must fail, how)
 MUTANTS = {
     "sigma entries left out of the table": (
         chain_graph.build_edges,
         "else np.flatnonzero(mirror < np.arange(n))",
         "else np.empty(0, dtype=np.int64)",
         lift_on_tree,
+        AssertionError,
     ),
     "search not stopped at component boundaries": (
         chain_graph._parity_labelling,
         "inner = raw[dst] == raw[src]",
         "inner = np.ones(len(dst), dtype=bool)",
-        guards.test_lift_of_an_even_cycle_reached_first_from_outside,
+        lift_on_even_cycle,
+        AssertionError,
     ),
     "broken-edge pass without the sigma parity": (
         chain_graph._parity_labelling,
         "broken ^= sigma[src]\n",
         "\n",
         lift_on_random_digraphs,
+        AssertionError,
+    ),
+    "reader that drops each piece's last line": (
+        pipeline._read_piece,
+        "lines[name] = rows\n",
+        "lines[name] = rows[rows < len(head) - 1]\n",
+        records_in_37_byte_pieces,
+        AssertionError,
+    ),
+    # the lines beyond a false header count are written past their tag's
+    # share of the keys, and the X lines past the array's end
+    "key array with no room for the lines beyond the header's count": (
+        pipeline._load,
+        "table = table[: max(stop - at, 0)]",
+        "table = table",
+        truncated_models,
+        ValueError,
+    ),
+    "tiling check that skips the last piece of rows": (
+        boxtree._smallest_clash,
+        "range(0, n, _LOOKUP_PIECE)",
+        "range(0, n - _LOOKUP_PIECE, _LOOKUP_PIECE)",
+        tiling_in_1_row_pieces,
+        AssertionError,
     ),
 }
 
@@ -54,14 +101,19 @@ def apply_mutant(monkeypatch, fn, old: str, new: str) -> None:
     module = sys.modules[fn.__module__]
     scope = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    # the mutant reads the module's globals as they are when it runs, so
+    # it sees what a guard patches there
+    code = scope[fn.__name__]
+    mutant = types.FunctionType(code.__code__, vars(module), fn.__name__, code.__defaults__)
+    mutant.__kwdefaults__ = code.__kwdefaults__
     for bound in (module, guards):
         if getattr(bound, fn.__name__, None) is fn:
-            monkeypatch.setattr(bound, fn.__name__, scope[fn.__name__])
+            monkeypatch.setattr(bound, fn.__name__, mutant)
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_mutant_is_caught(name, monkeypatch):
-    fn, old, new, guard = MUTANTS[name]
+def test_mutant_is_caught(name, monkeypatch, tmp_path):
+    fn, old, new, guard, failure = MUTANTS[name]
     apply_mutant(monkeypatch, fn, old, new)
-    with pytest.raises(AssertionError):
-        guard()
+    with pytest.raises(failure):
+        guard(monkeypatch, tmp_path)

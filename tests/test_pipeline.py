@@ -2,6 +2,7 @@
 model round-trips, CLI surface and exit codes, regression invariants."""
 
 import importlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -591,12 +593,14 @@ def test_truncated_model_rejected(tmp_path):
         assert _cli("inspect", "--model-in", str(bad)).returncode == 4
 
 
-_LOAD_BYTES_PER_EDGE = 45  # traced by load_model, file text included
+# traced by load_model: one int64 key per edge, the CSR's int32 per edge
+# beside the keys, and one piece of text with its temporaries (about 15)
+_LOAD_BYTES_PER_EDGE = 16
 
 
 def test_load_allocates_a_few_bytes_per_edge(tmp_path, altper2_run):
-    # the text, the tables of its pieces and one key per edge; joining
-    # the pieces' tables, or keeping the text to the end, costs more
+    # holding the whole text, or int64 tables of the edges beside their
+    # keys, costs more
     path = str(tmp_path / "altper2.txt")
     save_model(path, altper2_run.result.model, altper2_run.result.gamma, include_edges=True)
     (_, _, gamma), peak = traced_peak(load_model, path)
@@ -736,7 +740,7 @@ def test_edge_checks_keep_their_order_across_pieces(tmp_path, monkeypatch, piece
 
 @pytest.mark.parametrize("piece_bytes", [1, 37, 1 << 20])
 def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
-    # the vectorized reader against int() per field, with the body cut
+    # the streamed reader against int() per field, with the file cut
     # into pieces of about piece_bytes
     monkeypatch.setattr(pipeline, "_PIECE_BYTES", piece_bytes)
     rng = random.Random(piece_bytes)
@@ -751,11 +755,45 @@ def test_text_records_match_line_by_line_parse(monkeypatch, piece_bytes):
         gap = lambda: rng.choice([" ", "\t", "  ", " \t "])
         text += rng.choice(["", " "]) + tag + "".join(gap() + f for f in fields)
         text += rng.choice(["", " "]) + rng.choice(["\n", "\r\n", "\r", "\n\n", "\n \n"])
-    tables = pipeline._read_records(text.encode(), 0, widths)
+    pieces = list(pipeline._read_records(io.BytesIO(text.encode()), widths))
     for tag, width in widths.items():
         expected = np.array(want[tag], dtype=np.int64).reshape(-1, width)
-        table = np.concatenate(tables[tag])
+        table = np.concatenate([np.empty((0, width), dtype=np.int64)] + [p[tag] for p in pieces])
         assert table.dtype == np.int64 and np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_bad_record_near_the_end_names_its_line_in_the_whole_file(tmp_path, monkeypatch, end):
+    # the file is read in pieces of about 37 bytes, so the line is
+    # counted over the pieces before the one that holds it
+    monkeypatch.setattr(pipeline, "_PIECE_BYTES", 37)
+    records = _ONE_COMP + ["E 0 1", "E 1 0", "E 0 0", "E 1 1"] * 10 + ["E 0 x", "E 1 1"]
+    path = Path(_hand_model(tmp_path, records))
+    path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+    with pytest.raises(ParseError, match=re.escape("line 44: bad integer 'x'")):
+        load_model(str(path))
+
+
+def test_build_edges_runs_with_no_live_selector(monkeypatch):
+    # a sink-basin step's selector holds a set of leaf ids: it is gone
+    # once the leaves are split, before the step's edge build
+    selectors = []
+    select, build = pipeline.sink_basin_selector, pipeline.build_edges
+
+    def selector(tree):
+        chosen = select(tree)
+        wrapped = lambda lid: chosen(lid)
+        selectors.append(weakref.ref(wrapped))
+        return wrapped
+
+    def building(*args, **kw):
+        assert all(ref() is None for ref in selectors)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "sink_basin_selector", selector)
+    monkeypatch.setattr(pipeline, "build_edges", building)
+    run_pipeline(small_config(c="-1", schedule=parse_schedule("uniform*3,sink_basin*2")))
+    assert len(selectors) == 2
 
 
 def _graph_tables(tree, gamma):
