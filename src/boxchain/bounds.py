@@ -54,8 +54,6 @@ __all__ = [
     "r_coefficient",
     "sigma_constants",
     "sink_basin_radius",
-    "sigma_contraction_bound",
-    "annulus_radii",
     "separation_eta",
     "separation_epsilon_bound",
     "one_dim_bounds",
@@ -181,26 +179,6 @@ def sink_basin_radius(lam: float, tau: float) -> float:
     """Radius tau(1 - lambda) of a euclidean disk inside the immediate
     sink basin."""
     return tau * (1.0 - lam)
-
-
-def sigma_contraction_bound(r: float, lam: float, c: float, d: float) -> float:
-    """Upper bound lambda r + r^2 D^2/C on the sigma-distance of the
-    image from the sink, for points at sigma-distance r."""
-    if r < 0.0:
-        raise UsageError("radius must be nonnegative")
-    return lam * r + r * r * d * d / c
-
-
-def annulus_radii(xi: float, lam: float, c: float, d: float):
-    """Radii (r-, r+) of the sigma-annulus of non-xi-recurrent points:
-    the real roots of (D^2/C) r^2 - (1-lambda) r + xi."""
-    bound = (1.0 - lam) ** 2 * c / (4.0 * d * d)
-    if not 0.0 < xi < bound:
-        raise DomainError(f"xi must lie in (0, {bound})")
-    disc = (1.0 - lam) ** 2 - 4.0 * xi * d * d / c
-    root = math.sqrt(disc)
-    scale = c / (2.0 * d * d)
-    return scale * ((1.0 - lam) - root), scale * ((1.0 - lam) + root)
 
 
 def separation_eta(lam: float, tau: float) -> float:

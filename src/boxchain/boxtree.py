@@ -168,9 +168,6 @@ class BoxTree:
             raise UsageError("not every id is a live leaf")
         return np.column_stack([self._depths[rows].astype(np.int64), self._idx[rows]])
 
-    def addresses(self) -> set:
-        return set(zip(self._depths.tolist(), map(tuple, self._idx.tolist())))
-
     # -- exact grid geometry ---------------------------------------------------
 
     def cell_size(self, depth: int) -> float:

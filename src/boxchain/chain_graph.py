@@ -40,8 +40,9 @@ looked up.  The grid is σ-symmetric and the interval images commute
 with σ bit for bit, so k -> j is an edge iff σk -> σj is.  The graph
 stores only the computed rows' out-edges, sorted by (src, dst), with
 the mirror table, and each mirrored row's table entry is its mirror
-(see below); it answers for the whole graph Υ through σ (``n_edges``,
-``has_edge``, ``out_neighbors``, ``edge_rows``).
+(see below); it answers for the whole graph Υ through σ: ``n_edges``
+counts Υ's edges, and ``row_edge_blocks``, the one edge reader, yields
+each mirrored row's edges as the mirrors of its mirror's.
 
 The strong components of a mirrored graph come from the graph H that
 its own table holds: the stored edges on all n rows, and one edge
@@ -143,28 +144,12 @@ class ChainGraph:
         # each stored edge and its mirror; each mirrored row's one entry is not an edge
         return 2 * len(self.indices) - self.n_vertices
 
-    def _mirrored(self, row: int) -> bool:
-        """Whether ``row``'s out-edges are the mirrors of stored ones."""
-        return self.mirror is not None and self.mirror[row] < row
-
-    def edge_rows(self):
-        """(src, dst) vertex rows of every edge, in CSR order (int32)."""
-        blocks = list(self.edge_blocks(np.arange(self.n_vertices)))
-        if not blocks:
-            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-        return tuple(np.concatenate(part) for part in zip(*blocks))
-
-    def edge_blocks(self, rows):
-        """Yield (src, dst) vertex rows (int32) of the edges out of
-        ``rows`` (ascending), in (src, dst) order, a block of rows at a
-        time; a mirrored row's edges are the mirrors of stored ones."""
-        for src, lens, dst in self.row_edge_blocks(rows):
-            yield np.repeat(src.astype(np.int32), lens), dst
-
     def row_edge_blocks(self, rows):
-        """``edge_blocks`` with the sources once per row: yield (src, lens,
-        dst) per block, the block's rows, how many edges leave each, and
-        the dst rows (int32) of those edges in (src, dst) order."""
+        """Yield (src, lens, dst) per block of the edges out of ``rows``
+        (ascending), a block of rows at a time: the block's rows, how
+        many edges leave each, and the dst rows (int32) of those edges
+        in (src, dst) order.  A mirrored row's edges are the mirrors of
+        its mirror's stored ones.  The graph's one edge reader."""
         indptr, indices, mirror = self.indptr, self.indices, self.mirror
         stored = rows if mirror is None else np.minimum(rows, mirror[rows])
         counts = indptr[stored + 1] - indptr[stored]
@@ -185,18 +170,8 @@ class ChainGraph:
                 dst = key.astype(np.int32)
             yield src, lens, dst
 
-    def out_neighbors(self, row: int) -> np.ndarray:
-        if self._mirrored(row):
-            mirrored = self.mirror[self.out_neighbors(self.mirror[row])]
-            return np.sort(mirrored).astype(self.indices.dtype)
-        return self.indices[self.indptr[row] : self.indptr[row + 1]]
-
     def has_edge(self, src_row: int, dst_row: int) -> bool:
-        if self._mirrored(src_row):
-            src_row, dst_row = self.mirror[src_row], self.mirror[dst_row]
-        nb = self.out_neighbors(src_row)
-        k = np.searchsorted(nb, dst_row)
-        return k < len(nb) and nb[k] == dst_row
+        return dst_row in next(self.row_edge_blocks(np.array([src_row])))[2]
 
     def row_of_leaf(self, leaf_id: int) -> int:
         k = int(np.searchsorted(self.vertex_ids, leaf_id))
@@ -339,10 +314,6 @@ class SccLabeling:
 
     comp: np.ndarray
     sizes: tuple  # box count per component id
-
-    @property
-    def n_components(self) -> int:
-        return len(self.sizes)
 
 
 def scc_decompose(graph: ChainGraph) -> SccLabeling:

@@ -164,10 +164,7 @@ class MapModel:
         self.R = trapping_radius(self)
         if r_prime is None:
             r_prime = 1.05 * self.R
-        v0, rp, d0 = trapping_box(self, float(r_prime))
-        self.r_prime = rp
-        self.delta0_prime = d0
-        self._v0 = v0
+        self.r_prime, self.delta0_prime = trapping_box(self, float(r_prime))
 
     # -- structure ---------------------------------------------------------
 
@@ -216,9 +213,6 @@ class MapModel:
     @property
     def c_mod(self) -> float:
         return abs(self.c)
-
-    def v0_box(self) -> BoxRegion:
-        return self._v0
 
     def param_text(self) -> str:
         parts = [f"kind={self.kind}"]
@@ -388,11 +382,11 @@ def trapping_radius(model: MapModel) -> float:
     return max(hi, 1.0)
 
 
-def trapping_box(model: MapModel, r_prime: float) -> tuple[BoxRegion, float, float]:
-    """Trapping box V0 for a chosen radius R' > R.
+def trapping_box(model: MapModel, r_prime: float) -> tuple[float, float]:
+    """Trapping box V0 = [-R', R']^naxes for a chosen radius R' > R.
 
-    Returns (V0, R'_snapped, delta0') where R' is snapped up to the
-    dyadic grid (12 fractional bits) and 2*delta0' = q(R') > 0.  The
+    Returns (R'_snapped, delta0') where R' is snapped up to the dyadic
+    grid (12 fractional bits) and 2*delta0' = q(R') > 0.  The
     delta0'-chain recurrent set is contained in V0.
     """
     if not math.isfinite(r_prime):
@@ -409,7 +403,7 @@ def trapping_box(model: MapModel, r_prime: float) -> tuple[BoxRegion, float, flo
     d0 = 0.5 * q
     if not d0 > 0.0:
         raise UsageError("degenerate trapping box: q(R') <= 0")
-    return model.box_from_axes([Interval(-rp, rp)] * model.naxes), rp, d0
+    return rp, d0
 
 
 # ---------------------------------------------------------------------------

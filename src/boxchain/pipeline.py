@@ -491,7 +491,7 @@ def _load(fh):
     the counts.  The components are checked once every box is read."""
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
-    first = fh.read(_PIECE_BYTES) + fh.readline()  # whole lines, as every piece
+    first = _next_piece(fh)
     cut = re.search(rb"[\r\n]|\Z", first).start()
     model, scales, announced = _parse_header(first[:cut])
     n_edges, n_cross = (max(count, 0) for count in announced[1:])
@@ -535,18 +535,37 @@ def _read_records(fh, widths: dict, data: bytes = b""):
     separated by whitespace (space, tab, CR, LF, VT, FF); blank lines
     are skipped.  A line's first field, its tag, is one byte, one of
     ``widths``' keys; every other field is an optional sign (``+`` or
-    ``-``) then 1 to 18 decimal digits, so within int64.  A piece ends
-    past the first LF at least ``_PIECE_BYTES`` into it, or at the end
-    of the file, never between CR and LF; the line breaks (LF, CRLF or
-    CR) before it number the lines in its errors.  Each piece is checked
-    in whole-array passes before its numbers are read (``_read_piece``)."""
+    ``-``) then 1 to 18 decimal digits, so within int64.  The pieces
+    are ``_next_piece``'s; the line breaks (LF, CRLF or CR) before a
+    piece number the lines in its errors.  Each piece is checked in
+    whole-array passes before its numbers are read (``_read_piece``)."""
     line = 0
-    while data or (data := fh.read(_PIECE_BYTES) + fh.readline()):
+    while data or (data := _next_piece(fh)):
         yield _read_piece(data, widths, line)
         line += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
         if b"\r" in data:
             line += data.count(b"\r") - data.count(b"\r\n")
         data = b""
+
+
+def _next_piece(fh) -> bytes:
+    """The next piece of whole lines of the open file ``fh``: the lines
+    that end within its next ``_PIECE_BYTES`` bytes, else its next line,
+    else the rest of the file (b"" at its end).  A line ends at LF, CR
+    or CRLF; a CR that ends the bytes read is kept back until the next
+    byte shows it does not start a CRLF.  ``fh`` is left at the piece's
+    end: the bytes read past it are read again with the next piece."""
+    data = fh.read(_PIECE_BYTES)
+    while data:
+        end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if end:
+            fh.seek(end - len(data), os.SEEK_CUR)
+            return data[:end]
+        more = fh.read(_PIECE_BYTES)
+        if not more:
+            break
+        data += more
+    return data
 
 
 def _read_piece(data: bytes, widths: dict, line: int) -> dict:

@@ -7,7 +7,7 @@ import pytest
 
 from boxchain.maps import fixed_points, sink_orbits
 from boxchain.pipeline import RunConfig, parse_schedule, run_pipeline
-from support_trees import live_ids
+from support_trees import addresses, live_ids
 
 
 @dataclasses.dataclass
@@ -46,7 +46,7 @@ class InstrumentedRun:
             self.snapshots.append(
                 StepSnapshot(
                     record=step,
-                    gamma_addresses=tree.addresses(),
+                    gamma_addresses=addresses(tree),
                     tree_is_gamma=live_ids(tree) == gamma.vertex_ids.tolist(),
                     fixed_points_covered=covered(self.known_points),
                     exact_sinks_covered=covered(self.exact_sink_points),

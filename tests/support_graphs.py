@@ -1,6 +1,6 @@
 """Shared test helpers: build a ChainGraph from edge pairs or plain
-adjacency lists, read a recurrent model's edges, the all-pairs edge
-oracle, and the traced memory peak of a call."""
+adjacency lists, read a graph's or a recurrent model's edges, the
+all-pairs edge oracle, and the traced memory peak of a call."""
 
 import tracemalloc
 
@@ -32,6 +32,17 @@ def graph_from_adjacency(adj):
         epsilon=1.0,
         epsilon_min=1.0,
     )
+
+
+def edge_rows(graph):
+    """(src, dst) vertex rows (int32) of every edge of ``graph``, in
+    (src, dst) order: its ``row_edge_blocks`` over all rows, joined."""
+    none = np.empty(0, dtype=np.int32)
+    blocks = [(none, none)] + [
+        (np.repeat(src.astype(np.int32), lens), dst)
+        for src, lens, dst in graph.row_edge_blocks(np.arange(graph.n_vertices))
+    ]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def gamma_edges(gamma):

@@ -35,7 +35,7 @@ from boxchain.render import (
     render_slice,
     unstable_parameterization,
 )
-from support_graphs import all_pairs_edges
+from support_graphs import all_pairs_edges, edge_rows
 from support_trees import live_ids
 
 
@@ -255,9 +255,8 @@ def test_criterion_6c_edge_oracle_two_maps():
             tree.prune_escaping(6)
         delta = tree.epsilon_min() / 1000.0
         g = build_edges(tree, model, delta)
-        got = {
-            (u, int(v)) for u in range(g.n_vertices) for v in g.out_neighbors(u)
-        }
+        src, dst = edge_rows(g)
+        got = set(zip(src.tolist(), dst.tolist()))
         assert got == all_pairs_edges(tree, model, delta)
     _report(6, "edge set vs all-pairs oracle", "depth-4 grids, two maps")
 

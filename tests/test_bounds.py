@@ -12,7 +12,6 @@ from boxchain.ia import DomainError
 from boxchain.maps import MapModel, fixed_points
 from boxchain.pipeline import PRESETS
 from boxchain.bounds import (
-    annulus_radii,
     delta_prime,
     epsilon_prime,
     one_dim_bounds,
@@ -20,7 +19,6 @@ from boxchain.bounds import (
     separation_epsilon_bound,
     separation_eta,
     sigma_constants,
-    sigma_contraction_bound,
     sink_basin_radius,
     sink_section_for_map,
 )
@@ -144,48 +142,6 @@ def test_sink_basin_radius():
     assert rel(sink_basin_radius(0.885, tau), 0.0034352307) < 1e-6
     assert sink_basin_radius(0.0, tau) == tau
     assert sink_basin_radius(1.0, tau) == 0.0
-
-
-def test_sigma_contraction_bound():
-    c, d, tau = sigma_constants(-0.885, -0.34, 0.3)
-    lam = 0.885
-    assert sigma_contraction_bound(0.0, lam, c, d) == 0.0
-    s_p = (1 - lam) * c / (d * d)
-    # contraction exactly below s_p
-    r = s_p / 2
-    bound = sigma_contraction_bound(r, lam, c, d)
-    assert bound / r == pytest.approx(lam + (1 - lam) / 2, rel=1e-12)
-    assert bound < r
-    r2 = s_p * 1.01
-    assert sigma_contraction_bound(r2, lam, c, d) > r2
-
-
-def test_annulus_radii_limits_and_residuals():
-    c, d, tau = sigma_constants(-0.885, -0.34, 0.3)
-    lam = 0.885
-    bound = (1 - lam) ** 2 * c / (4 * d * d)
-    with pytest.raises(DomainError):
-        annulus_radii(bound, lam, c, d)
-    rm, rp = annulus_radii(bound * (1 - 1e-12), lam, c, d)
-    assert rp - rm < 1e-5  # near-double root
-    mid = c * (1 - lam) / (2 * d * d)
-    assert rm == pytest.approx(mid, rel=1e-5)
-    # residual check over random valid inputs
-    rng = random.Random(5)
-    for _ in range(500):
-        l1 = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(0, 2 * math.pi))
-        l2 = cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(0, 2 * math.pi))
-        if abs(l1 - l2) < 1e-3:
-            continue
-        cc, dd, _ = sigma_constants(l1, l2, abs(l1 * l2))
-        lam2 = max(abs(l1), abs(l2))
-        b2 = (1 - lam2) ** 2 * cc / (4 * dd * dd)
-        xi = rng.uniform(0.05, 0.95) * b2
-        r_lo, r_hi = annulus_radii(xi, lam2, cc, dd)
-        q = lambda r: (dd * dd / cc) * r * r - (1 - lam2) * r + xi
-        assert abs(q(r_lo)) < 1e-12 and abs(q(r_hi)) < 1e-12
-        # annulus width claim
-        assert r_hi - r_lo <= (1 - lam2) * cc / (dd * dd) + 1e-15
 
 
 def test_separation_eta_values():
@@ -428,5 +384,5 @@ def test_contraction_bound_pointwise_on_table_map():
         fx, fy = m.point_forward((x, y))
         img = np.array([fx - z, fy - z])
         lhs = _sigma_norm(l1, l2, img)
-        bound = sigma_contraction_bound(r, lam, c, d)
+        bound = lam * r + r * r * d * d / c  # the sigma-contraction lemma
         assert lhs <= bound * (1 + 1e-9) + 1e-12

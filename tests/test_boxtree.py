@@ -18,7 +18,7 @@ from boxchain import boxtree
 from boxchain.maps import MapModel, fixed_points, snap_up_dyadic
 from boxchain.boxtree import BoxTree, cell_range, init_root, sink_basin_selector
 from boxchain.pipeline import preset_params
-from support_trees import has_leaf, leaf_address, live_ids
+from support_trees import addresses, has_leaf, leaf_address, live_ids
 
 
 def quad_c0(rp=2.0):
@@ -114,7 +114,7 @@ def test_selective_subdivision_keeps_others():
     m = quad_c0()
     tree = init_root(m)
     subdivide_all(tree, 4)
-    start = tree.addresses()
+    start = addresses(tree)
     probe = BoxRegion([ComplexInterval(Interval(-0.01, 0.01), Interval(-0.01, 0.01))])
     hits = set(tree.query_intersect(probe))
     assert hits
@@ -122,7 +122,7 @@ def test_selective_subdivision_keeps_others():
     assert report.selected == len(hits)
     assert report.created == 4 * len(hits)
     # unselected leaves unchanged
-    after = tree.addresses()
+    after = addresses(tree)
     untouched = {a for a in start if a in after}
     assert len(untouched) == len(start) - len(hits)
     assert tree.epsilon() == tree.cell_size(4)
@@ -132,9 +132,9 @@ def test_selective_subdivision_keeps_others():
 def test_nesting_under_subdivision():
     tree = init_root(per31())
     subdivide_all(tree, 2)
-    before = tree.addresses()
+    before = addresses(tree)
     tree.subdivide(lambda lid: lid % 3 == 0)
-    for depth, idx in tree.addresses():
+    for depth, idx in addresses(tree):
         # every live leaf descends from a leaf of the previous state
         found = False
         for d0, i0 in before:
@@ -263,7 +263,7 @@ def test_query_all_and_empty():
     m = per31()
     tree = init_root(m)
     subdivide_all(tree, 2)
-    v0 = m.v0_box()
+    v0 = m.box_from_axes([Interval(-m.r_prime, m.r_prime)] * m.naxes)
     assert tree.query_intersect(v0) == live_ids(tree)
     rp = tree.r_prime
     far = Interval(rp + 1.0, rp + 2.0)

@@ -21,7 +21,7 @@ from boxchain.chain_graph import (
     recurrent_model,
     scc_decompose,
 )
-from support_graphs import all_pairs_edges, gamma_edges, graph_from_pairs, traced_peak
+from support_graphs import all_pairs_edges, edge_rows, gamma_edges, graph_from_pairs, traced_peak
 from support_trees import live_ids
 
 
@@ -142,11 +142,8 @@ def test_edges_match_all_pairs_oracle(make, depth, grow):
     tree = grow(model, depth)
     delta = tree.epsilon_min() / 1000.0
     g = build_edges(tree, model, delta)
-    got = {
-        (u, int(v))
-        for u in range(g.n_vertices)
-        for v in g.out_neighbors(u)
-    }
+    src, dst = edge_rows(g)
+    got = set(zip(src.tolist(), dst.tolist()))
     want = all_pairs_edges(tree, model, delta)
     assert got == want
     assert g.n_edges == len(want)  # no edge twice
@@ -203,7 +200,7 @@ def test_mirrored_build_and_prune_equal_the_full_ones(make, depth, steps, monkey
     # row, and answers for all
     assert half.mirror is not None and whole.mirror is None
     assert 2 * len(half.indices) - half.n_vertices == half.n_edges == whole.n_edges
-    for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
+    for a, b in zip((half.vertex_ids, *edge_rows(half)), (whole.vertex_ids, *edge_rows(whole))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -228,7 +225,7 @@ def test_mirrored_rows_hold_their_mirror_alone(make, depth, steps, monkeypatch):
     for row in np.flatnonzero(mirror < np.arange(half.n_vertices)):
         assert half.indices[half.indptr[row] : half.indptr[row + 1]].tolist() == [mirror[row]]
     assert half.n_edges == whole.n_edges
-    for a, b in zip((half.vertex_ids, *half.edge_rows()), (whole.vertex_ids, *whole.edge_rows())):
+    for a, b in zip((half.vertex_ids, *edge_rows(half)), (whole.vertex_ids, *edge_rows(whole))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     got, want = (recurrent_model(g, scc_decompose(g)) for g in (half, whole))
     assert (got.n_edges, got.n_cross_edges) == (want.n_edges, want.n_cross_edges)
@@ -254,7 +251,7 @@ def test_edge_set_is_invariant_under_conjugation(make, depth, monkeypatch):
     assert (mirror != np.arange(len(mirror))).all()
     assert sorted(np.concatenate([rows, mirror[rows]]).tolist()) == list(range(len(mirror)))
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    src, dst = g.edge_rows()
+    src, dst = edge_rows(g)
     edges = set(zip(src.tolist(), dst.tolist()))
     assert {(int(mirror[u]), int(mirror[v])) for u, v in edges} == edges
 
@@ -401,21 +398,21 @@ def test_edges_rows_sorted_and_unique():
     model = quad_c0()
     tree = grown_tree(model, 4)
     g = build_edges(tree, model, 1e-4)
-    for u in range(g.n_vertices):
-        nb = g.out_neighbors(u)
-        assert (np.diff(nb) > 0).all()
+    # each row's dst rows strictly ascending: the keys src * n + dst
+    src, dst = edge_rows(g)
+    assert (np.diff(src.astype(np.int64) * g.n_vertices + dst) > 0).all()
 
 
 def test_edge_rows_and_from_pairs_invert_each_other():
     for adj in ([], [[]], [[1], [], [0, 1, 2]]):
-        src, dst = graph_from_adjacency(adj).edge_rows()
+        src, dst = edge_rows(graph_from_adjacency(adj))
         assert list(zip(src.tolist(), dst.tolist())) == [
             (u, v) for u, outs in enumerate(adj) for v in sorted(outs)
         ]
     model = quad_c0()
     built = build_edges(grown_tree(model, 4), model, 1e-4)
     again = graph_from_pairs(
-        *built.edge_rows(),
+        *edge_rows(built),
         built.vertex_ids,
         tree=built.tree,
         delta=built.delta,
@@ -424,7 +421,7 @@ def test_edge_rows_and_from_pairs_invert_each_other():
     )
     # built stores the edges of one leaf of each mirrored pair, again all
     assert built.mirror is not None and again.n_edges == built.n_edges
-    for a, b in zip((built.vertex_ids, *built.edge_rows()), (again.vertex_ids, *again.edge_rows())):
+    for a, b in zip((built.vertex_ids, *edge_rows(built)), (again.vertex_ids, *edge_rows(again))):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -489,7 +486,7 @@ def test_mixed_depth_lookup_expands_few_candidates_per_edge(monkeypatch):
 def test_two_cycle_single_component():
     g = graph_from_adjacency([[1], [0]])
     lab = scc_decompose(g)
-    assert lab.n_components == 1 and lab.sizes == (2,)
+    assert len(lab.sizes) == 1 and lab.sizes == (2,)
     assert list(lab.comp) == [0, 0]
 
 
@@ -610,7 +607,7 @@ def mirrored_twin(full, mirror):
     """``full`` stored as a mirrored graph: the out-edges of the rows
     below their mirror's row, one entry σk -> k out of each other row
     σk, and the mirror table."""
-    src, dst = full.edge_rows()
+    src, dst = edge_rows(full)
     stored = src < mirror[src]
     sigma = np.flatnonzero(mirror < np.arange(len(mirror)))
     src = np.concatenate([src[stored], sigma])
@@ -636,7 +633,7 @@ def assert_same_labeling(got, want):
 def invariant_components(labeling, mirror) -> np.ndarray:
     """Whether σ maps each component onto itself."""
     comp = labeling.comp
-    return np.array([(comp[mirror[comp == c]] == c).all() for c in range(labeling.n_components)], dtype=bool)
+    return np.array([(comp[mirror[comp == c]] == c).all() for c in range(len(labeling.sizes))], dtype=bool)
 
 
 def assert_lift_equals_scc(adj, mirror, rng):
@@ -650,10 +647,11 @@ def assert_lift_equals_scc(adj, mirror, rng):
     want = scc_decompose(full)
     assert_same_labeling(scc_decompose(half), want)
     assert half.n_edges == full.n_edges == 2 * len(half.indices) - n
-    for a, b in zip(half.edge_rows(), full.edge_rows()):
+    for a, b in zip(edge_rows(half), edge_rows(full)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    for u in range(n):
-        assert np.array_equal(half.out_neighbors(u), full.out_neighbors(u))
+    for u in range(n):  # one row at a time, as has_edge reads it
+        one = np.array([u])
+        assert np.array_equal(next(half.row_edge_blocks(one))[2], next(full.row_edge_blocks(one))[2])
     for u, v in rng.integers(n, size=(20, 2)):
         assert half.has_edge(u, v) == full.has_edge(u, v)
     return want
@@ -705,7 +703,7 @@ def test_lift_equals_scc_of_the_explicit_graph_on_mirrored_trees(make, depth, st
     half = build_edges(tree, model, tree.epsilon_min() / 1000.0)
     assert half.mirror is not None
     full = graph_from_pairs(
-        *half.edge_rows(),
+        *edge_rows(half),
         half.vertex_ids,
         tree=tree,
         delta=half.delta,
@@ -761,7 +759,7 @@ def test_strong_components_never_get_a_repeated_edge(make, depth, steps, monkeyp
     model = make()
     tree = sink_tree(model, depth, steps)
     half = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    src, dst = half.edge_rows()
+    src, dst = edge_rows(half)
     stored = src < half.mirror[src]
     edges = set(zip(src[stored].tolist(), dst[stored].tolist()))
     assert sum((u, int(half.mirror[v])) in edges for u, v in edges) > 0  # j and σj
@@ -888,7 +886,9 @@ def test_recurrent_model_matches_cycle_oracle_on_map_graph():
     model = quad_c0()
     tree = grown_tree(model, 5)
     g = build_edges(tree, model, tree.epsilon_min() / 1000.0)
-    adj = [list(map(int, g.out_neighbors(u))) for u in range(g.n_vertices)]
+    adj = [[] for _ in range(g.n_vertices)]
+    for u, v in zip(*(part.tolist() for part in edge_rows(g))):
+        adj[u].append(v)
     _, want_member = _closure_partition(adj)
     lab = scc_decompose(g)
     gamma = recurrent_model(g, lab)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxchain.boxtree import init_root
 from boxchain.ia import BoxRegion, ComplexInterval, Interval, IntervalArray, UsageError
 from boxchain.maps import (
     MapModel,
@@ -239,18 +240,21 @@ def test_trapping_radius_cubic_bisection():
 
 def test_trapping_box_altper2():
     m = ALTPER2()
-    box, rp, d0 = trapping_box(m, 1.9)
+    rp, d0 = trapping_box(m, 1.9)
     assert rp == snap_up_dyadic(1.9) and rp >= 1.9
     # direct formula evaluation at the snapped radius
     assert d0 == pytest.approx((rp * rp - 1.15 * rp - 1.1875) / 2.0, rel=1e-15)
     assert d0 == pytest.approx(0.11875, abs=3e-4)
-    for ax in box.axes():
+    # V0, the root of the tree, is [-R', R'] on every axis
+    assert m.r_prime == rp
+    tree = init_root(m)
+    for ax in tree.leaf_box(int(tree.leaf_ids[0])).axes():
         assert ax == Interval(-rp, rp)
 
 
 def test_trapping_box_per31():
     m = PER31()
-    _, rp, d0 = trapping_box(m, 2.01)
+    rp, d0 = trapping_box(m, 2.01)
     assert d0 == pytest.approx(0.12855, abs=5e-5)
 
 

@@ -4,13 +4,14 @@ with the exception the case names.
 
 A mutant replaces one snippet of the function's source, compiled in the
 function's own module scope; the modules that bound the function by
-name (its own and the guard's) get the mutant in its place.  A case
-fails when the snippet is gone, so a rewrite of a guarded function must
-bring its mutant along.  A guard takes the case's monkeypatch and
-tmp_path fixtures."""
+name (its own and the guard's), or the class of a method, get the
+mutant in its place.  A case fails when the snippet is gone, so a
+rewrite of a guarded function must bring its mutant along.  A guard
+takes the case's monkeypatch and tmp_path fixtures."""
 
 import inspect
 import sys
+import textwrap
 import types
 
 import pytest
@@ -45,6 +46,28 @@ def truncated_models(monkeypatch, tmp_path):
 def tiling_in_1_row_pieces(monkeypatch, tmp_path):
     test_boxtree.test_restore_in_pieces_names_the_smallest_clashing_pair(monkeypatch, 1)
 
+
+def mirrored_build_on_circle(monkeypatch, tmp_path):
+    guards.test_mirrored_build_and_prune_equal_the_full_ones(guards.quad_c0, 5, 1, monkeypatch)
+
+
+def lookup_against_brute_force(monkeypatch, tmp_path):
+    test_boxtree.test_lookup_in_runs_matches_brute_force(
+        test_boxtree.per31, 3, 0, True, boxtree._CHUNK_CANDIDATES, monkeypatch
+    )
+
+
+def refinement_on_cubicdouble(monkeypatch, tmp_path):
+    test_pipeline.test_refined_edges_lie_over_edges_of_the_step_before(monkeypatch, "cubicdouble", "uniform*8")
+
+
+# a mirrored row's edges read as its mirror's stored ones, unflipped
+NO_SIGMA_FLIP = (chain_graph.ChainGraph.row_edge_blocks, "stored[start:stop] < src", "stored[start:stop] > src")
+DROP_ONE_PAIR_IN_100 = (
+    boxtree._matches,
+    "return np.repeat(item, count), at",
+    "keep = np.arange(len(at)) % 100 != 99\n    return np.repeat(item, count)[keep], at[keep]",
+)
 
 # name: (function, snippet, its replacement, the guard that must fail, how)
 MUTANTS = {
@@ -92,11 +115,31 @@ MUTANTS = {
         tiling_in_1_row_pieces,
         AssertionError,
     ),
+    "mirror read without the sigma flip (mirrored build)": (
+        *NO_SIGMA_FLIP,
+        mirrored_build_on_circle,
+        AssertionError,
+    ),
+    "mirror read without the sigma flip (lift)": (
+        *NO_SIGMA_FLIP,
+        lift_on_random_digraphs,  # through assert_lift_equals_scc
+        AssertionError,
+    ),
+    "lookup that drops one pair in a hundred (brute force)": (
+        *DROP_ONE_PAIR_IN_100,
+        lookup_against_brute_force,
+        AssertionError,
+    ),
+    "lookup that drops one pair in a hundred (refinement)": (
+        *DROP_ONE_PAIR_IN_100,
+        refinement_on_cubicdouble,
+        AssertionError,
+    ),
 }
 
 
 def apply_mutant(monkeypatch, fn, old: str, new: str) -> None:
-    source = inspect.getsource(fn)
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, f"{fn.__name__} does not hold {old!r} once"
     module = sys.modules[fn.__module__]
     scope = dict(vars(module))
@@ -106,6 +149,9 @@ def apply_mutant(monkeypatch, fn, old: str, new: str) -> None:
     code = scope[fn.__name__]
     mutant = types.FunctionType(code.__code__, vars(module), fn.__name__, code.__defaults__)
     mutant.__kwdefaults__ = code.__kwdefaults__
+    owner = fn.__qualname__.rpartition(".")[0]
+    if owner:  # a method
+        monkeypatch.setattr(getattr(module, owner), fn.__name__, mutant)
     for bound in (module, guards):
         if getattr(bound, fn.__name__, None) is fn:
             monkeypatch.setattr(bound, fn.__name__, mutant)

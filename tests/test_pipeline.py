@@ -31,7 +31,8 @@ from boxchain.pipeline import (
     save_model,
 )
 from boxchain.render import RenderConfig, render_plane
-from support_graphs import gamma_edges, traced_peak
+from support_graphs import edge_rows, gamma_edges, traced_peak
+from support_trees import addresses
 
 DATA = Path(__file__).parent / "data"
 
@@ -240,8 +241,7 @@ def test_refined_edges_lie_over_edges_of_the_step_before(monkeypatch, preset, sc
     def checking(tree, model, delta, **kw):
         graph = build(tree, model, delta, **kw)
         _, depths, idx, _, _ = tree.live_arrays()
-        blocks = list(graph.edge_blocks(np.arange(graph.n_vertices)))
-        src, dst = (np.concatenate(part).astype(np.int64) for part in zip(*blocks))
+        src, dst = (part.astype(np.int64) for part in edge_rows(graph))
         assert len(src) == graph.n_edges
         if before:
             assert delta <= before["delta"]
@@ -549,7 +549,7 @@ def test_model_roundtrip_preserves_everything(tmp_path):
     assert gamma.epsilon == gamma0.epsilon
     assert gamma.epsilon_min == gamma0.epsilon_min
     assert np.array_equal(gamma.comp, gamma0.comp)
-    assert tree.addresses() == tree0.addresses()
+    assert addresses(tree) == addresses(tree0)
     # edges identical under the address correspondence
     for got, want in zip(gamma_edges(gamma), gamma_edges(gamma0)):
         assert np.array_equal(got, want)
@@ -774,6 +774,40 @@ def test_bad_record_near_the_end_names_its_line_in_the_whole_file(tmp_path, monk
         load_model(str(path))
 
 
+def test_cr_only_model_loads_in_as_many_pieces_as_the_lf_one(tmp_path, monkeypatch):
+    # a CR ends a line as an LF does: the CR-only copy of a saved model
+    # is read in about as many 37-byte pieces, loads to the same graph,
+    # and names the line of a bad token as the LF file does
+    monkeypatch.setattr(pipeline, "_PIECE_BYTES", 37)
+    calls = []
+    read_piece = pipeline._read_piece
+
+    def counting(*args):
+        calls.append(1)
+        return read_piece(*args)
+
+    monkeypatch.setattr(pipeline, "_read_piece", counting)
+    path, _ = _run_small_model(tmp_path)
+    lines = Path(path).read_bytes().split(b"\n")
+    bad = len(lines) - 5  # an edge line near the end, 0-based
+    assert lines[bad][:2] in (b"E ", b"X ")
+    broken = lines[:bad] + [lines[bad].rsplit(b" ", 1)[0] + b" x"] + lines[bad + 1 :]
+    loaded, pieces, errors = {}, {}, {}
+    for end in ("\n", "\r"):
+        calls.clear()
+        path = tmp_path / "ends.txt"
+        path.write_bytes(end.encode().join(lines))
+        loaded[end] = load_model(str(path))[1:]
+        pieces[end] = len(calls)
+        path.write_bytes(end.encode().join(broken))
+        with pytest.raises(ParseError) as caught:
+            load_model(str(path))
+        errors[end] = str(caught.value).split(": ", 1)[1]
+    _assert_same_graph(loaded["\n"], loaded["\r"])
+    assert pieces["\n"] > 100 and abs(pieces["\r"] - pieces["\n"]) <= pieces["\n"] // 20, pieces
+    assert errors["\r"] == errors["\n"] == f"line {bad + 1}: bad integer 'x'"
+
+
 def test_build_edges_runs_with_no_live_selector(monkeypatch):
     # a sink-basin step's selector holds a set of leaf ids: it is gone
     # once the leaves are split, before the step's edge build
@@ -821,7 +855,7 @@ def test_gamma_edge_counts_match_its_edge_blocks(monkeypatch):
     result = run_pipeline(config)
     assert len(graphs) == 4
     for graph in graphs:
-        assert graph.mirror is not None and graph.n_edges == len(graph.edge_rows()[0])
+        assert graph.mirror is not None and graph.n_edges == len(edge_rows(graph)[0])
     gamma, step = result.gamma, result.record.steps[-1]
     src, _, cross = gamma_edges(gamma)
     assert step.gamma_edges == len(src) == gamma.n_edges
