@@ -40,9 +40,8 @@ looked up.  The grid is σ-symmetric and the interval images commute
 with σ bit for bit, so k -> j is an edge iff σk -> σj is.  The graph
 stores only the computed rows' out-edges, sorted by (src, dst), with
 the mirror table, and each mirrored row's table entry is its mirror
-(see below); it answers for the whole graph Υ through σ: ``n_edges``
-counts Υ's edges, and ``row_edge_blocks``, the one edge reader, yields
-each mirrored row's edges as the mirrors of its mirror's.
+(see below); it answers for the whole graph Υ through σ (``n_edges``
+and ``row_edge_blocks``, the graph's one edge reader).
 
 The strong components of a mirrored graph come from the graph H that
 its own table holds: the stored edges on all n rows, and one edge
@@ -145,11 +144,10 @@ class ChainGraph:
         return 2 * len(self.indices) - self.n_vertices
 
     def row_edge_blocks(self, rows):
-        """Yield (src, lens, dst) per block of the edges out of ``rows``
-        (ascending), a block of rows at a time: the block's rows, how
-        many edges leave each, and the dst rows (int32) of those edges
-        in (src, dst) order.  A mirrored row's edges are the mirrors of
-        its mirror's stored ones.  The graph's one edge reader."""
+        """The graph's one edge reader: yield (src, lens, dst) per block of
+        ``rows`` (ascending), the block's rows, how many edges leave each
+        and the dst rows (int32) of those edges in (src, dst) order; a
+        mirrored row's edges are the mirrors of its mirror's."""
         indptr, indices, mirror = self.indptr, self.indices, self.mirror
         stored = rows if mirror is None else np.minimum(rows, mirror[rows])
         counts = indptr[stored + 1] - indptr[stored]

@@ -494,6 +494,8 @@ def _load(fh):
     first = _next_piece(fh)
     cut = re.search(rb"[\r\n]|\Z", first).start()
     model, scales, announced = _parse_header(first[:cut])
+    del first
+    fh.seek(cut)  # the records follow the header line
     n_edges, n_cross = (max(count, 0) for count in announced[1:])
     keys = np.empty(min(n_edges + n_cross, (size - cut + 1) // 6), dtype=np.int64)
     split = min(n_edges, len(keys))
@@ -502,9 +504,7 @@ def _load(fh):
     found = dict.fromkeys("BEX", 0)
     widths = {"B": model.naxes + 2, "E": 2, "X": 2}
     boxes, outside = [np.empty((0, widths["B"]), dtype=np.int64)], {}
-    records = _read_records(fh, widths, first[cut:])
-    del first
-    for tables in records:
+    for tables in _read_records(fh, widths):
         boxes.append(tables["B"])
         found["B"] += len(tables["B"])
         for tag in "EX":
@@ -527,45 +527,38 @@ def _load(fh):
     return _rebuild(model, scales, np.concatenate(boxes), keys, n_edges, outside)
 
 
-def _read_records(fh, widths: dict, data: bytes = b""):
-    """Yield the record lines ``TAG n_1 ... n_w`` of ``data``, then of
-    the rest of the open file ``fh``, a piece of whole lines at a time:
-    per piece, one int64 table per tag, whose rows are the tag's lines
-    in file order; ``widths`` maps each tag to its w.  Fields are
-    separated by whitespace (space, tab, CR, LF, VT, FF); blank lines
-    are skipped.  A line's first field, its tag, is one byte, one of
+def _read_records(fh, widths: dict):
+    """Yield the record lines ``TAG n_1 ... n_w`` of the open file
+    ``fh``, from where it stands, a piece of whole lines at a time: per
+    piece, one int64 table per tag, whose rows are the tag's lines in
+    file order; ``widths`` maps each tag to its w.  Fields are separated
+    by whitespace (space, tab, CR, LF, VT, FF); blank lines are
+    skipped.  A line's first field, its tag, is one byte, one of
     ``widths``' keys; every other field is an optional sign (``+`` or
-    ``-``) then 1 to 18 decimal digits, so within int64.  The pieces
-    are ``_next_piece``'s; the line breaks (LF, CRLF or CR) before a
-    piece number the lines in its errors.  Each piece is checked in
-    whole-array passes before its numbers are read (``_read_piece``)."""
+    ``-``) then 1 to 18 decimal digits, so within int64.  The pieces are
+    ``_next_piece``'s; the line breaks (LF, CRLF or CR) before a piece
+    number the lines in its errors.  Each piece is checked in whole-array
+    passes before its numbers are read (``_read_piece``)."""
     line = 0
-    while data or (data := _next_piece(fh)):
+    while data := _next_piece(fh):
         yield _read_piece(data, widths, line)
         line += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
         if b"\r" in data:
             line += data.count(b"\r") - data.count(b"\r\n")
-        data = b""
 
 
 def _next_piece(fh) -> bytes:
-    """The next piece of whole lines of the open file ``fh``: the lines
-    that end within its next ``_PIECE_BYTES`` bytes, else its next line,
-    else the rest of the file (b"" at its end).  A line ends at LF, CR
-    or CRLF; a CR that ends the bytes read is kept back until the next
-    byte shows it does not start a CRLF.  ``fh`` is left at the piece's
-    end: the bytes read past it are read again with the next piece."""
+    """The lines of the open file ``fh`` that end within its next
+    ``_PIECE_BYTES`` bytes, else its next line, else the rest; ``fh`` is
+    left after them.  A line ends at LF, CR or CRLF; a CR that ends the
+    bytes read may start a CRLF, so it is left for the next piece."""
     data = fh.read(_PIECE_BYTES)
-    while data:
-        end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-        if end:
-            fh.seek(end - len(data), os.SEEK_CUR)
-            return data[:end]
-        more = fh.read(_PIECE_BYTES)
-        if not more:
-            break
+    while not (end := max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1):
+        if not (more := fh.read(_PIECE_BYTES)):
+            return data
         data += more
-    return data
+    fh.seek(end - len(data), os.SEEK_CUR)
+    return data[:end]
 
 
 def _read_piece(data: bytes, widths: dict, line: int) -> dict:
