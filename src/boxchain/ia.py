@@ -26,11 +26,14 @@ Four layers of data live here:
 * ``IntervalArray``   -- its numpy counterpart, element-wise intervals
   over float64 arrays, for evaluating one formula on many boxes at once;
 * ``ComplexInterval`` -- a rectangle re + i*im whose parts are both
-  Intervals or both IntervalArrays (im None in real mode), with one
-  add/sub/mul/square/div for either;
+  Intervals or both IntervalArrays, with one add/sub/mul/square/div for
+  either;
 * ``BoxRegion``       -- a vector of scalar ComplexIntervals (length 2
-  for maps of C^2, length 1 for maps of C), optionally flagged
-  real-mode, in which case imaginary parts are pinned to [0, 0].
+  for maps of C^2, length 1 for maps of C).
+
+Real mode is written one way in both arithmetics: the imaginary part is
+None (exactly zero and not stored), and a box is real when its
+coordinates' are.
 
 ``IntervalArray`` rounds blindly: each endpoint is computed in
 round-to-nearest and then moved one ulp outward (np.nextafter's result,
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -183,21 +187,20 @@ def sqrt_up(x: float) -> float:
     return _sqrt_toward(x, _INF)
 
 
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] of doubles, lo <= hi.  Immutable."""
 
-    __slots__ = ("lo", "hi")
+    lo: float
+    hi: float
 
-    def __init__(self, lo: float, hi: float):
-        lo = float(lo)
-        hi = float(hi)
+    def __post_init__(self):
+        lo = float(self.lo)
+        hi = float(self.hi)
         if not (lo <= hi):  # also rejects NaN endpoints
             raise DomainError(f"invalid interval endpoints [{lo!r}, {hi!r}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -226,19 +229,6 @@ class Interval:
         return Interval(_down(f, n, d, _quot), -_down(-f, -n, d, _quot))
 
     # -- basic queries ---------------------------------------------------
-
-    def __repr__(self):
-        return f"Interval({self.lo!r}, {self.hi!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Interval)
-            and self.lo == other.lo
-            and self.hi == other.hi
-        )
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def width(self) -> float:
         """Upper bound on hi - lo."""
@@ -326,6 +316,7 @@ class Interval:
 _ZERO = Interval(0.0, 0.0)
 
 
+@dataclass(frozen=True, slots=True)
 class ComplexInterval:
     """Rectangle {x + iy : x in re, y in im}.  Immutable.
 
@@ -336,38 +327,20 @@ class ComplexInterval:
     part) as well, since its imaginary part is ignored.
     """
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexInterval is immutable")
+    re: object
+    im: object
 
     @staticmethod
     def point(z: complex) -> "ComplexInterval":
         z = complex(z)
         return ComplexInterval(Interval.point(z.real), Interval.point(z.imag))
 
-    def __repr__(self):
-        return f"ComplexInterval({self.re!r}, {self.im!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexInterval)
-            and self.re == other.re
-            and self.im == other.im
-        )
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def contains(self, z: complex) -> bool:
-        return self.re.contains(z.real) and self.im.contains(z.imag)
+        im = z.imag == 0.0 if self.im is None else self.im.contains(z.imag)
+        return self.re.contains(z.real) and im
 
     def encloses(self, other: "ComplexInterval") -> bool:
-        return self.re.encloses(other.re) and self.im.encloses(other.im)
+        return self.re.encloses(other.re) and (self.im is None or self.im.encloses(other.im))
 
     def add(self, other: "ComplexInterval") -> "ComplexInterval":
         im = None if self.im is None else self.im.add(other.im)
@@ -378,7 +351,7 @@ class ComplexInterval:
         return ComplexInterval(self.re.sub(other.re), im)
 
     def neg(self) -> "ComplexInterval":
-        return ComplexInterval(self.re.neg(), self.im.neg())
+        return ComplexInterval(self.re.neg(), None if self.im is None else self.im.neg())
 
     def mul(self, other: "ComplexInterval") -> "ComplexInterval":
         # (a+bi)(c+di): re = ac - bd, im = ad + bc, each outward rounded.
@@ -429,50 +402,30 @@ class BoxPredicates(NamedTuple):
     sup_distance: float
 
 
+@dataclass(frozen=True, slots=True)
 class BoxRegion:
     """A box in C^n (n = 1 or 2) as a vector of ComplexIntervals.
 
-    With ``real=True`` the box lives in R^n: imaginary parts are pinned
-    to [0, 0] and do not count as axes for widening or distances.
+    A box whose imaginary parts are None lives in R^n: they do not count
+    as axes for widening or distances.
     """
 
-    __slots__ = ("coords", "real")
+    coords: Sequence[ComplexInterval]
 
-    def __init__(self, coords: Sequence[ComplexInterval], real: bool = False):
-        coords = tuple(coords)
-        if not coords:
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if not self.coords:
             raise UsageError("BoxRegion needs at least one coordinate")
-        if real:
-            coords = tuple(ComplexInterval(c.re, _ZERO) for c in coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "real", real)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BoxRegion is immutable")
-
-    def __repr__(self):
-        return f"BoxRegion({list(self.coords)!r}, real={self.real})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoxRegion)
-            and self.real == other.real
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.coords, self.real))
+    @property
+    def real(self) -> bool:
+        return self.coords[0].im is None
 
     # -- axis view ---------------------------------------------------------
 
     def axes(self) -> list[Interval]:
         """The real-interval components (Re/Im pairs, Re only in real mode)."""
-        out = []
-        for c in self.coords:
-            out.append(c.re)
-            if not self.real:
-                out.append(c.im)
-        return out
+        return [p for c in self.coords for p in (c.re, c.im) if p is not None]
 
     def _compatible(self, other: "BoxRegion") -> None:
         if len(self.coords) != len(other.coords) or self.real != other.real:
@@ -486,13 +439,10 @@ class BoxRegion:
     def widen(self, r: float) -> "BoxRegion":
         if r < 0.0:
             raise UsageError("widen radius must be nonnegative")
-        if self.real:
-            coords = [ComplexInterval(c.re.widen(r), _ZERO) for c in self.coords]
-        else:
-            coords = [
-                ComplexInterval(c.re.widen(r), c.im.widen(r)) for c in self.coords
-            ]
-        return BoxRegion(coords, real=self.real)
+        return BoxRegion(
+            ComplexInterval(c.re.widen(r), None if c.im is None else c.im.widen(r))
+            for c in self.coords
+        )
 
     def intersects(self, other: "BoxRegion") -> bool:
         self._compatible(other)
@@ -612,6 +562,7 @@ def _product(a: "IntervalArray", b, op) -> "IntervalArray":
     return out
 
 
+@dataclass(slots=True, eq=False)
 class IntervalArray:
     """Element-wise intervals [lo, hi] over float64 arrays.
 
@@ -619,11 +570,8 @@ class IntervalArray:
     scalar Interval, which broadcasts over the rows.
     """
 
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
+    lo: np.ndarray
+    hi: np.ndarray
 
     def add(self, other) -> "IntervalArray":
         return IntervalArray(_down_arr(self.lo + other.lo), _up_arr(self.hi + other.hi))

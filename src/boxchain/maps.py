@@ -30,16 +30,17 @@ claim.
 Each family's interval extension F (and F^-1 for Henon kinds) is
 written once, in ``MapModel.interval_forward``/``interval_backward``,
 as a formula over coordinate objects with the add/sub/mul/square/div
-API of ``ia``.  Two arithmetics run it:
+API of ``ia``.  Two arithmetics run it, both with the imaginary part
+None in real mode:
 
 * ``image``/``preimage`` pass the ComplexIntervals of a ``BoxRegion``:
   the tightest directed rounding, the independent oracle;
 * ``batch_forward``/``batch_backward`` pass ComplexIntervals of
-  IntervalArrays built from [N, naxes] endpoint arrays (imaginary part
-  None in real mode): blind one-ulp outward rounding, used by every
-  bulk pipeline phase (escape pruning calls both, the edge build the
-  first) on pieces of rows, one after another.  Both enclose the exact image, and on every row
-  whose result is finite the array enclosure contains the scalar one
+  IntervalArrays built from [N, naxes] endpoint arrays: blind one-ulp
+  outward rounding, used by every bulk pipeline phase (escape pruning
+  calls both, the edge build the first) on pieces of rows, one after
+  another.  Both enclose the exact image, and on every row whose result
+  is finite the array enclosure contains the scalar one
   (tests/test_interval_array.py checks this on adversarial endpoints),
   so an edge or escape decision made from it is as sound.
 
@@ -65,6 +66,7 @@ from .ia import (
     Interval,
     IntervalArray,
     UsageError,
+    _ZERO,
     hull_complex,
 )
 
@@ -84,7 +86,6 @@ __all__ = [
 
 KINDS = ("henon_complex", "henon_real", "quad_poly", "cubic_poly")
 
-_ZERO = Interval(0.0, 0.0)
 _GRID_BITS = 12  # fractional bits of the dyadic grid radius
 _MAX_PERIOD = 8  # longest cycle heuristic_sink_cycles looks for
 _TRANSIENT = 400  # seed orbit steps before the cycle search
@@ -266,7 +267,7 @@ class MapModel:
         return self.axes_from_coords(pt, lambda z: (z.real, z.imag))
 
     def box_from_axes(self, axes) -> BoxRegion:
-        return BoxRegion(self.coords_from_axes(axes, ComplexInterval), real=self.real_mode)
+        return BoxRegion(self.coords_from_axes(axes, ComplexInterval))
 
     # -- interval extension F (one formula, scalar or array coordinates) -----
 
@@ -298,13 +299,13 @@ class MapModel:
 
     def image(self, box: BoxRegion) -> BoxRegion:
         self.check_box(box)
-        return BoxRegion(self.interval_forward(box.coords), real=box.real)
+        return BoxRegion(self.interval_forward(box.coords))
 
     def preimage(self, box: BoxRegion) -> BoxRegion:
         if not self.is_henon:
             raise UsageError("preimage is defined for Henon kinds only")
         self.check_box(box)
-        return BoxRegion(self.interval_backward(box.coords), real=box.real)
+        return BoxRegion(self.interval_backward(box.coords))
 
     # -- point arithmetic (non-rigorous helpers) -----------------------------
 

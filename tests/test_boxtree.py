@@ -288,14 +288,13 @@ def _random_probe(rng, rp, ncoords, real, point=False):
     for _ in range(n_real):
         a = endpoint()
         axes.append(Interval(*sorted((a, a if point else endpoint()))))
-    zero = Interval(0.0, 0.0)
     if real:
-        coords = [ComplexInterval(ax, zero) for ax in axes]
+        coords = [ComplexInterval(ax, None) for ax in axes]
     else:
         coords = [
             ComplexInterval(axes[2 * k], axes[2 * k + 1]) for k in range(ncoords)
         ]
-    return BoxRegion(coords, real=real)
+    return BoxRegion(coords)
 
 
 def _check_against_linear_scan(tree, ncoords, probes, seed):

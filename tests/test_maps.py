@@ -36,7 +36,9 @@ HORSE = lambda: henon("-0.74", "-2.75", 2.84)
 
 def point_box(model, *pts):
     coords = [ComplexInterval.point(complex(p)) for p in pts]
-    return BoxRegion(coords, real=model.real_mode)
+    if model.real_mode:
+        coords = [ComplexInterval(c.re, None) for c in coords]
+    return BoxRegion(coords)
 
 
 def box_from_axes(model, axes):
@@ -47,11 +49,10 @@ def box_from_axes(model, axes):
             ComplexInterval(axes[2], axes[3]),
         ]
     elif model.kind == "henon_real":
-        z = Interval(0.0, 0.0)
-        coords = [ComplexInterval(axes[0], z), ComplexInterval(axes[1], z)]
+        coords = [ComplexInterval(axes[0], None), ComplexInterval(axes[1], None)]
     else:
         coords = [ComplexInterval(axes[0], axes[1])]
-    return BoxRegion(coords, real=model.real_mode)
+    return BoxRegion(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ def refinement_on_cubicdouble(monkeypatch, tmp_path):
     test_pipeline.test_refined_edges_lie_over_edges_of_the_step_before(monkeypatch, "cubicdouble", "uniform*8")
 
 
+def depth_cap_on_2_axes(monkeypatch, tmp_path):
+    test_boxtree.test_narrow_arrays_at_the_depth_cap(test_boxtree.quad_c0, 31)
+
+
+def depth_cap_on_4_axes(monkeypatch, tmp_path):
+    test_boxtree.test_narrow_arrays_at_the_depth_cap(test_boxtree.per31, 15)
+
+
 # a mirrored row's edges read as its mirror's stored ones, unflipped
 NO_SIGMA_FLIP = (chain_graph.ChainGraph.row_edge_blocks, "stored[start:stop] < src", "stored[start:stop] > src")
 DROP_ONE_PAIR_IN_100 = (
@@ -68,6 +76,8 @@ DROP_ONE_PAIR_IN_100 = (
     "return np.repeat(item, count), at",
     "keep = np.arange(len(at)) % 100 != 99\n    return np.repeat(item, count)[keep], at[keep]",
 )
+# packed keys shifted in int32, which drops the high bits at the cap
+PACK_IN_INT32 = (boxtree._pack, "idx[:, 0].astype(np.int64)", "idx[:, 0].copy()")
 
 # name: (function, snippet, its replacement, the guard that must fail, how)
 MUTANTS = {
@@ -133,6 +143,23 @@ MUTANTS = {
     "lookup that drops one pair in a hundred (refinement)": (
         *DROP_ONE_PAIR_IN_100,
         refinement_on_cubicdouble,
+        AssertionError,
+    ),
+    "upper cell bounds from an int32 index + 1": (
+        boxtree.BoxTree._box_bounds,
+        "(idx + 1.0) * cells",
+        "(idx + 1) * cells",
+        depth_cap_on_2_axes,
+        AssertionError,
+    ),
+    "keys packed in int32 (2 axes)": (
+        *PACK_IN_INT32,
+        depth_cap_on_2_axes,
+        AssertionError,
+    ),
+    "keys packed in int32 (4 axes)": (
+        *PACK_IN_INT32,
+        depth_cap_on_4_axes,
         AssertionError,
     ),
 }
